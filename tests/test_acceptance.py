@@ -8,6 +8,7 @@ under sixty seconds on a commodity machine.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -177,13 +178,38 @@ _REDUCED = {
 }
 
 
+# Cases and failures of the first run of each suite at ``_REDUCED``/seed 3,
+# recorded once from the code before the plumbing refactor and never
+# regenerated: a refactor must reproduce them, margins to a relative 1e-6.
+_GOLDEN = Path(__file__).parent / "golden" / "suites_reduced.json"
+
+
+def _assert_matches_golden(name, cases, failures, golden):
+    assert failures == golden["failures"], name
+    assert [(c["name"], c["status"]) for c in cases] == [
+        (g["name"], g["status"]) for g in golden["cases"]
+    ], name
+    for case, gold in zip(cases, golden["cases"]):
+        m, m_gold = case["margin"], gold["margin"]
+        assert m == m_gold or abs(m - m_gold) <= 1e-6 * max(abs(m_gold), gold["tol"]), (
+            name,
+            case["name"],
+            m,
+            m_gold,
+        )
+
+
 def test_12_reruns_reproduce_outcomes():
     # Every registered suite, run twice with the same seed, must reproduce
-    # byte-identical cases and failures (wall_ms is the only varying field).
+    # byte-identical cases and failures (wall_ms is the only varying field),
+    # and the first run must match the committed golden outcomes.
     assert set(_REDUCED) == set(SUITE_NAMES)
+    golden = json.loads(_GOLDEN.read_text(encoding="utf-8"))
+    assert set(golden) == set(SUITE_NAMES)
     for name in sorted(_REDUCED):
         cfgs = [SuiteConfig(suite=name, seed=3, **_REDUCED[name]) for _ in range(2)]
         first, second = (run_suite(c) for c in cfgs)
+        _assert_matches_golden(name, first.cases, first.failures, golden[name])
         assert json.dumps(first.cases, sort_keys=True) == json.dumps(
             second.cases, sort_keys=True
         ), name

@@ -1,247 +1,20 @@
 """Numerical laboratory for operator algebras with contractive approximate identities."""
 
-from .matcore import (
-    DEFAULT_TOL,
-    ConvergenceError,
-    CrossCheckError,
-    SpectralGapError,
-    SpectrumError,
-    Subspace,
-    Tolerances,
-    matrix_from_json,
-    matrix_span,
-    matrix_to_json,
-    operator_norm,
-    range_kernel_projections,
-    spectral_radius,
-    spectrum,
-)
-from .cone import (
-    ConeReport,
-    accretive,
-    cone_constant,
-    cone_report,
-    in_F,
-    in_halfF,
-    strictly_real_positive,
-)
-from .calculus import (
-    BinomialSeries,
-    RecurrenceBreakdown,
-    bai_element,
-    bai_sequence,
-    binomial_coefficients,
-    matrix_power_r,
-    root_cai,
-    series_power_oracle,
-    spectral_idempotent,
-)
-from .support import (
-    DensityState,
-    SupportResult,
-    VanishingReport,
-    join_supports,
-    peak_projection,
-    power_limit_projection,
-    state_vanishing_check,
-    support_projection,
-    support_projection_routes,
-)
-from .spectral import (
-    NumericalRangeSample,
-    SharpNeumannResult,
-    WedgeReport,
-    numerical_radius,
-    numerical_range,
-    sharp_neumann,
-    wedge_membership,
-)
-from .algebra import (
-    CompressionResult,
-    FDAlgebra,
-    IdealTriple,
-    NorBatteryReport,
-    QuotientConeReport,
-    QuotientNormResult,
-    WsBatteryReport,
-    block_diagonal_algebra,
-    block_ideal_subspace,
-    compression_invertibility,
-    full_matrix_algebra,
-    generated_algebra,
-    ideal_subspaces,
-    left_identity_search,
-    nor_battery,
-    one_minus_ideal,
-    quotient_cone_check,
-    quotient_norm,
-    upper_triangular_algebra,
-    ws_battery,
-)
-from .examples import RdrExample, example_rdr, example_two_dim, volterra
-from .domar import (
-    BumpCaiReport,
-    GridFunction,
-    PrincipalDensityResult,
-    RadicalWeight,
-    TitchmarshReport,
-    WeightCriterionReport,
-    alpha,
-    alpha_index,
-    bump_cai_check,
-    convolve,
-    domar_criterion_check,
-    grid_delta,
-    grid_indicator,
-    make_weight,
-    principal_density_check,
-    quasinilpotence_estimate,
-    quasinilpotence_root_bound,
-    titchmarsh_check,
-    weighted_l1,
-    weighted_l2,
-)
-from .ocpmap import (
-    DiskTestReport,
-    ExtensionResult,
-    MatrixMap,
-    StinespringTriple,
-    amplify,
-    cp_extension_search,
-    disk_test,
-    entangled_cone_element,
-    identity_map,
-    is_cp,
-    matrix_map_from_function,
-    matrix_map_from_kraus,
-    ocp_falsify,
-    stinespring,
-    transpose_map,
-)
-from .suites import SUITE_NAMES, SuiteConfig, SuiteReport, emit_report, run_suite
+from . import algebra, calculus, cone, domar, examples, matcore, ocpmap, spectral, suites, support
+from .matcore import *  # noqa: F401,F403
+from .cone import *  # noqa: F401,F403
+from .calculus import *  # noqa: F401,F403
+from .support import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .algebra import *  # noqa: F401,F403
+from .examples import *  # noqa: F401,F403
+from .domar import *  # noqa: F401,F403
+from .ocpmap import *  # noqa: F401,F403
+from .suites import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # matcore
-    "DEFAULT_TOL",
-    "Tolerances",
-    "ConvergenceError",
-    "CrossCheckError",
-    "SpectralGapError",
-    "SpectrumError",
-    "Subspace",
-    "matrix_from_json",
-    "matrix_span",
-    "matrix_to_json",
-    "operator_norm",
-    "range_kernel_projections",
-    "spectral_radius",
-    "spectrum",
-    # cone
-    "ConeReport",
-    "accretive",
-    "cone_constant",
-    "cone_report",
-    "in_F",
-    "in_halfF",
-    "strictly_real_positive",
-    # calculus
-    "BinomialSeries",
-    "RecurrenceBreakdown",
-    "bai_element",
-    "bai_sequence",
-    "binomial_coefficients",
-    "matrix_power_r",
-    "root_cai",
-    "series_power_oracle",
-    "spectral_idempotent",
-    # support
-    "DensityState",
-    "SupportResult",
-    "VanishingReport",
-    "join_supports",
-    "peak_projection",
-    "power_limit_projection",
-    "state_vanishing_check",
-    "support_projection",
-    "support_projection_routes",
-    # spectral
-    "NumericalRangeSample",
-    "SharpNeumannResult",
-    "WedgeReport",
-    "numerical_radius",
-    "numerical_range",
-    "sharp_neumann",
-    "wedge_membership",
-    # algebra
-    "CompressionResult",
-    "FDAlgebra",
-    "IdealTriple",
-    "NorBatteryReport",
-    "QuotientConeReport",
-    "QuotientNormResult",
-    "WsBatteryReport",
-    "block_diagonal_algebra",
-    "block_ideal_subspace",
-    "compression_invertibility",
-    "full_matrix_algebra",
-    "generated_algebra",
-    "ideal_subspaces",
-    "left_identity_search",
-    "nor_battery",
-    "one_minus_ideal",
-    "quotient_cone_check",
-    "quotient_norm",
-    "upper_triangular_algebra",
-    "ws_battery",
-    # examples
-    "RdrExample",
-    "example_rdr",
-    "example_two_dim",
-    "volterra",
-    # domar
-    "BumpCaiReport",
-    "GridFunction",
-    "PrincipalDensityResult",
-    "RadicalWeight",
-    "TitchmarshReport",
-    "WeightCriterionReport",
-    "alpha",
-    "alpha_index",
-    "bump_cai_check",
-    "convolve",
-    "domar_criterion_check",
-    "grid_delta",
-    "grid_indicator",
-    "make_weight",
-    "principal_density_check",
-    "quasinilpotence_estimate",
-    "quasinilpotence_root_bound",
-    "titchmarsh_check",
-    "weighted_l1",
-    "weighted_l2",
-    # ocpmap
-    "DiskTestReport",
-    "ExtensionResult",
-    "MatrixMap",
-    "StinespringTriple",
-    "amplify",
-    "cp_extension_search",
-    "disk_test",
-    "entangled_cone_element",
-    "identity_map",
-    "is_cp",
-    "matrix_map_from_function",
-    "matrix_map_from_kraus",
-    "ocp_falsify",
-    "stinespring",
-    "transpose_map",
-    # suites
-    "SUITE_NAMES",
-    "SuiteConfig",
-    "SuiteReport",
-    "emit_report",
-    "run_suite",
-    "__version__",
-]
+# The layer modules, bottom to top; the package exports exactly their names.
+_LAYERS = (matcore, cone, calculus, support, spectral, algebra, examples, domar, ocpmap, suites)
+
+__all__ = [name for layer in _LAYERS for name in layer.__all__] + ["__version__"]

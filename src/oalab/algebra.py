@@ -40,16 +40,17 @@ from .cone import in_F, strictly_real_positive
 from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
+    JsonReport,
     Subspace,
     Tolerances,
     as_square_matrix,
     matrix_from_json,
     matrix_span,
-    matrix_to_json,
     operator_norm,
     spectral_radius,
     spectrum,
 )
+from .sampling import complex_normal
 from .spectral import numerical_radius
 
 __all__ = [
@@ -102,7 +103,7 @@ def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class FDAlgebra:
+class FDAlgebra(JsonReport):
     """A multiplication-closed subspace of ``M_n`` with optional unit.
 
     ``basis`` is a stack of linearly independent ``ambient_dim x ambient_dim``
@@ -164,15 +165,6 @@ class FDAlgebra:
         if coeffs.shape != (self.dim,):
             raise ValueError(f"need {self.dim} coefficients, got {coeffs.shape}")
         return _combine(coeffs, self.basis)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ambient_dim": int(self.ambient_dim),
-                "basis": [matrix_to_json(b) for b in self.basis],
-                "unital": bool(self.unital),
-            }
-        )
 
     @classmethod
     def from_json(cls, text: str, tol: Tolerances = DEFAULT_TOL) -> "FDAlgebra":
@@ -436,20 +428,9 @@ class ConditionStats:
     worst_margin: float
     worst_witness: Optional[np.ndarray]
 
-    def to_dict(self) -> dict:
-        payload = {
-            "name": self.name,
-            "passes": int(self.passes),
-            "failures": int(self.failures),
-            "worst_margin": float(self.worst_margin),
-        }
-        if self.worst_witness is not None:
-            payload["worst_witness"] = matrix_to_json(self.worst_witness)
-        return payload
-
 
 @dataclasses.dataclass(frozen=True)
-class NorBatteryReport:
+class NorBatteryReport(JsonReport):
     """Sampled verification of the radical-free ball conditions.
 
     Conditions evaluated per sample ``a`` in ``Ball(A)`` at distance more
@@ -486,23 +467,6 @@ class NorBatteryReport:
 
     def worst_margins(self) -> dict:
         return {name: c.worst_margin for name, c in self.conditions.items()}
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trials_requested": int(self.trials_requested),
-                "trials_sampled": int(self.trials_sampled),
-                "rejection_margin": float(self.rejection_margin),
-                "all_pass": bool(self.all_pass),
-                "vacuous": bool(self.vacuous),
-                "conditions": {
-                    name: c.to_dict() for name, c in self.conditions.items()
-                },
-                "idempotent_witnesses": [
-                    matrix_to_json(w) for w in self.idempotent_witnesses
-                ],
-            }
-        )
 
 
 _NOR_CONDITIONS = (
@@ -560,8 +524,7 @@ def nor_battery(
     cap = 60 * max(trials, 1)
     while len(samples) < trials and attempts < cap:
         attempts += 1
-        coeffs = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
-        raw = _combine(coeffs, A.basis)
+        raw = _combine(complex_normal(rng, A.dim), A.basis)
         nrm = operator_norm(raw)
         if nrm <= 1e-12:
             continue
@@ -625,7 +588,7 @@ def _solve_xyx(x: np.ndarray, basis, tol: Tolerances):
 
 
 @dataclasses.dataclass(frozen=True)
-class WsBatteryReport:
+class WsBatteryReport(JsonReport):
     """Pseudo-inverse equivalence chain for one element ``x``.
 
     Conditions (finite-dimensional surrogates):
@@ -666,18 +629,6 @@ class WsBatteryReport:
         if self.semisimple and c["vii"] and not c["ii"]:
             return False
         return True
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "conditions": {k: bool(v) for k, v in self.conditions.items()},
-                "semisimple": bool(self.semisimple),
-                "cluster_tol": float(self.cluster_tol),
-                "consistent": bool(self.consistent),
-                "residual_oa": float(self.residual_oa),
-                "residual_A": float(self.residual_A),
-            }
-        )
 
 
 def _is_diagonalizable(x: np.ndarray, cluster_tol: float) -> bool:
@@ -776,7 +727,7 @@ def ws_battery(
 
 
 @dataclasses.dataclass(frozen=True)
-class QuotientNormResult:
+class QuotientNormResult(JsonReport):
     """Certified interval for ``min_j ||a - j||`` over a subspace ``J``.
 
     ``upper`` comes from the best minimizer found (an explicit ``j``);
@@ -798,16 +749,6 @@ class QuotientNormResult:
     @property
     def gap(self) -> float:
         return self.upper - self.lower
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lower": float(self.lower),
-                "upper": float(self.upper),
-                "gap": float(self.gap),
-                "status": self.status,
-            }
-        )
 
 
 def _dual_lower_bound(m: np.ndarray, j_mats: np.ndarray) -> float:
@@ -872,9 +813,9 @@ def quotient_norm(
     best_lower = 0.0
     iters_per = max(budget // max(restarts, 1), 1)
     for attempt in range(restarts):
-        c = warm if attempt == 0 else warm + (
-            rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        ) * max(1.0, np.linalg.norm(warm)) * 0.3
+        c = warm if attempt == 0 else (
+            warm + complex_normal(rng, d) * max(1.0, np.linalg.norm(warm)) * 0.3
+        )
         local_best = np.inf
         for _ in range(iters_per):
             m = matrix_at(c)
@@ -916,7 +857,7 @@ def quotient_norm(
 
 
 @dataclasses.dataclass(frozen=True)
-class QuotientConeReport:
+class QuotientConeReport(JsonReport):
     """Two-directional check that the quotient of the shifted cone is the cone.
 
     ``forward_excess``: worst of ``quotient_norm(unit - x) - 1`` over sampled
@@ -942,21 +883,6 @@ class QuotientConeReport:
             and self.backward_lift_excess <= 1e-6
             and self.backward_membership_residual <= 1e-6
             and self.inconclusive_quotients == 0
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "samples": int(self.samples),
-                "forward_excess": float(self.forward_excess),
-                "backward_checked": int(self.backward_checked),
-                "backward_lift_excess": float(self.backward_lift_excess),
-                "backward_membership_residual": float(
-                    self.backward_membership_residual
-                ),
-                "inconclusive_quotients": int(self.inconclusive_quotients),
-                "consistent": bool(self.consistent),
-            }
         )
 
 
@@ -1006,8 +932,7 @@ def quotient_cone_check(
     comp = unit - e
 
     def random_in_algebra(norm_bound: float) -> np.ndarray:
-        coeffs = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
-        raw = _combine(coeffs, A.basis)
+        raw = _combine(complex_normal(rng, A.dim), A.basis)
         nrm = operator_norm(raw)
         if nrm <= 1e-12:
             return np.zeros_like(raw)
@@ -1027,7 +952,7 @@ def quotient_cone_check(
 
         # Backward: wild ideal part, cone-certified complement part.
         rep = comp @ (unit - random_in_algebra(1.0)) @ comp + _combine(
-            rng.standard_normal(J.dim) + 1j * rng.standard_normal(J.dim), j_mats
+            complex_normal(rng, J.dim), j_mats
         )
         qn_rep = quotient_norm(unit - rep, J, tol)
         if qn_rep.status != "CERTIFIED":

@@ -16,6 +16,7 @@ against something that shares none of its machinery.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,6 +328,25 @@ def series_power_oracle(
     return value, series
 
 
+def _geometric_averages(a: np.ndarray):
+    """Yield (1/n) sum_{k=1}^n (1-a)^k for n = 1, 2, ..."""
+    y = np.eye(a.shape[0]) - a
+    acc = np.zeros_like(a)
+    power = np.eye(a.shape[0], dtype=complex)
+    for n in itertools.count(1):
+        power = power @ y
+        acc += power
+        yield acc / n
+
+
+def _checked_bai(avg: np.ndarray, n: int, tol: Tolerances) -> np.ndarray:
+    """``1 - avg`` after checking the averaged sum has norm at most one."""
+    norm = operator_norm(avg)
+    if norm > 1.0 + 10.0 * tol.exact_tol:
+        raise CrossCheckError(f"averaged geometric sum exceeded norm one at n={n}: {norm!r}")
+    return np.eye(avg.shape[0]) - avg
+
+
 def bai_element(x, n: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """e_n = 1 - (1/n) sum_{k=1}^n (1-x)^k, with the averaged-sum norm check.
 
@@ -336,19 +356,8 @@ def bai_element(x, n: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     a = as_square_matrix(x)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    dim = a.shape[0]
-    y = np.eye(dim) - a
-    acc = np.zeros_like(a)
-    power = np.eye(dim, dtype=complex)
-    for _ in range(n):
-        power = power @ y
-        acc += power
-    avg = acc / n
-    if operator_norm(avg) > 1.0 + 10.0 * tol.exact_tol:
-        raise CrossCheckError(
-            f"averaged geometric sum exceeded norm one: {operator_norm(avg)!r}"
-        )
-    return np.eye(dim) - avg
+    avg = next(itertools.islice(_geometric_averages(a), n - 1, None))
+    return _checked_bai(avg, n, tol)
 
 
 def bai_sequence(x, n_max: int, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
@@ -356,21 +365,8 @@ def bai_sequence(x, n_max: int, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarra
     a = as_square_matrix(x)
     if not in_F(a, tol):
         raise ValueError("bai_sequence requires ||1 - x|| <= 1")
-    dim = a.shape[0]
-    y = np.eye(dim) - a
-    out = []
-    acc = np.zeros_like(a)
-    power = np.eye(dim, dtype=complex)
-    for n in range(1, n_max + 1):
-        power = power @ y
-        acc += power
-        avg = acc / n
-        if operator_norm(avg) > 1.0 + 10.0 * tol.exact_tol:
-            raise CrossCheckError(
-                f"averaged geometric sum exceeded norm one at n={n}"
-            )
-        out.append(np.eye(dim) - avg)
-    return out
+    averages = zip(range(1, n_max + 1), _geometric_averages(a))
+    return [_checked_bai(avg, n, tol) for n, avg in averages]
 
 
 def root_cai(x, n_max: int, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:

@@ -16,7 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from .examples import example_rdr, example_two_dim, volterra
-from .matcore import DEFAULT_TOL, matrix_to_json, spectral_radius
+from .matcore import DEFAULT_TOL, matrix_to_json, spectral_radius, to_jsonable
 from .suites import SUITE_NAMES, SuiteConfig, emit_report, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -52,22 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _example_payload(name: str, size: Optional[int]) -> dict:
     if name == "two-dim":
-        algebra = example_two_dim()
-        return {"example": name, "payload": json.loads(algebra.to_json())}
+        return {"example": name, "payload": to_jsonable(example_two_dim())}
     if name == "rdr":
         n = size if size is not None else 4
-        ex = example_rdr(n)
-        return {
-            "example": name,
-            "size": n,
-            "payload": {
-                "n": ex.n,
-                "min_commutator": float(ex.min_commutator),
-                "r": matrix_to_json(ex.r),
-                "r_inv": matrix_to_json(ex.r_inv),
-                "basis": [matrix_to_json(b) for b in ex.basis],
-            },
-        }
+        return {"example": name, "size": n, "payload": to_jsonable(example_rdr(n))}
     if name == "volterra":
         n = size if size is not None else 100
         v = volterra(n)

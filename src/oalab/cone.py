@@ -16,6 +16,7 @@ import numpy as np
 from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
+    JsonReport,
     Tolerances,
     as_square_matrix,
     operator_norm,
@@ -136,7 +137,7 @@ def cone_constant(
 
 
 @dataclass(frozen=True)
-class ConeReport:
+class ConeReport(JsonReport):
     """Summary of all cone predicates for one matrix."""
 
     in_F: bool
@@ -144,15 +145,6 @@ class ConeReport:
     accretive: bool
     strictly_real_positive: bool
     best_cone_constant: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "in_F": self.in_F,
-            "in_halfF": self.in_halfF,
-            "accretive": self.accretive,
-            "strictly_real_positive": self.strictly_real_positive,
-            "best_cone_constant": self.best_cone_constant,
-        }
 
 
 def cone_report(x, tol: Tolerances = DEFAULT_TOL) -> ConeReport:

@@ -28,7 +28,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.integrate
 
-from .matcore import DEFAULT_TOL, Tolerances
+from .matcore import DEFAULT_TOL, JsonReport, Tolerances, to_jsonable
+from .sampling import complex_normal
 
 __all__ = [
     "RadicalWeight",
@@ -199,7 +200,7 @@ def make_weight(
 
 
 @dataclasses.dataclass(frozen=True)
-class GridFunction:
+class GridFunction(JsonReport):
     """A finitely supported function on the uniform grid ``t_k = k h``.
 
     ``coeffs[k]`` is the value at the left endpoint ``k h``; the function is
@@ -226,14 +227,6 @@ class GridFunction:
 
     def times(self) -> np.ndarray:
         return self.h * np.arange(len(self.coeffs))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "h": float(self.h),
-                "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-            }
-        )
 
     @staticmethod
     def from_json(text: str) -> "GridFunction":
@@ -324,7 +317,7 @@ def alpha(f: GridFunction, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class TitchmarshReport:
+class TitchmarshReport(JsonReport):
     """Exact-additivity tally for the support functional under convolution."""
 
     trials: int
@@ -334,15 +327,6 @@ class TitchmarshReport:
     @property
     def all_exact(self) -> bool:
         return self.exact_matches == self.trials and not self.failures
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trials": int(self.trials),
-                "exact_matches": int(self.exact_matches),
-                "failures": self.failures,
-            }
-        )
 
 
 def titchmarsh_check(
@@ -366,7 +350,7 @@ def titchmarsh_check(
         for _ in range(2):
             offset = int(rng.integers(0, 30))
             length = int(rng.integers(1, 25))
-            body = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+            body = complex_normal(rng, length)
             body[0] = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
             coeffs = np.concatenate([np.zeros(offset, dtype=complex), body])
             parts.append(GridFunction(h=h, coeffs=coeffs))
@@ -379,7 +363,7 @@ def titchmarsh_check(
         else:
             failures.append(
                 {"trial": trial, "expected_index": expected, "got_index": got,
-                 "f": json.loads(f.to_json()), "g": json.loads(g.to_json())}
+                 "f": to_jsonable(f), "g": to_jsonable(g)}
             )
     return TitchmarshReport(trials=trials, exact_matches=matches, failures=failures)
 
@@ -446,7 +430,7 @@ def quasinilpotence_root_bound(
 
 
 @dataclasses.dataclass(frozen=True)
-class WeightCriterionReport:
+class WeightCriterionReport(JsonReport):
     """Convexity, superlinear tail, and ratio-integral data for a weight.
 
     * ``eta_convex`` -- second differences of ``eta`` on a uniform grid stay
@@ -464,18 +448,6 @@ class WeightCriterionReport:
     t_probe: float
     ratio_integral: float
     ratio_integral_error: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eta_convex": bool(self.eta_convex),
-                "worst_second_difference": float(self.worst_second_difference),
-                "tail_superlinear": bool(self.tail_superlinear),
-                "t_probe": float(self.t_probe),
-                "ratio_integral": float(self.ratio_integral),
-                "ratio_integral_error": float(self.ratio_integral_error),
-            }
-        )
 
 
 def domar_criterion_check(
@@ -524,7 +496,7 @@ def domar_criterion_check(
 
 
 @dataclasses.dataclass(frozen=True)
-class PrincipalDensityResult:
+class PrincipalDensityResult(JsonReport):
     """Triangular-solve witness that ``g`` lies in the ideal generated by ``f``.
 
     ``residual`` is the relative weighted-L2 error of ``f * u - g`` on the
@@ -536,15 +508,6 @@ class PrincipalDensityResult:
     residual: float
     solution: GridFunction
     cond_log10: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "residual": float(self.residual),
-                "cond_log10": float(self.cond_log10),
-                "solution": json.loads(self.solution.to_json()),
-            }
-        )
 
 
 def principal_density_check(
@@ -606,7 +569,7 @@ def principal_density_check(
 
 
 @dataclasses.dataclass(frozen=True)
-class BumpCaiReport:
+class BumpCaiReport(JsonReport):
     """Weighted-norm and probe-defect table for normalized bumps.
 
     One row per requested width ``eps``: the effective (grid-rounded)
@@ -617,9 +580,6 @@ class BumpCaiReport:
     """
 
     rows: list
-
-    def to_json(self) -> str:
-        return json.dumps({"rows": self.rows})
 
 
 def bump_cai_check(

@@ -101,7 +101,8 @@ def volterra(n: int) -> np.ndarray:
     below the diagonal, ``1/(2n)`` on it, and zero above: integrating up to
     the midpoint contributes half a cell.  The half-weight diagonal keeps the
     matrix invertible while its norm converges to the continuous value
-    ``2/pi`` at first order; the spectral radius is exactly ``1/(2n)``.
+    ``2/pi`` at second order, ``||V_n|| = (2/pi) (1 - pi^2/(48 n^2)) + ...``;
+    the spectral radius is exactly ``1/(2n)``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

@@ -7,6 +7,8 @@ nothing is ever decided by an exact floating-point comparison.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +76,12 @@ class ConvergenceError(RuntimeError):
 
 
 def as_square_matrix(x) -> np.ndarray:
-    """Validate and return ``x`` as a square complex ndarray."""
+    """Validate and return ``x`` as a nonempty square complex ndarray."""
     a = np.asarray(x, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix contains non-finite entries")
     return a
@@ -88,15 +92,13 @@ def operator_norm(x) -> float:
     return float(np.linalg.norm(as_square_matrix(x), 2))
 
 
-def spectrum(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def spectrum(x) -> np.ndarray:
     """Eigenvalues of ``x`` in nonincreasing modulus order.
 
     Computed from a unitary (complex Schur) triangularization; an iteration
     failure surfaces as :class:`SpectrumError` rather than silently.
     """
     a = as_square_matrix(x)
-    if a.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
     try:
         t, _ = scipy.linalg.schur(a, output="complex")
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
@@ -105,9 +107,8 @@ def spectrum(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return eigs[np.argsort(-np.abs(eigs), kind="stable")]
 
 
-def spectral_radius(x, tol: Tolerances = DEFAULT_TOL) -> float:
-    eigs = spectrum(x, tol)
-    return float(np.abs(eigs[0])) if eigs.size else 0.0
+def spectral_radius(x) -> float:
+    return float(np.abs(spectrum(x)[0]))
 
 
 def range_kernel_projections(x, tol: Tolerances = DEFAULT_TOL):
@@ -119,7 +120,7 @@ def range_kernel_projections(x, tol: Tolerances = DEFAULT_TOL):
     """
     a = as_square_matrix(x)
     u, s, vh = np.linalg.svd(a)
-    cutoff = tol.rank_tol * (s[0] if s.size and s[0] > 0 else 1.0)
+    cutoff = tol.rank_tol * (s[0] if s[0] > 0 else 1.0)
     rank = int(np.sum(s > cutoff))
     p_range = u[:, :rank] @ u[:, :rank].conj().T
     p_kernel = vh[rank:].conj().T @ vh[rank:]
@@ -217,3 +218,32 @@ def matrix_from_json(payload: dict) -> np.ndarray:
         )
     flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     return as_square_matrix(flat.reshape(dim, dim))
+
+
+def to_jsonable(obj):
+    """Plain JSON value of a report: the one wire rule for every ``to_json``.
+
+    A dataclass becomes the dict of its fields, a square 2-D array the
+    :func:`matrix_to_json` form, any other array, list or tuple a list, a
+    complex number ``[re, im]`` and a numpy scalar its Python value.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
+        return matrix_to_json(obj)
+    if isinstance(obj, (np.ndarray, list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    return obj
+
+
+class JsonReport:
+    """Mixin giving a dataclass the shared :func:`to_jsonable` serialization."""
+
+    def to_json(self) -> str:
+        return json.dumps(to_jsonable(self), sort_keys=True, indent=2)

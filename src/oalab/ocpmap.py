@@ -28,12 +28,14 @@ from .cone import in_F
 from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
+    JsonReport,
     Tolerances,
     as_square_matrix,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
 )
+from .sampling import haar_unitary
 
 __all__ = [
     "MatrixMap",
@@ -105,14 +107,9 @@ class MatrixMap:
         return self.action.transpose(0, 2, 1, 3).reshape(n * m, n * m).copy()
 
     def to_json(self) -> str:
-        images = [
-            matrix_to_json(self.action[i, j])
-            for i in range(self.in_dim)
-            for j in range(self.in_dim)
-        ]
-        return json.dumps(
-            {"in_dim": self.in_dim, "out_dim": self.out_dim, "action": images}
-        )
+        n, m = self.in_dim, self.out_dim
+        images = [matrix_to_json(a) for a in self.action.reshape(n * n, m, m)]
+        return json.dumps({"in_dim": n, "out_dim": m, "action": images})
 
     @staticmethod
     def from_json(text: str) -> "MatrixMap":
@@ -193,13 +190,11 @@ def amplify(t: MatrixMap, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixMap:
             f"amplified dimensions {kn}x{km} exceed the {_DIM_CAP} cap"
         )
     action = np.zeros((kn, kn, km, km), dtype=complex)
+    # index (i*n + a, j*n + b, i*m + r, j*m + s) carries T(E_ab)[r, s]
+    blocks = action.reshape(k, n, k, n, k, m, k, m)
     for i in range(k):
         for j in range(k):
-            for a in range(n):
-                for b in range(n):
-                    block = np.zeros((km, km), dtype=complex)
-                    block[i * m : (i + 1) * m, j * m : (j + 1) * m] = t.action[a, b]
-                    action[i * n + a, j * n + b] = block
+            blocks[i, :, j, :, i, :, j, :] = t.action
     amplified = MatrixMap(in_dim=kn, out_dim=km, action=action)
     if kn * km <= 1024:
         _verify_choi_shuffle(t, amplified, k, tol)
@@ -211,16 +206,9 @@ def _verify_choi_shuffle(
 ) -> None:
     """Check ``C(id_k (x) T) = P [C(id_k) (x) C(T)] P^T`` for the regrouping P."""
     n, m = t.in_dim, t.out_dim
-    size = k * n * k * m
     kron = np.kron(identity_map(k).choi, t.choi)
-    perm = np.empty(size, dtype=int)
-    for i in range(k):
-        for u in range(k):
-            for a in range(n):
-                for b in range(m):
-                    src = ((i * k + u) * n + a) * m + b
-                    dst = (i * n + a) * (k * m) + u * m + b
-                    perm[dst] = src
+    # kron is indexed ((i*k + u)*n + a)*m + b, the amplified Choi (i, a, u, b)
+    perm = np.arange(k * k * n * m).reshape(k, k, n, m).transpose(0, 2, 1, 3).ravel()
     shuffled = kron[np.ix_(perm, perm)]
     defect = operator_norm(amplified.choi - shuffled)
     if defect > tol.exact_tol * max(1.0, operator_norm(kron)):
@@ -240,18 +228,9 @@ def entangled_cone_element(n: int) -> np.ndarray:
     ``2p - 1`` is a reflection, so ``||1 - 2p|| = 1`` and ``2p`` lies in the
     cone ``{x: ||1 - x|| <= 1}`` at amplification level ``n``.
     """
-    size = n * n
-    vec = np.zeros(size, dtype=complex)
-    for i in range(n):
-        vec[i * n + i] = 1.0
+    vec = np.eye(n, dtype=complex).ravel()
     p = np.outer(vec, vec.conj()) / n
     return 2.0 * p
-
-
-def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _polar_unitary(g: np.ndarray) -> np.ndarray:
@@ -307,7 +286,7 @@ def ocp_falsify(
         if val > best_val:
             best_x, best_val = x, val
     while evaluations < max(budget // 2, len(candidates) + 1):
-        x = eye + _haar_unitary(rng, kn)
+        x = eye + haar_unitary(rng, kn)
         val = value(x)
         evaluations += 1
         if val > best_val:
@@ -346,7 +325,7 @@ def ocp_falsify(
 
 
 @dataclasses.dataclass(frozen=True)
-class DiskTestReport:
+class DiskTestReport(JsonReport):
     """Sampled and algebraic verdicts for the scaling-disk condition.
 
     ``member`` means ``z x`` stays in the cone ``{y: ||1-y|| <= 1}`` for
@@ -363,18 +342,6 @@ class DiskTestReport:
     circle_points: int
     slack: float
     hermitian_psd: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "member": bool(self.member),
-                "worst_excess": float(self.worst_excess),
-                "worst_z": [self.worst_z.real, self.worst_z.imag],
-                "circle_points": int(self.circle_points),
-                "slack": float(self.slack),
-                "hermitian_psd": bool(self.hermitian_psd),
-            }
-        )
 
 
 def disk_test(

@@ -1,7 +1,8 @@
-"""Seeded random generators used by the test batteries and CLI suites.
+"""Seeded random generators used by the library, the test batteries and CLI suites.
 
 All sampling goes through an explicit ``numpy.random.Generator`` so suite
-runs are reproducible from a single seed.
+runs are reproducible from a single seed, and every complex Gaussian draw
+goes through :func:`complex_normal`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 from .matcore import as_square_matrix
 
 __all__ = [
-    "ginibre",
+    "complex_normal",
     "haar_unitary",
     "random_contraction",
     "random_projection",
@@ -20,24 +21,25 @@ __all__ = [
     "random_half_cone_element",
     "random_strict_cone_element",
     "random_singular_cone_element",
+    "random_normal_singular_cone_element",
 ]
 
 
-def ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Complex Gaussian matrix with iid standard entries."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Array of the given shape with iid standard complex Gaussian entries."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    q, r = np.linalg.qr(ginibre(rng, dim))
+    q, r = np.linalg.qr(complex_normal(rng, (dim, dim)))
     d = np.diag(r)
     return q * (d / np.abs(d))
 
 
 def random_contraction(rng: np.random.Generator, dim: int, radius: float = 1.0) -> np.ndarray:
     """Random matrix with operator norm exactly uniform in (0, radius]."""
-    g = ginibre(rng, dim)
+    g = complex_normal(rng, (dim, dim))
     return g * (rng.uniform(0.0, radius) / np.linalg.norm(g, 2))
 
 
@@ -51,7 +53,7 @@ def random_projection(rng: np.random.Generator, dim: int, rank: int | None = Non
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random density matrix (Hermitian, PSD, unit trace)."""
-    g = ginibre(rng, dim)
+    g = complex_normal(rng, (dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -99,3 +101,14 @@ def random_singular_cone_element(
     x[kernel_dim:, kernel_dim:] = y
     u = haar_unitary(rng, dim)
     return as_square_matrix(u @ x @ u.conj().T)
+
+
+def random_normal_singular_cone_element(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """``1 + u`` with ``u`` normal, ``||u|| = 1``, and ``-1`` an eigenvalue."""
+    q, _ = np.linalg.qr(complex_normal(rng, (dim, dim)))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+    radii = rng.uniform(0.0, 1.0, size=dim)
+    diag = radii * np.exp(1j * phases)
+    diag[0] = -1.0
+    u = (q * diag) @ q.conj().T
+    return np.eye(dim, dtype=complex) + u

@@ -25,6 +25,7 @@ import numpy as np
 from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
+    JsonReport,
     Tolerances,
     as_square_matrix,
     operator_norm,
@@ -42,7 +43,7 @@ __all__ = [
 
 
 @dataclasses.dataclass(frozen=True)
-class NumericalRangeSample:
+class NumericalRangeSample(JsonReport):
     """Boundary sample of a numerical range obtained by a support sweep.
 
     Attributes
@@ -64,17 +65,6 @@ class NumericalRangeSample:
     boundary_points: np.ndarray
     support_values: np.ndarray
     radius: float
-
-    def to_json(self) -> str:
-        payload = {
-            "theta_count": int(self.theta_count),
-            "boundary_points": [
-                [float(w.real), float(w.imag)] for w in self.boundary_points
-            ],
-            "support_values": [float(s) for s in self.support_values],
-            "radius": float(self.radius),
-        }
-        return json.dumps(payload)
 
     @staticmethod
     def from_json(text: str) -> "NumericalRangeSample":
@@ -130,7 +120,7 @@ def numerical_radius(x: np.ndarray, theta_count: int = 720) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class WedgeReport:
+class WedgeReport(JsonReport):
     """Outcome of a sampled wedge-membership check.
 
     ``inside`` is True when every sampled boundary point ``w`` satisfies
@@ -146,18 +136,6 @@ class WedgeReport:
     max_disk_defect: float
     slack: float
     tip_radius: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "inside": bool(self.inside),
-                "rho": float(self.rho),
-                "max_angle": float(self.max_angle),
-                "max_disk_defect": float(self.max_disk_defect),
-                "slack": float(self.slack),
-                "tip_radius": float(self.tip_radius),
-            }
-        )
 
 
 def wedge_membership(
@@ -204,7 +182,7 @@ def wedge_membership(
 
 
 @dataclasses.dataclass(frozen=True)
-class SharpNeumannResult:
+class SharpNeumannResult(JsonReport):
     """Invertibility verdict read off two operator norms.
 
     For ``T`` with ``||1 - T|| <= 1`` the matrix is singular exactly when
@@ -219,16 +197,6 @@ class SharpNeumannResult:
     norm_one_minus: float
     norm_one_minus_half: float
     sigma_min: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "singular": bool(self.singular),
-                "norm_one_minus": float(self.norm_one_minus),
-                "norm_one_minus_half": float(self.norm_one_minus_half),
-                "sigma_min": float(self.sigma_min),
-            }
-        )
 
 
 def sharp_neumann(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SharpNeumannResult:
@@ -261,9 +229,8 @@ def sharp_neumann(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SharpNeumannR
         band_lo <= norm_one <= band_hi and band_lo <= norm_half <= band_hi
     )
     sigma = np.linalg.svd(t, compute_uv=False)
-    sigma_min = float(sigma[-1]) if sigma.size else 0.0
-    scale = float(sigma[0]) if sigma.size else 0.0
-    singular_by_rank = sigma_min <= tol.rank_tol * max(1.0, scale)
+    sigma_min = float(sigma[-1])
+    singular_by_rank = sigma_min <= tol.rank_tol * max(1.0, float(sigma[0]))
     if singular_by_norms != singular_by_rank:
         raise CrossCheckError(
             "norm-based invertibility verdict disagrees with the rank oracle: "

@@ -35,11 +35,13 @@ from .cone import in_F, in_halfF
 from .examples import example_rdr, example_two_dim, volterra
 from .matcore import (
     DEFAULT_TOL,
+    JsonReport,
     Tolerances,
     matrix_span,
     matrix_to_json,
     operator_norm,
     spectral_radius,
+    to_jsonable,
 )
 from .ocpmap import (
     disk_test,
@@ -49,6 +51,7 @@ from .ocpmap import (
     stinespring,
     transpose_map,
 )
+from .sampling import complex_normal, random_contraction, random_normal_singular_cone_element
 from .spectral import sharp_neumann
 from .support import join_supports, support_projection, support_projection_routes
 
@@ -80,7 +83,7 @@ class SuiteConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(JsonReport):
     suite: str
     config: dict
     cases: list
@@ -91,19 +94,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(case["status"] == "pass" for case in self.cases)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "config": self.config,
-                "cases": self.cases,
-                "failures": self.failures,
-                "wall_ms": self.wall_ms,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-
 
 def _case(name: str, margin: float, tol: float) -> dict:
     return {
@@ -113,34 +103,6 @@ def _case(name: str, margin: float, tol: float) -> dict:
         "margin": float(margin) + 0.0,
         "tol": float(tol),
     }
-
-
-# --------------------------------------------------------------------------
-# samplers
-
-
-def _ball_element(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    scale = operator_norm(z)
-    if scale == 0.0:
-        return np.zeros((dim, dim), dtype=complex)
-    return z * (rng.uniform(0.0, 1.0) / scale)
-
-
-def _cone_element(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex) + _ball_element(rng, dim)
-
-
-def _singular_cone_element(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """``1 + u`` with ``u`` normal, ``||u|| = 1``, and ``-1`` an eigenvalue."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, _ = np.linalg.qr(z)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=dim)
-    radii = rng.uniform(0.0, 1.0, size=dim)
-    diag = radii * np.exp(1j * phases)
-    diag[0] = -1.0
-    u = (q * diag) @ q.conj().T
-    return np.eye(dim, dtype=complex) + u
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +119,7 @@ def _suite_roots(dim, trials, rng, tol):
     failures = []
     for trial in range(trials):
         d = int(rng.integers(1, dim + 1))
-        x = _cone_element(rng, d)
+        x = np.eye(d) + random_contraction(rng, d)
         eye = np.eye(d, dtype=complex)
         half_root = matrix_power_r(x, 0.5, tol)
         square_err = operator_norm(half_root @ half_root - x)
@@ -199,9 +161,9 @@ def _suite_support_routes(dim, trials, rng, tol):
     for trial in range(trials):
         d = int(rng.integers(1, dim + 1))
         if trial % 2 == 0 and d > 1:
-            x = _singular_cone_element(rng, d)
+            x = random_normal_singular_cone_element(rng, d)
         else:
-            x = _cone_element(rng, d)
+            x = np.eye(d) + random_contraction(rng, d)
         if operator_norm(x) <= tol.rank_tol:
             continue
         routes = support_projection_routes(x, tol)
@@ -223,7 +185,7 @@ def _suite_support_join(dim, trials, rng, tol):
     for trial in range(trials):
         d = int(rng.integers(2, dim + 1))
         count = int(rng.integers(2, 5))
-        family = [_cone_element(rng, d) for _ in range(count)]
+        family = [np.eye(d) + random_contraction(rng, d) for _ in range(count)]
         joined = join_supports(family, tol)
         # Random positive coefficients: the support of the combination must
         # still be the join (positive combinations cannot cancel ranges).
@@ -255,12 +217,10 @@ def _suite_sharp_neumann(dim, trials, rng, tol):
     for trial in range(trials):
         d = int(rng.integers(1, dim + 1))
         if trial % 2 == 0 and d > 1:
-            t_mat = _singular_cone_element(rng, d)
+            t_mat = random_normal_singular_cone_element(rng, d)
             expect_singular = True
         else:
-            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            u = z * (rng.uniform(0.0, 0.9) / max(operator_norm(z), 1e-30))
-            t_mat = np.eye(d, dtype=complex) + u
+            t_mat = np.eye(d) + random_contraction(rng, d, radius=0.9)
             expect_singular = False
         result = sharp_neumann(t_mat, tol)  # raises CrossCheckError on clash
         if result.singular != expect_singular:
@@ -280,14 +240,14 @@ def _suite_closure_battery(dim, trials, rng, tol):
     cap = min(dim, 6)
     for trial in range(trials):
         d = int(rng.integers(2, cap + 1))
-        x = _cone_element(rng, d)
+        x = np.eye(d) + random_contraction(rng, d)
         report = ws_battery(x, generated_algebra(x, tol), tol)
         if not report.consistent:
             inconsistent += 1
             failures.append(
                 {
                     "case": "random-consistency",
-                    "data": {"trial": trial, "x": matrix_to_json(x), "report": json.loads(report.to_json())},
+                    "data": {"trial": trial, "x": matrix_to_json(x), "report": to_jsonable(report)},
                 }
             )
     cases = [_case("random-consistency", -float(inconsistent), 0.0)]
@@ -315,7 +275,7 @@ def _suite_closure_battery(dim, trials, rng, tol):
                 failures.append(
                     {
                         "case": "gap-without-inverse-family",
-                        "data": {"nil_dim": nil_dim, "inv_dim": inv_dim, "report": json.loads(report.to_json())},
+                        "data": {"nil_dim": nil_dim, "inv_dim": inv_dim, "report": to_jsonable(report)},
                     }
                 )
     cases.append(_case("gap-without-inverse-family", -float(family_bad), 0.0))
@@ -333,7 +293,7 @@ def _suite_nonunital_battery(dim, trials, rng, tol):
     margin = worst - 1e-3 if report.all_pass else -1.0
     if margin < 0:
         failures.append(
-            {"case": "two-dim-margins", "data": json.loads(report.to_json())}
+            {"case": "two-dim-margins", "data": to_jsonable(report)}
         )
     cases = [_case("two-dim-margins", margin, 1e-3)]
 
@@ -349,7 +309,7 @@ def _suite_nonunital_battery(dim, trials, rng, tol):
     control_ok = (not m2.all_pass) and bool(m2.idempotent_witnesses)
     if not control_ok:
         failures.append(
-            {"case": "full-matrix-control", "data": json.loads(m2.to_json())}
+            {"case": "full-matrix-control", "data": to_jsonable(m2)}
         )
     cases.append(_case("full-matrix-control", 0.0 if control_ok else -1.0, 0.0))
     return cases, failures
@@ -372,15 +332,14 @@ def _suite_projection_truncation(dim, trials, rng, tol):
 def _suite_volterra(dim, trials, rng, tol):
     del trials, rng
     failures = []
-    rho = spectral_radius(volterra(100), tol)
+    rho = spectral_radius(volterra(100))
     margin_rho = 0.005 - rho
     if margin_rho < 0:
         failures.append({"case": "spectral-radius-100", "data": {"rho": rho}})
-    size = dim if dim and dim > 1 else 2000
-    err = abs(float(np.linalg.norm(volterra(size), 2)) - 2.0 / math.pi)
+    err = abs(float(np.linalg.norm(volterra(dim), 2)) - 2.0 / math.pi)
     margin_norm = 1e-3 - err
     if margin_norm < 0:
-        failures.append({"case": "norm-limit", "data": {"size": size, "error": err}})
+        failures.append({"case": "norm-limit", "data": {"size": dim, "error": err}})
     return (
         [
             _case("spectral-radius-100", margin_rho, 0.005),
@@ -411,7 +370,7 @@ def _suite_domar_criterion(dim, trials, rng, tol):
     ok_shape = report.eta_convex and report.tail_superlinear
     if margin_int < 0 or not ok_shape:
         failures.append(
-            {"case": "gaussian-criterion", "data": json.loads(report.to_json())}
+            {"case": "gaussian-criterion", "data": to_jsonable(report)}
         )
     cases = [
         _case("gaussian-ratio-integral", margin_int, 1e-6),
@@ -425,7 +384,7 @@ def _suite_domar_criterion(dim, trials, rng, tol):
     control_ok = exp_report.eta_convex and not exp_report.tail_superlinear
     if not control_ok:
         failures.append(
-            {"case": "exponential-control", "data": json.loads(exp_report.to_json())}
+            {"case": "exponential-control", "data": to_jsonable(exp_report)}
         )
     cases.append(_case("exponential-control", 0.0 if control_ok else -1.0, 0.0))
     return cases, failures
@@ -466,7 +425,7 @@ def _suite_domar_bump(dim, trials, rng, tol):
     defects = [row["probe_defects"][0] for row in report.rows]
     margin_defect = min(defects[i] - defects[i + 1] for i in range(2))
     if margin_mass < 0 or margin_defect <= 0:
-        failures.append({"case": "bump-identity", "data": json.loads(report.to_json())})
+        failures.append({"case": "bump-identity", "data": to_jsonable(report)})
     return (
         [
             _case("narrow-bump-mass", margin_mass, 0.01),
@@ -488,13 +447,11 @@ def _suite_domar_density(dim, trials, rng, tol):
         # Keep the forward substitution contractive: the trailing mass must
         # stay below the leading coefficient or the solve conditioning
         # degrades geometrically with the length of g.
-        tc[a_t:] = 0.05 * (
-            rng.standard_normal(len_t) + 1j * rng.standard_normal(len_t)
-        )
+        tc[a_t:] = 0.05 * complex_normal(rng, len_t)
         tc[a_t] = 1.0 + 0.5 * rng.uniform()
         a_g, len_g = a_t + int(rng.integers(1, 10)), int(rng.integers(5, 40))
         gc = np.zeros(a_g + len_g, dtype=complex)
-        gc[a_g:] = rng.standard_normal(len_g) + 1j * rng.standard_normal(len_g)
+        gc[a_g:] = complex_normal(rng, len_g)
         t_f = domar.GridFunction(h=h, coeffs=tc)
         g = domar.GridFunction(h=h, coeffs=gc)
         result = domar.principal_density_check(t_f, g, w, tol=tol)
@@ -505,8 +462,8 @@ def _suite_domar_density(dim, trials, rng, tol):
                     "case": "triangular-solve",
                     "data": {
                         "trial": trial,
-                        "t_f": json.loads(t_f.to_json()),
-                        "g": json.loads(g.to_json()),
+                        "t_f": to_jsonable(t_f),
+                        "g": to_jsonable(g),
                         "residual": result.residual,
                     },
                 }
@@ -518,11 +475,7 @@ def _random_cp_map(rng: np.random.Generator):
     n = int(rng.integers(1, 4))
     m = int(rng.integers(1, 4))
     count = int(rng.integers(1, 4))
-    kraus = [
-        rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        for _ in range(count)
-    ]
-    return matrix_map_from_kraus(kraus)
+    return matrix_map_from_kraus([complex_normal(rng, (m, n)) for _ in range(count)])
 
 
 def _suite_ocp_falsify(dim, trials, rng, tol):
@@ -596,7 +549,7 @@ def _suite_disk_test(dim, trials, rng, tol):
     cap = max(dim, 2)
     for trial in range(trials):
         d = int(rng.integers(1, cap + 1))
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        z = complex_normal(rng, (d, d))
         kind = trial % 3
         if kind == 0:
             x = z @ z.conj().T
@@ -647,7 +600,7 @@ def _suite_quotient_cone(dim, trials, rng, tol):
             failures.append(
                 {
                     "case": "block-inclusions",
-                    "data": {"trial": trial, "blocks": blocks, "ideal_blocks": [int(b) for b in ideal_blocks], "report": json.loads(report.to_json())},
+                    "data": {"trial": trial, "blocks": blocks, "ideal_blocks": [int(b) for b in ideal_blocks], "report": to_jsonable(report)},
                 }
             )
     cases = [_case("block-inclusions", 1e-6 - worst_excess, 1e-6)]
@@ -656,7 +609,7 @@ def _suite_quotient_cone(dim, trials, rng, tol):
     # strictly-upper ideal has norm max(|a11|, |a22|).
     worst_gap = -np.inf
     for _ in range(10):
-        a = np.triu(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        a = np.triu(complex_normal(rng, (2, 2)))
         ideal = matrix_span([np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)], tol)
         result = quotient_norm(a, ideal, tol)
         expected = max(abs(a[0, 0]), abs(a[1, 1]))
@@ -672,24 +625,25 @@ def _suite_quotient_cone(dim, trials, rng, tol):
     return cases, failures
 
 
+# suite -> (runner, default dim, default trials, smallest dim the runner accepts)
 _REGISTRY: dict = {
-    "roots": (_suite_roots, 8, 200),
-    "support-routes": (_suite_support_routes, 8, 200),
-    "support-join": (_suite_support_join, 6, 100),
-    "sharp-neumann": (_suite_sharp_neumann, 6, 500),
-    "closure-battery": (_suite_closure_battery, 6, 200),
-    "nonunital-battery": (_suite_nonunital_battery, 2, 500),
-    "projection-truncation": (_suite_projection_truncation, 8, 1),
-    "volterra": (_suite_volterra, 2000, 1),
-    "domar-titchmarsh": (_suite_domar_titchmarsh, 1, 500),
-    "domar-criterion": (_suite_domar_criterion, 1, 1),
-    "domar-quasinilpotence": (_suite_domar_quasinilpotence, 1, 1),
-    "domar-bump": (_suite_domar_bump, 1, 1),
-    "domar-density": (_suite_domar_density, 1, 20),
-    "ocp-falsify": (_suite_ocp_falsify, 1, 50),
-    "stinespring": (_suite_stinespring, 1, 50),
-    "disk-test": (_suite_disk_test, 4, 500),
-    "quotient-cone": (_suite_quotient_cone, 6, 50),
+    "roots": (_suite_roots, 8, 200, 1),
+    "support-routes": (_suite_support_routes, 8, 200, 1),
+    "support-join": (_suite_support_join, 6, 100, 2),
+    "sharp-neumann": (_suite_sharp_neumann, 6, 500, 1),
+    "closure-battery": (_suite_closure_battery, 6, 200, 2),
+    "nonunital-battery": (_suite_nonunital_battery, 2, 500, 1),
+    "projection-truncation": (_suite_projection_truncation, 8, 1, 1),
+    "volterra": (_suite_volterra, 2000, 1, 2),
+    "domar-titchmarsh": (_suite_domar_titchmarsh, 1, 500, 1),
+    "domar-criterion": (_suite_domar_criterion, 1, 1, 1),
+    "domar-quasinilpotence": (_suite_domar_quasinilpotence, 1, 1, 1),
+    "domar-bump": (_suite_domar_bump, 1, 1, 1),
+    "domar-density": (_suite_domar_density, 1, 20, 1),
+    "ocp-falsify": (_suite_ocp_falsify, 1, 50, 1),
+    "stinespring": (_suite_stinespring, 1, 50, 1),
+    "disk-test": (_suite_disk_test, 4, 500, 1),
+    "quotient-cone": (_suite_quotient_cone, 6, 50, 1),
 }
 
 SUITE_NAMES = tuple(sorted(_REGISTRY))
@@ -701,8 +655,10 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         raise KeyError(
             f"unknown suite {cfg.suite!r}; registered: {', '.join(SUITE_NAMES)}"
         )
-    runner, default_dim, default_trials = _REGISTRY[cfg.suite]
+    runner, default_dim, default_trials, min_dim = _REGISTRY[cfg.suite]
     dim = cfg.dim if cfg.dim is not None else default_dim
+    if dim < min_dim:
+        raise ValueError(f"suite {cfg.suite!r} needs dim >= {min_dim}, got {dim}")
     trials = cfg.trials if cfg.trials is not None else default_trials
     rng = np.random.default_rng(cfg.seed)
     start = time.perf_counter()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,7 @@ def test_strict_elements_have_cone_constant_certificate():
 def test_cone_report_fields_and_json():
     report = cone_report(np.eye(2))
     assert isinstance(report, ConeReport)
-    payload = report.to_json()
+    payload = json.loads(report.to_json())
     assert set(payload) == {
         "in_F",
         "in_halfF",

@@ -1,6 +1,12 @@
+import dataclasses
+import json
+import math
+from typing import Optional
+
 import numpy as np
 import pytest
 
+from oalab.cone import in_F
 from oalab.matcore import (
     DEFAULT_TOL,
     Subspace,
@@ -13,7 +19,9 @@ from oalab.matcore import (
     range_kernel_projections,
     spectral_radius,
     spectrum,
+    to_jsonable,
 )
+from oalab.spectral import sharp_neumann
 
 
 def test_tolerances_defaults():
@@ -136,6 +144,77 @@ def test_matrix_json_rejects_non_square_payload():
         matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]] * 3})
     with pytest.raises(ValueError):
         matrix_from_json({"entries": []})
+
+
+class TestEmptyMatrices:
+    # n = 0 policy: a 0x0 matrix is rejected up front with a ValueError,
+    # never surfacing later as an IndexError or a false CrossCheckError.
+    def test_as_square_matrix_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            as_square_matrix(np.zeros((0, 0)))
+
+    def test_in_F_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            in_F(np.zeros((0, 0)))
+
+    def test_sharp_neumann_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            sharp_neumann(np.zeros((0, 0)))
+
+    def test_matrix_from_json_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            matrix_from_json({"dim": 0, "entries": []})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    z: complex
+    w: np.complex128
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    points: np.ndarray
+    matrix: np.ndarray
+    stack: np.ndarray
+    flag: np.bool_
+    count: np.int64
+    missing: Optional[float]
+    bound: float
+    pairs: tuple
+
+
+def test_to_jsonable_wire_rule():
+    m = np.array([[1.0, 2.0j], [3.0, 4.0]])
+    obj = _Outer(
+        inner=_Inner(z=1.5 - 2.0j, w=np.complex128(0.25 + 1.0j)),
+        points=np.array([1.0 + 2.0j, -3.0j]),
+        matrix=m,
+        stack=np.stack([m, 2.0 * m, np.eye(2)]),
+        flag=np.bool_(True),
+        count=np.int64(7),
+        missing=None,
+        bound=math.inf,
+        pairs=(np.float64(0.5), [1, 2]),
+    )
+    got = to_jsonable(obj)
+    assert got == {
+        "inner": {"z": [1.5, -2.0], "w": [0.25, 1.0]},
+        "points": [[1.0, 2.0], [0.0, -3.0]],
+        "matrix": matrix_to_json(m),
+        "stack": [matrix_to_json(m), matrix_to_json(2.0 * m), matrix_to_json(np.eye(2))],
+        "flag": True,
+        "count": 7,
+        "missing": None,
+        "bound": math.inf,
+        "pairs": [0.5, [1, 2]],
+    }
+    assert type(got["flag"]) is bool and type(got["count"]) is int
+    assert all(type(v) is float for v in got["inner"]["w"])
+    # The result is plain JSON: it round-trips through the standard encoder.
+    assert json.loads(json.dumps(got)) == got
+    np.testing.assert_array_equal(matrix_from_json(got["stack"][1]), 2.0 * m)
 
 
 def test_subspace_rank_tol_filters_noise():

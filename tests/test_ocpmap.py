@@ -150,6 +150,20 @@ class TestAmplify:
                 )
         np.testing.assert_allclose(amp.apply(x), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("k, n, m", [(1, 2, 3), (2, 2, 2), (3, 1, 2), (2, 3, 1)])
+    def test_action_equals_matrix_unit_loop(self, k, n, m):
+        # Reference: place T(E_ab) in block (i, j) of the image of each
+        # matrix unit E_{(i,a),(j,b)}.  amplify also runs its permuted
+        # Kronecker cross-check at these sizes.
+        t = random_kraus_map(np.random.default_rng(8), n, m, 2)
+        expected = np.zeros((k * n, k * n, k * m, k * m), dtype=complex)
+        for i in range(k):
+            for j in range(k):
+                for a in range(n):
+                    for b in range(n):
+                        expected[i * n + a, j * n + b, i * m : (i + 1) * m, j * m : (j + 1) * m] = t.action[a, b]
+        np.testing.assert_array_equal(amplify(t, k).action, expected)
+
     def test_cp_preserved(self):
         rng = np.random.default_rng(7)
         t = random_kraus_map(rng, 2, 2, 2)

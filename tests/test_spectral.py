@@ -7,7 +7,7 @@ import pytest
 from oalab.calculus import root_cai
 from oalab.matcore import CrossCheckError, operator_norm
 from oalab.sampling import (
-    ginibre,
+    complex_normal,
     haar_unitary,
     random_cone_element,
     random_singular_cone_element,
@@ -56,7 +56,8 @@ class TestNumericalRange:
     def test_radius_norm_sandwich(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            x = ginibre(rng, int(rng.integers(2, 7)))
+            d = int(rng.integers(2, 7))
+            x = complex_normal(rng, (d, d))
             nu = numerical_radius(x, theta_count=720)
             nrm = operator_norm(x)
             assert nu <= nrm + 1e-9

@@ -31,6 +31,7 @@ On top of the container the module provides
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from typing import NamedTuple, Optional, Sequence
 
@@ -150,7 +151,7 @@ class FDAlgebra(JsonReport):
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
+    @functools.cached_property
     def span(self) -> Subspace:
         return matrix_span(self.basis, self.tol)
 

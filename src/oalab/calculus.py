@@ -3,11 +3,13 @@
 The r-th power of x with ``||1 - x|| <= 1`` uses the principal branch on the
 spectrum (which lies in the closed disk |1 - z| <= 1, hence in the closed
 right half-plane, so the branch cut is never crossed; 0^r = 0).  The kernel is
-a complex Schur triangularization followed by a blocked Parlett recurrence:
-eigenvalues are grouped into clusters (tolerance ``cluster_tol``), clusters are
-made contiguous by unitary swaps, each diagonal cluster block is evaluated
-atomically, and off-diagonal blocks come from Sylvester solves whose
-well-posedness is exactly the cluster separation.
+a complex Schur triangularization followed by a blocked Parlett recurrence
+(Davies-Higham): eigenvalues are grouped into transitive clusters (tolerance
+``DEFAULT_CLUSTER_TOL``), LAPACK ``ztrsen`` makes the clusters contiguous by
+a unitary reordering, each diagonal cluster block is evaluated atomically,
+and each block column of the off-diagonal part comes from one triangular
+Sylvester solve (LAPACK ``ztrsyl``) whose well-posedness is exactly the
+cluster separation.
 
 An independent polynomial route (:func:`series_power_oracle`) evaluates the
 truncated binomial series; it exists so the triangular kernel can be checked
@@ -100,70 +102,28 @@ def _divided_difference(a: complex, b: complex, r: float) -> complex:
     return (_principal_power(a, r) - _principal_power(b, r)) / (a - b)
 
 
-def _cluster_labels(diag: np.ndarray, cluster_tol: float) -> np.ndarray:
-    """Union-find transitive clustering of eigenvalues within cluster_tol."""
-    n = diag.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(diag[i] - diag[j]) <= cluster_tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    roots = [find(i) for i in range(n)]
-    order: dict[int, int] = {}
-    labels = np.empty(n, dtype=int)
-    for i, root in enumerate(roots):
-        if root not in order:
-            order[root] = len(order)
-        labels[i] = order[root]
-    return labels
+def _cluster_labels(diag: np.ndarray) -> np.ndarray:
+    """Transitive clusters of eigenvalues within ``DEFAULT_CLUSTER_TOL``,
+    numbered in order of first appearance along the diagonal."""
+    labels = np.arange(diag.size)
+    close = np.abs(diag[:, None] - diag[None, :]) <= DEFAULT_CLUSTER_TOL
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        # each label is the smallest index of its cluster; merge into it
+        lo, hi = sorted((labels[i], labels[j]))
+        labels[labels == hi] = lo
+    return np.unique(labels, return_inverse=True)[1]
 
 
-def _swap_adjacent(t: np.ndarray, z: np.ndarray, k: int) -> None:
-    """Unitary swap of diagonal positions k, k+1 of a triangular t (in place)."""
-    a, b, d = t[k, k], t[k, k + 1], t[k + 1, k + 1]
-    v = np.array([b, d - a], dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        t[[k, k + 1]] = t[[k + 1, k]]
-        t[:, [k, k + 1]] = t[:, [k + 1, k]]
-        z[:, [k, k + 1]] = z[:, [k + 1, k]]
-        return
-    w = v / norm
-    g = np.array([[w[0], -np.conj(w[1])], [w[1], np.conj(w[0])]], dtype=complex)
-    t[k : k + 2, :] = g.conj().T @ t[k : k + 2, :]
-    t[:, k : k + 2] = t[:, k : k + 2] @ g
-    z[:, k : k + 2] = z[:, k : k + 2] @ g
-    t[k + 1, k] = 0.0
+def _checked_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X with ``a X - X b = c`` for upper-triangular a and b (LAPACK ztrsyl).
 
-
-def _sort_clusters(t: np.ndarray, z: np.ndarray, labels: np.ndarray) -> list[slice]:
-    """Bubble cluster labels into contiguous ascending blocks via unitary swaps."""
-    labels = labels.copy()
-    n = labels.size
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n - 1):
-            if labels[k] > labels[k + 1]:
-                _swap_adjacent(t, z, k)
-                labels[[k, k + 1]] = labels[[k + 1, k]]
-                changed = True
-    blocks = []
-    start = 0
-    for k in range(1, n + 1):
-        if k == n or labels[k] != labels[k - 1]:
-            blocks.append(slice(start, k))
-            start = k
-    return blocks
+    Nonzero ``info`` means LAPACK perturbed close eigenvalues of a and b to
+    finish the solve, so the result would be unreliable: raise instead.
+    """
+    x, scale, info = scipy.linalg.lapack.ztrsyl(a, b, c, isgn=-1)
+    if info != 0:
+        raise RecurrenceBreakdown(f"Sylvester solve perturbed close eigenvalues (info={info})")
+    return x / scale
 
 
 def _atomic_power(block: np.ndarray, r: float) -> np.ndarray:
@@ -244,24 +204,28 @@ def _guarded_parlett(block: np.ndarray, r: float) -> np.ndarray:
     return f
 
 
-def _triangular_power(t: np.ndarray, z: np.ndarray, r: float, cluster_tol: float) -> np.ndarray:
+def _triangular_power(t: np.ndarray, z: np.ndarray, r: float) -> np.ndarray:
     """Blocked Parlett evaluation of the principal power on a Schur pair."""
-    labels = _cluster_labels(np.diag(t), cluster_tol)
-    t = t.copy()
-    z = z.copy()
-    blocks = _sort_clusters(t, z, labels)
+    labels = _cluster_labels(np.diag(t))
+    counts = np.bincount(labels)
+    for label in np.flatnonzero(counts > 1):
+        # gather clusters 0..label to the front; ztrsen keeps relative order
+        select = labels <= label
+        t, z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, z, job="N")
+        if info != 0:
+            raise RecurrenceBreakdown(f"Schur reordering failed (info={info})")
+        labels = np.concatenate([labels[select], labels[~select]])
+    bounds = np.cumsum(counts)
     f = np.zeros_like(t)
-    for blk in blocks:
+    for start, stop in zip(bounds - counts, bounds):
+        blk = slice(start, stop)
         f[blk, blk] = _atomic_power(t[blk, blk], r)
-    for off in range(1, len(blocks)):
-        for bi in range(len(blocks) - off):
-            bj = bi + off
-            si, sj = blocks[bi], blocks[bj]
-            rhs = f[si, si] @ t[si, sj] - t[si, sj] @ f[sj, sj]
-            for bk in range(bi + 1, bj):
-                sk = blocks[bk]
-                rhs += f[si, sk] @ t[sk, sj] - t[si, sk] @ f[sk, sj]
-            f[si, sj] = scipy.linalg.solve_sylvester(t[si, si], -t[sj, sj], rhs)
+        if start == 0:
+            continue
+        # TF = FT on block column blk: T11 X - X T22 = F11 T12 - T12 F22
+        t12 = t[:start, blk]
+        rhs = f[:start, :start] @ t12 - t12 @ f[blk, blk]
+        f[:start, blk] = _checked_sylvester(t[:start, :start], t[blk, blk], rhs)
     return z @ f @ z.conj().T
 
 
@@ -269,7 +233,6 @@ def matrix_power_r(
     x,
     r: float,
     tol: Tolerances = DEFAULT_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> np.ndarray:
     """Principal r-th power (0 < r <= 1) of x with ``||1 - x|| <= 1``.
 
@@ -285,7 +248,7 @@ def matrix_power_r(
     if r == 1.0:
         return a.copy()
     t, z = scipy.linalg.schur(a, output="complex")
-    out = _triangular_power(t, z, r, cluster_tol)
+    out = _triangular_power(t, z, r)
     n = a.shape[0]
     if operator_norm(np.eye(n) - out) > 1.0 + 10.0 * tol.exact_tol:
         raise RecurrenceBreakdown(
@@ -407,7 +370,7 @@ def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.n
     t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
     # S = [[I, -Y], [0, I]] block-diagonalizes T when T11 Y - Y T22 = T12;
     # the idempotent onto the leading block is then [[I, Y], [0, 0]]
-    y = scipy.linalg.solve_sylvester(t11, -t22, t12)
+    y = _checked_sylvester(t11, t22, t12)
     e_tri = np.zeros_like(t)
     e_tri[:sdim, :sdim] = np.eye(sdim)
     e_tri[:sdim, sdim:] = y

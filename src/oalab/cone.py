@@ -89,51 +89,34 @@ def strictly_real_positive(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     return float(np.linalg.eigvalsh(h)[0]) > tol.exact_tol
 
 
-def cone_constant(
-    x,
-    tol: Tolerances = DEFAULT_TOL,
-    max_doublings: int = 80,
-    bisection_steps: int = 200,
-) -> float | None:
-    """Largest C >= 0 with ``x + x* >= C x*x`` (within ``exact_tol``), else None.
+def cone_constant(x, tol: Tolerances = DEFAULT_TOL) -> float | None:
+    """Largest C >= 0 with ``x + x* >= C x*x``, else None.
 
-    Returns None when no positive constant works (x + x* not PSD) and, by
-    convention, for the zero matrix (every constant works vacuously).  The
-    returned C satisfies the membership certificate ``C*x`` in the cone:
+    Returns None when no positive constant works (x + x* not PSD within
+    ``exact_tol``) and, by convention, for the zero matrix (every constant
+    works vacuously).  With ``x = U S V*`` and ``V_r`` the right singular
+    vectors above ``rank_tol``, ``x*x = V_r S_r^2 V_r*`` and ``ker x`` lies in
+    ``ker(x + x*)`` for accretive x, so C is the least eigenvalue of
+    ``S_r^-1 V_r* (x + x*) V_r S_r^-1``.  The returned C satisfies the
+    membership certificate ``C*x`` in the cone:
     ``(Cx)*(Cx) = C^2 x*x <= C(x+x*)``.
     """
     a = as_square_matrix(x)
-    if operator_norm(a) <= tol.rank_tol:
+    _, sigma, vh = np.linalg.svd(a)
+    if sigma[0] <= tol.rank_tol:
         return None
-    star = a.conj().T @ a
     herm = a + a.conj().T
-
-    def lam_min(c: float) -> float:
-        m = herm - c * star
-        return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-
-    if lam_min(0.0) < -tol.exact_tol:
+    if float(np.linalg.eigvalsh((herm + herm.conj().T) / 2.0)[0]) < -tol.exact_tol:
         return None
-    lo, hi = 0.0, 1.0
-    doublings = 0
-    while lam_min(hi) >= -tol.exact_tol:
-        lo, hi = hi, 2.0 * hi
-        doublings += 1
-        if doublings > max_doublings:
-            raise ArithmeticError("cone constant did not bound above; x*x appears null")
-    for _ in range(bisection_steps):
-        mid = 0.5 * (lo + hi)
-        if lam_min(mid) >= -tol.exact_tol:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, lo):
-            break
-    if not in_F(lo * a, Tolerances(tol.exact_tol * 10, tol.iter_tol, tol.rank_tol)):
+    keep = sigma > tol.rank_tol * sigma[0]
+    w = vh[keep].conj().T / sigma[keep]
+    m = w.conj().T @ herm @ w
+    c = max(0.0, float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]))
+    if not in_F(c * a, Tolerances(tol.exact_tol * 10, tol.iter_tol, tol.rank_tol)):
         raise CrossCheckError(
-            f"cone constant self-check failed: C = {lo!r} but C*x is not in the cone"
+            f"cone constant self-check failed: C = {c!r} but C*x is not in the cone"
         )
-    return lo
+    return c
 
 
 @dataclass(frozen=True)

@@ -118,24 +118,24 @@ class MatrixMap:
         images = payload["action"]
         if len(images) != n * n:
             raise ValueError(f"expected {n * n} images, got {len(images)}")
-        action = np.zeros((n, n, m, m), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                action[i, j] = matrix_from_json(images[i * n + j])
-        return MatrixMap(in_dim=n, out_dim=m, action=action)
+        return _tabulate(n, m, [matrix_from_json(image) for image in images])
+
+
+def _tabulate(n: int, m: int, images: Sequence[np.ndarray]) -> MatrixMap:
+    """The map with images ``T(E_ij)`` (row-major), each checked to be m x m."""
+    for k, image in enumerate(images):
+        if image.shape != (m, m):
+            raise ValueError(
+                f"image of E_{divmod(k, n)} has shape {image.shape}, expected {(m, m)}"
+            )
+    action = np.array(images, dtype=complex).reshape(n, n, m, m)
+    return MatrixMap(in_dim=n, out_dim=m, action=action)
 
 
 def matrix_map_from_function(n: int, m: int, fn: Callable) -> MatrixMap:
     """Tabulate ``fn`` on the matrix units of ``M_n``."""
-    action = np.zeros((n, n, m, m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, j] = 1.0
-            action[i, j] = as_square_matrix(
-                np.ascontiguousarray(fn(unit), dtype=complex)
-            )
-    return MatrixMap(in_dim=n, out_dim=m, action=action)
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    return _tabulate(n, m, [as_square_matrix(fn(unit)) for unit in units])
 
 
 def matrix_map_from_kraus(kraus: Sequence[np.ndarray]) -> MatrixMap:

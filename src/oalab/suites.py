@@ -546,9 +546,8 @@ def _suite_stinespring(dim, trials, rng, tol):
 def _suite_disk_test(dim, trials, rng, tol):
     mismatches = 0
     failures = []
-    cap = max(dim, 2)
     for trial in range(trials):
-        d = int(rng.integers(1, cap + 1))
+        d = int(rng.integers(1, dim + 1))
         z = complex_normal(rng, (d, d))
         kind = trial % 3
         if kind == 0:
@@ -576,11 +575,10 @@ def _suite_disk_test(dim, trials, rng, tol):
 def _suite_quotient_cone(dim, trials, rng, tol):
     failures = []
     worst_excess = -np.inf
-    cap = max(dim, 3)
     for trial in range(trials):
         while True:
             blocks = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(2, 4)))]
-            if sum(blocks) <= cap:
+            if sum(blocks) <= dim:
                 break
         ideal_count = int(rng.integers(1, len(blocks)))
         ideal_blocks = list(rng.choice(len(blocks), size=ideal_count, replace=False))
@@ -642,8 +640,8 @@ _REGISTRY: dict = {
     "domar-density": (_suite_domar_density, 1, 20, 1),
     "ocp-falsify": (_suite_ocp_falsify, 1, 50, 1),
     "stinespring": (_suite_stinespring, 1, 50, 1),
-    "disk-test": (_suite_disk_test, 4, 500, 1),
-    "quotient-cone": (_suite_quotient_cone, 6, 50, 1),
+    "disk-test": (_suite_disk_test, 4, 500, 2),
+    "quotient-cone": (_suite_quotient_cone, 6, 50, 3),
 }
 
 SUITE_NAMES = tuple(sorted(_REGISTRY))

@@ -73,6 +73,11 @@ class TestFDAlgebra:
         assert alg.contains(x)
         assert not alg.contains(np.array([[0, 0], [1, 0]]))
 
+    def test_span_is_computed_once(self):
+        alg = two_dim_algebra()
+        assert alg.span is alg.span
+        assert "span" not in json.loads(alg.to_json())
+
     def test_json_roundtrip(self):
         alg = upper_triangular_algebra(2)
         back = FDAlgebra.from_json(alg.to_json())

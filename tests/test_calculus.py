@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oalab import calculus
 from oalab.calculus import (
     RecurrenceBreakdown,
+    _cluster_labels,
     _guarded_parlett,
+    _triangular_power,
     bai_element,
     bai_sequence,
     binomial_coefficients,
@@ -16,6 +21,8 @@ from oalab.calculus import (
 from oalab.cone import in_F, in_halfF
 from oalab.matcore import SpectralGapError, matrix_span, operator_norm
 from oalab.sampling import (
+    complex_normal,
+    haar_unitary,
     random_cone_element,
     random_half_cone_element,
     random_singular_cone_element,
@@ -164,6 +171,81 @@ class TestMatrixPower:
         )
         with pytest.raises(RecurrenceBreakdown):
             _guarded_parlett(block, 0.5)
+
+
+def _diagonalizable_triangular(diag, seed):
+    """(w, t) with t = w diag(d) w^-1 upper triangular and w unit upper
+    triangular, so t is diagonalizable even where d repeats."""
+    rng = np.random.default_rng(seed)
+    n = len(diag)
+    w = np.eye(n) + 0.3 * np.triu(complex_normal(rng, (n, n)), 1)
+    t = np.triu(w @ np.diag(diag) @ np.linalg.inv(w))
+    t[np.diag_indices(n)] = diag
+    return w, t
+
+
+class TestTriangularKernel:
+    def test_interleaved_clusters_are_reordered(self, monkeypatch):
+        diag = np.array([0.9, 0.5, 0.9 + 3e-5, 0.3, 0.5 - 2e-5, 0.9 - 4e-5], dtype=complex)
+        assert list(_cluster_labels(diag)) == [0, 1, 0, 2, 1, 0]
+        atomic_diags = []
+        atomic = calculus._atomic_power
+        monkeypatch.setattr(
+            calculus, "_atomic_power", lambda b, r: atomic_diags.append(np.diag(b)) or atomic(b, r)
+        )
+        w, t = _diagonalizable_triangular(diag, 60)
+        y = _triangular_power(t, np.eye(len(diag), dtype=complex), 1 / 3)
+        # one contiguous block per cluster, in order of first appearance
+        assert [len(d) for d in atomic_diags] == [3, 2, 1]
+        for d, center in zip(atomic_diags, (0.9, 0.5, 0.3)):
+            np.testing.assert_allclose(d, center, atol=1e-4)
+        want = scipy.linalg.fractional_matrix_power(t, 1 / 3)
+        np.testing.assert_allclose(y, want, atol=1e-10)
+        np.testing.assert_allclose(y, w @ np.diag(diag ** (1 / 3)) @ np.linalg.inv(w), atol=1e-10)
+        np.testing.assert_allclose(np.linalg.matrix_power(y, 3), t, atol=1e-10)
+
+    def test_interleaved_zero_cluster_maps_to_zero(self):
+        diag = np.array([0.0, 0.7, 0.0, 0.4, 0.7 + 2e-5], dtype=complex)
+        w, t = _diagonalizable_triangular(diag, 61)
+        y = _triangular_power(t, np.eye(len(diag), dtype=complex), 0.5)
+        kernel = w[:, diag == 0]
+        assert np.linalg.norm(y @ kernel) <= 1e-14
+        np.testing.assert_allclose(y @ y, t, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        kernel_dim=st.integers(0, 7),
+        clustered=st.booleans(),
+        p=st.sampled_from([2, 3, 4]),
+    )
+    def test_roots_of_singular_and_clustered_elements(self, seed, dim, kernel_dim, clustered, p):
+        # x = U (0_k (+) b) U*, so ker x = U[:, :k] with k < dim; b is generic,
+        # or has its spectrum in two tight clusters kept away from 0, coupled
+        # only across clusters so that neither cluster is nearly defective
+        rng = np.random.default_rng(seed)
+        k = min(kernel_dim, dim - 1)
+        m = dim - k
+        if clustered:
+            centers = 0.6 * np.exp(2j * np.pi * rng.uniform(size=2))
+            member = rng.integers(0, 2, m)
+            tri = np.diag(centers[member] + 1e-7 * complex_normal(rng, m))
+            across = member[:, None] != member[None, :]
+            tri += 0.3 * np.triu(complex_normal(rng, (m, m)) * across, 1)
+            v = haar_unitary(rng, m)
+            c = v @ tri @ v.conj().T
+            b = np.eye(m) - c / max(1.0, np.linalg.norm(c, 2))
+        else:
+            b = random_cone_element(rng, m)
+        u = haar_unitary(rng, dim)
+        x = np.zeros((dim, dim), dtype=complex)
+        x[k:, k:] = b
+        x = u @ x @ u.conj().T
+        y = matrix_power_r(x, 1 / p)
+        np.testing.assert_allclose(np.linalg.matrix_power(y, p), x, atol=1e-7)
+        assert operator_norm(np.eye(dim) - y) <= 1 + 1e-8
+        assert np.linalg.norm(y @ u[:, :k]) <= 1e-8
 
 
 class TestSeriesOracle:

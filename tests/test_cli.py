@@ -117,11 +117,12 @@ class TestCli:
         assert main(["run", "--suite", "nope"]) == 2
         assert "unknown suite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["support-join", "closure-battery"])
+    @pytest.mark.parametrize("suite", ["support-join", "closure-battery", "disk-test", "quotient-cone"])
     def test_dim_below_suite_minimum_exit_two(self, suite, capsys):
-        assert main(["run", "--suite", suite, "--dim", "1"]) == 2
+        minimum = 3 if suite == "quotient-cone" else 2
+        assert main(["run", "--suite", suite, "--dim", str(minimum - 1)]) == 2
         err = capsys.readouterr().err
-        assert suite in err and "dim >= 2" in err
+        assert suite in err and f"dim >= {minimum}" in err
         assert "low >= high" not in err
 
     def test_bad_tol_exit_two(self):

@@ -12,9 +12,11 @@ from oalab.cone import (
     in_halfF,
     strictly_real_positive,
 )
+from oalab.matcore import operator_norm
 from oalab.sampling import (
     random_cone_element,
     random_half_cone_element,
+    random_singular_cone_element,
     random_strict_cone_element,
 )
 
@@ -69,6 +71,21 @@ def test_cone_constant_scaling():
 def test_cone_constant_none_when_not_accretive():
     assert cone_constant(np.array([[0.0, 0.0], [2.0, 0.0]])) is None
     assert cone_constant(-np.eye(2)) is None
+
+
+def test_cone_constant_is_the_exact_boundary():
+    # C x sits on the boundary of the cone: within rounding of ||1 - Cx|| = 1,
+    # and a relative 1e-6 more leaves it
+    rng = np.random.default_rng(25)
+    for trial in range(40):
+        dim = int(rng.integers(1, 9))
+        if trial % 2 and dim > 1:
+            x = random_singular_cone_element(rng, dim, kernel_dim=int(rng.integers(1, dim)))
+        else:
+            x = random_cone_element(rng, dim)
+        c = cone_constant(x)
+        assert operator_norm(np.eye(dim) - c * x) <= 1 + 1e-12
+        assert operator_norm(np.eye(dim) - c * (1 + 1e-6) * x) > 1
 
 
 def test_random_cone_elements_are_members():

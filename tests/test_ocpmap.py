@@ -87,6 +87,17 @@ class TestMatrixMap:
         with pytest.raises(ValueError):
             MatrixMap.from_json(json.dumps(payload))
 
+    def test_json_wrong_shaped_image_rejected(self):
+        # a 1x1 image must not broadcast into a 3x3 block
+        payload = json.loads(random_kraus_map(np.random.default_rng(3), 2, 3, 1).to_json())
+        payload["action"][2] = {"dim": 1, "entries": [[5.0, 0.0]]}
+        with pytest.raises(ValueError, match=r"E_\(1, 0\) has shape \(1, 1\)"):
+            MatrixMap.from_json(json.dumps(payload))
+
+    def test_function_wrong_shaped_image_rejected(self):
+        with pytest.raises(ValueError, match=r"E_\(0, 0\) has shape \(1, 1\)"):
+            matrix_map_from_function(2, 3, lambda x: np.eye(1))
+
 
 class TestChoi:
     def test_identity_choi_spectrum(self):

@@ -3,6 +3,11 @@
 Everything downstream works with explicit square complex matrices.  All rank
 decisions go through singular values compared against ``Tolerances.rank_tol``;
 nothing is ever decided by an exact floating-point comparison.
+
+Loops over many small matrices run as stacked ``(B, n, n)`` LAPACK calls
+(:func:`operator_norms`), in blocks from :func:`stack_slices` of at most
+``STACK_ENTRY_CAP`` complex entries each, so memory stays bounded whatever
+the number of matrices.
 """
 
 from __future__ import annotations
@@ -21,8 +26,10 @@ __all__ = [
     "CrossCheckError",
     "SpectralGapError",
     "ConvergenceError",
+    "STACK_ENTRY_CAP",
     "as_square_matrix",
     "operator_norm",
+    "operator_norms",
     "spectrum",
     "spectral_radius",
     "range_kernel_projections",
@@ -58,6 +65,11 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# Complex entries per stacked (B, n, n) array: large enough that per-call
+# overhead stops dominating at n <= 9, small enough that a stack never moves
+# the process's peak memory.
+STACK_ENTRY_CAP = 1 << 12
+
 
 class SpectrumError(np.linalg.LinAlgError):
     """Eigenvalue/Schur iteration failed to converge."""
@@ -75,21 +87,44 @@ class ConvergenceError(RuntimeError):
     """An iterative limit did not converge within its budget."""
 
 
+def _square_array(x, ndim: int, what: str) -> np.ndarray:
+    a = np.asarray(x, dtype=complex)
+    if a.ndim != ndim or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square {what}, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"expected a nonempty {what}, got shape {a.shape}")
+    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+        raise ValueError(f"{what} contains non-finite entries")
+    return a
+
+
 def as_square_matrix(x) -> np.ndarray:
     """Validate and return ``x`` as a nonempty square complex ndarray."""
-    a = np.asarray(x, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix contains non-finite entries")
-    return a
+    return _square_array(x, 2, "matrix")
 
 
 def operator_norm(x) -> float:
     """Largest singular value of ``x``."""
     return float(np.linalg.norm(as_square_matrix(x), 2))
+
+
+def operator_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix in a ``(B, n, n)`` stack.
+
+    One stacked SVD: entry ``b`` equals ``operator_norm(stack[b])`` exactly.
+    """
+    a = _square_array(stack, 3, "matrix stack")
+    return np.linalg.svd(a, compute_uv=False)[:, 0]
+
+
+def stack_slices(count: int, dim: int) -> list:
+    """Consecutive slices covering ``range(count)``, one per stacked block.
+
+    A block of ``dim x dim`` matrices holds at most ``STACK_ENTRY_CAP``
+    entries, and never fewer than one matrix.
+    """
+    step = max(1, STACK_ENTRY_CAP // (dim * dim))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def spectrum(x) -> np.ndarray:

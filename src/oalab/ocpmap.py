@@ -34,8 +34,10 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     operator_norm,
+    operator_norms,
+    stack_slices,
 )
-from .sampling import haar_unitary
+from .sampling import haar_unitaries
 
 __all__ = [
     "MatrixMap",
@@ -275,22 +277,25 @@ def ocp_falsify(
     def value(x: np.ndarray) -> float:
         return operator_norm(target - amp.apply(x))
 
-    evaluations = 0
     candidates = [eye + eye, np.zeros((kn, kn), dtype=complex)]
     if k == t.in_dim:
         candidates.append(entangled_cone_element(t.in_dim))
     best_x, best_val = None, -np.inf
     for x in candidates:
         val = value(x)
-        evaluations += 1
         if val > best_val:
             best_x, best_val = x, val
-    while evaluations < max(budget // 2, len(candidates) + 1):
-        x = eye + haar_unitary(rng, kn)
-        val = value(x)
-        evaluations += 1
-        if val > best_val:
-            best_x, best_val = x, val
+    # The Haar phase, in stacked blocks; the first maximum of each block is
+    # what a strict ``>`` over the draws in sequence would keep.
+    draws = max(budget // 2, len(candidates) + 1) - len(candidates)
+    for block in stack_slices(draws, kn):
+        xs = eye + haar_unitaries(rng, block.stop - block.start, kn)
+        images = np.tensordot(xs, amp.action, axes=([1, 2], [0, 1]))
+        vals = operator_norms(target - images)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_x, best_val = xs[i].copy(), float(vals[i])
+    evaluations = len(candidates) + draws
 
     # Conditional-gradient polish: move to the unitary maximizing the
     # linearization of the convex objective (monotone for convex objectives).
@@ -360,12 +365,12 @@ def disk_test(
     n = x.shape[0]
     eye = np.eye(n, dtype=complex)
     thetas = 2.0 * np.pi * np.arange(circle_points) / circle_points
-    zs = [1.0 + np.exp(1j * th) for th in thetas] + [0.0, 1.0, 2.0]
-    worst_excess, worst_z = -np.inf, 0.0 + 0.0j
-    for z in zs:
-        excess = operator_norm(eye - z * x) - 1.0
-        if excess > worst_excess:
-            worst_excess, worst_z = excess, complex(z)
+    zs = np.concatenate([1.0 + np.exp(1j * thetas), [0.0, 1.0, 2.0]])
+    excess = np.empty(len(zs))
+    for block in stack_slices(len(zs), n):
+        excess[block] = operator_norms(eye - zs[block, None, None] * x) - 1.0
+    worst = int(np.argmax(excess))
+    worst_excess, worst_z = excess[worst], complex(zs[worst])
     slack = (2.0 * np.pi / circle_points) * operator_norm(x) + 10.0 * tol.exact_tol
     sampled_member = worst_excess <= tol.exact_tol * 10.0
 
@@ -444,13 +449,7 @@ def stinespring(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> StinespringTripl
     if not kraus:
         kraus = [np.zeros((m, n), dtype=complex)]
     rebuilt = matrix_map_from_kraus(kraus)
-    residual = float(
-        max(
-            np.linalg.norm(t.action[i, j] - rebuilt.action[i, j])
-            for i in range(n)
-            for j in range(n)
-        )
-    )
+    residual = float(np.linalg.norm(t.action - rebuilt.action, axis=(2, 3)).max())
     v = np.vstack([k.conj().T for k in kraus])
     return StinespringTriple(kraus=kraus, v=v, residual=residual)
 
@@ -478,6 +477,20 @@ class ExtensionResult:
     @property
     def feasible(self) -> bool:
         return self.status == "FEASIBLE"
+
+
+def _agreement_constraints(mats: Sequence, n: int, m: int):
+    """Rows and right-hand side of ``sum_ij a[i,j] C[(i,:),(j,:)] = b``.
+
+    One ``m x m`` block of rows per pair ``(a, b)``: row ``(p, r, c)``, read
+    as an ``(n, m, n, m)`` array, carries ``a_p`` at ``[:, r, :, c]``.
+    """
+    size = n * m
+    rows = np.zeros((len(mats), m, m, n, m, n, m), dtype=complex)
+    r, c = np.arange(m)[:, None], np.arange(m)
+    rows[:, r, c, :, r, :, c] = np.stack([a for a, _ in mats])
+    rhs = np.stack([b for _, b in mats]).ravel()
+    return rows.reshape(-1, size * size), rhs
 
 
 def cp_extension_search(
@@ -518,19 +531,7 @@ def cp_extension_search(
         raise ValueError("the identity must lie in the span of the domain elements")
 
     size = n * m
-    # Affine constraints: sum_ij a[i,j] C[(i,:),(j,:)] = b, one m x m block
-    # of rows per pair.
-    rows = []
-    rhs = []
-    for a, b in mats:
-        for out_r in range(m):
-            for out_c in range(m):
-                row = np.zeros((n, m, n, m), dtype=complex)
-                row[:, out_r, :, out_c] = a
-                rows.append(row.reshape(size * size))
-                rhs.append(b[out_r, out_c])
-    constraint = np.stack(rows)
-    rhs = np.asarray(rhs, dtype=complex)
+    constraint, rhs = _agreement_constraints(mats, n, m)
     pinv = np.linalg.pinv(constraint, rcond=1e-12)
 
     def project_affine(c_mat: np.ndarray) -> np.ndarray:

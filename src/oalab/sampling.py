@@ -2,7 +2,11 @@
 
 All sampling goes through an explicit ``numpy.random.Generator`` so suite
 runs are reproducible from a single seed, and every complex Gaussian draw
-goes through :func:`complex_normal`.
+goes through :func:`complex_normal` -- except the one in
+:func:`haar_unitaries`.  That stacked draw takes ``(count, 2, dim, dim)``
+normals, real part then imaginary part per matrix, because this interleaving
+is the stream ``count`` sequential :func:`haar_unitary` calls consume;
+``complex_normal(rng, (count, dim, dim))`` would draw all real parts first.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from .matcore import as_square_matrix
 __all__ = [
     "complex_normal",
     "haar_unitary",
+    "haar_unitaries",
     "random_contraction",
     "random_projection",
     "random_density",
@@ -30,11 +35,21 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def haar_unitaries(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` Haar-distributed unitaries, stacked as ``(count, dim, dim)``.
+
+    One stacked QR of Ginibre matrices with the phase fix; the result equals
+    ``count`` sequential :func:`haar_unitary` draws bit for bit.
+    """
+    g = rng.standard_normal((count, 2, dim, dim))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
+    return q * (d / np.abs(d))
+
+
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    q, r = np.linalg.qr(complex_normal(rng, (dim, dim)))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return haar_unitaries(rng, 1, dim)[0]
 
 
 def random_contraction(rng: np.random.Generator, dim: int, radius: float = 1.0) -> np.ndarray:

@@ -29,6 +29,7 @@ from .matcore import (
     Tolerances,
     as_square_matrix,
     operator_norm,
+    stack_slices,
 )
 
 __all__ = [
@@ -90,22 +91,24 @@ def numerical_range(
 
     For each of ``theta_count`` equally spaced directions the maximal
     eigenvalue of the rotated Hermitian part is the support function value,
-    and the corresponding top eigenvector produces one boundary point.
+    and the corresponding top eigenvector produces one boundary point.  The
+    directions are diagonalized in stacked blocks (see
+    :func:`~oalab.matcore.stack_slices`).
     """
     x = as_square_matrix(x)
     if theta_count < 8:
         raise ValueError("theta_count must be at least 8")
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_count, endpoint=False)
+    phases = np.exp(-1j * thetas)[:, None, None]
     boundary = np.empty(theta_count, dtype=np.complex128)
     support = np.empty(theta_count, dtype=float)
     xh = x.conj().T
-    for j, theta in enumerate(thetas):
-        phase = np.exp(-1j * theta)
-        h = (phase * x + np.conj(phase) * xh) / 2.0
+    for block in stack_slices(theta_count, x.shape[0]):
+        h = (phases[block] * x + np.conj(phases[block]) * xh) / 2.0
         w, v = np.linalg.eigh(h)
-        support[j] = w[-1]
-        vec = v[:, -1]
-        boundary[j] = vec.conj() @ x @ vec
+        support[block] = w[:, -1]
+        vecs = v[:, :, -1]
+        boundary[block] = np.sum((vecs.conj() @ x) * vecs, axis=1)
     return NumericalRangeSample(
         theta_count=theta_count,
         boundary_points=boundary,

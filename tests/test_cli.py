@@ -83,6 +83,14 @@ class TestRunSuite:
         assert names["norm-limit"] == "fail"
         assert any(f["case"] == "norm-limit" for f in report.failures)
 
+    def test_volterra_radius_gate_is_off_the_true_value(self):
+        # rho(V_100) = 1/200 exactly; the case gates |rho - 1/200| against
+        # exact_tol instead of rho against 1/200 itself.
+        report = run_suite(SuiteConfig(suite="volterra", dim=5, seed=0))
+        case = next(c for c in report.cases if c["name"] == "spectral-radius-100")
+        assert case["tol"] == DEFAULT_TOL.exact_tol
+        assert 0.0 < case["margin"] <= case["tol"]
+
 
 class TestEmitReport:
     def test_byte_identical_except_wall_ms(self, tmp_path):

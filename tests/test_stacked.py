@@ -1,0 +1,272 @@
+"""Stacked evaluation against the per-matrix loops it replaced.
+
+``ocp_falsify``'s Haar phase, ``numerical_range``, ``disk_test`` and the
+``cp_extension_search`` constraint rows run as stacked numpy calls over
+``(B, n, n)`` blocks.  The sequential versions are kept here as references:
+where the arithmetic per matrix is unchanged the results must be equal bit
+for bit, and where a reduction runs in another order (the boundary points
+of the numerical range) within a tolerance fixed from the dtype.
+"""
+
+import numpy as np
+import pytest
+
+from oalab.cone import in_F
+from oalab.matcore import (
+    DEFAULT_TOL,
+    STACK_ENTRY_CAP,
+    matrix_to_json,
+    operator_norm,
+    operator_norms,
+    stack_slices,
+)
+from oalab.ocpmap import (
+    _agreement_constraints,
+    amplify,
+    disk_test,
+    entangled_cone_element,
+    matrix_map_from_kraus,
+    ocp_falsify,
+    transpose_map,
+)
+from oalab.sampling import complex_normal, haar_unitaries, haar_unitary
+from oalab.spectral import numerical_range
+
+
+def sequential_haar(rng, dim):
+    q, r = np.linalg.qr(complex_normal(rng, (dim, dim)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def sequential_ocp_falsify(t, c, k, budget, seed, tol=DEFAULT_TOL):
+    """The witness search with one QR and one SVD per Haar draw."""
+    amp = amplify(t, k, tol)
+    kn, km = amp.in_dim, amp.out_dim
+    rng = np.random.default_rng(seed)
+    target = c * np.eye(km, dtype=complex)
+    eye = np.eye(kn, dtype=complex)
+
+    def value(x):
+        return operator_norm(target - amp.apply(x))
+
+    evaluations = 0
+    candidates = [eye + eye, np.zeros((kn, kn), dtype=complex)]
+    if k == t.in_dim:
+        candidates.append(entangled_cone_element(t.in_dim))
+    best_x, best_val = None, -np.inf
+    for x in candidates:
+        val = value(x)
+        evaluations += 1
+        if val > best_val:
+            best_x, best_val = x, val
+    while evaluations < max(budget // 2, len(candidates) + 1):
+        x = eye + sequential_haar(rng, kn)
+        val = value(x)
+        evaluations += 1
+        if val > best_val:
+            best_x, best_val = x, val
+    x = best_x
+    while evaluations < budget:
+        svd_u, _, svd_vh = np.linalg.svd(target - amp.apply(x))
+        grad = -amp.adjoint_apply(np.outer(svd_u[:, 0], svd_vh[0].conj()))
+        u, _, vh = np.linalg.svd(grad)
+        x_next = eye + u @ vh
+        val = value(x_next)
+        evaluations += 1
+        if val <= best_val + tol.exact_tol:
+            break
+        best_x, best_val, x = x_next, val, x_next
+    certified_value = operator_norm(target - amp.apply(best_x))
+    if in_F(best_x, tol) and certified_value > c + tol.iter_tol:
+        return {
+            "x": matrix_to_json(best_x),
+            "level": k,
+            "bound": float(c),
+            "value": float(certified_value),
+            "margin": float(certified_value - c),
+        }
+    return None
+
+
+def sequential_numerical_range(x, theta_count):
+    thetas = np.linspace(0.0, 2.0 * np.pi, theta_count, endpoint=False)
+    boundary = np.empty(theta_count, dtype=complex)
+    support = np.empty(theta_count)
+    for j, theta in enumerate(thetas):
+        phase = np.exp(-1j * theta)
+        w, v = np.linalg.eigh((phase * x + np.conj(phase) * x.conj().T) / 2.0)
+        support[j] = w[-1]
+        boundary[j] = v[:, -1].conj() @ x @ v[:, -1]
+    return boundary, support
+
+
+def sequential_disk_sweep(x, circle_points):
+    eye = np.eye(x.shape[0], dtype=complex)
+    thetas = 2.0 * np.pi * np.arange(circle_points) / circle_points
+    zs = [1.0 + np.exp(1j * th) for th in thetas] + [0.0, 1.0, 2.0]
+    worst_excess, worst_z = -np.inf, 0.0 + 0.0j
+    for z in zs:
+        excess = operator_norm(eye - z * x) - 1.0
+        if excess > worst_excess:
+            worst_excess, worst_z = excess, complex(z)
+    return worst_excess, worst_z
+
+
+def sequential_constraints(mats, n, m):
+    size = n * m
+    rows, rhs = [], []
+    for a, b in mats:
+        for out_r in range(m):
+            for out_c in range(m):
+                row = np.zeros((n, m, n, m), dtype=complex)
+                row[:, out_r, :, out_c] = a
+                rows.append(row.reshape(size * size))
+                rhs.append(b[out_r, out_c])
+    return np.stack(rows), np.asarray(rhs, dtype=complex)
+
+
+def _kraus_map(rng, n, m):
+    return matrix_map_from_kraus([complex_normal(rng, (m, n)) for _ in range(2)])
+
+
+def _block(kn):
+    return STACK_ENTRY_CAP // (kn * kn)
+
+
+class TestStackSlices:
+    @pytest.mark.parametrize("count, dim", [(1, 1), (5000, 1), (100, 8), (64, 8), (3, 70)])
+    def test_slices_cover_the_range_in_capped_blocks(self, count, dim):
+        blocks = stack_slices(count, dim)
+        assert np.array_equal(
+            np.concatenate([np.arange(count)[b] for b in blocks]), np.arange(count)
+        )
+        assert all(b.stop - b.start <= max(1, STACK_ENTRY_CAP // dim**2) for b in blocks)
+        assert all(b.stop > b.start for b in blocks)
+
+
+class TestHaarUnitaries:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6, 9])
+    def test_equals_sequential_draws(self, dim):
+        a, b = np.random.default_rng(dim), np.random.default_rng(dim)
+        sequential = np.array([sequential_haar(a, dim) for _ in range(50)])
+        stacked = np.concatenate([haar_unitaries(b, 20, dim), haar_unitaries(b, 30, dim)])
+        assert np.array_equal(stacked, sequential)
+        # Both generators are left at the same point of the stream.
+        assert a.standard_normal() == b.standard_normal()
+
+    def test_single_draw_is_the_count_one_case(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(haar_unitary(a, 5), sequential_haar(b, 5))
+
+
+class TestOperatorNorms:
+    def test_equals_operator_norm_per_matrix(self):
+        stack = complex_normal(np.random.default_rng(0), (40, 5, 5))
+        expected = np.array([operator_norm(x) for x in stack])
+        assert np.array_equal(operator_norms(stack), expected)
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            np.eye(3),
+            np.zeros((4, 2, 3)),
+            np.zeros((0, 2, 2)),
+            np.zeros((2, 0, 0)),
+            np.full((2, 2, 2), np.nan),
+            np.stack([np.eye(2), np.diag([1.0, np.inf])]),
+            np.stack([np.eye(2), np.diag([1.0, 1j * np.inf])]),
+        ],
+    )
+    def test_rejects_malformed_stacks(self, stack):
+        with pytest.raises(ValueError):
+            operator_norms(stack)
+
+
+class TestFalsifyStacked:
+    # Haar draws = budget // 2 minus 2 or 3 starting candidates.  At kn = 4
+    # a block holds 256 draws and at kn = 9 it holds 50, so these budgets
+    # cover one block, exactly two blocks, and several blocks that end
+    # mid-block.
+    @pytest.mark.parametrize("budget", [40, 206, 1100])
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_transpose_level_two(self, budget, c):
+        t = transpose_map(2)
+        assert _block(4) == 256
+        for seed in (0, 5):
+            got = ocp_falsify(t, c, k=2, budget=budget, seed=seed)
+            assert got is not None
+            assert got == sequential_ocp_falsify(t, c, 2, budget, seed)
+
+    @pytest.mark.parametrize(
+        "n, m, k, budget",
+        [(1, 3, 3, 30), (2, 3, 1, 16), (3, 2, 2, 240), (3, 3, 3, 206), (3, 3, 3, 230)],
+    )
+    def test_cp_maps_at_levels_one_to_three(self, n, m, k, budget):
+        assert _block(9) == 50
+        rng = np.random.default_rng(10 * n + m)
+        t = _kraus_map(rng, n, m)
+        natural = operator_norm(t.apply(np.eye(n)))
+        outcomes = []
+        for c in (natural, 0.5 * natural):
+            for seed in (1, 2):
+                got = ocp_falsify(t, c, k=k, budget=budget, seed=seed)
+                assert got == sequential_ocp_falsify(t, c, k, budget, seed)
+                outcomes.append(got is None)
+        # The natural bound holds for a completely positive map; half of it
+        # is beaten by the identity candidate, so both branches are compared.
+        assert outcomes == [True, True, False, False]
+
+    def test_transpose_level_three(self):
+        t = transpose_map(3)
+        for seed in (0, 3):
+            got = ocp_falsify(t, 1.5, k=3, budget=230, seed=seed)
+            assert got == sequential_ocp_falsify(t, 1.5, 3, 230, seed)
+
+
+class TestNumericalRangeStacked:
+    # Blocks hold 4096, 1024, 64 and 1 directions at n = 1, 2, 8, 70.
+    @pytest.mark.parametrize("n, theta_count", [(1, 5000), (2, 1500), (8, 100), (70, 30)])
+    def test_matches_per_angle_eigh(self, n, theta_count):
+        x = complex_normal(np.random.default_rng(n), (n, n))
+        sample = numerical_range(x, theta_count=theta_count)
+        boundary, support = sequential_numerical_range(x, theta_count)
+        assert np.max(np.abs(sample.boundary_points - boundary)) <= 1e-14 * np.max(
+            np.abs(boundary)
+        )
+        assert np.max(np.abs(sample.support_values - support)) <= 1e-14 * np.max(
+            np.abs(support)
+        )
+        assert sample.radius == pytest.approx(float(np.max(support)), rel=1e-14)
+
+
+class TestDiskTestStacked:
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_matches_the_loop_and_picks_the_same_z(self, n):
+        rng = np.random.default_rng(n)
+        g = complex_normal(rng, (n, n))
+        h = g @ g.conj().T
+        cases = [
+            g / (2.0 * n),
+            h / operator_norm(h),
+            # Ties: every circle point and z = 2 give excess 0 (up to
+            # rounding) for the identity, all points give 0 for zero.
+            np.eye(n),
+            np.zeros((n, n)),
+        ]
+        for x in cases:
+            for points in (8, 150, 1000):
+                report = disk_test(x, circle_points=points)
+                worst_excess, worst_z = sequential_disk_sweep(x.astype(complex), points)
+                assert report.worst_excess == worst_excess
+                assert report.worst_z == worst_z
+
+
+def test_agreement_constraints_equal_the_loop():
+    rng = np.random.default_rng(3)
+    for n, m, pairs in ((1, 1, 1), (2, 3, 2), (3, 2, 3), (2, 2, 4)):
+        mats = [(complex_normal(rng, (n, n)), complex_normal(rng, (m, m))) for _ in range(pairs)]
+        constraint, rhs = _agreement_constraints(mats, n, m)
+        ref_constraint, ref_rhs = sequential_constraints(mats, n, m)
+        assert np.array_equal(constraint, ref_constraint)
+        assert np.array_equal(rhs, ref_rhs)

@@ -131,19 +131,20 @@ def _verify_weight_invariants(w: RadicalWeight, tol: Tolerances) -> None:
         raise ValueError("weight must be positive and finite on [0, horizon]")
     if abs(w.omega(0.0) - 1.0) > tol.exact_tol:
         raise ValueError(f"omega(0) must be 1, got {w.omega(0.0)!r}")
-    # Submultiplicativity on a coarse pair grid.
+    # Submultiplicativity on a coarse pair grid; the first failing pair in
+    # row-major (s, t) order is reported.
     coarse = np.linspace(0.0, w.horizon, 40)
-    for s in coarse:
-        for t in coarse:
-            if s + t > w.horizon:
-                continue
-            lhs = w.omega(s + t)
-            rhs = w.omega(s) * w.omega(t)
-            if lhs > rhs * (1.0 + tol.exact_tol) + tol.exact_tol:
-                raise ValueError(
-                    f"submultiplicativity fails at s={s:.3g}, t={t:.3g}: "
-                    f"{lhs:.6g} > {rhs:.6g}"
-                )
+    s, t = np.meshgrid(coarse, coarse, indexing="ij")
+    inside = s + t <= w.horizon
+    lhs = w.omega(np.where(inside, s + t, 0.0))
+    rhs = w.omega(s) * w.omega(t)
+    failing = np.argwhere(inside & (lhs > rhs * (1.0 + tol.exact_tol) + tol.exact_tol))
+    if failing.size:
+        i, j = failing[0]
+        raise ValueError(
+            f"submultiplicativity fails at s={coarse[i]:.3g}, t={coarse[j]:.3g}: "
+            f"{lhs[i, j]:.6g} > {rhs[i, j]:.6g}"
+        )
     # t-th roots must not increase along the horizon (constant is allowed;
     # the limit itself is not decidable from finitely many samples).
     tail = np.linspace(w.horizon / 100.0, w.horizon, 100)

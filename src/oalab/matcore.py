@@ -202,9 +202,15 @@ class Subspace:
             return np.zeros_like(vec)
         return self.basis.T @ (self.basis.conj() @ vec)
 
+    def residuals(self, rows) -> np.ndarray:
+        """Euclidean distance of each row of a ``(m, ambient_dim)`` array to the subspace."""
+        arr = np.asarray(rows, dtype=complex)
+        if arr.ndim != 2 or arr.shape[1] != self.ambient_dim:
+            raise ValueError(f"rows have shape {arr.shape}, ambient is {self.ambient_dim}")
+        return np.linalg.norm(arr - (arr @ self.basis.conj().T) @ self.basis, axis=1)
+
     def residual(self, v) -> float:
-        vec = np.asarray(v, dtype=complex).ravel()
-        return float(np.linalg.norm(vec - self.project(vec)))
+        return float(self.residuals(np.asarray(v, dtype=complex).reshape(1, -1))[0])
 
     def membership(self, v) -> bool:
         vec = np.asarray(v, dtype=complex).ravel()

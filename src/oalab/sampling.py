@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import as_square_matrix
+from .matcore import as_square_matrix, operator_norm
 
 __all__ = [
     "complex_normal",
     "haar_unitary",
     "haar_unitaries",
     "random_contraction",
+    "random_span_element",
     "random_projection",
     "random_density",
     "random_cone_element",
@@ -56,6 +57,20 @@ def random_contraction(rng: np.random.Generator, dim: int, radius: float = 1.0) 
     """Random matrix with operator norm exactly uniform in (0, radius]."""
     g = complex_normal(rng, (dim, dim))
     return g * (rng.uniform(0.0, radius) / np.linalg.norm(g, 2))
+
+
+def random_span_element(rng: np.random.Generator, basis: np.ndarray, radius: float):
+    """Random element of span(basis) with operator norm uniform in (0, radius].
+
+    A complex Gaussian combination of the ``(k, n, n)`` basis, rescaled.  A
+    numerically zero combination (norm at most ``1e-12``) gives ``None``,
+    and then no uniform draw is taken.
+    """
+    raw = np.tensordot(complex_normal(rng, len(basis)), basis, axes=(0, 0))
+    nrm = operator_norm(raw)
+    if nrm <= 1e-12:
+        return None
+    return raw * (rng.uniform(0.0, radius) / nrm)
 
 
 def random_projection(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:

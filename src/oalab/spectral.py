@@ -82,11 +82,7 @@ class NumericalRangeSample(JsonReport):
         )
 
 
-def numerical_range(
-    x: np.ndarray,
-    theta_count: int = 720,
-    tol: Tolerances = DEFAULT_TOL,
-) -> NumericalRangeSample:
+def numerical_range(x: np.ndarray, theta_count: int = 720) -> NumericalRangeSample:
     """Sample the boundary of the numerical range of ``x``.
 
     For each of ``theta_count`` equally spaced directions the maximal
@@ -165,7 +161,7 @@ def wedge_membership(
     """
     if not 0.0 <= rho <= np.pi:
         raise ValueError("rho must lie in [0, pi]")
-    sample = numerical_range(x, theta_count=theta_count, tol=tol)
+    sample = numerical_range(x, theta_count=theta_count)
     pts = sample.boundary_points
     slack = 2.0 * np.pi / theta_count + 1e-6
     tip_radius = max(tol.exact_tol, 1e-12)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,11 +64,21 @@ class TestWeights:
         np.testing.assert_allclose(w.omega(3.0), math.exp(-3.0), rtol=1e-15)
 
     def test_supermultiplicative_weight_rejected(self):
-        # 1/(1+t) violates submultiplicativity: (1+s)(1+t) > 1+s+t.
-        with pytest.raises(ValueError):
-            make_weight(
-                "custom", omega=lambda t: 1.0 / (1.0 + np.asarray(t)), horizon=10.0
-            )
+        # 1/(1+t) violates submultiplicativity: (1+s)(1+t) > 1+s+t.  The
+        # message names the first failing pair of the row-major pair loop.
+        def omega(t):
+            return 1.0 / (1.0 + np.asarray(t, dtype=float))
+
+        coarse = np.linspace(0.0, 10.0, 40)
+        expected = next(
+            f"submultiplicativity fails at s={s:.3g}, t={t:.3g}: "
+            f"{float(omega(s + t)):.6g} > {float(omega(s) * omega(t)):.6g}"
+            for s in coarse
+            for t in coarse
+            if s + t <= 10.0 and omega(s + t) > omega(s) * omega(t) * (1 + 1e-9) + 1e-9
+        )
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            make_weight("custom", omega=omega, horizon=10.0)
 
     def test_wrong_normalization_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .algebra import (
     ws_battery,
 )
 from .calculus import matrix_power_r
-from .cone import in_F, in_halfF
 from .examples import example_rdr, example_two_dim, volterra
 from .matcore import (
     DEFAULT_TOL,
@@ -45,7 +44,6 @@ from .matcore import (
 )
 from .ocpmap import (
     disk_test,
-    identity_map,
     matrix_map_from_kraus,
     ocp_falsify,
     stinespring,

@@ -25,6 +25,7 @@ from oalab.algebra import (
 )
 from oalab.matcore import matrix_span, operator_norm
 from oalab.sampling import (
+    complex_normal,
     random_cone_element,
     random_contraction,
     random_projection,
@@ -336,7 +337,59 @@ class TestQuotientNorm:
             z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             res = quotient_norm(np.diag(z), J)
             assert res.status == "CERTIFIED"
-            npt.assert_allclose(res.value, max(abs(z[1]), abs(z[2])), atol=1e-8)
+            npt.assert_allclose(res.value, max(abs(z[1]), abs(z[2])), atol=1e-9)
+
+    def test_full_matrix_mod_corner_block_meets_parrott(self):
+        # Parrott: over X, the least norm of [[X, B], [C, D]] is
+        # max(||[C, D]||, ||[B; D]||).  The warm start is not optimal here,
+        # so this exercises the smoothed descent.
+        rng = np.random.default_rng(21)
+        J = block_ideal_subspace([2, 1], [0])
+        for _ in range(10):
+            a = complex_normal(rng, (3, 3))
+            expected = max(np.linalg.norm(a[2:, :], 2), np.linalg.norm(a[:, 2:], 2))
+            res = quotient_norm(a, J)
+            assert res.status == "CERTIFIED"
+            assert res.lower - 1e-9 <= expected <= res.upper + 1e-9
+
+    def test_random_subspaces_certify_with_consistent_intervals(self):
+        # 80 random subspaces J of M_2..M_6: at least 90% CERTIFIED; on every
+        # draw the interval is nonempty, minimizer_coeffs attains the upper
+        # bound, and a second call reproduces the result exactly.
+        rng = np.random.default_rng(17)
+        certified = 0
+        for _ in range(80):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, n * n))
+            a = complex_normal(rng, (n, n))
+            J = matrix_span([complex_normal(rng, (n, n)) for _ in range(k)])
+            res = quotient_norm(a, J)
+            certified += res.status == "CERTIFIED"
+            assert res.lower <= res.upper + 1e-12
+            j = np.tensordot(res.minimizer_coeffs, J.basis.reshape(J.dim, n, n), axes=1)
+            assert abs(operator_norm(a - j) - res.upper) <= 1e-9
+            again = quotient_norm(a, J)
+            assert (again.lower, again.upper, again.status) == (res.lower, res.upper, res.status)
+            npt.assert_array_equal(again.minimizer_coeffs, res.minimizer_coeffs)
+        assert certified >= 72
+
+    @pytest.mark.parametrize("kind", ["block", "random"])
+    def test_transpose_gets_the_same_status(self, kind):
+        # ||m^T|| = ||m||, so a mod J and a^T mod J^T have the same quotient
+        # norm; the verdict must not depend on the rounding that differs
+        # between the two.
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            if kind == "block":
+                n, mats = 3, block_ideal_subspace([2, 1], [0]).basis.reshape(-1, 3, 3)
+            else:
+                n = int(rng.integers(2, 7))
+                mats = complex_normal(rng, (int(rng.integers(1, n * n)), n, n))
+            a = complex_normal(rng, (n, n))
+            res = quotient_norm(a, matrix_span(mats))
+            res_t = quotient_norm(a.T, matrix_span(np.swapaxes(mats, 1, 2)))
+            assert res.status == res_t.status
+            assert max(res.lower, res_t.lower) <= min(res.upper, res_t.upper) + 1e-12
 
 
 class TestQuotientConeCheck:

@@ -1,6 +1,5 @@
 """Tests for the suite runner and command-line driver."""
 
-import dataclasses
 import json
 
 import pytest

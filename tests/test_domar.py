@@ -22,8 +22,6 @@ from oalab.domar import (
     quasinilpotence_estimate,
     quasinilpotence_root_bound,
     titchmarsh_check,
-    weighted_l1,
-    weighted_l2,
 )
 
 

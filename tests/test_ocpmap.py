@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oalab.matcore import CrossCheckError, matrix_from_json, operator_norm
+from oalab.matcore import matrix_from_json, operator_norm
 from oalab.ocpmap import (
     MatrixMap,
     amplify,

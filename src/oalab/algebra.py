@@ -268,34 +268,30 @@ def block_ideal_subspace(
 def generated_algebra(x, tol: Tolerances = DEFAULT_TOL) -> FDAlgebra:
     """The algebra generated by ``x``: span of ``{x, x^2, ...}``.
 
-    The span stabilizes after at most ``ambient_dim`` powers (minimal
-    polynomial), but raw powers form an ill-conditioned generating family,
-    so the subspace is computed by repeatedly adjoining normalized pairwise
-    products of an orthonormal basis until the dimension stops growing --
-    the same span, without Vandermonde blow-up.  No unit is adjoined; the
-    result is unital exactly when some polynomial in ``x`` without constant
-    term acts as a two-sided identity on the span.
+    Raw powers form an ill-conditioned generating family, so the span is
+    built as an Arnoldi (Krylov) basis: ``q_1 = x / ||x||_F``, and each
+    ``x q_k``, orthogonalized twice against ``q_1, ..., q_k`` in the
+    Frobenius inner product, gives ``q_{k+1}``.  The basis is complete once
+    the remainder is at most ``rank_tol * ||x q_k||`` (then left
+    multiplication by ``x`` maps the span into itself), and after at most
+    ``ambient_dim`` vectors, the degree bound of the minimal polynomial.  No
+    unit is adjoined; the result is unital exactly when some polynomial in
+    ``x`` without constant term acts as a two-sided identity on the span.
     """
     x = as_square_matrix(x)
     if operator_norm(x) <= tol.rank_tol:
         raise ValueError("generated_algebra requires a nonzero generator")
     n = x.shape[0]
-    span = matrix_span([x / np.linalg.norm(x)], tol)
-    for _ in range(12):
-        basis = span.basis.reshape(span.dim, n, n)
-        products = []
-        for a in basis:
-            for b in basis:
-                prod = a @ b
-                scale = float(np.linalg.norm(prod))
-                if scale > 1e-12:
-                    products.append(prod / scale)
-        candidate = matrix_span(list(basis) + products, tol)
-        if candidate.dim == span.dim:
+    q = (x / np.linalg.norm(x)).reshape(1, n * n)
+    while len(q) < n:
+        product = (x @ q[-1].reshape(n, n)).ravel()
+        v = product - q.T @ (q.conj() @ product)
+        v = v - q.T @ (q.conj() @ v)
+        norm = float(np.linalg.norm(v))
+        if norm <= tol.rank_tol * float(np.linalg.norm(product)):
             break
-        span = candidate
-    basis = span.basis.reshape(span.dim, n, n)
-    return FDAlgebra.build(basis, tol)
+        q = np.vstack([q, v / norm])
+    return FDAlgebra.build(q.reshape(-1, n, n), tol)
 
 
 class IdealTriple(NamedTuple):

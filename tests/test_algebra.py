@@ -26,6 +26,7 @@ from oalab.algebra import (
 from oalab.matcore import matrix_span, operator_norm
 from oalab.sampling import (
     complex_normal,
+    haar_unitary,
     random_cone_element,
     random_contraction,
     random_projection,
@@ -124,6 +125,19 @@ class TestGeneratedAlgebra:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             generated_algebra(np.zeros((2, 2)))
+
+    def test_near_scalar_generator_has_at_most_n_dimensions(self):
+        # 1 - U diag(s) with s evenly spaced up to 0.05: its powers are nearly
+        # parallel, and pairwise products of a span basis once grew to 57
+        # dimensions here.  The algebra generated by an 8x8 matrix has at most 8.
+        u = haar_unitary(np.random.default_rng(0), 8)
+        x = np.eye(8) - u @ np.diag(np.linspace(0.0, 0.05, 8))
+        alg = generated_algebra(x)
+        assert alg.dim <= 8
+        power = np.eye(8, dtype=complex)
+        for _ in range(10):
+            power = power @ x
+            assert alg.contains(power)
 
 
 class TestIdealSubspaces:

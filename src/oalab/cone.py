@@ -2,9 +2,13 @@
 
 Two characterizations are computed for every membership query: the defining
 norm inequality, and positivity of x + x* - xx* (equivalent via
-``||1-x||^2 = 1 - lambda_min(x + x* - xx*)``).  A violation of that identity
-beyond tolerance is a numerical fault and raises :class:`CrossCheckError`
-instead of returning a silently wrong boolean.
+``||1-x||^2 = 1 - lambda_min(x + x* - xx*)``).  Positivity, here and in the
+accretivity tests, is decided by a Cholesky factorization of the matrix
+shifted by the tolerance, which reads no eigenvalue; ``lambda_min`` is
+computed only when the two routes disagree, to tell a borderline element
+from a violation of the identity.  Such a violation beyond tolerance is a
+numerical fault and raises :class:`CrossCheckError` instead of returning a
+silently wrong boolean.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .matcore import (
     DEFAULT_TOL,
@@ -33,13 +38,22 @@ __all__ = [
 ]
 
 
-def _membership_margins(x: np.ndarray) -> tuple[float, float]:
-    """Return (||1 - x||, lambda_min(x + x* - xx*)) for a square matrix."""
-    n = x.shape[0]
-    norm_val = operator_norm(np.eye(n) - x)
-    h = x + x.conj().T - x @ x.conj().T
-    lam_min = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
-    return norm_val, lam_min
+def _psd_within(h: np.ndarray, tol: float) -> bool:
+    """Whether the Hermitian ``h`` satisfies ``h + tol * 1 > 0``, i.e.
+    ``lambda_min(h) > -tol``, by a Cholesky factorization.
+
+    Overwrites ``h``: the diagonal is shifted in place and ``h.T`` (the same
+    memory in Fortran order, the conjugate of ``h``, with the same spectrum)
+    is factored in place, so no copy of ``h`` is made.
+    """
+    h.flat[:: h.shape[0] + 1] += tol
+    _, info = scipy.linalg.lapack.zpotrf(h.T, overwrite_a=1)
+    return info == 0
+
+
+def _defect(a: np.ndarray) -> np.ndarray:
+    """``a + a* - a a*``, which is positive exactly when ``||1 - a|| <= 1``."""
+    return a + a.conj().T - a @ a.conj().T
 
 
 def in_F(x, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -50,10 +64,11 @@ def in_F(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     squared norm) the disagreement is surfaced as :class:`CrossCheckError`.
     """
     a = as_square_matrix(x)
-    norm_val, lam_min = _membership_margins(a)
+    norm_val = operator_norm(np.eye(a.shape[0]) - a)
     by_norm = norm_val <= 1.0 + tol.exact_tol
-    by_eig = lam_min >= -tol.exact_tol
-    if by_norm != by_eig:
+    if by_norm != _psd_within(_defect(a), tol.exact_tol):
+        h = _defect(a)
+        lam_min = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
         identity_gap = abs(norm_val**2 - (1.0 - lam_min))
         if identity_gap > 10.0 * tol.exact_tol * max(1.0, norm_val**2):
             raise CrossCheckError(
@@ -73,8 +88,7 @@ def in_halfF(x, tol: Tolerances = DEFAULT_TOL) -> bool:
 def accretive(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether x + x* is positive semidefinite within ``exact_tol``."""
     a = as_square_matrix(x)
-    h = a + a.conj().T
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0]) >= -tol.exact_tol
+    return _psd_within(a + a.conj().T, tol.exact_tol)
 
 
 def strictly_real_positive(x, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -85,8 +99,7 @@ def strictly_real_positive(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     a = as_square_matrix(x)
     if not in_F(a, tol):
         raise ValueError("strictly_real_positive requires ||1 - x|| <= 1")
-    h = (a + a.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(h)[0]) > tol.exact_tol
+    return _psd_within((a + a.conj().T) / 2.0, -tol.exact_tol)
 
 
 def cone_constant(x, tol: Tolerances = DEFAULT_TOL) -> float | None:
@@ -105,9 +118,9 @@ def cone_constant(x, tol: Tolerances = DEFAULT_TOL) -> float | None:
     _, sigma, vh = np.linalg.svd(a)
     if sigma[0] <= tol.rank_tol:
         return None
-    herm = a + a.conj().T
-    if float(np.linalg.eigvalsh((herm + herm.conj().T) / 2.0)[0]) < -tol.exact_tol:
+    if not accretive(a, tol):
         return None
+    herm = a + a.conj().T
     keep = sigma > tol.rank_tol * sigma[0]
     w = vh[keep].conj().T / sigma[keep]
     m = w.conj().T @ herm @ w

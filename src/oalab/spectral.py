@@ -21,6 +21,7 @@ import dataclasses
 import json
 
 import numpy as np
+import scipy.linalg
 
 from .matcore import (
     DEFAULT_TOL,
@@ -89,7 +90,10 @@ def numerical_range(x: np.ndarray, theta_count: int = 720) -> NumericalRangeSamp
     eigenvalue of the rotated Hermitian part is the support function value,
     and the corresponding top eigenvector produces one boundary point.  The
     directions are diagonalized in stacked blocks (see
-    :func:`~oalab.matcore.stack_slices`).
+    :func:`~oalab.matcore.stack_slices`).  A block that holds a single
+    matrix (every block does once ``n >= 46``) has only its top eigenpair
+    computed (``scipy.linalg.eigh`` with ``subset_by_index``, LAPACK's MRRR
+    driver), which skips the rest of the spectrum that the sweep never reads.
     """
     x = as_square_matrix(x)
     if theta_count < 8:
@@ -99,8 +103,18 @@ def numerical_range(x: np.ndarray, theta_count: int = 720) -> NumericalRangeSamp
     boundary = np.empty(theta_count, dtype=np.complex128)
     support = np.empty(theta_count, dtype=float)
     xh = x.conj().T
-    for block in stack_slices(theta_count, x.shape[0]):
+    xf = np.asfortranarray(x)
+    n = x.shape[0]
+    for block in stack_slices(theta_count, n):
         h = (phases[block] * x + np.conj(phases[block]) * xh) / 2.0
+        if len(h) == 1:
+            w, v = scipy.linalg.eigh(h[0], subset_by_index=[n - 1, n - 1], check_finite=False)
+            support[block] = w
+            # scipy's BLAS, like its eigh: the numpy and scipy wheels each
+            # bundle an OpenBLAS, and alternating their thread pools call by
+            # call made this loop 10x slower on two threads.
+            boundary[block] = np.vdot(v[:, 0], scipy.linalg.blas.zgemv(1.0, xf, v[:, 0]))
+            continue
         w, v = np.linalg.eigh(h)
         support[block] = w[:, -1]
         vecs = v[:, :, -1]

@@ -31,9 +31,10 @@ from .algebra import (
     ws_battery,
 )
 from .calculus import matrix_power_r
-from .examples import example_rdr, example_two_dim, volterra
+from .examples import example_rdr, example_two_dim, volterra, volterra_norm
 from .matcore import (
     DEFAULT_TOL,
+    CrossCheckError,
     JsonReport,
     Tolerances,
     matrix_span,
@@ -335,7 +336,13 @@ def _suite_volterra(dim, trials, rng, tol):
     margin_rho = tol.exact_tol - abs(rho - 0.005)
     if margin_rho < 0:
         failures.append({"case": "spectral-radius-100", "data": {"rho": rho}})
-    err = abs(float(np.linalg.norm(volterra(dim), 2)) - 2.0 / math.pi)
+    norm = volterra_norm(dim)
+    exact = 1.0 / (2.0 * dim * math.tan(math.pi / (4.0 * dim)))
+    if abs(norm - exact) > 1e-12 * exact:
+        raise CrossCheckError(
+            f"Lanczos ||V_{dim}|| = {norm!r} is off the closed form {exact!r}"
+        )
+    err = abs(norm - 2.0 / math.pi)
     margin_norm = 1e-3 - err
     if margin_norm < 0:
         failures.append({"case": "norm-limit", "data": {"size": dim, "error": err}})

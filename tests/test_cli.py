@@ -1,6 +1,7 @@
 """Tests for the suite runner and command-line driver."""
 
 import json
+import time
 
 import pytest
 
@@ -81,6 +82,14 @@ class TestRunSuite:
         assert names["spectral-radius-100"] == "pass"
         assert names["norm-limit"] == "fail"
         assert any(f["case"] == "norm-limit" for f in report.failures)
+
+    def test_volterra_norm_is_matrix_free(self):
+        # A dense V_100000 would take 160 GB; the Lanczos norm takes ~0.1 s.
+        start = time.perf_counter()
+        report = run_suite(SuiteConfig(suite="volterra", dim=100_000, seed=0))
+        elapsed = time.perf_counter() - start
+        assert [c["status"] for c in report.cases] == ["pass", "pass"]
+        assert elapsed < 1.0
 
     def test_volterra_radius_gate_is_off_the_true_value(self):
         # rho(V_100) = 1/200 exactly; the case gates |rho - 1/200| against

@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
+from oalab import cone
 from oalab.cone import (
     ConeReport,
     accretive,
@@ -12,8 +14,9 @@ from oalab.cone import (
     in_halfF,
     strictly_real_positive,
 )
-from oalab.matcore import operator_norm
+from oalab.matcore import DEFAULT_TOL, CrossCheckError, operator_norm
 from oalab.sampling import (
+    complex_normal,
     random_cone_element,
     random_half_cone_element,
     random_singular_cone_element,
@@ -151,3 +154,61 @@ def test_cone_report_nonmember_disables_strict_flag():
     # 4I is accretive and has cone constant 1/2
     assert report.accretive
     assert report.best_cone_constant == pytest.approx(0.5, rel=1e-6)
+
+
+def _lam_min(h):
+    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
+
+
+def _cone_cases(rng, n):
+    """A member, a strict non-member (``||1 - x|| = 1.05``) and a singular
+    boundary element (``||1 - x|| = 1`` with a kernel) of size ``n``."""
+    g = complex_normal(rng, (n, n))
+    outside = np.eye(n) - 1.05 * g / np.linalg.norm(g, 2)
+    boundary = np.zeros((1, 1)) if n == 1 else random_singular_cone_element(rng, n)
+    return [(random_cone_element(rng, n), True), (outside, False), (boundary, True)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 200])
+def test_cholesky_positivity_agrees_with_eigvalsh(n):
+    # The shifted-Cholesky decisions against the lambda_min tests they
+    # replace, on members, strict non-members and singular boundary elements.
+    tol = DEFAULT_TOL.exact_tol
+    rng = np.random.default_rng(30 + n)
+    for x, member in _cone_cases(rng, n):
+        a = np.asarray(x, dtype=complex)
+        defect = a + a.conj().T - a @ a.conj().T
+        assert (_lam_min(defect) >= -tol) == member
+        assert in_F(x) == member
+        assert accretive(x) == (_lam_min(a + a.conj().T) >= -tol)
+        if member:
+            assert strictly_real_positive(x) == (_lam_min((a + a.conj().T) / 2.0) > tol)
+        c = cone_constant(x)
+        assert (c is None) == (not accretive(x) or operator_norm(a) <= DEFAULT_TOL.rank_tol)
+
+
+def test_psd_within_factors_in_place():
+    # The factor overwrites its argument: no copy of an n x n matrix is made.
+    h = np.diag([4.0, 1e-12, 9.0]).astype(complex)
+    assert cone._psd_within(h, 1e-9)
+    npt.assert_allclose(np.diag(h)[[0, 2]], [2.0, 3.0])
+    assert not cone._psd_within(np.diag([4.0, -2e-9, 9.0]).astype(complex), 1e-9)
+
+
+def test_identity_gap_still_raises(monkeypatch):
+    # A norm route that contradicts the positivity route by far more than
+    # the identity ||1-x||^2 = 1 - lambda_min allows is a numerical fault.
+    x = random_cone_element(np.random.default_rng(40), 6)
+    monkeypatch.setattr(cone, "operator_norm", lambda m: 1.5)
+    with pytest.raises(CrossCheckError, match="identity gap"):
+        in_F(x)
+
+
+def test_borderline_skew_is_decided_by_the_norm(monkeypatch):
+    # On a boundary element, a norm just past 1 + exact_tol disagrees with
+    # positivity while the identity holds to 10 * exact_tol: no fault, and
+    # the norm route decides.
+    x = random_singular_cone_element(np.random.default_rng(41), 6)
+    assert in_F(x)
+    monkeypatch.setattr(cone, "operator_norm", lambda m: 1.0 + 2.0 * DEFAULT_TOL.exact_tol)
+    assert not in_F(x)

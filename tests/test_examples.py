@@ -7,7 +7,7 @@ import pytest
 from oalab.algebra import nor_battery
 from oalab.calculus import bai_sequence
 from oalab.cone import in_F
-from oalab.examples import example_rdr, example_two_dim, volterra
+from oalab.examples import example_rdr, example_two_dim, volterra, volterra_norm
 from oalab.matcore import operator_norm, spectral_radius
 
 
@@ -112,6 +112,23 @@ class TestVolterra:
     def test_small_size_rejected(self):
         with pytest.raises(ValueError):
             volterra(1)
+        with pytest.raises(ValueError):
+            volterra_norm(1)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 400, 100_000])
+    def test_matrix_free_norm_matches_closed_form(self, n):
+        exact = 1.0 / (2.0 * n * np.tan(np.pi / (4.0 * n)))
+        assert abs(volterra_norm(n) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 500])
+    def test_matrix_free_norm_matches_dense_svd(self, n):
+        dense = operator_norm(volterra(n))
+        assert abs(volterra_norm(n) - dense) <= 1e-14 * dense
+
+    def test_matrix_free_norm_is_reproducible(self):
+        # ARPACK starts from a fixed vector, so reruns agree to the bit.
+        for n in (7, 1000):
+            assert volterra_norm(n).hex() == volterra_norm(n).hex()
 
     def test_resolvent_normalization_yields_quasinilpotent_bai_elements(self):
         # No positive multiple of the matrix lies in the unit-shifted cone

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from oalab.calculus import root_cai
-from oalab.matcore import CrossCheckError, operator_norm
+from oalab.matcore import CrossCheckError, operator_norm, stack_slices
 from oalab.sampling import (
     complex_normal,
     haar_unitary,
@@ -62,6 +62,25 @@ class TestNumericalRange:
             nrm = operator_norm(x)
             assert nu <= nrm + 1e-9
             assert nrm <= 2.0 * nu + 1e-9
+
+    @pytest.mark.parametrize("n", [45, 46, 64, 128])
+    def test_top_pair_path_matches_full_eigh(self, n):
+        # From n = 46 on, each block holds one matrix and only its top
+        # eigenpair is computed; n = 45 is the last stacked size.
+        count = 48
+        assert all(b.stop - b.start == 1 for b in stack_slices(count, n)) == (n >= 46)
+        x = random_cone_element(np.random.default_rng(n), n) + complex_normal(
+            np.random.default_rng(n + 1), (n, n)
+        )
+        sample = numerical_range(x, count)
+        thetas = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        scale = operator_norm(x)
+        for j, theta in enumerate(thetas):
+            phase = np.exp(-1j * theta)
+            w, v = np.linalg.eigh((phase * x + np.conj(phase) * x.conj().T) / 2.0)
+            top = v[:, -1]
+            assert abs(sample.support_values[j] - w[-1]) <= 1e-12 * scale
+            assert abs(sample.boundary_points[j] - np.vdot(top, x @ top)) <= 1e-10
 
     def test_rejects_tiny_sweep(self):
         with pytest.raises(ValueError):

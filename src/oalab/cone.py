@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .matcore import (
     DEFAULT_TOL,
@@ -42,18 +41,19 @@ def _psd_within(h: np.ndarray, tol: float) -> bool:
     """Whether the Hermitian ``h`` satisfies ``h + tol * 1 > 0``, i.e.
     ``lambda_min(h) > -tol``, by a Cholesky factorization.
 
-    Overwrites ``h``: the diagonal is shifted in place and ``h.T`` (the same
-    memory in Fortran order, the conjugate of ``h``, with the same spectrum)
-    is factored in place, so no copy of ``h`` is made.
+    Shifts the diagonal of ``h`` in place, so ``h`` holds ``h + tol * 1``
+    afterwards: adding ``tol * eye(n)`` would hold two more ``n x n`` arrays
+    at the peak.  The factorization is numpy's, like
+    the SVDs and eigensolves around it: the numpy and scipy wheels each
+    bundle an OpenBLAS, and calling scipy's ``zpotrf`` in between made
+    ``cone_constant`` 2-3x slower on two threads.
     """
     h.flat[:: h.shape[0] + 1] += tol
-    _, info = scipy.linalg.lapack.zpotrf(h.T, overwrite_a=1)
-    return info == 0
-
-
-def _defect(a: np.ndarray) -> np.ndarray:
-    """``a + a* - a a*``, which is positive exactly when ``||1 - a|| <= 1``."""
-    return a + a.conj().T - a @ a.conj().T
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def in_F(x, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -66,9 +66,9 @@ def in_F(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     a = as_square_matrix(x)
     norm_val = operator_norm(np.eye(a.shape[0]) - a)
     by_norm = norm_val <= 1.0 + tol.exact_tol
-    if by_norm != _psd_within(_defect(a), tol.exact_tol):
-        h = _defect(a)
-        lam_min = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
+    h = a + a.conj().T - a @ a.conj().T
+    if by_norm != _psd_within(h, tol.exact_tol):
+        lam_min = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0]) - tol.exact_tol
         identity_gap = abs(norm_val**2 - (1.0 - lam_min))
         if identity_gap > 10.0 * tol.exact_tol * max(1.0, norm_val**2):
             raise CrossCheckError(

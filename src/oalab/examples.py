@@ -128,9 +128,10 @@ def volterra_norm(n: int) -> float:
         raise ValueError("n must be at least 2")
 
     def gram(x: np.ndarray) -> np.ndarray:
+        x = np.ravel(x)
         vx = (np.cumsum(x) - x / 2.0) / n
         return (np.cumsum(vx[::-1])[::-1] - vx / 2.0) / n
 
-    op = LinearOperator((n, n), matvec=lambda x: gram(np.ravel(x)), dtype=float)
+    op = LinearOperator((n, n), matvec=gram, dtype=float)
     top = eigsh(op, k=1, which="LA", tol=0, v0=np.ones(n), return_eigenvectors=False)
     return float(np.sqrt(top[0]))

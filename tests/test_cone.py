@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from oalab import cone
@@ -17,6 +16,7 @@ from oalab.cone import (
 from oalab.matcore import DEFAULT_TOL, CrossCheckError, operator_norm
 from oalab.sampling import (
     complex_normal,
+    haar_unitary,
     random_cone_element,
     random_half_cone_element,
     random_singular_cone_element,
@@ -187,12 +187,15 @@ def test_cholesky_positivity_agrees_with_eigvalsh(n):
         assert (c is None) == (not accretive(x) or operator_norm(a) <= DEFAULT_TOL.rank_tol)
 
 
-def test_psd_within_factors_in_place():
-    # The factor overwrites its argument: no copy of an n x n matrix is made.
-    h = np.diag([4.0, 1e-12, 9.0]).astype(complex)
-    assert cone._psd_within(h, 1e-9)
-    npt.assert_allclose(np.diag(h)[[0, 2]], [2.0, 3.0])
-    assert not cone._psd_within(np.diag([4.0, -2e-9, 9.0]).astype(complex), 1e-9)
+def test_psd_within_is_positivity_past_the_shift():
+    def psd(*diag):
+        u = haar_unitary(np.random.default_rng(42), len(diag))
+        return cone._psd_within((u * np.array(diag)) @ u.conj().T, 1e-9)
+
+    assert psd(4.0, 0.0, 9.0)
+    assert psd(4.0, -0.5e-9, 9.0)
+    assert not psd(4.0, -2e-9, 9.0)
+    assert not psd(-1.0)
 
 
 def test_identity_gap_still_raises(monkeypatch):

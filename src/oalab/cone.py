@@ -43,9 +43,9 @@ def _psd_within(h: np.ndarray, tol: float) -> bool:
 
     Shifts the diagonal of ``h`` in place, so ``h`` holds ``h + tol * 1``
     afterwards: adding ``tol * eye(n)`` would hold two more ``n x n`` arrays
-    at the peak.  The factorization is numpy's, like
-    the SVDs and eigensolves around it: the numpy and scipy wheels each
-    bundle an OpenBLAS, and calling scipy's ``zpotrf`` in between made
+    at the peak.  The factorization is numpy's, like the SVDs and
+    eigensolves around it: the numpy and scipy wheels each bundle an
+    OpenBLAS, and calling scipy's ``zpotrf`` in between made
     ``cone_constant`` 2-3x slower on two threads.
     """
     h.flat[:: h.shape[0] + 1] += tol

@@ -98,7 +98,8 @@ def _lstsq_combination(columns: np.ndarray, rhs: np.ndarray):
 
 
 def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    return np.tensordot(coeffs, mats, axes=(0, 0))
+    """``sum_k coeffs[k] * mats[k]``, bit-equal to ``np.tensordot(coeffs, mats, 1)``."""
+    return np.dot(coeffs, mats.reshape(len(mats), -1)).reshape(mats.shape[1:])
 
 
 def _products_stay(

@@ -32,6 +32,7 @@ from .matcore import (
     Tolerances,
     as_square_matrix,
     operator_norm,
+    operator_norms,
 )
 
 __all__ = [
@@ -107,6 +108,9 @@ def _cluster_labels(diag: np.ndarray) -> np.ndarray:
     numbered in order of first appearance along the diagonal."""
     labels = np.arange(diag.size)
     close = np.abs(diag[:, None] - diag[None, :]) <= DEFAULT_CLUSTER_TOL
+    if np.count_nonzero(close) == diag.size:
+        # only the diagonal of ``close`` is set: every cluster is a singleton
+        return labels
     for i, j in zip(*np.nonzero(np.triu(close, 1))):
         # each label is the smallest index of its cluster; merge into it
         lo, hi = sorted((labels[i], labels[j]))
@@ -129,9 +133,9 @@ def _checked_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarra
 def _atomic_power(block: np.ndarray, r: float) -> np.ndarray:
     """r-th power of a triangular block whose eigenvalues form one cluster."""
     k = block.shape[0]
-    d = np.diag(block)
     if k == 1:
-        return np.array([[_principal_power(d[0], r)]])
+        return np.array([[_principal_power(block[0, 0], r)]])
+    d = np.diag(block)
     scale = max(1.0, float(np.abs(block).max()))
     if np.all(np.abs(d) <= _ZERO_SNAP * scale):
         # exact kernel cluster: the block is numerically zero and 0^r = 0
@@ -247,16 +251,15 @@ def matrix_power_r(
         raise ValueError("matrix_power_r requires ||1 - x|| <= 1")
     if r == 1.0:
         return a.copy()
-    t, z = scipy.linalg.schur(a, output="complex")
+    t, z = scipy.linalg.schur(a, output="complex", check_finite=False)
     out = _triangular_power(t, z, r)
-    n = a.shape[0]
-    if operator_norm(np.eye(n) - out) > 1.0 + 10.0 * tol.exact_tol:
-        raise RecurrenceBreakdown(
-            "computed power left the cone: ||1 - x^r|| = "
-            f"{operator_norm(np.eye(n) - out)!r}"
-        )
-    comm = operator_norm(out @ a - a @ out)
-    if comm > tol.iter_tol * max(1.0, operator_norm(a)):
+    # both post-checks from one stacked SVD: ||1 - x^r||, ||[x^r, x]||, ||x||
+    cone_norm, comm, a_norm = operator_norms(
+        np.stack([np.eye(a.shape[0]) - out, out @ a - a @ out, a])
+    ).tolist()
+    if cone_norm > 1.0 + 10.0 * tol.exact_tol:
+        raise RecurrenceBreakdown(f"computed power left the cone: ||1 - x^r|| = {cone_norm!r}")
+    if comm > tol.iter_tol * max(1.0, a_norm):
         raise RecurrenceBreakdown(f"computed power does not commute with x: {comm!r}")
     return out
 
@@ -360,7 +363,7 @@ def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.n
             f"{eigs[near]!r}"
         )
     t, z, sdim = scipy.linalg.schur(
-        a, output="complex", sort=lambda lam: abs(lam) < radius
+        a, output="complex", sort=lambda lam: abs(lam) < radius, check_finite=False
     )
     n = a.shape[0]
     if sdim == 0:
@@ -375,11 +378,9 @@ def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.n
     e_tri[:sdim, :sdim] = np.eye(sdim)
     e_tri[:sdim, sdim:] = y
     e = z @ e_tri @ z.conj().T
-    scale = max(1.0, operator_norm(e) ** 2)
-    if operator_norm(e @ e - e) > 100.0 * tol.exact_tol * scale:
+    e_norm, idem, comm, a_norm = operator_norms(np.stack([e, e @ e - e, e @ a - a @ e, a])).tolist()
+    if idem > 100.0 * tol.exact_tol * max(1.0, e_norm**2):
         raise CrossCheckError("spectral idempotent failed e^2 = e")
-    if operator_norm(e @ a - a @ e) > 100.0 * tol.exact_tol * max(1.0, operator_norm(a)) * max(
-        1.0, operator_norm(e)
-    ):
+    if comm > 100.0 * tol.exact_tol * max(1.0, a_norm) * max(1.0, e_norm):
         raise CrossCheckError("spectral idempotent does not commute with x")
     return e

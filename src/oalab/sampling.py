@@ -66,7 +66,8 @@ def random_span_element(rng: np.random.Generator, basis: np.ndarray, radius: flo
     numerically zero combination (norm at most ``1e-12``) gives ``None``,
     and then no uniform draw is taken.
     """
-    raw = np.tensordot(complex_normal(rng, len(basis)), basis, axes=(0, 0))
+    coeffs = complex_normal(rng, len(basis))
+    raw = np.dot(coeffs, basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
     nrm = operator_norm(raw)
     if nrm <= 1e-12:
         return None

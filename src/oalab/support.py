@@ -32,6 +32,7 @@ from .matcore import (
     Tolerances,
     as_square_matrix,
     operator_norm,
+    operator_norms,
     range_kernel_projections,
 )
 
@@ -56,12 +57,9 @@ class SupportResult:
 
 
 def _support_residual(p: np.ndarray, x: np.ndarray) -> float:
-    return max(
-        operator_norm(p @ p - p),
-        operator_norm(p - p.conj().T),
-        operator_norm(p @ x - x),
-        operator_norm(x @ p - x),
-    )
+    """Largest defect of ``p`` as a two-sided support of ``x``, one stacked SVD."""
+    defects = np.stack([p @ p - p, p - p.conj().T, p @ x - x, x @ p - x])
+    return float(operator_norms(defects).max())
 
 
 def _require_nonzero(x: np.ndarray, tol: Tolerances) -> None:
@@ -112,9 +110,12 @@ def power_limit_projection(
     ``rank_tol`` plateau at eigenvalue ~1 and are captured into the kernel,
     matching the SVD rank decision; directions at intermediate scales either
     resolve (slowly) or exhaust ``n_max``, which raises
-    :class:`ConvergenceError` with the final residual.
+    :class:`ConvergenceError` with the final residual.  An ``n_max`` below 2
+    leaves no squaring step and raises ``ValueError``.
     """
     a = as_square_matrix(x)
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2 (one squaring step), got {n_max!r}")
     dim = a.shape[0]
     z = np.eye(dim) - a / 2.0
     w = z.conj().T @ z
@@ -134,23 +135,27 @@ def power_limit_projection(
 
 
 def support_projection_routes(x, tol: Tolerances = DEFAULT_TOL) -> dict:
-    """All three support routes with their pairwise residuals."""
+    """All three support routes with their pairwise residuals.
+
+    A zero ``x`` is rejected by the first route, :func:`support_projection`.
+    """
     a = as_square_matrix(x)
-    _require_nonzero(a, tol)
     svd_route = support_projection(a, tol).projection
     bai_route = _bai_limit_projection(a, tol)
     kernel_proj, n_used = power_limit_projection(a, tol)
     power_route = np.eye(a.shape[0]) - kernel_proj
+    differences = {
+        "svd_vs_bai_limit": svd_route - bai_route,
+        "svd_vs_power_limit": svd_route - power_route,
+        "bai_limit_vs_power_limit": bai_route - power_route,
+    }
+    residuals = operator_norms(np.stack(list(differences.values()))).tolist()
     return {
         "svd": svd_route,
         "bai_limit": bai_route,
         "power_limit": power_route,
         "power_limit_n": n_used,
-        "residuals": {
-            "svd_vs_bai_limit": operator_norm(svd_route - bai_route),
-            "svd_vs_power_limit": operator_norm(svd_route - power_route),
-            "bai_limit_vs_power_limit": operator_norm(bai_route - power_route),
-        },
+        "residuals": dict(zip(differences, residuals)),
     }
 
 

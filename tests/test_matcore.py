@@ -46,6 +46,19 @@ def test_as_square_matrix_rejects_bad_shapes():
         as_square_matrix(np.ones(4))
     with pytest.raises(ValueError):
         as_square_matrix(np.array([[np.inf, 0], [0, 1]]))
+    # non-finite imaginary parts, NaN in either part
+    for bad in (complex(0, np.nan), complex(0, np.inf), complex(0, -np.inf), complex(np.nan, 0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_square_matrix(np.array([[1, 0], [bad, 1]]))
+
+
+def test_operator_norm_is_bit_equal_to_numpy_two_norm():
+    # real input is validated to complex first, so compare with that array
+    rng = np.random.default_rng(8)
+    for n in [*range(1, 41), 64, 128]:
+        real = rng.standard_normal((n, n))
+        for x in (real, real + 1j * rng.standard_normal((n, n))):
+            assert operator_norm(x) == np.linalg.norm(np.asarray(x, dtype=complex), 2), n
 
 
 def test_operator_norm_matches_svd():

@@ -11,6 +11,7 @@ of the numerical range) within a tolerance fixed from the dtype.
 import numpy as np
 import pytest
 
+from oalab.calculus import matrix_power_r
 from oalab.cone import in_F
 from oalab.matcore import (
     DEFAULT_TOL,
@@ -29,8 +30,25 @@ from oalab.ocpmap import (
     ocp_falsify,
     transpose_map,
 )
-from oalab.sampling import complex_normal, haar_unitaries, haar_unitary
+from oalab.sampling import (
+    complex_normal,
+    haar_unitaries,
+    haar_unitary,
+    random_cone_element,
+    random_singular_cone_element,
+)
 from oalab.spectral import numerical_range
+from oalab.support import (
+    _bai_limit_projection,
+    power_limit_projection,
+    support_projection,
+    support_projection_routes,
+)
+
+try:  # numpy >= 2
+    from numpy.linalg import _linalg as _linalg_impl
+except ImportError:
+    from numpy.linalg import linalg as _linalg_impl
 
 
 def sequential_haar(rng, dim):
@@ -165,6 +183,11 @@ class TestOperatorNorms:
         stack = complex_normal(np.random.default_rng(0), (40, 5, 5))
         expected = np.array([operator_norm(x) for x in stack])
         assert np.array_equal(operator_norms(stack), expected)
+        # every size the post-check stacks of the small-matrix kernels take
+        rng = np.random.default_rng(1)
+        for n in range(1, 10):
+            stack = complex_normal(rng, (4, n, n))
+            assert np.array_equal(operator_norms(stack), [operator_norm(x) for x in stack]), n
 
     @pytest.mark.parametrize(
         "stack",
@@ -270,3 +293,55 @@ def test_agreement_constraints_equal_the_loop():
         ref_constraint, ref_rhs = sequential_constraints(mats, n, m)
         assert np.array_equal(constraint, ref_constraint)
         assert np.array_equal(rhs, ref_rhs)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes passed to numpy's SVD, however it is reached: ``np.linalg.norm``
+    and ``np.linalg.cond`` call it by their module's own name."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(_linalg_impl, "svd", counting)
+    return calls
+
+
+class TestSvdCounts:
+    """SVD calls per kernel call on a 5x5 matrix.
+
+    At n <= 8 each call costs several times its LAPACK work, so these
+    counts keep validation and post-check SVDs from creeping back.
+    """
+
+    def test_operator_norm_is_one_values_only_svd(self, svd_calls):
+        operator_norm(complex_normal(np.random.default_rng(0), (5, 5)))
+        assert svd_calls == [(5, 5)]
+
+    def test_matrix_power_r_makes_two(self, svd_calls):
+        x = random_cone_element(np.random.default_rng(1), 5)
+        svd_calls.clear()
+        matrix_power_r(x, 0.5)
+        # in_F's norm route, then both post-checks in one stack
+        assert svd_calls == [(5, 5), (3, 5, 5)]
+
+    def test_support_routes_add_only_the_stacked_residuals(self, svd_calls):
+        x = random_singular_cone_element(np.random.default_rng(2), 5, kernel_dim=2)
+        counts = []
+        for route in (
+            support_projection,
+            lambda a: _bai_limit_projection(a, DEFAULT_TOL),
+            power_limit_projection,
+            support_projection_routes,
+        ):
+            svd_calls.clear()
+            route(x)
+            counts.append(len(svd_calls))
+        *parts, routes = counts
+        # the nonzero check, the range projection, the four support defects
+        assert counts[0] == 3
+        assert routes == sum(parts) + 1

@@ -97,6 +97,17 @@ def test_power_limit_nonconvergence_is_explicit():
         power_limit_projection(x, n_max=2**10)
 
 
+@pytest.mark.parametrize("n_max", [-1, 0, 1])
+def test_power_limit_rejects_budget_without_a_squaring_step(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        power_limit_projection(np.diag([0.5, 1.0]), n_max=n_max)
+
+
+def test_routes_reject_zero():
+    with pytest.raises(ValueError, match="x != 0"):
+        support_projection_routes(np.zeros((3, 3)))
+
+
 def test_power_limit_treats_subtolerance_directions_as_kernel():
     # directions below rank_tol plateau at eigenvalue ~1 and are captured into
     # the kernel projection, matching the SVD route's rank decision

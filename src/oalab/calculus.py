@@ -378,7 +378,9 @@ def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.n
     e_tri[:sdim, :sdim] = np.eye(sdim)
     e_tri[:sdim, sdim:] = y
     e = z @ e_tri @ z.conj().T
-    e_norm, idem, comm, a_norm = operator_norms(np.stack([e, e @ e - e, e @ a - a @ e, a])).tolist()
+    e_norm, idem, comm, a_norm = operator_norms(
+        np.stack([e, e @ e - e, e @ a - a @ e, a])
+    ).tolist()
     if idem > 100.0 * tol.exact_tol * max(1.0, e_norm**2):
         raise CrossCheckError("spectral idempotent failed e^2 = e")
     if comm > 100.0 * tol.exact_tol * max(1.0, a_norm) * max(1.0, e_norm):

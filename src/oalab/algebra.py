@@ -46,6 +46,7 @@ from .matcore import (
     Subspace,
     Tolerances,
     as_square_matrix,
+    linear_combination,
     matrix_from_json,
     matrix_span,
     operator_norm,
@@ -95,11 +96,6 @@ def _lstsq_combination(columns: np.ndarray, rhs: np.ndarray):
     coeffs, *_ = np.linalg.lstsq(mat, vec, rcond=None)
     residual = float(np.linalg.norm(mat @ coeffs - vec))
     return coeffs, residual
-
-
-def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """``sum_k coeffs[k] * mats[k]``, bit-equal to ``np.tensordot(coeffs, mats, 1)``."""
-    return np.dot(coeffs, mats.reshape(len(mats), -1)).reshape(mats.shape[1:])
 
 
 def _products_stay(
@@ -192,7 +188,7 @@ class FDAlgebra(JsonReport):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (self.dim,):
             raise ValueError(f"need {self.dim} coefficients, got {coeffs.shape}")
-        return _combine(coeffs, self.basis)
+        return linear_combination(coeffs, self.basis)
 
     @classmethod
     def from_json(cls, text: str, tol: Tolerances = DEFAULT_TOL) -> "FDAlgebra":
@@ -219,7 +215,7 @@ def _find_unit(mats: np.ndarray, tol: Tolerances) -> Optional[np.ndarray]:
     coeffs, residual = _lstsq_combination(np.concatenate([left, right], axis=1), rhs)
     scale = max(1.0, float(np.linalg.norm(rhs)))
     if residual <= tol.iter_tol * scale:
-        return _combine(coeffs, mats)
+        return linear_combination(coeffs, mats)
     return None
 
 
@@ -347,7 +343,7 @@ def left_identity_search(
     coeffs, residual = _lstsq_combination(j_mats[:, None] @ j_mats[None, :], rhs)
     if residual > tol.iter_tol * max(1.0, float(np.linalg.norm(rhs))):
         return None
-    e = _combine(coeffs, j_mats)
+    e = linear_combination(coeffs, j_mats)
     idem_defect = operator_norm(e @ e - e)
     if idem_defect > tol.iter_tol * max(1.0, operator_norm(e) ** 2):
         raise CrossCheckError(
@@ -552,7 +548,7 @@ def nor_battery(
 def _solve_xyx(x: np.ndarray, basis: np.ndarray, tol: Tolerances):
     """Least-squares ``y`` in span(basis) with ``x y x = x``."""
     coeffs, residual = _lstsq_combination(x @ basis @ x, x)
-    y = _combine(coeffs, basis)
+    y = linear_combination(coeffs, basis)
     ok = residual <= tol.iter_tol * max(1.0, float(np.linalg.norm(x)))
     return ok, y, residual
 
@@ -778,7 +774,7 @@ def quotient_norm(a, J: Subspace, tol: Tolerances = DEFAULT_TOL) -> QuotientNorm
     def smoothed(c, mu):
         """``f_mu``, ``G`` and ``m`` at ``c``; ``mu = 0`` gives the top pair as ``G``."""
         nonlocal best_upper, best_coeffs
-        m = a - _combine(c, j_mats)
+        m = a - linear_combination(c, j_mats)
         u, s, vh = np.linalg.svd(m)
         if s[0] < best_upper:
             best_upper, best_coeffs = float(s[0]), c
@@ -902,7 +898,7 @@ def quotient_cone_check(
         forward_excess = max(forward_excess, qn.value - 1.0)
 
         # Backward: wild ideal part, cone-certified complement part.
-        rep = comp @ (unit - random_contraction_in_A()) @ comp + _combine(
+        rep = comp @ (unit - random_contraction_in_A()) @ comp + linear_combination(
             complex_normal(rng, J.dim), j_mats
         )
         qn_rep = quotient_norm(unit - rep, J, tol)

@@ -108,9 +108,6 @@ def _cluster_labels(diag: np.ndarray) -> np.ndarray:
     numbered in order of first appearance along the diagonal."""
     labels = np.arange(diag.size)
     close = np.abs(diag[:, None] - diag[None, :]) <= DEFAULT_CLUSTER_TOL
-    if np.count_nonzero(close) == diag.size:
-        # only the diagonal of ``close`` is set: every cluster is a singleton
-        return labels
     for i, j in zip(*np.nonzero(np.triu(close, 1))):
         # each label is the smallest index of its cluster; merge into it
         lo, hi = sorted((labels[i], labels[j]))
@@ -253,13 +250,16 @@ def matrix_power_r(
         return a.copy()
     t, z = scipy.linalg.schur(a, output="complex", check_finite=False)
     out = _triangular_power(t, z, r)
-    # both post-checks from one stacked SVD: ||1 - x^r||, ||[x^r, x]||, ||x||
-    cone_norm, comm, a_norm = operator_norms(
-        np.stack([np.eye(a.shape[0]) - out, out @ a - a @ out, a])
-    ).tolist()
+    # ||1 - x^r|| and ||[x^r, x]|| from one stacked SVD, written in place: an
+    # np.stack would copy both and raise the peak memory at large n
+    defects = np.empty((2,) + a.shape, dtype=out.dtype)
+    np.subtract(np.eye(a.shape[0]), out, out=defects[0])
+    np.subtract(np.matmul(out, a, out=defects[1]), a @ out, out=defects[1])
+    cone_norm, comm = operator_norms(defects).tolist()
     if cone_norm > 1.0 + 10.0 * tol.exact_tol:
         raise RecurrenceBreakdown(f"computed power left the cone: ||1 - x^r|| = {cone_norm!r}")
-    if comm > tol.iter_tol * max(1.0, a_norm):
+    # ||x|| only matters once comm exceeds iter_tol, the bound at ||x|| <= 1
+    if comm > tol.iter_tol and comm > tol.iter_tol * max(1.0, operator_norm(a)):
         raise RecurrenceBreakdown(f"computed power does not commute with x: {comm!r}")
     return out
 
@@ -378,11 +378,9 @@ def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.n
     e_tri[:sdim, :sdim] = np.eye(sdim)
     e_tri[:sdim, sdim:] = y
     e = z @ e_tri @ z.conj().T
-    e_norm, idem, comm, a_norm = operator_norms(
-        np.stack([e, e @ e - e, e @ a - a @ e, a])
-    ).tolist()
-    if idem > 100.0 * tol.exact_tol * max(1.0, e_norm**2):
+    e_scale = max(1.0, operator_norm(e))
+    if operator_norm(e @ e - e) > 100.0 * tol.exact_tol * e_scale**2:
         raise CrossCheckError("spectral idempotent failed e^2 = e")
-    if comm > 100.0 * tol.exact_tol * max(1.0, a_norm) * max(1.0, e_norm):
+    if operator_norm(e @ a - a @ e) > 100.0 * tol.exact_tol * max(1.0, operator_norm(a)) * e_scale:
         raise CrossCheckError("spectral idempotent does not commute with x")
     return e

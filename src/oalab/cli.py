@@ -75,20 +75,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        tol = DEFAULT_TOL
-        if args.tol is not None:
-            if args.tol <= 0:
-                print("error: --tol must be positive", file=sys.stderr)
-                return 2
-            tol = dataclasses.replace(DEFAULT_TOL, iter_tol=args.tol)
         try:
+            tol = DEFAULT_TOL
+            if args.tol is not None:
+                tol = dataclasses.replace(DEFAULT_TOL, iter_tol=args.tol)
             cfg = SuiteConfig(
-                suite=args.suite,
-                dim=args.dim,
-                trials=args.trials,
-                seed=args.seed,
-                tol=tol,
-                out=args.out,
+                suite=args.suite, dim=args.dim, trials=args.trials, seed=args.seed, tol=tol
             )
             report = run_suite(cfg)
         except (KeyError, ValueError) as exc:

@@ -60,7 +60,7 @@ class Tolerances:
         for name in ("exact_tol", "iter_tol", "rank_tol"):
             value = getattr(self, name)
             if not (value > 0.0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -265,14 +265,13 @@ def matrix_from_json(payload: dict) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`; rejects non-square payloads."""
     try:
         dim = int(payload["dim"])
-        entries = payload["entries"]
-    except (KeyError, TypeError) as exc:
+        flat = np.array([complex(re, im) for re, im in payload["entries"]], dtype=complex)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc
-    if dim < 0 or len(entries) != dim * dim:
+    if dim < 0 or flat.size != dim * dim:
         raise ValueError(
-            f"non-square payload: dim={dim} expects {dim * dim} entries, got {len(entries)}"
+            f"non-square payload: dim={dim} expects {dim * dim} entries, got {flat.size}"
         )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     return as_square_matrix(flat.reshape(dim, dim))
 
 

@@ -4,9 +4,11 @@ Each suite packages one family of library invariants as a list of cases
 ``{"name", "status", "margin", "tol"}`` where ``margin`` is the remaining
 headroom against ``tol`` (negative margin = failure).  Failing cases append
 reproduction data -- the offending matrices and the draw seed -- to the
-report's ``failures`` list, so every red result is replayable.  Outcomes
-are fully determined by ``(suite, dim, trials, seed)``; ``wall_ms`` is the
-only field that varies between identical runs.
+report's ``failures`` list, so every red result is replayable.  Runners
+report observations to one recorder, ``_Run``, which alone decides margins,
+statuses and failure records.  Outcomes are fully determined by ``(suite,
+dim, trials, seed)``; ``wall_ms`` is the only field that varies between
+identical runs.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ class SuiteConfig:
     trials: Optional[int] = None
     seed: int = 0
     tol: Tolerances = DEFAULT_TOL
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.dim is not None and self.dim < 1:
@@ -94,166 +95,155 @@ class SuiteReport(JsonReport):
         return all(case["status"] == "pass" for case in self.cases)
 
 
-def _case(name: str, margin: float, tol: float) -> dict:
-    return {
-        "name": name,
-        "status": "pass" if margin >= 0.0 else "fail",
-        # +0.0 normalizes the negative zero produced by count-based margins.
-        "margin": float(margin) + 0.0,
-        "tol": float(tol),
-    }
+@dataclasses.dataclass
+class _Run:
+    """One suite run: its resolved inputs and the case recorder.
+
+    Every observation folds into its case's worst margin (a NaN margin
+    sticks, so it fails the case); cases keep the order of their first
+    observation.  A failing observation calls its ``replay`` to build the
+    failure record, so passing trials serialize nothing.
+    """
+
+    dim: int
+    trials: int
+    rng: np.random.Generator
+    tol: Tolerances
+    margins: dict = dataclasses.field(default_factory=dict)  # name -> [margin, tol]
+    failures: list = dataclasses.field(default_factory=list)
+
+    def case(self, name, margin, tol, replay=None, failed=None) -> bool:
+        """Fold ``margin`` into case ``name``; ``failed`` defaults to a negative or NaN margin."""
+        entry = self.margins.setdefault(name, [math.inf, tol])
+        if not (math.isnan(entry[0]) or margin >= entry[0]):
+            entry[0] = margin
+        return self._record(name, not margin >= 0.0 if failed is None else failed, replay)
+
+    def bound(self, name, value, tol, replay=None) -> bool:
+        """An observation that must stay at most ``tol``."""
+        return self.case(name, tol - value, tol, replay)
+
+    def count(self, name, bad, replay=None) -> bool:
+        """Count-only case: each bad observation costs one unit of margin."""
+        entry = self.margins.setdefault(name, [0.0, 0.0])
+        if bad:
+            entry[0] -= 1.0
+        return self._record(name, bool(bad), replay)
+
+    def _record(self, name, failed, replay) -> bool:
+        if failed and replay is not None:
+            self.fail(name, replay())
+        return failed
+
+    def fail(self, name, data) -> None:
+        """Append a failure record, for one case or a group of cases."""
+        self.failures.append({"case": name, "data": data})
+
+    def cases(self) -> list:
+        return [
+            {
+                "name": name,
+                "status": "pass" if margin >= 0.0 else "fail",
+                # +0.0 normalizes a negative zero margin.
+                "margin": float(margin) + 0.0,
+                "tol": float(tol),
+            }
+            for name, (margin, tol) in self.margins.items()
+        ]
 
 
 # --------------------------------------------------------------------------
-# suite runners (each: cfg-resolved dim/trials, rng, tol -> cases, failures)
+# suite runners (each reports its observations to a _Run)
 
 _ROOT_EXPONENTS = (0.5, 1.0 / 3.0, 0.25, 0.2)
 
 
-def _suite_roots(dim, trials, rng, tol):
-    worst_square = -np.inf
-    worst_cone = -np.inf
-    worst_half = -np.inf
-    worst_member = -np.inf
-    failures = []
-    for trial in range(trials):
-        d = int(rng.integers(1, dim + 1))
-        x = np.eye(d) + random_contraction(rng, d)
+def _suite_roots(run):
+    tol = run.tol
+    for trial in range(run.trials):
+        d = int(run.rng.integers(1, run.dim + 1))
+        x = np.eye(d) + random_contraction(run.rng, d)
         eye = np.eye(d, dtype=complex)
         half_root = matrix_power_r(x, 0.5, tol)
         square_err = operator_norm(half_root @ half_root - x)
-        worst_square = max(worst_square, square_err)
-        if square_err > 1e-6:
-            failures.append(
-                {"case": "half-root-squares", "data": {"trial": trial, "x": matrix_to_json(x)}}
-            )
+        run.bound("half-root-squares", square_err, 1e-6,
+                  lambda: {"trial": trial, "x": matrix_to_json(x)})
         span = generated_algebra(x, tol).span
         y = x / 2.0
         for r in _ROOT_EXPONENTS:
             root = matrix_power_r(x, r, tol)
-            cone_excess = operator_norm(eye - root) - 1.0
-            worst_cone = max(worst_cone, cone_excess)
-            half_excess = operator_norm(eye - 2.0 * matrix_power_r(y, r, tol)) - 1.0
-            worst_half = max(worst_half, half_excess)
+            y_root = matrix_power_r(y, r, tol)
             vec = root.reshape(-1)
             member_res = span.residual(vec) / max(1.0, float(np.linalg.norm(vec)))
-            worst_member = max(worst_member, member_res)
-            if max(cone_excess, half_excess) > 1e-8 or member_res > 1e-8:
-                failures.append(
-                    {
-                        "case": "root-bounds",
-                        "data": {"trial": trial, "r": r, "x": matrix_to_json(x)},
-                    }
-                )
-    cases = [
-        _case("half-root-squares", 1e-6 - worst_square, 1e-6),
-        _case("roots-stay-in-cone", 1e-8 - worst_cone, 1e-8),
-        _case("half-cone-roots-stay", 1e-8 - worst_half, 1e-8),
-        _case("roots-in-generated-span", 1e-8 - worst_member, 1e-8),
-    ]
-    return cases, failures
+            if any([
+                run.bound("roots-stay-in-cone", operator_norm(eye - root) - 1.0, 1e-8),
+                run.bound("half-cone-roots-stay", operator_norm(eye - 2.0 * y_root) - 1.0, 1e-8),
+                run.bound("roots-in-generated-span", member_res, 1e-8),
+            ]):
+                run.fail("root-bounds", {"trial": trial, "r": r, "x": matrix_to_json(x)})
 
 
-def _suite_support_routes(dim, trials, rng, tol):
-    worst = -np.inf
-    failures = []
-    for trial in range(trials):
-        d = int(rng.integers(1, dim + 1))
+def _suite_support_routes(run):
+    # Reported even when every draw is skipped as zero.
+    run.case("route-agreement", math.inf, 1e-6)
+    for trial in range(run.trials):
+        d = int(run.rng.integers(1, run.dim + 1))
         if trial % 2 == 0 and d > 1:
-            x = random_normal_singular_cone_element(rng, d)
+            x = random_normal_singular_cone_element(run.rng, d)
         else:
-            x = np.eye(d) + random_contraction(rng, d)
-        if operator_norm(x) <= tol.rank_tol:
+            x = np.eye(d) + random_contraction(run.rng, d)
+        if operator_norm(x) <= run.tol.rank_tol:
             continue
-        routes = support_projection_routes(x, tol)
-        gap = max(routes["residuals"].values())
-        worst = max(worst, gap)
-        if gap > 1e-6:
-            failures.append(
-                {
-                    "case": "route-agreement",
-                    "data": {"trial": trial, "x": matrix_to_json(x), "residuals": routes["residuals"]},
-                }
-            )
-    return [_case("route-agreement", 1e-6 - worst, 1e-6)], failures
+        residuals = support_projection_routes(x, run.tol)["residuals"]
+        run.bound("route-agreement", max(residuals.values()), 1e-6,
+                  lambda: {"trial": trial, "x": matrix_to_json(x), "residuals": residuals})
 
 
-def _suite_support_join(dim, trials, rng, tol):
-    worst = -np.inf
-    failures = []
-    for trial in range(trials):
-        d = int(rng.integers(2, dim + 1))
-        count = int(rng.integers(2, 5))
-        family = [np.eye(d) + random_contraction(rng, d) for _ in range(count)]
-        joined = join_supports(family, tol)
+def _suite_support_join(run):
+    for trial in range(run.trials):
+        d = int(run.rng.integers(2, run.dim + 1))
+        count = int(run.rng.integers(2, 5))
+        family = [np.eye(d) + random_contraction(run.rng, d) for _ in range(count)]
+        joined = join_supports(family, run.tol)
         # Random positive coefficients: the support of the combination must
         # still be the join (positive combinations cannot cancel ranges).
-        coeffs = rng.uniform(0.1, 2.0, size=count)
+        coeffs = run.rng.uniform(0.1, 2.0, size=count)
         combo = sum(c * x for c, x in zip(coeffs, family))
-        p_combo = support_projection(combo, tol).projection
-        gap = max(
-            float(joined["residual"]),
-            operator_norm(p_combo - joined["join"]),
-        )
-        worst = max(worst, gap)
-        if gap > 1e-6:
-            failures.append(
-                {
-                    "case": "join-identity",
-                    "data": {
-                        "trial": trial,
-                        "coeffs": [float(c) for c in coeffs],
-                        "family": [matrix_to_json(x) for x in family],
-                    },
-                }
-            )
-    return [_case("join-identity", 1e-6 - worst, 1e-6)], failures
+        p_combo = support_projection(combo, run.tol).projection
+        gap = max(float(joined["residual"]), operator_norm(p_combo - joined["join"]))
+        run.bound("join-identity", gap, 1e-6, lambda: {
+            "trial": trial,
+            "coeffs": [float(c) for c in coeffs],
+            "family": [matrix_to_json(x) for x in family],
+        })
 
 
-def _suite_sharp_neumann(dim, trials, rng, tol):
-    disagreements = 0
-    failures = []
-    for trial in range(trials):
-        d = int(rng.integers(1, dim + 1))
+def _suite_sharp_neumann(run):
+    for trial in range(run.trials):
+        d = int(run.rng.integers(1, run.dim + 1))
         if trial % 2 == 0 and d > 1:
-            t_mat = random_normal_singular_cone_element(rng, d)
+            t_mat = random_normal_singular_cone_element(run.rng, d)
             expect_singular = True
         else:
-            t_mat = np.eye(d) + random_contraction(rng, d, radius=0.9)
+            t_mat = np.eye(d) + random_contraction(run.rng, d, radius=0.9)
             expect_singular = False
-        result = sharp_neumann(t_mat, tol)  # raises CrossCheckError on clash
-        if result.singular != expect_singular:
-            disagreements += 1
-            failures.append(
-                {
-                    "case": "classifier-vs-rank-oracle",
-                    "data": {"trial": trial, "t": matrix_to_json(t_mat)},
-                }
-            )
-    return [_case("classifier-vs-rank-oracle", -float(disagreements), 0.0)], failures
+        result = sharp_neumann(t_mat, run.tol)  # raises CrossCheckError on clash
+        run.count("classifier-vs-rank-oracle", result.singular != expect_singular,
+                  lambda: {"trial": trial, "t": matrix_to_json(t_mat)})
 
 
-def _suite_closure_battery(dim, trials, rng, tol):
-    inconsistent = 0
-    failures = []
-    cap = min(dim, 6)
-    for trial in range(trials):
-        d = int(rng.integers(2, cap + 1))
-        x = np.eye(d) + random_contraction(rng, d)
+def _suite_closure_battery(run):
+    tol = run.tol
+    cap = min(run.dim, 6)
+    for trial in range(run.trials):
+        d = int(run.rng.integers(2, cap + 1))
+        x = np.eye(d) + random_contraction(run.rng, d)
         report = ws_battery(x, generated_algebra(x, tol), tol)
-        if not report.consistent:
-            inconsistent += 1
-            failures.append(
-                {
-                    "case": "random-consistency",
-                    "data": {"trial": trial, "x": matrix_to_json(x), "report": to_jsonable(report)},
-                }
-            )
-    cases = [_case("random-consistency", -float(inconsistent), 0.0)]
+        run.count("random-consistency", not report.consistent,
+                  lambda: {"trial": trial, "x": matrix_to_json(x), "report": to_jsonable(report)})
 
     # Nilpotent (+) invertible family: isolated spectral origin without a
     # relative inverse in the generated (non-semisimple) algebra.
-    family_bad = 0
     for nil_dim in (2, 3):
         shift = np.zeros((nil_dim, nil_dim), dtype=complex)
         for k in range(nil_dim - 1):
@@ -269,73 +259,43 @@ def _suite_closure_battery(dim, trials, rng, tol):
                 and not report.semisimple
                 and report.consistent
             )
-            if not ok:
-                family_bad += 1
-                failures.append(
-                    {
-                        "case": "gap-without-inverse-family",
-                        "data": {"nil_dim": nil_dim, "inv_dim": inv_dim, "report": to_jsonable(report)},
-                    }
-                )
-    cases.append(_case("gap-without-inverse-family", -float(family_bad), 0.0))
-    return cases, failures
+            run.count("gap-without-inverse-family", not ok,
+                      lambda: {"nil_dim": nil_dim, "inv_dim": inv_dim, "report": to_jsonable(report)})
 
 
-def _suite_nonunital_battery(dim, trials, rng, tol):
-    del dim  # the two reference algebras fix their own dimensions
-    failures = []
-    seed = int(rng.integers(0, 2**31))
+def _suite_nonunital_battery(run):
+    # The two reference algebras fix their own dimensions.
+    seed = int(run.rng.integers(0, 2**31))
     report = nor_battery(
-        example_two_dim(tol), trials, seed=seed, tol=tol, rejection_margin=0.1
+        example_two_dim(run.tol), run.trials, seed=seed, tol=run.tol, rejection_margin=0.1
     )
     worst = min(report.worst_margins().values()) if not report.vacuous else -np.inf
     margin = worst - 1e-3 if report.all_pass else -1.0
-    if margin < 0:
-        failures.append(
-            {"case": "two-dim-margins", "data": to_jsonable(report)}
-        )
-    cases = [_case("two-dim-margins", margin, 1e-3)]
+    run.case("two-dim-margins", margin, 1e-3, lambda: to_jsonable(report))
 
     m2 = nor_battery(
-        full_matrix_algebra(2),
-        max(trials // 5, 20),
-        seed=seed + 1,
-        tol=tol,
+        full_matrix_algebra(2), max(run.trials // 5, 20), seed=seed + 1, tol=run.tol,
         rejection_margin=0.1,
     )
     # Negative control: the full matrix algebra must fail, with an explicit
     # idempotent witness recorded.
     control_ok = (not m2.all_pass) and bool(m2.idempotent_witnesses)
-    if not control_ok:
-        failures.append(
-            {"case": "full-matrix-control", "data": to_jsonable(m2)}
-        )
-    cases.append(_case("full-matrix-control", 0.0 if control_ok else -1.0, 0.0))
-    return cases, failures
+    run.count("full-matrix-control", not control_ok, lambda: to_jsonable(m2))
 
 
-def _suite_projection_truncation(dim, trials, rng, tol):
-    del dim, trials, rng, tol
-    worst = np.inf
-    failures = []
+def _suite_projection_truncation(run):
     for n in range(2, 9):
         ex = example_rdr(n)
-        worst = min(worst, ex.min_commutator)
-        if ex.min_commutator <= 1e-6:
-            failures.append(
-                {"case": "min-commutator", "data": {"n": n, "value": ex.min_commutator}}
-            )
-    return [_case("min-commutator", worst - 1e-6, 1e-6)], failures
+        value = ex.min_commutator
+        run.case("min-commutator", value - 1e-6, 1e-6, lambda: {"n": n, "value": value},
+                 failed=value <= 1e-6)
 
 
-def _suite_volterra(dim, trials, rng, tol):
-    del trials, rng
-    failures = []
+def _suite_volterra(run):
+    dim = run.dim
     # The spectral radius is exactly 1/(2n); gate on the distance to it.
     rho = spectral_radius(volterra(100))
-    margin_rho = tol.exact_tol - abs(rho - 0.005)
-    if margin_rho < 0:
-        failures.append({"case": "spectral-radius-100", "data": {"rho": rho}})
+    run.bound("spectral-radius-100", abs(rho - 0.005), run.tol.exact_tol, lambda: {"rho": rho})
     norm = volterra_norm(dim)
     exact = 1.0 / (2.0 * dim * math.tan(math.pi / (4.0 * dim)))
     if abs(norm - exact) > 1e-12 * exact:
@@ -343,86 +303,51 @@ def _suite_volterra(dim, trials, rng, tol):
             f"Lanczos ||V_{dim}|| = {norm!r} is off the closed form {exact!r}"
         )
     err = abs(norm - 2.0 / math.pi)
-    margin_norm = 1e-3 - err
-    if margin_norm < 0:
-        failures.append({"case": "norm-limit", "data": {"size": dim, "error": err}})
-    return (
-        [
-            _case("spectral-radius-100", margin_rho, tol.exact_tol),
-            _case("norm-limit", margin_norm, 1e-3),
-        ],
-        failures,
-    )
+    run.bound("norm-limit", err, 1e-3, lambda: {"size": dim, "error": err})
 
 
-def _suite_domar_titchmarsh(dim, trials, rng, tol):
-    del dim
-    seed = int(rng.integers(0, 2**31))
-    report = domar.titchmarsh_check(trials, seed=seed, tol=tol)
-    failures = [
-        {"case": "support-additivity", "data": f} for f in report.failures
-    ]
-    mismatches = report.trials - report.exact_matches
-    return [_case("support-additivity", -float(mismatches), 0.0)], failures
+def _suite_domar_titchmarsh(run):
+    seed = int(run.rng.integers(0, 2**31))
+    report = domar.titchmarsh_check(run.trials, seed=seed, tol=run.tol)
+    for data in report.failures:
+        run.fail("support-additivity", data)
+    run.case("support-additivity", float(report.exact_matches - report.trials), 0.0)
 
 
-def _suite_domar_criterion(dim, trials, rng, tol):
-    del dim, trials, rng
-    failures = []
+def _suite_domar_criterion(run):
     w = domar.make_weight("gaussian")
-    report = domar.domar_criterion_check(w, 1.0, tol=tol)
+    report = domar.domar_criterion_check(w, 1.0, tol=run.tol)
     closed = math.exp(-2.0) / 4.0
-    margin_int = 1e-6 - abs(report.ratio_integral - closed)
-    ok_shape = report.eta_convex and report.tail_superlinear
-    if margin_int < 0 or not ok_shape:
-        failures.append(
-            {"case": "gaussian-criterion", "data": to_jsonable(report)}
-        )
-    cases = [
-        _case("gaussian-ratio-integral", margin_int, 1e-6),
-        _case("gaussian-shape", 0.0 if ok_shape else -1.0, 0.0),
-    ]
+    if any([
+        run.bound("gaussian-ratio-integral", abs(report.ratio_integral - closed), 1e-6),
+        run.count("gaussian-shape", not (report.eta_convex and report.tail_superlinear)),
+    ]):
+        run.fail("gaussian-criterion", to_jsonable(report))
     exp_weight = domar.make_weight(
         "custom", omega=lambda t: np.exp(-np.asarray(t)), horizon=24.0
     )
-    exp_report = domar.domar_criterion_check(exp_weight, 1.0, tol=tol)
+    exp_report = domar.domar_criterion_check(exp_weight, 1.0, tol=run.tol)
     # Negative control: eta(t) = t is convex but not superlinear.
     control_ok = exp_report.eta_convex and not exp_report.tail_superlinear
-    if not control_ok:
-        failures.append(
-            {"case": "exponential-control", "data": to_jsonable(exp_report)}
-        )
-    cases.append(_case("exponential-control", 0.0 if control_ok else -1.0, 0.0))
-    return cases, failures
+    run.count("exponential-control", not control_ok, lambda: to_jsonable(exp_report))
 
 
-def _suite_domar_quasinilpotence(dim, trials, rng, tol):
-    del dim, trials, rng
-    failures = []
+def _suite_domar_quasinilpotence(run):
     w = domar.make_weight("gaussian")
     f = domar.grid_indicator(0.05, 1.0, 2.0)
-    roots = domar.quasinilpotence_estimate(f, w, 8, tol)
+    roots = domar.quasinilpotence_estimate(f, w, 8, run.tol)
     decrease = min(roots[n] - roots[n + 1] for n in range(1, 7))
     bound_margin = min(
-        domar.quasinilpotence_root_bound(f, w, n + 1, tol) - roots[n]
+        domar.quasinilpotence_root_bound(f, w, n + 1, run.tol) - roots[n]
         for n in range(8)
     )
+    run.case("roots-decrease", decrease, 0.0)
+    run.case("roots-below-bound", bound_margin, 0.0)
     if decrease <= 0 or bound_margin < 0:
-        failures.append(
-            {"case": "root-decay", "data": {"roots": [float(r) for r in roots]}}
-        )
-    return (
-        [
-            _case("roots-decrease", decrease, 0.0),
-            _case("roots-below-bound", bound_margin, 0.0),
-        ],
-        failures,
-    )
+        run.fail("root-decay", {"roots": [float(r) for r in roots]})
 
 
-def _suite_domar_bump(dim, trials, rng, tol):
-    del dim, trials, rng, tol
-    failures = []
+def _suite_domar_bump(run):
     w = domar.make_weight("gaussian")
     probe = domar.grid_indicator(0.01, 1.0, 2.0)
     report = domar.bump_cai_check([0.4, 0.2, 0.1], w, [probe])
@@ -430,23 +355,16 @@ def _suite_domar_bump(dim, trials, rng, tol):
     margin_mass = min(masses[2] - 0.99, 1.0 - masses[2])
     defects = [row["probe_defects"][0] for row in report.rows]
     margin_defect = min(defects[i] - defects[i + 1] for i in range(2))
+    run.case("narrow-bump-mass", margin_mass, 0.01)
+    run.case("probe-defect-decreases", margin_defect, 0.0)
     if margin_mass < 0 or margin_defect <= 0:
-        failures.append({"case": "bump-identity", "data": to_jsonable(report)})
-    return (
-        [
-            _case("narrow-bump-mass", margin_mass, 0.01),
-            _case("probe-defect-decreases", margin_defect, 0.0),
-        ],
-        failures,
-    )
+        run.fail("bump-identity", to_jsonable(report))
 
 
-def _suite_domar_density(dim, trials, rng, tol):
-    del dim
+def _suite_domar_density(run):
     w = domar.make_weight("gaussian")
-    worst = -np.inf
-    failures = []
-    for trial in range(trials):
+    rng = run.rng
+    for trial in range(run.trials):
         h = 0.02
         a_t, len_t = int(rng.integers(5, 15)), int(rng.integers(3, 10))
         tc = np.zeros(a_t + len_t, dtype=complex)
@@ -460,21 +378,10 @@ def _suite_domar_density(dim, trials, rng, tol):
         gc[a_g:] = complex_normal(rng, len_g)
         t_f = domar.GridFunction(h=h, coeffs=tc)
         g = domar.GridFunction(h=h, coeffs=gc)
-        result = domar.principal_density_check(t_f, g, w, tol=tol)
-        worst = max(worst, result.residual)
-        if result.residual > 1e-8:
-            failures.append(
-                {
-                    "case": "triangular-solve",
-                    "data": {
-                        "trial": trial,
-                        "t_f": to_jsonable(t_f),
-                        "g": to_jsonable(g),
-                        "residual": result.residual,
-                    },
-                }
-            )
-    return [_case("triangular-solve", 1e-8 - worst, 1e-8)], failures
+        result = domar.principal_density_check(t_f, g, w, tol=run.tol)
+        run.bound("triangular-solve", result.residual, 1e-8, lambda: {
+            "trial": trial, "t_f": to_jsonable(t_f), "g": to_jsonable(g), "residual": result.residual
+        })
 
 
 def _random_cp_map(rng: np.random.Generator):
@@ -484,81 +391,50 @@ def _random_cp_map(rng: np.random.Generator):
     return matrix_map_from_kraus([complex_normal(rng, (m, n)) for _ in range(count)])
 
 
-def _suite_ocp_falsify(dim, trials, rng, tol):
-    del dim
-    failures = []
-    worst_margin_err = -np.inf
+def _suite_ocp_falsify(run):
     t = transpose_map(2)
     for c in (1.0, 2.0, 5.0):
-        witness = ocp_falsify(t, c, k=2, budget=200, seed=int(rng.integers(0, 2**31)), tol=tol)
+        seed = int(run.rng.integers(0, 2**31))
+        witness = ocp_falsify(t, c, k=2, budget=200, seed=seed, tol=run.tol)
         err = np.inf if witness is None else abs(witness["margin"] - 1.0)
-        worst_margin_err = max(worst_margin_err, err)
-        if err > 1e-9:
-            failures.append(
-                {"case": "transpose-witness", "data": {"bound": c, "witness": witness}}
-            )
-    cases = [_case("transpose-witness", 1e-9 - worst_margin_err, 1e-9)]
+        run.bound("transpose-witness", err, 1e-9, lambda: {"bound": c, "witness": witness})
 
     # Schwarz inequality: completely positive maps admit no witness at
     # their natural bound c = ||T(1)|| at any level; budget 10^4 per map,
     # split across levels 1..3.
-    spurious = 0
-    for trial in range(trials):
-        cp_map = _random_cp_map(rng)
+    for trial in range(run.trials):
+        cp_map = _random_cp_map(run.rng)
         c = max(operator_norm(cp_map.apply(np.eye(cp_map.in_dim))), 1e-6)
-        seed = int(rng.integers(0, 2**31))
+        seed = int(run.rng.integers(0, 2**31))
         for k, share in ((1, 2000), (2, 3000), (3, 5000)):
-            witness = ocp_falsify(cp_map, c, k=k, budget=share, seed=seed, tol=tol)
-            if witness is not None:
-                spurious += 1
-                failures.append(
-                    {
-                        "case": "cp-no-witness",
-                        "data": {"trial": trial, "k": k, "map": json.loads(cp_map.to_json()), "witness": witness},
-                    }
-                )
-    cases.append(_case("cp-no-witness", -float(spurious), 0.0))
-    return cases, failures
+            witness = ocp_falsify(cp_map, c, k=k, budget=share, seed=seed, tol=run.tol)
+            run.count("cp-no-witness", witness is not None, lambda: {
+                "trial": trial, "k": k, "map": json.loads(cp_map.to_json()), "witness": witness
+            })
 
 
-def _suite_stinespring(dim, trials, rng, tol):
-    del dim
-    worst_residual = -np.inf
-    worst_norm_err = -np.inf
-    failures = []
-    for trial in range(trials):
-        cp_map = _random_cp_map(rng)
-        triple = stinespring(cp_map, tol)
+def _suite_stinespring(run):
+    for trial in range(run.trials):
+        cp_map = _random_cp_map(run.rng)
+        triple = stinespring(cp_map, run.tol)
         vnorm2 = operator_norm(triple.v.conj().T @ triple.v)
         t_one = operator_norm(cp_map.apply(np.eye(cp_map.in_dim)))
-        worst_residual = max(worst_residual, triple.residual)
-        worst_norm_err = max(worst_norm_err, abs(vnorm2 - t_one))
-        if triple.residual > 1e-10 or abs(vnorm2 - t_one) > 1e-9:
-            failures.append(
-                {
-                    "case": "factorization",
-                    "data": {"trial": trial, "map": json.loads(cp_map.to_json())},
-                }
-            )
-    return (
-        [
-            _case("choi-residual", 1e-10 - worst_residual, 1e-10),
-            _case("dilation-norm", 1e-9 - worst_norm_err, 1e-9),
-        ],
-        failures,
-    )
+        if any([
+            run.bound("choi-residual", triple.residual, 1e-10),
+            run.bound("dilation-norm", abs(vnorm2 - t_one), 1e-9),
+        ]):
+            run.fail("factorization", {"trial": trial, "map": json.loads(cp_map.to_json())})
 
 
-def _suite_disk_test(dim, trials, rng, tol):
-    mismatches = 0
-    failures = []
-    for trial in range(trials):
-        d = int(rng.integers(1, dim + 1))
-        z = complex_normal(rng, (d, d))
+def _suite_disk_test(run):
+    tol = run.tol
+    for trial in range(run.trials):
+        d = int(run.rng.integers(1, run.dim + 1))
+        z = complex_normal(run.rng, (d, d))
         kind = trial % 3
         if kind == 0:
             x = z @ z.conj().T
-            x = x / (operator_norm(x) * (1.0 + rng.uniform()))
+            x = x / (operator_norm(x) * (1.0 + run.rng.uniform()))
         elif kind == 1:
             x = (z + z.conj().T) / 2.0
         else:
@@ -570,21 +446,16 @@ def _suite_disk_test(dim, trials, rng, tol):
             and lam[-1] <= 1.0 + tol.exact_tol
         )
         report = disk_test(x, circle_points=150, tol=tol)
-        if report.member != oracle:
-            mismatches += 1
-            failures.append(
-                {"case": "disk-vs-psd-oracle", "data": {"trial": trial, "x": matrix_to_json(x)}}
-            )
-    return [_case("disk-vs-psd-oracle", -float(mismatches), 0.0)], failures
+        run.count("disk-vs-psd-oracle", report.member != oracle,
+                  lambda: {"trial": trial, "x": matrix_to_json(x)})
 
 
-def _suite_quotient_cone(dim, trials, rng, tol):
-    failures = []
-    worst_excess = -np.inf
-    for trial in range(trials):
+def _suite_quotient_cone(run):
+    tol, rng = run.tol, run.rng
+    for trial in range(run.trials):
         while True:
             blocks = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(2, 4)))]
-            if sum(blocks) <= dim:
+            if sum(blocks) <= run.dim:
                 break
         ideal_count = int(rng.integers(1, len(blocks)))
         ideal_blocks = list(rng.choice(len(blocks), size=ideal_count, replace=False))
@@ -599,19 +470,15 @@ def _suite_quotient_cone(dim, trials, rng, tol):
             report.backward_membership_residual,
             float(report.inconclusive_quotients),
         )
-        worst_excess = max(worst_excess, gap)
-        if gap > 1e-6:
-            failures.append(
-                {
-                    "case": "block-inclusions",
-                    "data": {"trial": trial, "blocks": blocks, "ideal_blocks": [int(b) for b in ideal_blocks], "report": to_jsonable(report)},
-                }
-            )
-    cases = [_case("block-inclusions", 1e-6 - worst_excess, 1e-6)]
+        run.bound("block-inclusions", gap, 1e-6, lambda: {
+            "trial": trial,
+            "blocks": blocks,
+            "ideal_blocks": [int(b) for b in ideal_blocks],
+            "report": to_jsonable(report),
+        })
 
     # Closed-form control: quotient of upper-triangular 2x2 matrices by the
     # strictly-upper ideal has norm max(|a11|, |a22|).
-    worst_gap = -np.inf
     for _ in range(10):
         a = np.triu(complex_normal(rng, (2, 2)))
         ideal = matrix_span([np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)], tol)
@@ -620,13 +487,8 @@ def _suite_quotient_cone(dim, trials, rng, tol):
         gap = max(result.gap, abs(result.value - expected))
         if result.status != "CERTIFIED":
             gap = np.inf
-        worst_gap = max(worst_gap, gap)
-        if gap > 1e-6:
-            failures.append(
-                {"case": "closed-form-gap", "data": {"a": matrix_to_json(a), "status": result.status}}
-            )
-    cases.append(_case("closed-form-gap", 1e-6 - worst_gap, 1e-6))
-    return cases, failures
+        run.bound("closed-form-gap", gap, 1e-6,
+                  lambda: {"a": matrix_to_json(a), "status": result.status})
 
 
 # suite -> (runner, default dim, default trials, smallest dim the runner accepts)
@@ -664,9 +526,9 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     if dim < min_dim:
         raise ValueError(f"suite {cfg.suite!r} needs dim >= {min_dim}, got {dim}")
     trials = cfg.trials if cfg.trials is not None else default_trials
-    rng = np.random.default_rng(cfg.seed)
+    run = _Run(dim, trials, np.random.default_rng(cfg.seed), cfg.tol)
     start = time.perf_counter()
-    cases, failures = runner(dim, trials, rng, cfg.tol)
+    runner(run)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return SuiteReport(
         suite=cfg.suite,
@@ -676,8 +538,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
             "seed": int(cfg.seed),
             "iter_tol": float(cfg.tol.iter_tol),
         },
-        cases=cases,
-        failures=failures,
+        cases=run.cases(),
+        failures=run.failures,
         wall_ms=wall_ms,
     )
 

@@ -32,7 +32,6 @@ from .matcore import (
     Tolerances,
     as_square_matrix,
     operator_norm,
-    range_kernel_projections,
 )
 
 __all__ = [
@@ -70,10 +69,17 @@ def _require_nonzero(x: np.ndarray, tol: Tolerances) -> None:
 
 
 def support_projection(x, tol: Tolerances = DEFAULT_TOL) -> SupportResult:
-    """Support projection of a nonzero x via the SVD range projection."""
+    """Support projection of a nonzero x via the SVD range projection.
+
+    One full SVD gives both ``||x|| = s[0]`` for the nonzero check and the
+    range projection of :func:`~oalab.matcore.range_kernel_projections`.
+    """
     a = as_square_matrix(x)
-    _require_nonzero(a, tol)
-    p, _, _ = range_kernel_projections(a, tol)
+    u, s, _ = np.linalg.svd(a)
+    if s[0] <= tol.rank_tol:
+        raise ValueError("support projection requires x != 0")
+    rank = int(np.sum(s > tol.rank_tol * s[0]))
+    p = u[:, :rank] @ u[:, :rank].conj().T
     return SupportResult(projection=p, route="svd", residual=_support_residual(p, a))
 
 
@@ -93,6 +99,10 @@ def _bai_limit_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
         return v @ np.diag(limit) @ vinv
     # defective or near-defective eigenbasis: use the spectral projector at a
     # radius separating the kernel cluster from the rest
+    if np.all(kernel):
+        raise ValueError(
+            "no eigenvalue lies outside the kernel cluster, so x is not a nonzero cone element"
+        )
     zero_top = float(np.abs(eigvals[kernel]).max())
     nonzero_bottom = float(np.abs(eigvals[~kernel]).min())
     radius = np.sqrt(max(zero_top, 1e-300) * nonzero_bottom)

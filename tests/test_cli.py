@@ -1,6 +1,8 @@
 """Tests for the suite runner and command-line driver."""
 
+import dataclasses
 import json
+import math
 import time
 
 import pytest
@@ -76,6 +78,74 @@ class TestRunSuite:
         assert matrix_failures
         assert "entries" in matrix_failures[0]["data"]["a"]
 
+    @staticmethod
+    def _forced(monkeypatch, suite, target, broken, **cfg):
+        # Run ``suite`` with the suite module's ``target`` post-processed by
+        # ``broken``, and return the failing cases and the failure records
+        # as ``(case, sorted data keys)`` pairs.
+        import oalab.suites as suites_mod
+
+        original = getattr(suites_mod, target)
+        monkeypatch.setattr(suites_mod, target, lambda *a, **k: broken(original(*a, **k)))
+        report = run_suite(SuiteConfig(suite=suite, seed=0, **cfg))
+        failed = {c["name"]: c["margin"] for c in report.cases if c["status"] == "fail"}
+        records = [(f["case"], sorted(f["data"])) for f in report.failures]
+        return failed, records, report.failures
+
+    def test_failure_records_name_case_and_replay_keys(self, monkeypatch):
+        # Bounded case: every route residual is pushed past the 1e-6 gate,
+        # so each observed trial fails and records its matrix and residuals.
+        def shifted(routes):
+            routes["residuals"] = {k: v + 1e-3 for k, v in routes["residuals"].items()}
+            return routes
+
+        failed, records, _ = self._forced(
+            monkeypatch, "support-routes", "support_projection_routes", shifted, dim=3, trials=4
+        )
+        assert list(failed) == ["route-agreement"]
+        assert -1e-3 <= failed["route-agreement"] < 0.0
+        assert records == [("route-agreement", ["residuals", "trial", "x"])] * 4
+
+        # Count-only case: a flipped classifier verdict is one disagreement
+        # per trial, and the margin counts them.
+        def flipped(result):
+            return dataclasses.replace(result, singular=not result.singular)
+
+        failed, records, _ = self._forced(
+            monkeypatch, "sharp-neumann", "sharp_neumann", flipped, dim=3, trials=4
+        )
+        assert failed == {"classifier-vs-rank-oracle": -4.0}
+        assert records == [("classifier-vs-rank-oracle", ["t", "trial"])] * 4
+
+        # Grouped record: the three root gates of one (trial, r) share one
+        # ``root-bounds`` entry carrying the exponent.
+        failed, records, failures = self._forced(
+            monkeypatch, "roots", "matrix_power_r", lambda root: root + 0.5, dim=3, trials=2
+        )
+        assert {"half-root-squares", "roots-in-generated-span"} <= set(failed)
+        assert records == (
+            [("half-root-squares", ["trial", "x"])]
+            + [("root-bounds", ["r", "trial", "x"])] * 4
+        ) * 2
+        grouped = [f["data"] for f in failures if f["case"] == "root-bounds"]
+        assert [(d["trial"], d["r"]) for d in grouped] == [
+            (trial, r) for trial in range(2) for r in (0.5, 1.0 / 3.0, 0.25, 0.2)
+        ]
+
+    def test_nan_observation_fails_its_case(self, monkeypatch):
+        # A NaN is never folded away as "not worse": it fails the case and
+        # records its replay data.
+        def poisoned(routes):
+            routes["residuals"] = {k: float("nan") for k in routes["residuals"]}
+            return routes
+
+        failed, records, _ = self._forced(
+            monkeypatch, "support-routes", "support_projection_routes", poisoned, dim=3, trials=2
+        )
+        assert list(failed) == ["route-agreement"]
+        assert math.isnan(failed["route-agreement"])
+        assert records == [("route-agreement", ["residuals", "trial", "x"])] * 2
+
     def test_undersized_volterra_fails_honestly(self):
         report = run_suite(SuiteConfig(suite="volterra", dim=5, seed=0))
         names = {c["name"]: c["status"] for c in report.cases}
@@ -141,8 +211,10 @@ class TestCli:
         assert suite in err and f"dim >= {minimum}" in err
         assert "low >= high" not in err
 
-    def test_bad_tol_exit_two(self):
-        assert main(["run", "--suite", "roots", "--tol", "-1"]) == 2
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_exit_two(self, tol, capsys):
+        assert main(["run", "--suite", "roots", "--tol", tol]) == 2
+        assert "iter_tol must be finite and strictly positive" in capsys.readouterr().err
 
     def test_missing_flag_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

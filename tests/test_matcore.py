@@ -157,6 +157,8 @@ def test_matrix_json_rejects_non_square_payload():
         matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]] * 3})
     with pytest.raises(ValueError):
         matrix_from_json({"entries": []})
+    with pytest.raises(ValueError, match="malformed matrix payload"):
+        matrix_from_json({"dim": 1, "entries": [1.0]})
 
 
 class TestEmptyMatrices:

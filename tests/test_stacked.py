@@ -342,7 +342,8 @@ class TestSvdCounts:
             route(x)
             counts.append(len(svd_calls))
         *parts, routes = counts
-        # the nonzero check, the range projection, the four support defects
-        assert counts[0] == 6
+        # one full SVD for the nonzero check and the range projection, then
+        # the four support defects
+        assert counts[0] == 5
         # the three pairwise residuals, and no second nonzero check
         assert routes == sum(parts) + 3

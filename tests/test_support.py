@@ -108,6 +108,13 @@ def test_routes_reject_zero():
         support_projection_routes(np.zeros((3, 3)))
 
 
+def test_routes_reject_nonzero_nilpotent():
+    # ||x|| = 1 passes the nonzero check, but the Bai-limit route finds every
+    # eigenvalue in the kernel cluster: x is not in the cone.
+    with pytest.raises(ValueError, match="outside the kernel cluster"):
+        support_projection_routes(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_power_limit_treats_subtolerance_directions_as_kernel():
     # directions below rank_tol plateau at eigenvalue ~1 and are captured into
     # the kernel projection, matching the SVD route's rank decision

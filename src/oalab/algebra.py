@@ -50,6 +50,7 @@ from .matcore import (
     matrix_from_json,
     matrix_span,
     operator_norm,
+    operator_norm_at_most,
     spectral_radius,
     spectrum,
 )
@@ -276,7 +277,7 @@ def generated_algebra(x, tol: Tolerances = DEFAULT_TOL) -> FDAlgebra:
     ``x`` without constant term acts as a two-sided identity on the span.
     """
     x = as_square_matrix(x)
-    if operator_norm(x) <= tol.rank_tol:
+    if operator_norm_at_most(x, tol.rank_tol):
         raise ValueError("generated_algebra requires a nonzero generator")
     n = x.shape[0]
     q = (x / np.linalg.norm(x)).reshape(1, n * n)
@@ -365,7 +366,8 @@ def one_minus_ideal(x, A: FDAlgebra, tol: Tolerances = DEFAULT_TOL):
     x = as_square_matrix(x)
     if not A.unital:
         raise ValueError("one_minus_ideal requires a unital algebra")
-    if operator_norm(x) > 1.0 + tol.exact_tol:
+    norm_x = operator_norm(x)
+    if norm_x > 1.0 + tol.exact_tol:
         raise ValueError("x must be a contraction")
     if not A.contains(x):
         raise ValueError("x does not lie in the span of A")
@@ -374,7 +376,7 @@ def one_minus_ideal(x, A: FDAlgebra, tol: Tolerances = DEFAULT_TOL):
     # A numerically-zero shift (x is the unit up to solve noise) must give
     # the zero ideal; a relative span of all-tiny generators would instead
     # orthonormalize the noise.
-    if operator_norm(shift) <= tol.rank_tol * max(1.0, operator_norm(x)):
+    if operator_norm_at_most(shift, tol.rank_tol * max(1.0, norm_x)):
         n = A.ambient_dim
         J = Subspace(np.zeros((0, n * n)), n * n, tol.rank_tol)
     else:
@@ -953,9 +955,10 @@ def compression_invertibility(
     p = as_square_matrix(p)
     if not strictly_real_positive(x, tol):
         raise ValueError("x must be strictly real positive")
-    herm = operator_norm(p - p.conj().T)
-    idem = operator_norm(p @ p - p)
-    if herm > tol.exact_tol or idem > tol.exact_tol:
+    if not (
+        operator_norm_at_most(p - p.conj().T, tol.exact_tol)
+        and operator_norm_at_most(p @ p - p, tol.exact_tol)
+    ):
         raise ValueError("p must be a Hermitian idempotent")
     evals, evecs = np.linalg.eigh((p + p.conj().T) / 2.0)
     cols = evecs[:, evals > 0.5]

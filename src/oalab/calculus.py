@@ -32,7 +32,7 @@ from .matcore import (
     Tolerances,
     as_square_matrix,
     operator_norm,
-    operator_norms,
+    operator_norm_at_most,
 )
 
 __all__ = [
@@ -230,6 +230,14 @@ def _triangular_power(t: np.ndarray, z: np.ndarray, r: float) -> np.ndarray:
     return z @ f @ z.conj().T
 
 
+def _commutes(comm: np.ndarray, a: np.ndarray, bound: float) -> bool:
+    """``||comm|| <= bound * max(1, ||a||)``; ``||a||`` is computed only when
+    ``comm`` exceeds ``bound``, its threshold at ``||a|| <= 1``."""
+    return operator_norm_at_most(comm, bound) or operator_norm_at_most(
+        comm, bound * max(1.0, operator_norm(a))
+    )
+
+
 def matrix_power_r(
     x,
     r: float,
@@ -250,17 +258,17 @@ def matrix_power_r(
         return a.copy()
     t, z = scipy.linalg.schur(a, output="complex", check_finite=False)
     out = _triangular_power(t, z, r)
-    # ||1 - x^r|| and ||[x^r, x]|| from one stacked SVD, written in place: an
-    # np.stack would copy both and raise the peak memory at large n
-    defects = np.empty((2,) + a.shape, dtype=out.dtype)
-    np.subtract(np.eye(a.shape[0]), out, out=defects[0])
-    np.subtract(np.matmul(out, a, out=defects[1]), a @ out, out=defects[1])
-    cone_norm, comm = operator_norms(defects).tolist()
-    if cone_norm > 1.0 + 10.0 * tol.exact_tol:
-        raise RecurrenceBreakdown(f"computed power left the cone: ||1 - x^r|| = {cone_norm!r}")
-    # ||x|| only matters once comm exceeds iter_tol, the bound at ||x|| <= 1
-    if comm > tol.iter_tol and comm > tol.iter_tol * max(1.0, operator_norm(a)):
-        raise RecurrenceBreakdown(f"computed power does not commute with x: {comm!r}")
+    # one n x n buffer holds 1 - x^r, then [x^r, x]
+    check = np.eye(a.shape[0]) - out
+    if not operator_norm_at_most(check, 1.0 + 10.0 * tol.exact_tol):
+        raise RecurrenceBreakdown(
+            f"computed power left the cone: ||1 - x^r|| = {operator_norm(check)!r}"
+        )
+    np.subtract(np.matmul(out, a, out=check), a @ out, out=check)
+    if not _commutes(check, a, tol.iter_tol):
+        raise RecurrenceBreakdown(
+            f"computed power does not commute with x: {operator_norm(check)!r}"
+        )
     return out
 
 
@@ -379,8 +387,8 @@ def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.n
     e_tri[:sdim, sdim:] = y
     e = z @ e_tri @ z.conj().T
     e_scale = max(1.0, operator_norm(e))
-    if operator_norm(e @ e - e) > 100.0 * tol.exact_tol * e_scale**2:
+    if not operator_norm_at_most(e @ e - e, 100.0 * tol.exact_tol * e_scale**2):
         raise CrossCheckError("spectral idempotent failed e^2 = e")
-    if operator_norm(e @ a - a @ e) > 100.0 * tol.exact_tol * max(1.0, operator_norm(a)) * e_scale:
+    if not _commutes(e @ a - a @ e, a, 100.0 * tol.exact_tol * e_scale):
         raise CrossCheckError("spectral idempotent does not commute with x")
     return e

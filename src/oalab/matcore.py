@@ -2,7 +2,10 @@
 
 Everything downstream works with explicit square complex matrices.  All rank
 decisions go through singular values compared against ``Tolerances.rank_tol``;
-nothing is ever decided by an exact floating-point comparison.
+nothing is ever decided by an exact floating-point comparison.  A norm that
+is only compared with a threshold goes through :func:`operator_norm_at_most`,
+which takes the SVD's verdict but skips the SVD when the Frobenius bounds
+already decide it.
 
 Loops over many small matrices run as stacked ``(B, n, n)`` LAPACK calls
 (:func:`operator_norms`), in blocks from :func:`stack_slices` of at most
@@ -29,6 +32,7 @@ __all__ = [
     "STACK_ENTRY_CAP",
     "as_square_matrix",
     "operator_norm",
+    "operator_norm_at_most",
     "operator_norms",
     "spectrum",
     "spectral_radius",
@@ -112,6 +116,30 @@ def operator_norm(x) -> float:
     the SVD itself at n <= 8.
     """
     return float(np.linalg.svd(as_square_matrix(x), compute_uv=False)[0])
+
+
+# Relative guard on the Frobenius bounds of operator_norm_at_most: far above
+# the rounding of ||d||_F and of the SVD's sigma_max, so a verdict the bounds
+# decide is the verdict the SVD would give.
+FROBENIUS_GUARD = 1e-12
+
+
+def operator_norm_at_most(d, t: float) -> bool:
+    """``operator_norm(d) <= t``, with an SVD only where cheaper bounds leave it open.
+
+    ``||d||_F / sqrt(n) <= ||d||_2 <= ||d||_F``: a Frobenius norm at most
+    ``t`` (times ``1 - FROBENIUS_GUARD``) decides yes, one above
+    ``t sqrt(n)`` (times ``1 + FROBENIUS_GUARD``) decides no, and only a
+    Frobenius norm inside that band costs one values-only SVD.  For callers
+    that compare a norm with a threshold and never read the norm itself.
+    """
+    a = as_square_matrix(d)
+    fro = float(np.linalg.norm(a))
+    if fro * (1.0 + FROBENIUS_GUARD) <= t:
+        return True
+    if fro * (1.0 - FROBENIUS_GUARD) > t * np.sqrt(a.shape[0]):
+        return False
+    return float(np.linalg.svd(a, compute_uv=False)[0]) <= t
 
 
 def operator_norms(stack) -> np.ndarray:

@@ -34,6 +34,7 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     operator_norm,
+    operator_norm_at_most,
     operator_norms,
     stack_slices,
 )
@@ -170,7 +171,7 @@ def is_cp(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     c = t.choi
     scale = max(1.0, operator_norm(c))
-    if operator_norm(c - c.conj().T) > tol.exact_tol * scale:
+    if not operator_norm_at_most(c - c.conj().T, tol.exact_tol * scale):
         return False
     lam = np.linalg.eigvalsh((c + c.conj().T) / 2.0)
     return bool(lam[0] >= -tol.exact_tol * scale)
@@ -211,12 +212,14 @@ def _verify_choi_shuffle(
     kron = np.kron(identity_map(k).choi, t.choi)
     # kron is indexed ((i*k + u)*n + a)*m + b, the amplified Choi (i, a, u, b)
     perm = np.arange(k * k * n * m).reshape(k, k, n, m).transpose(0, 2, 1, 3).ravel()
-    shuffled = kron[np.ix_(perm, perm)]
-    defect = operator_norm(amplified.choi - shuffled)
-    if defect > tol.exact_tol * max(1.0, operator_norm(kron)):
+    defect = amplified.choi - kron[np.ix_(perm, perm)]
+    # ||kron|| is needed only once the defect exceeds its bound at ||kron|| <= 1
+    if not operator_norm_at_most(defect, tol.exact_tol) and not operator_norm_at_most(
+        defect, tol.exact_tol * max(1.0, operator_norm(kron))
+    ):
         raise CrossCheckError(
             f"amplified Choi matrix disagrees with the permuted Kronecker "
-            f"product by {defect:.3e}"
+            f"product by {operator_norm(defect):.3e}"
         )
 
 

@@ -2,9 +2,12 @@
 
 The numerical range ``W(x) = {<xv, v> : ||v|| = 1}`` of a matrix is a compact
 convex set.  Its boundary is sampled here by a support-line sweep: for each
-angle ``theta`` the Hermitian part ``H_theta = Re(e^{-i theta} x)`` is
-diagonalized, and the top eigenvector ``v`` yields the boundary point
-``<xv, v>`` where the support line of direction ``theta`` touches ``W(x)``.
+angle ``theta`` the top eigenvector ``v`` of the Hermitian part
+``H_theta = Re(e^{-i theta} x)`` yields the boundary point ``<xv, v>`` where
+the support line of direction ``theta`` touches ``W(x)``.  Since
+``H_{theta + pi} = -H_theta``, one factorization serves both directions of
+an antipodal pair: the bottom eigenpair of ``H_theta`` is the top one of
+``H_{theta + pi}``.
 
 On top of the sweep this module provides
 
@@ -27,6 +30,7 @@ from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
     JsonReport,
+    SpectrumError,
     Tolerances,
     as_square_matrix,
     operator_norm,
@@ -83,45 +87,106 @@ class NumericalRangeSample(JsonReport):
         )
 
 
+# Twice LAPACK's underflow threshold: dstebz then bisects each eigenvalue
+# to full relative accuracy.
+_BISECTION_ABSTOL = 2.0 * np.finfo(float).tiny
+
+
+def _hermitian_extremes(h: np.ndarray, count: int):
+    """Top and, with ``count == 2``, bottom eigenpair of a Hermitian ``h``.
+
+    ``h`` is Fortran-ordered and overwritten.  One Householder
+    tridiagonalization ``h = Q T Q*`` (``zhetrd`` on the lower triangle,
+    with its optimal workspace), the extreme eigenvalues of the real
+    tridiagonal ``T`` by bisection (``dstebz``), their vectors by inverse
+    iteration (``dstein``) and one ``zunmqr`` applying ``Q`` to them: the
+    rest of the spectrum is never computed.  Returns ``(values, vectors)``
+    with the top pair first.
+    """
+    lapack = scipy.linalg.lapack
+    n = h.shape[0]
+    work, _ = lapack.zhetrd_lwork(n, lower=1)
+    c, d, e, tau, info = lapack.zhetrd(h, lower=1, lwork=int(work.real), overwrite_a=1)
+    if info != 0:
+        raise SpectrumError(f"Hermitian tridiagonalization failed (info={info})")
+    values, blocks = [], []
+    for index in (n, 1)[:count]:
+        _, w, iblock, isplit, info = lapack.dstebz(
+            d, e, 3, 0.0, 0.0, index, index, _BISECTION_ABSTOL, "B"
+        )
+        if info != 0:
+            raise SpectrumError(f"tridiagonal bisection failed (info={info})")
+        values.append(w[0])
+        blocks.append(iblock[0])
+    # dstein takes the eigenvalues grouped by split-off block, ascending
+    order = np.lexsort((values, blocks))
+    iblock = np.zeros(n, dtype=isplit.dtype)
+    iblock[:count] = np.take(blocks, order)
+    z, info = lapack.dstein(d, e, np.take(values, order), iblock, isplit)
+    if info != 0:
+        raise SpectrumError(f"tridiagonal inverse iteration failed (info={info})")
+    vecs = np.asfortranarray(z[:, np.argsort(order)], dtype=np.complex128)
+    # Q = H(1) ... H(n-1) acts on rows 2..n; zhetrd stored the reflectors
+    # below the subdiagonal, the layout zunmqr reads
+    rotated, _, info = lapack.zunmqr("L", "N", c[1:, :-1], tau, vecs[1:], count)
+    if info != 0:
+        raise SpectrumError(f"tridiagonal back-transformation failed (info={info})")
+    vecs[1:] = rotated
+    return np.array(values), vecs
+
+
 def numerical_range(x: np.ndarray, theta_count: int = 720) -> NumericalRangeSample:
     """Sample the boundary of the numerical range of ``x``.
 
     For each of ``theta_count`` equally spaced directions the maximal
     eigenvalue of the rotated Hermitian part is the support function value,
-    and the corresponding top eigenvector produces one boundary point.  The
-    directions are diagonalized in stacked blocks (see
+    and the corresponding top eigenvector produces one boundary point.
+
+    Antipodal directions share one factorization: ``H_{theta + pi} =
+    -H_theta``, so for an even ``theta_count`` only the first half of the
+    directions is diagonalized, and the bottom eigenpair of ``H_theta``
+    gives the support value ``-lambda_min(H_theta)`` and the boundary point
+    of ``theta + pi``.  An odd ``theta_count`` has no antipodes on its grid
+    and solves every direction.  The solved directions are diagonalized in
+    stacked blocks (one ``np.linalg.eigh`` per block, see
     :func:`~oalab.matcore.stack_slices`).  A block that holds a single
-    matrix (every block does once ``n >= 46``) has only its top eigenpair
-    computed (``scipy.linalg.eigh`` with ``subset_by_index``, LAPACK's MRRR
-    driver), which skips the rest of the spectrum that the sweep never reads.
+    matrix (every block does once ``n >= 46``) computes only the extreme
+    eigenpairs it reads, from one tridiagonalization.  That branch makes
+    every LAPACK and BLAS call through scipy: the numpy and scipy wheels
+    each bundle an OpenBLAS, and alternating their thread pools call by
+    call slows the loop severalfold on two threads.
     """
     x = as_square_matrix(x)
     if theta_count < 8:
         raise ValueError("theta_count must be at least 8")
+    count = 2 if theta_count % 2 == 0 else 1
+    solved = theta_count // count
+    picks = [-1, 0][:count]
+    signs = np.array([1.0, -1.0][:count])
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_count, endpoint=False)
-    phases = np.exp(-1j * thetas)[:, None, None]
-    boundary = np.empty(theta_count, dtype=np.complex128)
-    support = np.empty(theta_count, dtype=float)
-    xh = x.conj().T
+    phases = np.exp(-1j * thetas[:solved])[:, None, None]
+    # column k holds direction j + k * solved: the top eigenpair of H_j,
+    # then (paired) its antipode from the bottom one
+    support = np.empty((solved, count), dtype=float)
+    boundary = np.empty((solved, count), dtype=np.complex128)
     xf = np.asfortranarray(x)
+    xh = np.asfortranarray(x.conj().T)
     n = x.shape[0]
-    for block in stack_slices(theta_count, n):
-        h = (phases[block] * x + np.conj(phases[block]) * xh) / 2.0
+    for block in stack_slices(solved, n):
+        h = (phases[block] * xf + np.conj(phases[block]) * xh) / 2.0
         if len(h) == 1:
-            w, v = scipy.linalg.eigh(h[0], subset_by_index=[n - 1, n - 1], check_finite=False)
-            support[block] = w
-            # scipy's BLAS, like its eigh: the numpy and scipy wheels each
-            # bundle an OpenBLAS, and alternating their thread pools call by
-            # call made this loop 10x slower on two threads.
-            boundary[block] = np.vdot(v[:, 0], scipy.linalg.blas.zgemv(1.0, xf, v[:, 0]))
+            w, v = _hermitian_extremes(np.asfortranarray(h[0]), count)
+            support[block] = w * signs
+            boundary[block] = np.sum(v.conj() * scipy.linalg.blas.zgemm(1.0, xf, v), axis=0)
             continue
         w, v = np.linalg.eigh(h)
-        support[block] = w[:, -1]
-        vecs = v[:, :, -1]
-        boundary[block] = np.sum((vecs.conj() @ x) * vecs, axis=1)
+        support[block] = w[:, picks] * signs
+        vecs = v[:, :, picks].transpose(2, 0, 1)
+        boundary[block] = np.sum((vecs.conj() @ x) * vecs, axis=2).T
+    support = support.T.ravel()
     return NumericalRangeSample(
         theta_count=theta_count,
-        boundary_points=boundary,
+        boundary_points=boundary.T.ravel(),
         support_values=support,
         radius=float(np.max(support)),
     )

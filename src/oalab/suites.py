@@ -42,6 +42,7 @@ from .matcore import (
     matrix_span,
     matrix_to_json,
     operator_norm,
+    operator_norm_at_most,
     spectral_radius,
     to_jsonable,
 )
@@ -192,7 +193,7 @@ def _suite_support_routes(run):
             x = random_normal_singular_cone_element(run.rng, d)
         else:
             x = np.eye(d) + random_contraction(run.rng, d)
-        if operator_norm(x) <= run.tol.rank_tol:
+        if operator_norm_at_most(x, run.tol.rank_tol):
             continue
         residuals = support_projection_routes(x, run.tol)["residuals"]
         run.bound("route-agreement", max(residuals.values()), 1e-6,
@@ -441,7 +442,7 @@ def _suite_disk_test(run):
             x = z / max(operator_norm(z), 1e-30)
         lam = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
         oracle = (
-            operator_norm(x - x.conj().T) <= tol.exact_tol
+            operator_norm_at_most(x - x.conj().T, tol.exact_tol)
             and lam[0] >= -tol.exact_tol
             and lam[-1] <= 1.0 + tol.exact_tol
         )

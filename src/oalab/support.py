@@ -32,6 +32,7 @@ from .matcore import (
     Tolerances,
     as_square_matrix,
     operator_norm,
+    operator_norm_at_most,
 )
 
 __all__ = [
@@ -64,22 +65,26 @@ def _support_residual(p: np.ndarray, x: np.ndarray) -> float:
 
 
 def _require_nonzero(x: np.ndarray, tol: Tolerances) -> None:
-    if operator_norm(x) <= tol.rank_tol:
+    if operator_norm_at_most(x, tol.rank_tol):
         raise ValueError("support projection requires x != 0")
 
 
-def support_projection(x, tol: Tolerances = DEFAULT_TOL) -> SupportResult:
-    """Support projection of a nonzero x via the SVD range projection.
-
-    One full SVD gives both ``||x|| = s[0]`` for the nonzero check and the
-    range projection of :func:`~oalab.matcore.range_kernel_projections`.
-    """
-    a = as_square_matrix(x)
+def _range_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Range projection of a nonzero ``a`` (as in
+    :func:`~oalab.matcore.range_kernel_projections`) from one full SVD,
+    whose ``s[0]`` is also ``||a||`` for the nonzero check."""
     u, s, _ = np.linalg.svd(a)
     if s[0] <= tol.rank_tol:
         raise ValueError("support projection requires x != 0")
     rank = int(np.sum(s > tol.rank_tol * s[0]))
-    p = u[:, :rank] @ u[:, :rank].conj().T
+    return u[:, :rank] @ u[:, :rank].conj().T
+
+
+def support_projection(x, tol: Tolerances = DEFAULT_TOL) -> SupportResult:
+    """Support projection of a nonzero x via the SVD range projection; the
+    residual is the largest of its four support defects."""
+    a = as_square_matrix(x)
+    p = _range_projection(a, tol)
     return SupportResult(projection=p, route="svd", residual=_support_residual(p, a))
 
 
@@ -95,8 +100,8 @@ def _bai_limit_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     except np.linalg.LinAlgError:
         cond = np.inf
     if cond < 1e8:
-        limit = np.where(kernel, 0.0, 1.0).astype(complex)
-        return v @ np.diag(limit) @ vinv
+        # scaling the columns of v is bit-equal to v @ diag(limit)
+        return (v * np.where(kernel, 0.0, 1.0)) @ vinv
     # defective or near-defective eigenbasis: use the spectral projector at a
     # radius separating the kernel cluster from the rest
     if np.all(kernel):
@@ -122,8 +127,11 @@ def power_limit_projection(
     ``rank_tol`` plateau at eigenvalue ~1 and are captured into the kernel,
     matching the SVD rank decision; directions at intermediate scales either
     resolve (slowly) or exhaust ``n_max``, which raises
-    :class:`ConvergenceError` with the final residual.  An ``n_max`` below 2
-    leaves no squaring step and raises ``ValueError``.
+    :class:`ConvergenceError` with the operator norm of the last step.  An
+    ``n_max`` below 2 leaves no squaring step and raises ``ValueError``.
+    A step is only compared with ``iter_tol``, so
+    :func:`~oalab.matcore.operator_norm_at_most` decides it, mostly from its
+    Frobenius norm; the exact norm is computed for the error message only.
     """
     a = as_square_matrix(x)
     if n_max < 2:
@@ -137,22 +145,25 @@ def power_limit_projection(
         nxt = w @ w
         nxt = (nxt + nxt.conj().T) / 2.0
         n *= 2
-        step = operator_norm(nxt - w)
+        step = nxt - w
         w = nxt
-        if step < tol.iter_tol:
+        # ||step|| < iter_tol, i.e. at most the float below iter_tol
+        if operator_norm_at_most(step, np.nextafter(tol.iter_tol, 0.0)):
             return w, n
     raise ConvergenceError(
-        f"(z*z)^n did not settle by n = {n_max}: last step {step!r}"
+        f"(z*z)^n did not settle by n = {n_max}: last step {operator_norm(step)!r}"
     )
 
 
 def support_projection_routes(x, tol: Tolerances = DEFAULT_TOL) -> dict:
     """All three support routes with their pairwise residuals.
 
-    A zero ``x`` is rejected by the first route, :func:`support_projection`.
+    The SVD route is :func:`support_projection`'s range projection, which
+    also rejects a zero ``x``; its four support defects are not computed,
+    since only the projections and their residuals are returned.
     """
     a = as_square_matrix(x)
-    svd_route = support_projection(a, tol).projection
+    svd_route = _range_projection(a, tol)
     bai_route = _bai_limit_projection(a, tol)
     kernel_proj, n_used = power_limit_projection(a, tol)
     power_route = np.eye(a.shape[0]) - kernel_proj

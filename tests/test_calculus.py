@@ -166,12 +166,15 @@ class TestMatrixPower:
         ],
     )
     def test_post_checks_raise(self, monkeypatch, power, message):
-        # both checks read one stacked SVD; a kernel that returns a wrong
-        # power must still be caught by the check it violates (the second
-        # power has ||1 - y|| = 0.81, so only the commutator check fails)
+        # a kernel that returns a wrong power must be caught by the check it
+        # violates (the second power has ||1 - y|| = 0.81, so only the
+        # commutator check fails), and the message carries the exact norm
+        x = np.diag([0.5, 1.0])
         monkeypatch.setattr(calculus, "_triangular_power", lambda t, z, r: power.astype(complex))
-        with pytest.raises(RecurrenceBreakdown, match=message):
-            matrix_power_r(np.diag([0.5, 1.0]), 0.5)
+        with pytest.raises(RecurrenceBreakdown, match=message) as info:
+            matrix_power_r(x, 0.5)
+        defect = np.eye(2) - power if message == "left the cone" else power @ x - x @ power
+        assert float(str(info.value).rsplit(" ", 1)[1]) == operator_norm(defect.astype(complex))
 
     def test_guarded_parlett_reports_breakdown(self):
         # three almost identical tiny eigenvalues with strong coupling defeat

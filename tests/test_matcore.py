@@ -16,11 +16,13 @@ from oalab.matcore import (
     matrix_span,
     matrix_to_json,
     operator_norm,
+    operator_norm_at_most,
     range_kernel_projections,
     spectral_radius,
     spectrum,
     to_jsonable,
 )
+from oalab.sampling import complex_normal
 from oalab.spectral import sharp_neumann
 
 
@@ -66,6 +68,31 @@ def test_operator_norm_matches_svd():
     for _ in range(20):
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         assert operator_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_norm_threshold_is_the_svd_verdict(n):
+    rng = np.random.default_rng(500 + n)
+    for scale in (1e-12, 1e-3, 1.0, 1e6):
+        d = scale * complex_normal(rng, (n, n))
+        u, v = complex_normal(rng, (2, n))
+        rank_one = scale * np.outer(u, v.conj())
+        for m in (d, rank_one):
+            norm, fro = operator_norm(m), float(np.linalg.norm(m))
+            thresholds = [0.0, -1.0, 0.5 * norm, 2.0 * norm, fro, fro / np.sqrt(n)]
+            # on and just beside the norm and both Frobenius bounds
+            for t in (norm, fro, fro / np.sqrt(n)):
+                thresholds += [t * (1.0 - 1e-9), t * (1.0 + 1e-9)]
+            thresholds += list(rng.uniform(0.9 * fro / np.sqrt(n), 1.1 * fro, 8))
+            for t in thresholds:
+                assert operator_norm_at_most(m, t) == (norm <= t), (scale, t, norm)
+
+
+def test_norm_threshold_validates_like_operator_norm():
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norm_at_most(np.array([[np.nan]]), 1.0)
+    with pytest.raises(ValueError, match="square"):
+        operator_norm_at_most(np.ones((2, 3)), 1.0)
 
 
 def test_spectrum_ordering_and_values():

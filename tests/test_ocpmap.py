@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from oalab.matcore import matrix_from_json, operator_norm
+from oalab.matcore import DEFAULT_TOL, CrossCheckError, matrix_from_json, operator_norm
 from oalab.ocpmap import (
     MatrixMap,
+    _verify_choi_shuffle,
     amplify,
     cp_extension_search,
     disk_test,
@@ -186,6 +187,18 @@ class TestAmplify:
             amplify(identity_map(8), 9)
         with pytest.raises(ValueError):
             amplify(identity_map(2), 0)
+
+    def test_shuffle_cross_check_reports_the_exact_defect(self):
+        t = random_kraus_map(np.random.default_rng(9), 2, 2, 2)
+        honest = amplify(t, 2)
+        action = honest.action.copy()
+        action[0, 1, 2, 3] += 1e-3
+        tampered = MatrixMap(in_dim=4, out_dim=4, action=action)
+        with pytest.raises(CrossCheckError, match="permuted Kronecker") as info:
+            _verify_choi_shuffle(t, tampered, 2, DEFAULT_TOL)
+        # the honest amplification equals the permuted product exactly
+        expected = operator_norm(tampered.choi - honest.choi)
+        assert str(info.value).endswith(f"by {expected:.3e}")
 
     def test_shuffle_cross_check_runs(self):
         # The permuted-Kronecker verification runs inside amplify for

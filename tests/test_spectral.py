@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from oalab.calculus import root_cai
 from oalab.matcore import CrossCheckError, operator_norm, stack_slices
@@ -94,6 +95,60 @@ class TestNumericalRange:
         npt.assert_allclose(back.boundary_points, sample.boundary_points)
         npt.assert_allclose(back.support_values, sample.support_values)
         npt.assert_allclose(back.radius, sample.radius)
+
+
+def _sweep_inputs(n):
+    """Random, identity, zero, Jordan nilpotent, Hermitian and rank-one n x n."""
+    rng = np.random.default_rng(1000 + n)
+    g = complex_normal(rng, (n, n))
+    u, v = complex_normal(rng, (2, n))
+    return {
+        "random": g,
+        "identity": np.eye(n, dtype=complex),
+        "zero": np.zeros((n, n), dtype=complex),
+        "nilpotent": np.eye(n, k=1, dtype=complex),
+        "hermitian": g + g.conj().T,
+        "rank-one": np.outer(u, v.conj()),
+    }
+
+
+class TestPairedSweep:
+    """An even sweep reads each antipode off the bottom eigenpair of the
+    same factorization; every direction must still carry its own support
+    value and a boundary point on its own support line."""
+
+    @pytest.mark.parametrize("theta_count", [8, 9, 240, 241])
+    @pytest.mark.parametrize("n", [1, 2, 45, 46, 64])
+    def test_support_lines_match_per_angle_eigvalsh(self, n, theta_count):
+        thetas = np.linspace(0.0, 2.0 * np.pi, theta_count, endpoint=False)
+        phases = np.exp(-1j * thetas)
+        for name, x in _sweep_inputs(n).items():
+            sample = numerical_range(x, theta_count)
+            bound = 1e-12 * max(1.0, operator_norm(x))
+            h = (phases[:, None, None] * x + np.conj(phases)[:, None, None] * x.conj().T) / 2.0
+            top = np.linalg.eigvalsh(h)[:, -1]
+            assert np.max(np.abs(sample.support_values - top)) <= bound, name
+            on_line = (phases * sample.boundary_points).real
+            assert np.max(np.abs(on_line - top)) <= bound, name
+            assert sample.radius == np.max(sample.support_values)
+
+    @pytest.mark.parametrize("theta_count", [8, 9, 240, 241])
+    @pytest.mark.parametrize("n", [45, 46, 64])
+    def test_one_tridiagonalization_per_antipodal_pair(self, monkeypatch, n, theta_count):
+        calls = []
+        zhetrd = scipy.linalg.lapack.zhetrd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return zhetrd(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zhetrd", counting)
+        numerical_range(complex_normal(np.random.default_rng(n), (n, n)), theta_count)
+        solved = theta_count // 2 if theta_count % 2 == 0 else theta_count
+        # n = 45 stacks two directions per np.linalg.eigh call; a last block
+        # of one direction takes the tridiagonal route
+        expected = solved if n >= 46 else solved % 2
+        assert calls == [(n, n)] * expected
 
 
 class TestWedgeMembership:

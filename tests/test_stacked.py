@@ -18,6 +18,7 @@ from oalab.matcore import (
     STACK_ENTRY_CAP,
     matrix_to_json,
     operator_norm,
+    operator_norm_at_most,
     operator_norms,
     stack_slices,
 )
@@ -322,12 +323,21 @@ class TestSvdCounts:
         operator_norm(complex_normal(np.random.default_rng(0), (5, 5)))
         assert svd_calls == [(5, 5)]
 
-    def test_matrix_power_r_makes_two(self, svd_calls):
+    def test_norm_threshold_takes_an_svd_only_inside_the_frobenius_band(self, svd_calls):
+        d = complex_normal(np.random.default_rng(3), (5, 5))
+        fro = float(np.linalg.norm(d))
+        assert operator_norm_at_most(d, 1.01 * fro)
+        assert not operator_norm_at_most(d, 0.99 * fro / np.sqrt(5))
+        assert svd_calls == []
+        assert operator_norm_at_most(d, operator_norm(d))
+        assert svd_calls == [(5, 5), (5, 5)]
+
+    def test_matrix_power_r_makes_one(self, svd_calls):
         x = random_cone_element(np.random.default_rng(1), 5)
         svd_calls.clear()
         matrix_power_r(x, 0.5)
-        # in_F's norm route, then both post-checks in one stack
-        assert svd_calls == [(5, 5), (2, 5, 5)]
+        # in_F's norm route; the Frobenius bounds decide both post-checks
+        assert svd_calls == [(5, 5)]
 
     def test_support_routes_add_only_their_residuals(self, svd_calls):
         x = random_singular_cone_element(np.random.default_rng(2), 5, kernel_dim=2)
@@ -341,9 +351,12 @@ class TestSvdCounts:
             svd_calls.clear()
             route(x)
             counts.append(len(svd_calls))
-        *parts, routes = counts
+        svd, bai, power, routes = counts
         # one full SVD for the nonzero check and the range projection, then
         # the four support defects
-        assert counts[0] == 5
-        # the three pairwise residuals, and no second nonzero check
-        assert routes == sum(parts) + 3
+        assert svd == 5
+        # the Frobenius bounds decide every squaring step
+        assert power == 0
+        # the routes take the range projection without its support defects,
+        # then the three pairwise residuals
+        assert routes == (svd - 4) + bai + power + 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oalab.matcore import ConvergenceError, operator_norm
+from oalab.matcore import DEFAULT_TOL, ConvergenceError, operator_norm
 from oalab.sampling import (
     haar_unitary,
     random_cone_element,
@@ -10,6 +10,7 @@ from oalab.sampling import (
 )
 from oalab.support import (
     DensityState,
+    _bai_limit_projection,
     join_supports,
     peak_projection,
     power_limit_projection,
@@ -93,8 +94,35 @@ def test_power_limit_nonconvergence_is_explicit():
     # a near-kernel direction at scale 1e-4 is still in transit at n = 2^10,
     # so an insufficient budget must surface as an error, not a wrong limit
     x = np.diag([1e-4, 1.0])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="last step") as info:
         power_limit_projection(x, n_max=2**10)
+    # the message carries the exact norm of the last step (2^9 -> 2^10),
+    # from the same squarings: (1 - 1e-4/2)^2048 - (1 - 1e-4/2)^1024
+    z = np.eye(2) - x / 2.0
+    w = z.conj().T @ z
+    w = (w + w.conj().T) / 2.0
+    for _ in range(10):
+        nxt = w @ w
+        nxt = (nxt + nxt.conj().T) / 2.0
+        step, w = nxt - w, nxt
+    reported = float(str(info.value).rsplit("last step ", 1)[1])
+    assert reported == operator_norm(step)
+    lam = (1.0 - 0.5e-4) ** 2
+    assert reported == pytest.approx(lam**512 - lam**1024, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim, kernel_dim", [(2, 1), (5, 2), (9, 4), (9, 8)])
+def test_bai_limit_scaling_is_bit_equal_to_the_diagonal_product(dim, kernel_dim):
+    # the closed-form route scales the columns of the eigenbasis; the
+    # reference keeps the product with diag(limit) that it replaced
+    rng = np.random.default_rng(dim + kernel_dim)
+    x = np.asarray(random_singular_cone_element(rng, dim, kernel_dim=kernel_dim), dtype=complex)
+    eigvals, v = np.linalg.eig(x)
+    kernel = np.abs(eigvals) <= DEFAULT_TOL.rank_tol * max(1.0, float(np.abs(eigvals).max()))
+    assert kernel.sum() == kernel_dim and np.linalg.cond(v) < 1e8
+    limit = np.where(kernel, 0.0, 1.0).astype(complex)
+    reference = v @ np.diag(limit) @ np.linalg.inv(v)
+    assert _bai_limit_projection(x, DEFAULT_TOL).tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("n_max", [-1, 0, 1])

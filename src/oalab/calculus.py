@@ -230,14 +230,6 @@ def _triangular_power(t: np.ndarray, z: np.ndarray, r: float) -> np.ndarray:
     return z @ f @ z.conj().T
 
 
-def _commutes(comm: np.ndarray, a: np.ndarray, bound: float) -> bool:
-    """``||comm|| <= bound * max(1, ||a||)``; ``||a||`` is computed only when
-    ``comm`` exceeds ``bound``, its threshold at ``||a|| <= 1``."""
-    return operator_norm_at_most(comm, bound) or operator_norm_at_most(
-        comm, bound * max(1.0, operator_norm(a))
-    )
-
-
 def matrix_power_r(
     x,
     r: float,
@@ -265,7 +257,7 @@ def matrix_power_r(
             f"computed power left the cone: ||1 - x^r|| = {operator_norm(check)!r}"
         )
     np.subtract(np.matmul(out, a, out=check), a @ out, out=check)
-    if not _commutes(check, a, tol.iter_tol):
+    if not operator_norm_at_most(check, tol.iter_tol, scale=a):
         raise RecurrenceBreakdown(
             f"computed power does not commute with x: {operator_norm(check)!r}"
         )
@@ -389,6 +381,6 @@ def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.n
     e_scale = max(1.0, operator_norm(e))
     if not operator_norm_at_most(e @ e - e, 100.0 * tol.exact_tol * e_scale**2):
         raise CrossCheckError("spectral idempotent failed e^2 = e")
-    if not _commutes(e @ a - a @ e, a, 100.0 * tol.exact_tol * e_scale):
+    if not operator_norm_at_most(e @ a - a @ e, 100.0 * tol.exact_tol * e_scale, scale=a):
         raise CrossCheckError("spectral idempotent does not commute with x")
     return e

@@ -124,7 +124,7 @@ def operator_norm(x) -> float:
 FROBENIUS_GUARD = 1e-12
 
 
-def operator_norm_at_most(d, t: float) -> bool:
+def operator_norm_at_most(d, t: float, scale=None) -> bool:
     """``operator_norm(d) <= t``, with an SVD only where cheaper bounds leave it open.
 
     ``||d||_F / sqrt(n) <= ||d||_2 <= ||d||_F``: a Frobenius norm at most
@@ -132,7 +132,15 @@ def operator_norm_at_most(d, t: float) -> bool:
     ``t sqrt(n)`` (times ``1 + FROBENIUS_GUARD``) decides no, and only a
     Frobenius norm inside that band costs one values-only SVD.  For callers
     that compare a norm with a threshold and never read the norm itself.
+
+    With a matrix ``scale`` the threshold is ``t * max(1, ||scale||)``, and
+    ``||scale||`` is computed only when ``||d|| > t``, the threshold at
+    ``||scale|| <= 1``.
     """
+    if scale is not None:
+        return operator_norm_at_most(d, t) or operator_norm_at_most(
+            d, t * max(1.0, operator_norm(scale))
+        )
     a = as_square_matrix(d)
     fro = float(np.linalg.norm(a))
     if fro * (1.0 + FROBENIUS_GUARD) <= t:

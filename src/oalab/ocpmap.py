@@ -213,10 +213,7 @@ def _verify_choi_shuffle(
     # kron is indexed ((i*k + u)*n + a)*m + b, the amplified Choi (i, a, u, b)
     perm = np.arange(k * k * n * m).reshape(k, k, n, m).transpose(0, 2, 1, 3).ravel()
     defect = amplified.choi - kron[np.ix_(perm, perm)]
-    # ||kron|| is needed only once the defect exceeds its bound at ||kron|| <= 1
-    if not operator_norm_at_most(defect, tol.exact_tol) and not operator_norm_at_most(
-        defect, tol.exact_tol * max(1.0, operator_norm(kron))
-    ):
+    if not operator_norm_at_most(defect, tol.exact_tol, scale=kron):
         raise CrossCheckError(
             f"amplified Choi matrix disagrees with the permuted Kronecker "
             f"product by {operator_norm(defect):.3e}"

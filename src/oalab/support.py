@@ -227,7 +227,7 @@ class DensityState:
     def __post_init__(self):
         rho = as_square_matrix(self.matrix)
         object.__setattr__(self, "matrix", rho)
-        if operator_norm(rho - rho.conj().T) > 1e-9 * max(1.0, operator_norm(rho)):
+        if not operator_norm_at_most(rho - rho.conj().T, 1e-9, scale=rho):
             raise ValueError("density matrix must be Hermitian")
         if float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]) < -1e-9:
             raise ValueError("density matrix must be positive semidefinite")

@@ -86,6 +86,12 @@ def test_norm_threshold_is_the_svd_verdict(n):
             thresholds += list(rng.uniform(0.9 * fro / np.sqrt(n), 1.1 * fro, 8))
             for t in thresholds:
                 assert operator_norm_at_most(m, t) == (norm <= t), (scale, t, norm)
+            # relative to max(1, ||s||), for ||s|| below and above 1
+            for s_norm in (0.5, 3.0):
+                s = s_norm * d / operator_norm(d)
+                for t in thresholds:
+                    expected = norm <= t * max(1.0, operator_norm(s))
+                    assert operator_norm_at_most(m, t, scale=s) == expected, (scale, t, s_norm)
 
 
 def test_norm_threshold_validates_like_operator_norm():

@@ -331,6 +331,12 @@ class TestSvdCounts:
         assert svd_calls == []
         assert operator_norm_at_most(d, operator_norm(d))
         assert svd_calls == [(5, 5), (5, 5)]
+        # ||scale|| is not computed once d meets the threshold at ||scale|| <= 1
+        svd_calls.clear()
+        assert operator_norm_at_most(d, 1.01 * fro, scale=np.eye(7))
+        assert svd_calls == []
+        assert not operator_norm_at_most(d, 0.99 * fro / np.sqrt(5), scale=np.eye(7))
+        assert svd_calls == [(7, 7)]
 
     def test_matrix_power_r_makes_one(self, svd_calls):
         x = random_cone_element(np.random.default_rng(1), 5)

@@ -147,7 +147,7 @@ def operator_norm_at_most(d, t: float, scale=None) -> bool:
         return True
     if fro * (1.0 - FROBENIUS_GUARD) > t * np.sqrt(a.shape[0]):
         return False
-    return float(np.linalg.svd(a, compute_uv=False)[0]) <= t
+    return operator_norm(a) <= t
 
 
 def operator_norms(stack) -> np.ndarray:

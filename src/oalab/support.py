@@ -100,7 +100,6 @@ def _bai_limit_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     except np.linalg.LinAlgError:
         cond = np.inf
     if cond < 1e8:
-        # scaling the columns of v is bit-equal to v @ diag(limit)
         return (v * np.where(kernel, 0.0, 1.0)) @ vinv
     # defective or near-defective eigenbasis: use the spectral projector at a
     # radius separating the kernel cluster from the rest

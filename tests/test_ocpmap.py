@@ -192,7 +192,10 @@ class TestAmplify:
         t = random_kraus_map(np.random.default_rng(9), 2, 2, 2)
         honest = amplify(t, 2)
         action = honest.action.copy()
+        # two entries in different rows and columns of the Choi matrix, so
+        # the defect's Frobenius norm exceeds its operator norm
         action[0, 1, 2, 3] += 1e-3
+        action[1, 0, 3, 2] += 2e-3
         tampered = MatrixMap(in_dim=4, out_dim=4, action=action)
         with pytest.raises(CrossCheckError, match="permuted Kronecker") as info:
             _verify_choi_shuffle(t, tampered, 2, DEFAULT_TOL)

@@ -174,7 +174,8 @@ def numerical_range(x: np.ndarray, theta_count: int = 720) -> NumericalRangeSamp
     n = x.shape[0]
     for block in stack_slices(solved, n):
         h = (phases[block] * xf + np.conj(phases[block]) * xh) / 2.0
-        if len(h) == 1:
+        # a 1 x 1 matrix has no tridiagonal to reduce
+        if len(h) == 1 and n > 1:
             w, v = _hermitian_extremes(np.asfortranarray(h[0]), count)
             support[block] = w * signs
             boundary[block] = np.sum(v.conj() * scipy.linalg.blas.zgemm(1.0, xf, v), axis=0)

@@ -132,6 +132,19 @@ class TestPairedSweep:
             assert np.max(np.abs(on_line - top)) <= bound, name
             assert sample.radius == np.max(sample.support_values)
 
+    @pytest.mark.parametrize("n, theta_count", [(1, 4097), (1, 8194), (2, 1025), (2, 2050)])
+    def test_trailing_single_direction_block_at_small_n(self, n, theta_count):
+        # stack_slices leaves a last block of one direction here
+        x = complex_normal(np.random.default_rng(n), (n, n))
+        sample = numerical_range(x, theta_count)
+        thetas = np.linspace(0.0, 2.0 * np.pi, theta_count, endpoint=False)
+        phases = np.exp(-1j * thetas)
+        h = (phases[:, None, None] * x + np.conj(phases)[:, None, None] * x.conj().T) / 2.0
+        top = np.linalg.eigvalsh(h)[:, -1]
+        bound = 1e-12 * max(1.0, operator_norm(x))
+        assert np.max(np.abs(sample.support_values - top)) <= bound
+        assert np.max(np.abs((phases * sample.boundary_points).real - top)) <= bound
+
     @pytest.mark.parametrize("theta_count", [8, 9, 240, 241])
     @pytest.mark.parametrize("n", [45, 46, 64])
     def test_one_tridiagonalization_per_antipodal_pair(self, monkeypatch, n, theta_count):

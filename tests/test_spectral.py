@@ -112,6 +112,20 @@ def _sweep_inputs(n):
     }
 
 
+def _assert_on_own_support_lines(x, theta_count, label=""):
+    """Support values within 1e-12 max(1, ||x||) of the per-angle
+    ``eigvalsh(H_theta)[-1]``, and boundary points on those lines."""
+    sample = numerical_range(x, theta_count)
+    thetas = np.linspace(0.0, 2.0 * np.pi, theta_count, endpoint=False)
+    phases = np.exp(-1j * thetas)
+    h = (phases[:, None, None] * x + np.conj(phases)[:, None, None] * x.conj().T) / 2.0
+    top = np.linalg.eigvalsh(h)[:, -1]
+    bound = 1e-12 * max(1.0, operator_norm(x))
+    assert np.max(np.abs(sample.support_values - top)) <= bound, label
+    assert np.max(np.abs((phases * sample.boundary_points).real - top)) <= bound, label
+    assert sample.radius == np.max(sample.support_values)
+
+
 class TestPairedSweep:
     """An even sweep reads each antipode off the bottom eigenpair of the
     same factorization; every direction must still carry its own support
@@ -120,30 +134,13 @@ class TestPairedSweep:
     @pytest.mark.parametrize("theta_count", [8, 9, 240, 241])
     @pytest.mark.parametrize("n", [1, 2, 45, 46, 64])
     def test_support_lines_match_per_angle_eigvalsh(self, n, theta_count):
-        thetas = np.linspace(0.0, 2.0 * np.pi, theta_count, endpoint=False)
-        phases = np.exp(-1j * thetas)
         for name, x in _sweep_inputs(n).items():
-            sample = numerical_range(x, theta_count)
-            bound = 1e-12 * max(1.0, operator_norm(x))
-            h = (phases[:, None, None] * x + np.conj(phases)[:, None, None] * x.conj().T) / 2.0
-            top = np.linalg.eigvalsh(h)[:, -1]
-            assert np.max(np.abs(sample.support_values - top)) <= bound, name
-            on_line = (phases * sample.boundary_points).real
-            assert np.max(np.abs(on_line - top)) <= bound, name
-            assert sample.radius == np.max(sample.support_values)
+            _assert_on_own_support_lines(x, theta_count, name)
 
     @pytest.mark.parametrize("n, theta_count", [(1, 4097), (1, 8194), (2, 1025), (2, 2050)])
     def test_trailing_single_direction_block_at_small_n(self, n, theta_count):
         # stack_slices leaves a last block of one direction here
-        x = complex_normal(np.random.default_rng(n), (n, n))
-        sample = numerical_range(x, theta_count)
-        thetas = np.linspace(0.0, 2.0 * np.pi, theta_count, endpoint=False)
-        phases = np.exp(-1j * thetas)
-        h = (phases[:, None, None] * x + np.conj(phases)[:, None, None] * x.conj().T) / 2.0
-        top = np.linalg.eigvalsh(h)[:, -1]
-        bound = 1e-12 * max(1.0, operator_norm(x))
-        assert np.max(np.abs(sample.support_values - top)) <= bound
-        assert np.max(np.abs((phases * sample.boundary_points).real - top)) <= bound
+        _assert_on_own_support_lines(complex_normal(np.random.default_rng(n), (n, n)), theta_count)
 
     @pytest.mark.parametrize("theta_count", [8, 9, 240, 241])
     @pytest.mark.parametrize("n", [45, 46, 64])

@@ -3,13 +3,18 @@
 The r-th power of x with ``||1 - x|| <= 1`` uses the principal branch on the
 spectrum (which lies in the closed disk |1 - z| <= 1, hence in the closed
 right half-plane, so the branch cut is never crossed; 0^r = 0).  The kernel is
-a complex Schur triangularization followed by a blocked Parlett recurrence
-(Davies-Higham): eigenvalues are grouped into transitive clusters (tolerance
-``DEFAULT_CLUSTER_TOL``), LAPACK ``ztrsen`` makes the clusters contiguous by
-a unitary reordering, each diagonal cluster block is evaluated atomically,
-and each block column of the off-diagonal part comes from one triangular
-Sylvester solve (LAPACK ``ztrsyl``) whose well-posedness is exactly the
-cluster separation.
+a complex Schur triangularization (LAPACK ``zgees``) followed by a Parlett
+recurrence.  Eigenvalues are grouped into transitive clusters (tolerance
+``DEFAULT_CLUSTER_TOL``).  When every cluster is a single eigenvalue, the
+generic case, Parlett's scalar recurrence fills the triangular power one
+superdiagonal at a time, each superdiagonal one vectorized step.  Otherwise
+(every singular input with a kernel of dimension two or more is such a case)
+the blocked recurrence of Davies-Higham runs: LAPACK ``ztrsen`` makes the
+clusters contiguous by a unitary reordering, each diagonal cluster block is
+evaluated atomically, and each block column of the off-diagonal part comes
+from one triangular Sylvester solve (LAPACK ``ztrsyl``).  On a separated
+spectrum the two are the same recurrence in another rounding order; in both,
+well-posedness is exactly the cluster separation.
 
 An independent polynomial route (:func:`series_power_oracle`) evaluates the
 truncated binomial series; it exists so the triangular kernel can be checked
@@ -29,8 +34,10 @@ from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
     SpectralGapError,
+    SpectrumError,
     Tolerances,
     as_square_matrix,
+    complex_schur,
     operator_norm,
     operator_norm_at_most,
 )
@@ -108,6 +115,9 @@ def _cluster_labels(diag: np.ndarray) -> np.ndarray:
     numbered in order of first appearance along the diagonal."""
     labels = np.arange(diag.size)
     close = np.abs(diag[:, None] - diag[None, :]) <= DEFAULT_CLUSTER_TOL
+    if np.count_nonzero(close) == diag.size:
+        # only the diagonal of ``close`` is set: every eigenvalue is a singleton
+        return labels
     for i, j in zip(*np.nonzero(np.triu(close, 1))):
         # each label is the smallest index of its cluster; merge into it
         lo, hi = sorted((labels[i], labels[j]))
@@ -205,9 +215,47 @@ def _guarded_parlett(block: np.ndarray, r: float) -> np.ndarray:
     return f
 
 
+def _parlett_power(t: np.ndarray, r: float) -> np.ndarray:
+    """Principal power of an upper-triangular t with well-separated eigenvalues.
+
+    Parlett's scalar recurrence: ``TF = FT`` gives, for ``j > i``,
+    ``f_ij (t_ii - t_jj) = (FT - TF)_ij`` evaluated with ``f_ij = 0``, and
+    that right side reads only superdiagonals below ``j - i``.  So F fills
+    one superdiagonal at a time, each as one vectorized step over strided
+    views of the band: row i of a view holds ``F[i, i:j+1]``,
+    ``T[i:j+1, j]``, ``T[i, i:j+1]`` or ``F[i:j+1, j]``.
+    """
+    n = t.shape[0]
+    d = np.diag(t)
+    t = np.ascontiguousarray(t, dtype=complex)
+    f = np.zeros((n, n), dtype=complex)
+    f.flat[:: n + 1] = [_principal_power(lam, r) for lam in d]
+    item = f.itemsize
+    row = ((n + 1) * item, item)
+    col = ((n + 1) * item, n * item)
+    for k in range(1, n):
+        m = n - k
+        f_row = np.ndarray((m, k + 1), complex, f, 0, row)
+        t_row = np.ndarray((m, k + 1), complex, t, 0, row)
+        t_col = np.ndarray((m, k + 1), complex, t, k * item, col)
+        f_col = np.ndarray((m, k + 1), complex, f, k * item, col)
+        num = np.einsum("ij,ij->i", f_row, t_col) - np.einsum("ij,ij->i", t_row, f_col)
+        f.flat[k : m * n : n + 1] = num / (d[:m] - d[k:])
+    return f
+
+
 def _triangular_power(t: np.ndarray, z: np.ndarray, r: float) -> np.ndarray:
-    """Blocked Parlett evaluation of the principal power on a Schur pair."""
+    """Principal power on a Schur pair: Parlett's scalar recurrence when every
+    eigenvalue is its own cluster, the blocked recurrence otherwise."""
     labels = _cluster_labels(np.diag(t))
+    if labels[-1] == labels.size - 1:
+        # labels count up in order of first appearance: all n are singletons
+        return z @ _parlett_power(t, r) @ z.conj().T
+    return _blocked_power(t, z, labels, r)
+
+
+def _blocked_power(t: np.ndarray, z: np.ndarray, labels: np.ndarray, r: float) -> np.ndarray:
+    """Blocked Parlett evaluation on a Schur pair with the given clusters."""
     counts = np.bincount(labels)
     for label in np.flatnonzero(counts > 1):
         # gather clusters 0..label to the front; ztrsen keeps relative order
@@ -248,8 +296,7 @@ def matrix_power_r(
         raise ValueError("matrix_power_r requires ||1 - x|| <= 1")
     if r == 1.0:
         return a.copy()
-    t, z = scipy.linalg.schur(a, output="complex", check_finite=False)
-    out = _triangular_power(t, z, r)
+    out = _triangular_power(*complex_schur(a), r)
     # one n x n buffer holds 1 - x^r, then [x^r, x]
     check = np.eye(a.shape[0]) - out
     if not operator_norm_at_most(check, 1.0 + 10.0 * tol.exact_tol):
@@ -348,28 +395,33 @@ def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.n
     """Idempotent onto the spectral subspace for eigenvalues with |lam| < radius.
 
     Requires a genuine gap: any eigenvalue modulus within +-10% of ``radius``
-    raises :class:`SpectralGapError`.  The idempotent is built from a sorted
-    Schur form and one Sylvester solve (block diagonalization), then verified
-    to be idempotent and to commute with x.
+    raises :class:`SpectralGapError`.  One Schur form gives the eigenvalues
+    for that check; LAPACK ``ztrsen`` then moves those inside the circle to
+    the front, which is what a sorted ``zgees`` does after its QR iteration.
+    The idempotent comes from one Sylvester solve (block diagonalization), and
+    is verified to be idempotent and to commute with x.
     """
     a = as_square_matrix(x)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    eigs = np.linalg.eigvals(a)
+    t, z = complex_schur(a)
+    eigs = np.diag(t)
     near = np.abs(np.abs(eigs) - radius) <= 0.1 * radius
     if np.any(near):
         raise SpectralGapError(
             f"eigenvalue modulus within 10% of radius {radius!r}: "
             f"{eigs[near]!r}"
         )
-    t, z, sdim = scipy.linalg.schur(
-        a, output="complex", sort=lambda lam: abs(lam) < radius, check_finite=False
-    )
+    inside = np.abs(eigs) < radius
+    sdim = int(np.count_nonzero(inside))
     n = a.shape[0]
     if sdim == 0:
         return np.zeros_like(a)
     if sdim == n:
         return np.eye(n, dtype=complex)
+    t, z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(inside, t, z, job="N")
+    if info != 0:
+        raise SpectrumError(f"Schur reordering failed (info={info})")
     t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
     # S = [[I, -Y], [0, I]] block-diagonalizes T when T11 Y - Y T22 = T12;
     # the idempotent onto the leading block is then [[I, Y], [0, 0]]

@@ -178,17 +178,34 @@ def stack_slices(count: int, dim: int) -> list:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+def _unsorted(lam):
+    """``zgees`` select callback; never called, since no sort is asked for."""
+
+
+def complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schur pair ``(t, z)``, ``a = z t z*``, of a validated complex matrix.
+
+    LAPACK ``zgees`` called directly with the optimal workspace it reports
+    for ``a``: bit-equal to ``scipy.linalg.schur(a, output="complex")``
+    without that wrapper's validation and dispatch, which cost as much as
+    ``zgees`` itself at n <= 8.  A failed QR iteration (nonzero ``info``)
+    raises :class:`SpectrumError`.
+    """
+    zgees = scipy.linalg.lapack.zgees
+    lwork = int(zgees(_unsorted, a, lwork=-1)[-2][0].real)
+    t, _, _, z, _, info = zgees(_unsorted, a, lwork=lwork)
+    if info != 0:
+        raise SpectrumError(f"Schur iteration failed (zgees info={info})")
+    return t, z
+
+
 def spectrum(x) -> np.ndarray:
     """Eigenvalues of ``x`` in nonincreasing modulus order.
 
     Computed from a unitary (complex Schur) triangularization; an iteration
     failure surfaces as :class:`SpectrumError` rather than silently.
     """
-    a = as_square_matrix(x)
-    try:
-        t, _ = scipy.linalg.schur(a, output="complex", check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SpectrumError(f"Schur iteration failed: {exc}") from exc
+    t, _ = complex_schur(as_square_matrix(x))
     eigs = np.diag(t)
     return eigs[np.argsort(-np.abs(eigs), kind="stable")]
 

@@ -22,7 +22,6 @@ __all__ = [
     "random_contraction",
     "random_span_element",
     "random_projection",
-    "random_density",
     "random_cone_element",
     "random_half_cone_element",
     "random_strict_cone_element",
@@ -79,13 +78,6 @@ def random_projection(rng: np.random.Generator, dim: int, rank: int | None = Non
         rank = int(rng.integers(1, dim)) if dim > 1 else 1
     u = haar_unitary(rng, dim)[:, :rank]
     return u @ u.conj().T
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random density matrix (Hermitian, PSD, unit trace)."""
-    g = complex_normal(rng, (dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def random_cone_element(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from oalab import calculus
 from oalab.calculus import (
     RecurrenceBreakdown,
+    _blocked_power,
+    _checked_sylvester,
     _cluster_labels,
     _guarded_parlett,
     _triangular_power,
@@ -19,7 +21,14 @@ from oalab.calculus import (
     spectral_idempotent,
 )
 from oalab.cone import in_F, in_halfF
-from oalab.matcore import SpectralGapError, matrix_span, operator_norm
+from oalab.matcore import (
+    SpectralGapError,
+    SpectrumError,
+    complex_schur,
+    matrix_span,
+    operator_norm,
+    spectrum,
+)
 from oalab.sampling import (
     complex_normal,
     haar_unitary,
@@ -176,6 +185,23 @@ class TestMatrixPower:
         defect = np.eye(2) - power if message == "left the cone" else power @ x - x @ power
         assert float(str(info.value).rsplit(" ", 1)[1]) == operator_norm(defect.astype(complex))
 
+    @pytest.mark.parametrize(
+        "call, args", [(matrix_power_r, (0.5,)), (spectral_idempotent, (0.5,)), (spectrum, ())]
+    )
+    def test_failed_schur_iteration_raises(self, monkeypatch, call, args):
+        # a zgees that reports a failed QR iteration (info > 0) must not hand
+        # its unfinished Schur form to any caller
+        zgees = scipy.linalg.lapack.zgees
+
+        def failing(select, a, lwork):
+            result = zgees(select, a, lwork=lwork)
+            return result if lwork == -1 else (*result[:-1], 2)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zgees", failing)
+        x = random_cone_element(np.random.default_rng(52), 4)
+        with pytest.raises(SpectrumError, match="info=2"):
+            call(x, *args)
+
     def test_guarded_parlett_reports_breakdown(self):
         # three almost identical tiny eigenvalues with strong coupling defeat
         # the recurrence; this must surface, not silently amplify noise
@@ -211,6 +237,26 @@ class TestTriangularKernel:
             gaps = np.abs(diag[:, None] - diag[None, :]) + np.eye(n)
             if gaps.min() > calculus.DEFAULT_CLUSTER_TOL:
                 np.testing.assert_array_equal(_cluster_labels(diag), np.arange(n))
+
+    @pytest.mark.parametrize(
+        "n, kernel_dim", [(n, k) for n in (*range(1, 10), 64, 200) for k in (0, 1) if k < n]
+    )
+    def test_scalar_recurrence_matches_the_blocked_path(self, n, kernel_dim):
+        # a separated spectrum, with or without a simple zero eigenvalue, takes
+        # Parlett's scalar recurrence; the blocked path, called directly on
+        # the same Schur pair, runs the same recurrence by Sylvester solves
+        rng = np.random.default_rng(62 + n)
+        if kernel_dim:
+            x = random_singular_cone_element(rng, n, kernel_dim=kernel_dim)
+        else:
+            x = random_cone_element(rng, n)
+        t, z = complex_schur(x)
+        labels = _cluster_labels(np.diag(t))
+        np.testing.assert_array_equal(labels, np.arange(n))
+        bound = 1e-13 * max(1.0, operator_norm(x))
+        for r in (1 / 2, 1 / 3, 1 / 4, 1 / 5):
+            scalar = _triangular_power(t, z, r)
+            assert operator_norm(scalar - _blocked_power(t, z, labels, r)) <= bound, r
 
     def test_interleaved_clusters_are_reordered(self, monkeypatch):
         diag = np.array([0.9, 0.5, 0.9 + 3e-5, 0.3, 0.5 - 2e-5, 0.9 - 4e-5], dtype=complex)
@@ -392,6 +438,22 @@ class TestSpectralIdempotent:
             np.testing.assert_allclose(e @ e, e, atol=1e-9)
             np.testing.assert_allclose(e @ x, x @ e, atol=1e-9)
             assert abs(np.trace(e).real - 2) < 1e-6
+
+    def test_matches_the_sorted_schur_reference(self):
+        # one unsorted zgees and a ztrsen reordering give, bit for bit, the
+        # idempotent of scipy's sorted Schur form, where zgees runs the same
+        # QR iteration and ztrsen internally
+        def reference(x, radius):
+            t, z, k = scipy.linalg.schur(x, output="complex", sort=lambda lam: abs(lam) < radius)
+            e = np.zeros_like(t)
+            e[:k, :k] = np.eye(k)
+            e[:k, k:] = _checked_sylvester(t[:k, :k], t[k:, k:], t[:k, k:])
+            return z @ e @ z.conj().T
+
+        rng = np.random.default_rng(63)
+        for dim, kernel_dim in ((2, 1), (5, 2), (8, 3), (64, 16)):
+            x = random_singular_cone_element(rng, dim, kernel_dim=kernel_dim)
+            np.testing.assert_array_equal(spectral_idempotent(x, 5e-4), reference(x, 5e-4))
 
     def test_gap_violation_raises(self):
         with pytest.raises(SpectralGapError):

@@ -5,6 +5,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oalab.cone import in_F
 from oalab.matcore import (
@@ -12,6 +13,7 @@ from oalab.matcore import (
     Subspace,
     Tolerances,
     as_square_matrix,
+    complex_schur,
     matrix_from_json,
     matrix_span,
     matrix_to_json,
@@ -115,6 +117,18 @@ def test_spectrum_agrees_with_eigvals():
         got = np.sort_complex(spectrum(a))
         want = np.sort_complex(np.linalg.eigvals(a))
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 33, 300])
+def test_complex_schur_equals_scipy_schur(n):
+    # the direct zgees call with its queried workspace is scipy's schur
+    # without the wrapper: the same factorization, bit for bit (at n = 300
+    # zgees with its default workspace rounds differently)
+    a = as_square_matrix(complex_normal(np.random.default_rng(n), (n, n)))
+    t, z = complex_schur(a)
+    want_t, want_z = scipy.linalg.schur(a, output="complex")
+    np.testing.assert_array_equal(t, want_t)
+    np.testing.assert_array_equal(z, want_z)
 
 
 def test_spectral_radius_triangular():

@@ -10,8 +10,9 @@ of the numerical range) within a tolerance fixed from the dtype.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from oalab.calculus import matrix_power_r
+from oalab.calculus import matrix_power_r, spectral_idempotent
 from oalab.cone import in_F
 from oalab.matcore import (
     DEFAULT_TOL,
@@ -366,3 +367,59 @@ class TestSvdCounts:
         # the routes take the range projection without its support defects,
         # then the three pairwise residuals
         assert routes == (svd - 4) + bai + power + 3
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Names of the Schur-family LAPACK routines called, in order, and of
+    numpy's ``eigvals``; a ``zgees`` workspace query (``lwork=-1``) does no
+    factorization and is not recorded."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if kwargs.get("lwork") != -1:
+                calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    lapack = scipy.linalg.lapack
+    for name in ("zgees", "ztrsen", "ztrsyl"):
+        monkeypatch.setattr(lapack, name, counting(name, getattr(lapack, name)))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    return calls
+
+
+class TestSchurCounts:
+    """Schur-family LAPACK calls per kernel call.
+
+    On a separated spectrum the scalar Parlett recurrence needs no
+    Sylvester solve; a cluster keeps one ``ztrsen`` per cluster of two or
+    more eigenvalues and one ``ztrsyl`` per block column after the first.
+    """
+
+    def test_separated_spectrum_makes_no_sylvester_solve(self, lapack_calls):
+        matrix_power_r(random_cone_element(np.random.default_rng(1), 5), 0.5)
+        assert lapack_calls == ["zgees"]
+
+    def test_clusters_keep_their_reorderings_and_solves(self, lapack_calls):
+        # eigenvalues 0.9 (three), 0.5 (two) and 0.3: three clusters, two of
+        # them to gather, and two block columns after the first
+        u = haar_unitary(np.random.default_rng(4), 6)
+        eigs = np.array([0.9, 0.5, 0.9 + 3e-5, 0.3, 0.5 - 2e-5, 0.9 - 4e-5])
+        matrix_power_r((u * eigs) @ u.conj().T, 1 / 3)
+        assert lapack_calls == ["zgees"] + ["ztrsen"] * 2 + ["ztrsyl"] * 2
+
+    def test_singular_input_stays_blocked(self, lapack_calls):
+        # a two-dimensional kernel is one cluster; the four other
+        # eigenvalues are singletons, so five clusters in all
+        x = random_singular_cone_element(np.random.default_rng(5), 6, kernel_dim=2)
+        matrix_power_r(x, 0.5)
+        assert lapack_calls == ["zgees", "ztrsen"] + ["ztrsyl"] * 4
+
+    def test_spectral_idempotent_makes_one_schur(self, lapack_calls):
+        # the gap check reads the Schur diagonal, and ztrsen sorts it
+        x = random_singular_cone_element(np.random.default_rng(6), 6, kernel_dim=2)
+        spectral_idempotent(x, radius=5e-4)
+        assert lapack_calls == ["zgees", "ztrsen", "ztrsyl"]

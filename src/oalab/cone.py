@@ -39,16 +39,19 @@ __all__ = [
 
 def _psd_within(h: np.ndarray, tol: float) -> bool:
     """Whether the Hermitian ``h`` satisfies ``h + tol * 1 > 0``, i.e.
-    ``lambda_min(h) > -tol``, by a Cholesky factorization.
+    ``lambda_min(h) > -tol``, by a Cholesky factorization; for a
+    ``(B, n, n)`` stack, whether every matrix in it does, by one stacked
+    factorization.
 
-    Shifts the diagonal of ``h`` in place, so ``h`` holds ``h + tol * 1``
-    afterwards: adding ``tol * eye(n)`` would hold two more ``n x n`` arrays
-    at the peak.  The factorization is numpy's, like the SVDs and
-    eigensolves around it: the numpy and scipy wheels each bundle an
-    OpenBLAS, and calling scipy's ``zpotrf`` in between made
-    ``cone_constant`` 2-3x slower on two threads.
+    Shifts the diagonal of ``h`` in place, through a writeable view, so
+    ``h`` holds ``h + tol * 1`` afterwards: adding ``tol * eye(n)`` would
+    hold two more arrays of ``h``'s size at the peak.  The factorization is
+    numpy's, like the SVDs and eigensolves around it: the numpy and scipy
+    wheels each bundle an OpenBLAS, and calling scipy's ``zpotrf`` in
+    between made ``cone_constant`` 2-3x slower on two threads.
     """
-    h.flat[:: h.shape[0] + 1] += tol
+    diagonal = np.einsum("...ii->...i", h)
+    diagonal += tol
     try:
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError:

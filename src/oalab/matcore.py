@@ -123,6 +123,17 @@ def operator_norm(x) -> float:
 # decide is the verdict the SVD would give.
 FROBENIUS_GUARD = 1e-12
 
+# Relative guard of the Gram screen in ocp_falsify's Haar phase, which skips
+# a block when one stacked Cholesky factors ``t 1 - M_b* M_b`` with
+# ``t = (v (1 - GRAM_SCREEN_GUARD))**2`` for the incumbent value ``v``.
+# Forming the Gram stack and factoring it are backward stable with errors of
+# at most about ``m**2 u (t + ||M_b||**2)`` at order m (u the unit
+# roundoff), and the SVD's sigma_max is within ``m u ||M_b||`` of the exact
+# one; so a factorization that succeeds puts every SVD value below
+# ``v (1 - GRAM_SCREEN_GUARD) (1 + O(m**2 u))``, which is below ``v`` while
+# the guard is far above ``m**2 u``: 4.5e-13 at the m <= 64 cap of ocpmap.
+GRAM_SCREEN_GUARD = 1e-10
+
 
 def operator_norm_at_most(d, t: float, scale=None) -> bool:
     """``operator_norm(d) <= t``, with an SVD only where cheaper bounds leave it open.

@@ -24,9 +24,10 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .cone import in_F
+from .cone import _psd_within, in_F
 from .matcore import (
     DEFAULT_TOL,
+    GRAM_SCREEN_GUARD,
     CrossCheckError,
     JsonReport,
     Tolerances,
@@ -258,7 +259,19 @@ def ocp_falsify(
     the entangled element ``2p`` when ``k`` equals the input dimension, and
     polishes the best candidate by conditional-gradient steps (each step
     maximizes the linearized objective over the ball, which lands on a
-    unitary again).
+    unitary again).  ``budget >= 1`` counts objective evaluations; the
+    starting candidates and the Haar draws take about half of it, the
+    polish the rest.
+
+    The draws are scored in stacked blocks of at most ``STACK_ENTRY_CAP``
+    entries per ``(B, max(kn, km), max(kn, km))`` stack.  A block whose one
+    stacked Cholesky of ``t 1 - M_b* M_b`` succeeds, for
+    ``M_b = c 1 - T_k(x_b)`` and ``t = (v (1 - GRAM_SCREEN_GUARD))**2`` with
+    ``v`` the best value so far, holds no draw that beats ``v`` and skips
+    its SVD.  For a completely positive map at ``c = ||T(1)||``, where
+    ``x = 0`` already attains the supremum ``c``, most blocks skip; a map
+    constant on the unitaries (``in_dim = 1``, or the identity) ties on
+    every block and keeps every SVD.  The result is the same either way.
 
     Returns a certified witness dict (the matrix, its value, the margin)
     or ``None``.  ``None`` is *not* a proof that the bound holds -- only a
@@ -268,6 +281,8 @@ def ocp_falsify(
     """
     if c <= 0:
         raise ValueError("the bound constant must be positive")
+    if budget < 1:
+        raise ValueError(f"the evaluation budget must be at least 1, got {budget}")
     amp = amplify(t, k, tol)
     kn, km = amp.in_dim, amp.out_dim
     rng = np.random.default_rng(seed)
@@ -286,12 +301,17 @@ def ocp_falsify(
         if val > best_val:
             best_x, best_val = x, val
     # The Haar phase, in stacked blocks; the first maximum of each block is
-    # what a strict ``>`` over the draws in sequence would keep.
+    # what a strict ``>`` over the draws in sequence would keep.  A block
+    # whose Gram screen proves every value below the incumbent's cannot
+    # update it, and skips its SVD.
     draws = max(budget // 2, len(candidates) + 1) - len(candidates)
-    for block in stack_slices(draws, kn):
+    for block in stack_slices(draws, max(kn, km)):
         xs = eye + haar_unitaries(rng, block.stop - block.start, kn)
-        images = np.tensordot(xs, amp.action, axes=([1, 2], [0, 1]))
-        vals = operator_norms(target - images)
+        mats = target - np.tensordot(xs, amp.action, axes=([1, 2], [0, 1]))
+        gram = mats.conj().swapaxes(1, 2) @ mats
+        if _psd_within(-gram, (best_val * (1.0 - GRAM_SCREEN_GUARD)) ** 2):
+            continue
+        vals = operator_norms(mats)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_x, best_val = xs[i].copy(), float(vals[i])

@@ -198,6 +198,23 @@ def test_psd_within_is_positivity_past_the_shift():
     assert not psd(-1.0)
 
 
+def test_psd_within_a_stack_needs_every_matrix():
+    rng = np.random.default_rng(43)
+    stack = []
+    for diag in ((4.0, 0.0, 9.0), (1.0, -0.5e-9, 2.0), (3.0, 3.0, 5.0)):
+        u = haar_unitary(rng, 3)
+        stack.append((u * np.array(diag)) @ u.conj().T)
+    stack = np.array(stack)
+    assert cone._psd_within(stack.copy(), 1e-9)
+    # the shift lands on every diagonal, whatever the stack's strides
+    shifted = stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    cone._psd_within(shifted, 1e-9)
+    assert np.array_equal(shifted, stack + 1e-9 * np.eye(3))
+    stack[1] -= 2e-9 * np.eye(3)
+    assert not cone._psd_within(stack.copy(), 1e-9)
+    assert [cone._psd_within(h.copy(), 1e-9) for h in stack] == [True, False, True]
+
+
 def test_identity_gap_still_raises(monkeypatch):
     # A norm route that contradicts the positivity route by far more than
     # the identity ||1-x||^2 = 1 - lambda_min allows is a numerical fault.

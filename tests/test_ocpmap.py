@@ -267,6 +267,12 @@ class TestFalsify:
         with pytest.raises(ValueError):
             ocp_falsify(identity_map(2), 0.0, k=1)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        # A budget that allows no evaluation is an error, not one Haar draw.
+        with pytest.raises(ValueError, match="budget"):
+            ocp_falsify(transpose_map(2), 1.0, k=2, budget=budget)
+
 
 class TestDiskTest:
     def test_psd_contractions_pass(self):

@@ -17,6 +17,7 @@ from oalab.cone import in_F
 from oalab.matcore import (
     DEFAULT_TOL,
     STACK_ENTRY_CAP,
+    Tolerances,
     matrix_to_json,
     operator_norm,
     operator_norm_at_most,
@@ -24,10 +25,12 @@ from oalab.matcore import (
     stack_slices,
 )
 from oalab.ocpmap import (
+    MatrixMap,
     _agreement_constraints,
     amplify,
     disk_test,
     entangled_cone_element,
+    identity_map,
     matrix_map_from_kraus,
     ocp_falsify,
     transpose_map,
@@ -150,8 +153,23 @@ def _kraus_map(rng, n, m):
     return matrix_map_from_kraus([complex_normal(rng, (m, n)) for _ in range(2)])
 
 
-def _block(kn):
-    return STACK_ENTRY_CAP // (kn * kn)
+def _block(kn, km):
+    """Haar draws per stacked block: the ``(B, km, km)`` images and their
+    Gram stack, not only the ``(B, kn, kn)`` draws, stay within the cap."""
+    return STACK_ENTRY_CAP // max(kn, km) ** 2
+
+
+def _haar_blocks(t, k, budget):
+    """The Haar phase's blocks: draws are ``budget // 2`` minus the 2 or 3
+    starting candidates, and at least one."""
+    starts = 3 if k == t.in_dim else 2
+    draws = max(budget // 2, starts + 1) - starts
+    return -(-draws // _block(k * t.in_dim, k * t.out_dim))
+
+
+def _stacked(svd_calls):
+    """The shapes of the stacked SVDs among the recorded calls."""
+    return [shape for shape in svd_calls if len(shape) == 3]
 
 
 class TestStackSlices:
@@ -209,15 +227,15 @@ class TestOperatorNorms:
 
 
 class TestFalsifyStacked:
-    # Haar draws = budget // 2 minus 2 or 3 starting candidates.  At kn = 4
-    # a block holds 256 draws and at kn = 9 it holds 50, so these budgets
-    # cover one block, exactly two blocks, and several blocks that end
-    # mid-block.
+    # Haar draws = budget // 2 minus 2 or 3 starting candidates.  A block
+    # holds 256 draws at kn = km = 4 and 50 at max(kn, km) = 9, so these
+    # budgets cover one block, exactly two blocks, and several blocks that
+    # end mid-block.
     @pytest.mark.parametrize("budget", [40, 206, 1100])
     @pytest.mark.parametrize("c", [1.0, 2.0])
     def test_transpose_level_two(self, budget, c):
         t = transpose_map(2)
-        assert _block(4) == 256
+        assert _block(4, 4) == 256
         for seed in (0, 5):
             got = ocp_falsify(t, c, k=2, budget=budget, seed=seed)
             assert got is not None
@@ -228,7 +246,7 @@ class TestFalsifyStacked:
         [(1, 3, 3, 30), (2, 3, 1, 16), (3, 2, 2, 240), (3, 3, 3, 206), (3, 3, 3, 230)],
     )
     def test_cp_maps_at_levels_one_to_three(self, n, m, k, budget):
-        assert _block(9) == 50
+        assert _block(3, 9) == _block(9, 9) == 50
         rng = np.random.default_rng(10 * n + m)
         t = _kraus_map(rng, n, m)
         natural = operator_norm(t.apply(np.eye(n)))
@@ -367,6 +385,83 @@ class TestSvdCounts:
         # the routes take the range projection without its support defects,
         # then the three pairwise residuals
         assert routes == (svd - 4) + bai + power + 3
+
+
+class TestGramScreen:
+    """The Haar phase skips the SVD of a block whose stacked Cholesky of
+    ``t 1 - M_b* M_b`` proves that no draw in it beats the incumbent."""
+
+    @pytest.mark.parametrize("n, m, k", [(2, 2, 2), (2, 3, 1), (3, 2, 2), (3, 3, 3)])
+    def test_cp_map_at_its_natural_bound_makes_no_stacked_svd(self, svd_calls, n, m, k):
+        t = _kraus_map(np.random.default_rng(20 + 3 * n + m), n, m)
+        c = operator_norm(t.apply(np.eye(n)))
+        expected = sequential_ocp_falsify(t, c, k, 600, 7)
+        svd_calls.clear()
+        assert expected is None
+        assert ocp_falsify(t, c, k=k, budget=600, seed=7) is None
+        assert _stacked(svd_calls) == []
+
+    def test_a_draw_beating_every_candidate_takes_the_svd(self, svd_calls):
+        rng = np.random.default_rng(31)
+        t = MatrixMap(2, 2, complex_normal(rng, (2, 2, 2, 2)))
+        c, budget, seed = 1.0, 1100, 4
+        amp = amplify(t, 2)
+        eye = np.eye(4)
+
+        def values(xs):
+            return operator_norms(c * eye - np.tensordot(xs, amp.action, axes=([1, 2], [0, 1])))
+
+        candidates = np.array([2.0 * eye, 0.0 * eye, entangled_cone_element(2)])
+        first_block = eye + haar_unitaries(np.random.default_rng(seed), _block(4, 4), 4)
+        assert values(first_block).max() > values(candidates).max()
+        expected = sequential_ocp_falsify(t, c, 2, budget, seed)
+        svd_calls.clear()
+        assert ocp_falsify(t, c, k=2, budget=budget, seed=seed) == expected
+        assert expected is not None
+        # of the three blocks, the first is scored by its SVD
+        assert _stacked(svd_calls)[0] == (256, 4, 4)
+        assert 1 <= len(_stacked(svd_calls)) <= _haar_blocks(t, 2, budget) == 3
+
+    # A map constant on the unitaries ties every draw with the candidate
+    # x = 0, so no screen passes.  With an iteration tolerance far below the
+    # rounding, the witness is the first draw whose value rounds above c,
+    # which the screen must neither skip nor reorder.
+    HAIR_TRIGGER = Tolerances(iter_tol=1e-300)
+
+    @pytest.mark.parametrize(
+        "n, m, k, budget", [(1, 1, 3, 1000), (1, 2, 2, 600), (1, 3, 2, 600), (1, 3, 3, 1000)]
+    )
+    def test_a_map_from_m1_ties_on_every_block(self, svd_calls, n, m, k, budget):
+        # T(x) = x T(1) makes ||c 1 - T_k(1 + u)|| = c on every unitary u.
+        t = _kraus_map(np.random.default_rng(40 + m), n, m)
+        c = operator_norm(t.apply(np.eye(n)))
+        assert ocp_falsify(t, c, k=k, budget=budget, seed=8) is None
+        expected = sequential_ocp_falsify(t, c, k, budget, 8, self.HAIR_TRIGGER)
+        svd_calls.clear()
+        assert ocp_falsify(t, c, k=k, budget=budget, seed=8, tol=self.HAIR_TRIGGER) == expected
+        assert expected is not None
+        assert len(_stacked(svd_calls)) == _haar_blocks(t, k, budget)
+
+    def test_identity_map_ties_on_every_block(self, svd_calls):
+        t = identity_map(2)
+        assert ocp_falsify(t, 1.0, k=2, budget=1100, seed=3) is None
+        expected = sequential_ocp_falsify(t, 1.0, 2, 1100, 3, self.HAIR_TRIGGER)
+        svd_calls.clear()
+        assert ocp_falsify(t, 1.0, k=2, budget=1100, seed=3, tol=self.HAIR_TRIGGER) == expected
+        assert expected is not None
+        assert len(_stacked(svd_calls)) == _haar_blocks(t, 2, 1100) == 3
+
+    def test_stacks_stay_within_the_entry_cap_when_km_exceeds_kn(self, svd_calls):
+        # M_1 -> M_32: the draws are 1 x 1 and the images 32 x 32, so a
+        # block slices by km.  Sliced by kn, one block held 4096 images
+        # (4M entries, some 130 MB with its difference stack).
+        t = _kraus_map(np.random.default_rng(50), 1, 32)
+        c = operator_norm(t.apply(np.eye(1)))
+        assert ocp_falsify(t, c, k=1, budget=8200, seed=0) is None
+        stacked = _stacked(svd_calls)
+        assert len(stacked) == _haar_blocks(t, 1, 8200) == 1025
+        assert set(stacked) == {(4, 32, 32), (1, 32, 32)}
+        assert all(np.prod(shape) <= STACK_ENTRY_CAP for shape in stacked)
 
 
 @pytest.fixture

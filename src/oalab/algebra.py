@@ -36,7 +36,6 @@ import json
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .cone import in_F, strictly_real_positive
 from .matcore import (
@@ -759,6 +758,8 @@ def quotient_norm(a, J: Subspace, tol: Tolerances = DEFAULT_TOL) -> QuotientNorm
     CERTIFIED as soon as the gap is at most ``iter_tol``, INCONCLUSIVE if the
     schedule ends first.  No random numbers are drawn.
     """
+    import scipy.optimize
+
     a = as_square_matrix(a)
     n = a.shape[0]
     if J.ambient_dim != n * n:

@@ -26,7 +26,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.integrate
 
 from .matcore import DEFAULT_TOL, JsonReport, Tolerances, to_jsonable
 from .sampling import complex_normal
@@ -458,6 +457,8 @@ def domar_criterion_check(
     tol: Tolerances = DEFAULT_TOL,
 ) -> WeightCriterionReport:
     """Report the weight-criterion diagnostics (failures are entries, not errors)."""
+    import scipy.integrate
+
     if t_probe <= 0:
         raise ValueError("t_probe must be positive")
     horizon = w.horizon if horizon is None else min(horizon, w.horizon)

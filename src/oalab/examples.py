@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .algebra import FDAlgebra
 from .matcore import DEFAULT_TOL, Tolerances, operator_norm
@@ -124,6 +123,8 @@ def volterra_norm(n: int) -> float:
     ``cos(pi t / 2)``, does not annihilate), so repeated calls return the
     same bits.  The closed form is ``1 / (2n tan(pi / 4n))``.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     if n < 2:
         raise ValueError("n must be at least 2")
 

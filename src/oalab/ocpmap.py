@@ -259,9 +259,12 @@ def ocp_falsify(
     the entangled element ``2p`` when ``k`` equals the input dimension, and
     polishes the best candidate by conditional-gradient steps (each step
     maximizes the linearized objective over the ball, which lands on a
-    unitary again).  ``budget >= 1`` counts objective evaluations; the
-    starting candidates and the Haar draws take about half of it, the
-    polish the rest.
+    unitary again).  ``budget >= 1`` counts objective evaluations: the 2
+    or 3 starting candidates are always scored, the Haar draws fill the
+    first ``budget // 2`` and the polish the rest, so a search makes at
+    most ``max(budget, candidates)`` evaluations.  Each polish step takes
+    one full SVD of its iterate, whose top singular value is the iterate's
+    value and whose top singular pair gives the next gradient.
 
     The draws are scored in stacked blocks of at most ``STACK_ENTRY_CAP``
     entries per ``(B, max(kn, km), max(kn, km))`` stack.  A block whose one
@@ -289,22 +292,19 @@ def ocp_falsify(
     target = c * np.eye(km, dtype=complex)
     eye = np.eye(kn, dtype=complex)
 
-    def value(x: np.ndarray) -> float:
-        return operator_norm(target - amp.apply(x))
-
     candidates = [eye + eye, np.zeros((kn, kn), dtype=complex)]
     if k == t.in_dim:
         candidates.append(entangled_cone_element(t.in_dim))
     best_x, best_val = None, -np.inf
     for x in candidates:
-        val = value(x)
+        val = operator_norm(target - amp.apply(x))
         if val > best_val:
             best_x, best_val = x, val
     # The Haar phase, in stacked blocks; the first maximum of each block is
     # what a strict ``>`` over the draws in sequence would keep.  A block
     # whose Gram screen proves every value below the incumbent's cannot
     # update it, and skips its SVD.
-    draws = max(budget // 2, len(candidates) + 1) - len(candidates)
+    draws = max(0, budget // 2 - len(candidates))
     for block in stack_slices(draws, max(kn, km)):
         xs = eye + haar_unitaries(rng, block.stop - block.start, kn)
         mats = target - np.tensordot(xs, amp.action, axes=([1, 2], [0, 1]))
@@ -319,17 +319,17 @@ def ocp_falsify(
 
     # Conditional-gradient polish: move to the unitary maximizing the
     # linearization of the convex objective (monotone for convex objectives).
-    x = best_x
+    if evaluations < budget:
+        svd_u, _, svd_vh = np.linalg.svd(target - amp.apply(best_x))
     while evaluations < budget:
-        mat = target - amp.apply(x)
-        svd_u, _, svd_vh = np.linalg.svd(mat)
         grad = -amp.adjoint_apply(np.outer(svd_u[:, 0], svd_vh[0].conj()))
         x_next = eye + _polar_unitary(grad)
-        val = value(x_next)
+        next_u, s, next_vh = np.linalg.svd(target - amp.apply(x_next))
         evaluations += 1
-        if val <= best_val + tol.exact_tol:
+        if s[0] <= best_val + tol.exact_tol:
             break
-        best_x, best_val, x = x_next, val, x_next
+        best_x, best_val = x_next, float(s[0])
+        svd_u, svd_vh = next_u, next_vh
 
     # Independent certification of the best candidate.
     witness = best_x

@@ -28,6 +28,7 @@ from .calculus import spectral_idempotent
 from .cone import in_F
 from .matcore import (
     DEFAULT_TOL,
+    FROBENIUS_GUARD,
     ConvergenceError,
     Tolerances,
     as_square_matrix,
@@ -88,6 +89,17 @@ def support_projection(x, tol: Tolerances = DEFAULT_TOL) -> SupportResult:
     return SupportResult(projection=p, route="svd", residual=_support_residual(p, a))
 
 
+def _cond_below(v: np.ndarray, vinv: np.ndarray, limit: float) -> bool:
+    """``cond(v) < limit`` in the 2-norm.  ``||v||_F ||v^-1||_F`` bounds
+    ``cond(v)`` above and decides yes when below ``limit`` (relative guard
+    ``FROBENIUS_GUARD``, as in :func:`~oalab.matcore.operator_norm_at_most`);
+    only otherwise does the SVD of ``np.linalg.cond`` decide.  An inverse
+    too large to square overflows the bound to inf, which leaves it open."""
+    with np.errstate(over="ignore"):
+        bound = float(np.linalg.norm(v) * np.linalg.norm(vinv))
+    return bound * (1.0 + FROBENIUS_GUARD) < limit or bool(np.linalg.cond(v) < limit)
+
+
 def _bai_limit_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     eigvals, v = np.linalg.eig(a)
     scale = float(np.abs(eigvals).max())
@@ -96,10 +108,10 @@ def _bai_limit_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
         return np.eye(a.shape[0], dtype=complex)
     try:
         vinv = np.linalg.inv(v)
-        cond = np.linalg.cond(v)
+        well_conditioned = _cond_below(v, vinv, 1e8)
     except np.linalg.LinAlgError:
-        cond = np.inf
-    if cond < 1e8:
+        well_conditioned = False
+    if well_conditioned:
         return (v * np.where(kernel, 0.0, 1.0)) @ vinv
     # defective or near-defective eigenbasis: use the spectral projector at a
     # radius separating the kernel cluster from the rest

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import oalab
 from oalab import algebra, calculus, cone, domar, examples, matcore, ocpmap, spectral, suites, support
 
@@ -27,13 +29,76 @@ def test_exports_are_the_module_objects():
     assert isinstance(oalab.__version__, str)
 
 
-def test_import_does_not_load_scipy_signal():
-    # scipy.signal adds about half a second to a fresh `import oalab`.
+# Subpackages that `import oalab` must not load.  scipy.signal once cost
+# half a second of a fresh import; scipy.optimize, scipy.integrate and
+# scipy.sparse.linalg (with scipy.special, scipy.spatial and scipy.fft behind
+# them) cost about 0.3 s and 23 MB together, and only quotient_norm,
+# domar_criterion_check and volterra_norm use them.
+HEAVY_SUBPACKAGES = (
+    "scipy.signal",
+    "scipy.optimize",
+    "scipy.integrate",
+    "scipy.sparse",
+    "scipy.special",
+    "scipy.spatial",
+    "scipy.fft",
+)
+
+
+def _fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    this checkout's oalab."""
     src = str(Path(oalab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, oalab; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def _loaded_heavy(setup: str) -> list:
+    code = f"import sys\n{setup}\nprint([m for m in {HEAVY_SUBPACKAGES!r} if m in sys.modules])"
+    return ast.literal_eval(_fresh(code))
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    assert _loaded_heavy("import oalab") == []
+
+
+def test_disk_test_suite_loads_no_heavy_scipy_subpackage():
+    setup = (
+        "from oalab import SuiteConfig, run_suite\n"
+        "assert run_suite(SuiteConfig(suite='disk-test', seed=3, trials=60)).passed"
+    )
+    assert _loaded_heavy(setup) == []
+
+
+@pytest.mark.parametrize(
+    "call, loads",
+    [
+        (
+            "from oalab import matrix_span, quotient_norm\n"
+            "from oalab.sampling import complex_normal\n"
+            "import numpy as np\n"
+            "a, j = complex_normal(np.random.default_rng(1), (2, 3, 3))\n"
+            "assert quotient_norm(a, matrix_span([j])).status == 'CERTIFIED'",
+            "scipy.optimize",
+        ),
+        (
+            "from oalab import domar_criterion_check, make_weight\n"
+            "r = domar_criterion_check(make_weight('gaussian'), 1.0)\n"
+            "assert r.eta_convex and 0 < r.ratio_integral < 1, r",
+            "scipy.integrate",
+        ),
+        (
+            "from oalab import volterra_norm\n"
+            "import numpy as np\n"
+            "assert abs(volterra_norm(50) - 1 / (100 * np.tan(np.pi / 200))) < 1e-12",
+            "scipy.sparse",
+        ),
+    ],
+)
+def test_lazy_imports_work_on_the_first_call(call, loads):
+    # Each routine imports its scipy subpackage when first called.
+    assert loads in _loaded_heavy(call)
 
 
 def _unused_imports(path: Path) -> list:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oalab import ocpmap
 from oalab.calculus import matrix_power_r, spectral_idempotent
 from oalab.cone import in_F
 from oalab.matcore import (
@@ -83,7 +84,7 @@ def sequential_ocp_falsify(t, c, k, budget, seed, tol=DEFAULT_TOL):
         evaluations += 1
         if val > best_val:
             best_x, best_val = x, val
-    while evaluations < max(budget // 2, len(candidates) + 1):
+    while evaluations < budget // 2:
         x = eye + sequential_haar(rng, kn)
         val = value(x)
         evaluations += 1
@@ -161,9 +162,9 @@ def _block(kn, km):
 
 def _haar_blocks(t, k, budget):
     """The Haar phase's blocks: draws are ``budget // 2`` minus the 2 or 3
-    starting candidates, and at least one."""
+    starting candidates, and none below zero."""
     starts = 3 if k == t.in_dim else 2
-    draws = max(budget // 2, starts + 1) - starts
+    draws = max(0, budget // 2 - starts)
     return -(-draws // _block(k * t.in_dim, k * t.out_dim))
 
 
@@ -259,6 +260,27 @@ class TestFalsifyStacked:
         # The natural bound holds for a completely positive map; half of it
         # is beaten by the identity candidate, so both branches are compared.
         assert outcomes == [True, True, False, False]
+
+    # The transpose at level 1 (2 starting candidates) and level 2 (3, with
+    # the entangled element).  Below a budget of 8 the starting candidates
+    # alone can fill or overrun half the budget; the search then draws no
+    # Haar unitary, and spends at most max(budget, starts) evaluations.
+    @pytest.mark.parametrize("budget", range(1, 9))
+    @pytest.mark.parametrize("k, starts", [(1, 2), (2, 3)])
+    def test_small_budgets_bound_the_evaluations(self, monkeypatch, budget, k, starts):
+        draws, steps = [], []
+        haar, polar = ocpmap.haar_unitaries, ocpmap._polar_unitary
+        monkeypatch.setattr(
+            ocpmap, "haar_unitaries", lambda rng, count, dim: draws.append(count) or haar(rng, count, dim)
+        )
+        monkeypatch.setattr(ocpmap, "_polar_unitary", lambda g: steps.append(g) or polar(g))
+        t = transpose_map(2)
+        got = ocp_falsify(t, 1.0, k=k, budget=budget, seed=0)
+        # one evaluation per starting candidate, Haar draw and polish step
+        assert sum(draws) == max(0, budget // 2 - starts)
+        assert starts + sum(draws) + len(steps) <= max(budget, starts)
+        assert got == sequential_ocp_falsify(t, 1.0, k, budget, 0)
+        assert (got is None) == (k == 1)
 
     def test_transpose_level_three(self):
         t = transpose_map(3)
@@ -364,6 +386,22 @@ class TestSvdCounts:
         # in_F's norm route; the Frobenius bounds decide both post-checks
         assert svd_calls == [(5, 5)]
 
+    def test_falsify_polish_takes_one_svd_per_iterate(self, svd_calls, monkeypatch):
+        # An M_2 -> M_3 map at level 1: the images are 3x3, the iterates 2x2.
+        steps = []
+        polar = ocpmap._polar_unitary
+        monkeypatch.setattr(ocpmap, "_polar_unitary", lambda g: steps.append(g) or polar(g))
+        t = MatrixMap(2, 3, complex_normal(np.random.default_rng(4), (2, 2, 3, 3)))
+        expected = sequential_ocp_falsify(t, 1.0, 1, 60, 1)
+        svd_calls.clear()
+        steps.clear()
+        assert ocp_falsify(t, 1.0, k=1, budget=60, seed=1) == expected
+        assert expected is not None
+        assert len(steps) == 4
+        # the two starting candidates and the final certification, then one
+        # SVD of the polish's starting point and one of each iterate
+        assert svd_calls.count((3, 3)) == 2 + 1 + 1 + len(steps)
+
     def test_support_routes_add_only_their_residuals(self, svd_calls):
         x = random_singular_cone_element(np.random.default_rng(2), 5, kernel_dim=2)
         counts = []
@@ -380,7 +418,9 @@ class TestSvdCounts:
         # one full SVD for the nonzero check and the range projection, then
         # the four support defects
         assert svd == 5
+        # the Frobenius bound on cond(v) decides the eigenbasis route, and
         # the Frobenius bounds decide every squaring step
+        assert bai == 0
         assert power == 0
         # the routes take the range projection without its support defects,
         # then the three pairwise residuals

@@ -11,6 +11,7 @@ from oalab.sampling import (
 from oalab.support import (
     DensityState,
     _bai_limit_projection,
+    _cond_below,
     join_supports,
     peak_projection,
     power_limit_projection,
@@ -123,6 +124,21 @@ def test_bai_limit_scaling_is_bit_equal_to_the_diagonal_product(dim, kernel_dim)
     limit = np.where(kernel, 0.0, 1.0).astype(complex)
     reference = v @ np.diag(limit) @ np.linalg.inv(v)
     assert _bai_limit_projection(x, DEFAULT_TOL).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 9.9e7, 1.01e8, 1.5e8, 3e8, 1e12])
+@pytest.mark.parametrize("spread", ["geometric", "one-small"])
+def test_cond_below_decides_as_the_svd(cond, spread):
+    # The Frobenius product bounds cond(v) above by about cond(v) for a
+    # geometric spectrum and by about sqrt(3) cond(v) for three unit singular
+    # values and one small one, so near 1e8 the latter is left to the SVD.
+    rng = np.random.default_rng(7)
+    if spread == "geometric":
+        s = np.geomspace(1.0, 1.0 / cond, 4)
+    else:
+        s = np.array([1.0, 1.0, 1.0, 1.0 / cond])
+    v = (haar_unitary(rng, 4) * s) @ haar_unitary(rng, 4)
+    assert _cond_below(v, np.linalg.inv(v), 1e8) == (np.linalg.cond(v) < 1e8)
 
 
 @pytest.mark.parametrize("n_max", [-1, 0, 1])

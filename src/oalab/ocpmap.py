@@ -12,7 +12,9 @@ all amplification levels* is a genuinely stronger condition than at level
 one, and :func:`ocp_falsify` searches for explicit level-``k`` witnesses
 against a proposed bound.  The transpose map is the canonical failure: its
 level-2 value on twice the maximally entangled projection exceeds any
-level-1 bound by exactly 1.
+level-1 bound by exactly 1.  For a completely positive map,
+:func:`dilation_bound` proves such a bound at all levels from the
+Stinespring factorization.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
     "ocp_falsify",
     "disk_test",
     "stinespring",
+    "dilation_bound",
     "cp_extension_search",
 ]
 
@@ -278,9 +281,11 @@ def ocp_falsify(
 
     Returns a certified witness dict (the matrix, its value, the margin)
     or ``None``.  ``None`` is *not* a proof that the bound holds -- only a
-    failed search.  Every returned witness is independently re-verified:
-    cone membership via the membership predicate and the value by a fresh
-    norm evaluation; ``value > c + iter_tol`` is required.
+    failed search; for a completely positive map, :func:`dilation_bound`
+    proves a bound at every level at once.  Every returned witness is
+    independently re-verified: cone membership via the membership predicate
+    and the value by a fresh norm evaluation; ``value > c + iter_tol`` is
+    required.
     """
     if c <= 0:
         raise ValueError("the bound constant must be positive")
@@ -472,6 +477,46 @@ def stinespring(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> StinespringTripl
     residual = float(np.linalg.norm(t.action - rebuilt.action, axis=(2, 3)).max())
     v = np.vstack([k.conj().T for k in kraus])
     return StinespringTriple(kraus=kraus, v=v, residual=residual)
+
+
+def dilation_bound(t: MatrixMap, c: float, tol: Tolerances = DEFAULT_TOL) -> float:
+    """A certified upper bound on ``sup_k sup_{x in F_k} ||c 1 - T_k(x)||``.
+
+    ``F_k = {x in M_kn : ||1 - x|| <= 1}`` and ``T`` must be completely
+    positive: :func:`stinespring` raises ``ValueError`` otherwise.  It gives
+    ``V`` (``rn x m``) with ``T'(x) = V^* (1_r (x) x) V`` and the factorization
+    error ``Delta = T - T'``, at most ``residual`` in Frobenius norm on each
+    matrix unit.  Put ``A = c 1 - V^* V``, ``-delta = min(lambda_min(A), 0)``
+    and ``W = [(A + delta 1)^{1/2}; V]``, so ``W^* W = (c + delta) 1``.  For
+    ``x = 1 + u`` with ``||u|| <= 1``,
+    ``(c + delta) 1 - T'_k(x) = W^* diag(1, -1_r (x) u) W`` (``W`` amplified
+    to level ``k``) has norm at most ``c + delta``, at every level at once.
+    With ``||Delta||_cb <= sum_ij ||Delta(E_ij)|| <= n^2 residual`` and
+    ``||x|| <= 2`` on ``F_k``, the bound is
+
+        ``c + 2 delta + 2 n^2 residual + 4 (rn + m) eps (c + ||V||_F^2)``.
+
+    The last term is the rounding allowance, ``eps`` the double-precision
+    unit: forming ``V^* V`` (inner products of length ``rn``) and the
+    backward error of ``eigvalsh`` (taken as ``m eps ||A||``) move the
+    computed ``lambda_min`` by at most ``(rn + m) eps (c + ||V||_F^2)``,
+    which enters twice through ``delta``; rebuilding ``T'`` to measure
+    ``residual`` rounds each ``T'(E_ij)`` by at most ``r eps ||V||_F^2``
+    summed to ``rn eps ||V||_F^2`` over the units, which enters twice too.
+    For ``c >= ||T(1)||`` the bound exceeds ``c`` only by rounding; for
+    ``c < ||T(1)||`` it is ``2 ||T(1)|| - c`` up to rounding, which
+    ``x = 2`` attains.
+    """
+    if not c > 0:
+        raise ValueError("the bound constant must be positive")
+    triple = stinespring(t, tol)
+    v = triple.v
+    rows, m = v.shape
+    n = t.in_dim
+    a = c * np.eye(m, dtype=complex) - v.conj().T @ v
+    delta = max(0.0, -float(np.linalg.eigvalsh(a)[0]))
+    rounding = 4.0 * (rows + m) * np.finfo(float).eps * (c + float(np.vdot(v, v).real))
+    return float(c + 2.0 * delta + 2.0 * n * n * triple.residual + rounding)
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,12 @@ under sixty seconds on a commodity machine.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from oalab.suites import SUITE_NAMES, SuiteConfig, run_suite
+from oalab.matcore import DEFAULT_TOL
+from oalab.ocpmap import dilation_bound, ocp_falsify
+from oalab.suites import SUITE_NAMES, SuiteConfig, _ocp_falsify_draws, run_suite
 
 
 def _drive(label: str, *configs: SuiteConfig) -> None:
@@ -131,17 +134,26 @@ def test_09_weighted_convolution():
 
 def test_10_order_bounded_maps():
     # Transpose-map witness x = 2p gives violation margin 1.0 +- 1e-9 for
-    # bounds {1, 2, 5} at level 2; 50 random CP maps admit no witness at
-    # levels <= 3 within a 1e4 trial budget per map; factorization round
-    # trips reach Choi residual < 1e-10 with ||V||^2 = ||T(1)|| within 1e-9;
-    # disk membership agrees with the Hermitian-PSD-contraction oracle on
-    # all 500 samples.
+    # bounds {1, 2, 5} at level 2; the Stinespring dilation certifies
+    # ||c 1 - T_k(x)|| <= c = ||T(1)|| on the cone for 50 random CP maps
+    # within iter_tol, and a 10^3-draw falsifier finds no witness against
+    # it; factorization round trips reach Choi residual < 1e-10 with
+    # ||V||^2 = ||T(1)|| within 1e-9; disk membership agrees with the
+    # Hermitian-PSD-contraction oracle on all 500 samples.
     _drive(
         "order-bounded map falsifier, factorization, disk test",
         SuiteConfig(suite="ocp-falsify", trials=50),
         SuiteConfig(suite="stinespring", trials=50),
         SuiteConfig(suite="disk-test", dim=4, trials=500),
     )
+    # The suite's 50 maps again, each certified and searched with the full
+    # 10^4-evaluation budget per map, split across levels 1..3.
+    _, cp_draws = _ocp_falsify_draws(np.random.default_rng(0), 50)
+    for trial, (cp_map, c, seed) in enumerate(cp_draws):
+        assert dilation_bound(cp_map, c) - c <= DEFAULT_TOL.iter_tol, trial
+        for k, budget in ((1, 2000), (2, 3000), (3, 5000)):
+            witness = ocp_falsify(cp_map, c, k=k, budget=budget, seed=seed)
+            assert witness is None, (trial, k, witness)
 
 
 def test_11_quotient_cone():

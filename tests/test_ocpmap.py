@@ -11,6 +11,7 @@ from oalab.ocpmap import (
     _verify_choi_shuffle,
     amplify,
     cp_extension_search,
+    dilation_bound,
     disk_test,
     entangled_cone_element,
     identity_map,
@@ -21,6 +22,8 @@ from oalab.ocpmap import (
     stinespring,
     transpose_map,
 )
+from oalab.sampling import haar_unitaries
+from oalab.suites import _ocp_falsify_draws
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -389,6 +392,57 @@ class TestStinespring:
     def test_non_cp_rejected(self):
         with pytest.raises(ValueError):
             stinespring(transpose_map(2))
+
+
+class TestDilationBound:
+    def test_non_cp_rejected(self):
+        with pytest.raises(ValueError):
+            dilation_bound(transpose_map(2), 1.0)
+
+    def test_bad_bound_rejected(self):
+        with pytest.raises(ValueError):
+            dilation_bound(identity_map(2), 0.0)
+
+    def test_below_natural_bound_is_not_certified(self):
+        # Under ||T(1)|| the excess is 2 (||T(1)|| - c), which x = 2 attains,
+        # and the falsifier finds the witness.
+        rng = np.random.default_rng(15)
+        t = random_kraus_map(rng, 2, 3, 2)
+        c = operator_norm(t.apply(np.eye(2))) - 1e-3
+        bound = dilation_bound(t, c)
+        assert bound - c >= 2e-3
+        attained = operator_norm(c * np.eye(3) - t.apply(2.0 * np.eye(2)))
+        assert attained <= bound <= attained + 1e-12 * c
+        witness = ocp_falsify(t, c, k=1, budget=10, seed=0)
+        assert witness is not None and witness["value"] <= bound
+
+    def test_in_dim_one_map_certified(self):
+        # T(x) = x T(1) ties on every Haar draw; the certificate still holds.
+        rng = np.random.default_rng(16)
+        t = random_kraus_map(rng, 1, 3, 2)
+        c = operator_norm(t.apply(np.eye(1)))
+        assert 0.0 <= dilation_bound(t, c) - c <= 1e-12 * max(1.0, c)
+        assert ocp_falsify(t, c, k=2, budget=200, seed=0) is None
+
+    def test_suite_maps_certified_to_rounding(self):
+        _, cp_draws = _ocp_falsify_draws(np.random.default_rng(0), 50)
+        for cp_map, c, _seed in cp_draws:
+            assert 0.0 <= dilation_bound(cp_map, c) - c <= 1e-12 * max(1.0, c)
+
+    def test_bound_dominates_sampled_values(self):
+        # Any c, any level: no cone element 1 + u beats the certified bound.
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            t = random_kraus_map(rng, n, m, int(rng.integers(1, 4)))
+            natural = operator_norm(t.apply(np.eye(n)))
+            amp = amplify(t, 2)
+            for c in (0.5 * natural, natural, 3.0 * natural):
+                bound = dilation_bound(t, c)
+                for u in haar_unitaries(rng, 20, 2 * n):
+                    x = np.eye(2 * n) + u
+                    value = operator_norm(c * np.eye(2 * m) - amp.apply(x))
+                    assert value <= bound
 
 
 class TestExtensionSearch:

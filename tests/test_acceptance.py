@@ -199,7 +199,11 @@ _REDUCED = {
 # Regenerated once more, for ``volterra``/``spectral-radius-100`` only: it
 # still held the margin 0.0 and tol 0.005 of the gate that sat on the true
 # radius, which had since moved to ``|rho - 1/200| <= exact_tol`` (margin and
-# tol 1e-9).  Each case's tol is compared exactly, so a stale gate shows.
+# tol 1e-9).  Regenerated once more, for ``ocp-falsify``/``cp-no-witness``
+# only: the case moved from a count of witnesses (margin 0, tol 0) to the
+# Stinespring certificate, iter_tol minus the bound's excess over c (margin
+# iter_tol - 2.4e-14, tol 1e-6).  Each case's tol is compared exactly, so a
+# stale gate shows.
 _GOLDEN = Path(__file__).parent / "golden" / "suites_reduced.json"
 
 

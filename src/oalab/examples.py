@@ -27,7 +27,7 @@ import dataclasses
 import numpy as np
 
 from .algebra import FDAlgebra
-from .matcore import DEFAULT_TOL, Tolerances, operator_norm
+from .matcore import DEFAULT_TOL, Tolerances, operator_norms, stack_slices
 
 __all__ = [
     "RdrExample",
@@ -79,20 +79,19 @@ def example_rdr(n: int) -> RdrExample:
     """
     if not 2 <= n <= 12:
         raise ValueError("n must lie in [2, 12] (enumeration is 2^n)")
-    s = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        s[i, i + 1] = 1.0
-    r = np.eye(n, dtype=complex) + s / 2.0
+    r = np.eye(n, dtype=complex) + np.eye(n, k=1) / 2.0
     r_inv = np.linalg.inv(r)
-    basis = np.stack(
-        [r @ np.diag(np.eye(n)[k]).astype(complex) @ r_inv for k in range(n)]
-    )
+    # basis[k] = R E_kk R^{-1}, the outer product of R's column k and row k
+    # of R^{-1}
+    basis = np.einsum("ik,kl->kil", r, r_inv)
     gram = r.conj().T @ r
-    best = np.inf
-    for mask in range(1, 2**n - 1):
-        diag = np.array([(mask >> k) & 1 for k in range(n)], dtype=float)
-        p = np.diag(diag).astype(complex)
-        best = min(best, operator_norm(p @ gram - gram @ p))
+    # [p, G]_ij = (p_i - p_j) G_ij for the diagonal p of each bit mask,
+    # broadcast one capped block of masks at a time
+    bits = (np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1
+    best = min(
+        operator_norms((bits[b, :, None] - bits[b, None, :]) * gram).min()
+        for b in stack_slices(len(bits), n)
+    )
     return RdrExample(n=n, r=r, r_inv=r_inv, basis=basis, min_commutator=float(best))
 
 

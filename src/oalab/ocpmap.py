@@ -166,8 +166,8 @@ def transpose_map(n: int) -> MatrixMap:
     return matrix_map_from_function(n, n, lambda x: x.T)
 
 
-def is_cp(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Complete positivity via the Choi matrix.
+def _cp_choi_eigh(t: MatrixMap, tol: Tolerances):
+    """``eigh`` of the Hermitian part of ``t``'s Choi matrix; ``None`` unless CP.
 
     ``T`` is completely positive iff its Choi matrix is PSD; a
     non-Hermitian Choi matrix already rules that out.  The eigenvalue
@@ -176,9 +176,14 @@ def is_cp(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> bool:
     c = t.choi
     scale = max(1.0, operator_norm(c))
     if not operator_norm_at_most(c - c.conj().T, tol.exact_tol * scale):
-        return False
-    lam = np.linalg.eigvalsh((c + c.conj().T) / 2.0)
-    return bool(lam[0] >= -tol.exact_tol * scale)
+        return None
+    lam, vecs = np.linalg.eigh((c + c.conj().T) / 2.0)
+    return (lam, vecs) if lam[0] >= -tol.exact_tol * scale else None
+
+
+def is_cp(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Complete positivity via the Choi matrix: its Hermitian part is PSD."""
+    return _cp_choi_eigh(t, tol) is not None
 
 
 def amplify(t: MatrixMap, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixMap:
@@ -460,11 +465,11 @@ def stinespring(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> StinespringTripl
     the worst Frobenius error of ``T(E_ij) - sum_s K_s E_ij K_s^*`` and the
     reconstruction is verified against the recomputed map.
     """
-    if not is_cp(t, tol):
+    eig = _cp_choi_eigh(t, tol)
+    if eig is None:
         raise ValueError("Stinespring factorization needs a completely positive map")
     n, m = t.in_dim, t.out_dim
-    c = (t.choi + t.choi.conj().T) / 2.0
-    lam, vecs = np.linalg.eigh(c)
+    lam, vecs = eig
     top = max(float(lam[-1]), 0.0)
     kraus = []
     for s in range(len(lam) - 1, -1, -1):

@@ -6,6 +6,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oalab.domar import (
     GridFunction,
@@ -22,7 +25,10 @@ from oalab.domar import (
     quasinilpotence_estimate,
     quasinilpotence_root_bound,
     titchmarsh_check,
+    weighted_l1,
+    weighted_l2,
 )
+from oalab.sampling import complex_normal
 
 
 def flat_weight(horizon=30.0):
@@ -143,7 +149,7 @@ class TestConvolve:
         g = GridFunction(
             h=h, coeffs=rng.standard_normal(12) + 1j * rng.standard_normal(12)
         )
-        conv, _ = convolve(grid_delta(h), g, make_weight("gaussian"))
+        conv = convolve(grid_delta(h), g)
         np.testing.assert_array_equal(conv.coeffs, g.coeffs)
 
     def test_delta_identity_general_step(self):
@@ -151,47 +157,39 @@ class TestConvolve:
         g = GridFunction(
             h=0.05, coeffs=rng.standard_normal(9) + 1j * rng.standard_normal(9)
         )
-        conv, _ = convolve(grid_delta(0.05), g, make_weight("gaussian"))
+        conv = convolve(grid_delta(0.05), g)
         np.testing.assert_allclose(conv.coeffs, g.coeffs, rtol=1e-15)
 
     def test_triangle_quadrature(self):
         # Indicator of [0,1) convolved with itself is the unit triangle;
         # the discrete peak value is exactly 1.
         one = grid_indicator(0.1, 0.0, 1.0)
-        tri, norms = convolve(one, one, flat_weight())
+        tri = convolve(one, one)
         assert np.max(np.abs(tri.coeffs)) == pytest.approx(1.0, abs=1e-14)
-        assert norms["l1_f"] == pytest.approx(1.0, abs=1e-14)
-        assert norms["l1_fg"] == pytest.approx(1.0, abs=1e-12)
+        assert weighted_l1(one, flat_weight()) == pytest.approx(1.0, abs=1e-14)
+        assert weighted_l1(tri, flat_weight()) == pytest.approx(1.0, abs=1e-12)
 
     def test_step_mismatch_rejected(self):
-        w = make_weight("gaussian")
         with pytest.raises(ValueError):
-            convolve(grid_delta(0.1), grid_delta(0.2), w)
+            convolve(grid_delta(0.1), grid_delta(0.2))
 
-    def test_young_inequality_exact_on_grid(self):
-        # Weighted Young: l2(f*g) <= l1(f) * l2(g) with no quadrature slack,
-        # because index additivity matches submultiplicativity termwise.
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        len_f=st.integers(1, 30),
+        len_g=st.integers(1, 30),
+        h=st.sampled_from([0.01, 0.05, 0.25]),
+    )
+    def test_young_inequality_exact_on_grid(self, seed, len_f, len_g, h):
+        # Weighted Young: l2(f*g) <= l1(f) * l2(g).  The bound holds exactly
+        # on the grid, with no quadrature slack: the index additivity
+        # jh + (m-j)h = mh matches submultiplicativity term by term.
         w = make_weight("gaussian")
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            f = GridFunction(
-                h=0.05,
-                coeffs=rng.standard_normal(int(rng.integers(1, 30)))
-                + 1j * rng.standard_normal(1),
-            )
-            g = GridFunction(
-                h=0.05,
-                coeffs=rng.standard_normal(int(rng.integers(1, 30)))
-                + 1j * rng.standard_normal(1),
-            )
-            _, norms = convolve(f, g, w)
-            assert norms["l2_fg"] <= norms["young_bound"] * (1 + 1e-12) + 1e-15
-
-    def test_norm_keys(self):
-        _, norms = convolve(grid_delta(0.5), grid_delta(0.5), make_weight("gaussian"))
-        assert set(norms) == {
-            "l1_f", "l1_g", "l1_fg", "l2_g", "l2_fg", "young_bound",
-        }
+        rng = np.random.default_rng(seed)
+        f = GridFunction(h=h, coeffs=complex_normal(rng, len_f))
+        g = GridFunction(h=h, coeffs=complex_normal(rng, len_g))
+        young_bound = weighted_l1(f, w) * weighted_l2(g, w)
+        assert weighted_l2(convolve(f, g), w) <= young_bound * (1 + 1e-12) + 1e-15
 
 
 class TestAlpha:
@@ -346,6 +344,102 @@ class TestPrincipalDensity:
                 GridFunction(h=h, coeffs=tc), GridFunction(h=h, coeffs=gc), w
             )
             assert result.residual < 1e-8
+
+
+def sequential_density_solve(t_f, g, k0):
+    """The forward substitution ``principal_density_check`` ran as a double
+    Python loop before the band solve, kept as the reference."""
+    h, fcoef = t_f.h, t_f.coeffs
+    lead = h * fcoef[k0]
+    length = len(g.coeffs) - k0
+    u = np.zeros(length, dtype=complex)
+    for m in range(length):
+        acc = g.coeffs[m + k0]
+        jmax = min(len(fcoef) - 1, m + k0)
+        for j in range(k0 + 1, jmax + 1):
+            acc -= h * fcoef[j] * u[m + k0 - j]
+        u[m] = acc / lead
+    return u
+
+
+def _density_instance(rng, lead_at, width, shift, length, h=0.02):
+    """``t_f`` supported on ``[lead_at, lead_at + width)`` and ``g`` on
+    ``[lead_at + shift, lead_at + shift + length)``, both with random entries."""
+    tc = np.zeros(lead_at + width, dtype=complex)
+    tc[lead_at:] = complex_normal(rng, width)
+    tc[lead_at] = (1.0 + rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    gc = np.zeros(lead_at + shift + length, dtype=complex)
+    gc[lead_at + shift :] = complex_normal(rng, length)
+    return GridFunction(h=h, coeffs=tc), GridFunction(h=h, coeffs=gc)
+
+
+@pytest.fixture
+def ztbtrs_calls(monkeypatch):
+    calls = []
+    ztbtrs = scipy.linalg.lapack.ztbtrs
+
+    def counting(ab, b, *args, **kwargs):
+        calls.append((ab.shape, b.shape))
+        return ztbtrs(ab, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztbtrs", counting)
+    return calls
+
+
+class TestDensityBandSolve:
+    """The LAPACK band solve against the Python forward substitution."""
+
+    @pytest.mark.parametrize(
+        "width, shift, length",
+        [
+            (40, 1, 12),  # band wider than the system
+            (6, 3, 50),  # band narrower than the system
+            (1, 2, 30),  # one wide: t_f is a delta
+            (25, 1, 25),  # band as wide as the system
+        ],
+    )
+    def test_matches_the_forward_substitution(self, width, shift, length, ztbtrs_calls):
+        w = make_weight("gaussian")
+        rng = np.random.default_rng(width * 1000 + length)
+        for _ in range(20):
+            t_f, g = _density_instance(rng, int(rng.integers(0, 8)), width, shift, length)
+            k0 = alpha_index(t_f)
+            ztbtrs_calls.clear()
+            got = principal_density_check(t_f, g, w).solution.coeffs
+            ref = sequential_density_solve(t_f, g, k0)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            # one solve, from a band cut at the last row of the system
+            system = len(g.coeffs) - k0
+            assert ztbtrs_calls == [((min(width, system), system), (system, 1))]
+
+    def test_zero_length_system_makes_no_solve(self, ztbtrs_calls):
+        # g vanishes, so it has no support to order against t_f's, and its
+        # grid ends before t_f's leading index: nothing to solve
+        w = make_weight("gaussian")
+        g = GridFunction(h=0.1, coeffs=np.zeros(3, dtype=complex))
+        result = principal_density_check(grid_delta(0.1, index=5), g, w)
+        assert result.residual == 0.0 and result.cond_log10 == 0.0
+        np.testing.assert_array_equal(result.solution.coeffs, [0.0])
+        assert ztbtrs_calls == []
+
+    def test_budget_caps_the_system_length(self, ztbtrs_calls):
+        w = make_weight("gaussian")
+        t_f, g = _density_instance(np.random.default_rng(11), 4, 5, 2, 30)
+        length = len(g.coeffs) - alpha_index(t_f)
+        with pytest.raises(ValueError, match="exceeds budget"):
+            principal_density_check(t_f, g, w, budget=length - 1)
+        assert ztbtrs_calls == []
+        principal_density_check(t_f, g, w, budget=length)
+        assert len(ztbtrs_calls) == 1
+
+    def test_failed_solve_raises(self, monkeypatch):
+        w = make_weight("gaussian")
+        t_f, g = _density_instance(np.random.default_rng(12), 2, 3, 1, 10)
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "ztbtrs", lambda ab, b, **kw: (b.copy(), 1)
+        )
+        with pytest.raises(ValueError, match="info=1"):
+            principal_density_check(t_f, g, w)
 
 
 class TestBumpCai:

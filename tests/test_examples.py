@@ -7,8 +7,23 @@ import pytest
 from oalab.algebra import nor_battery
 from oalab.calculus import bai_sequence
 from oalab.cone import in_F
+from oalab import examples
 from oalab.examples import example_rdr, example_two_dim, volterra, volterra_norm
-from oalab.matcore import operator_norm, spectral_radius
+from oalab.matcore import operator_norm, operator_norms, spectral_radius
+
+
+def sequential_commutator_norms(n):
+    """``||[p, R*R]||`` for each diagonal 0/1 projection ``p``, in bit-mask
+    order, by the per-mask loop of matrix products and SVDs that
+    ``example_rdr`` ran before its stacked form; kept as the reference."""
+    r = np.eye(n, dtype=complex) + np.diag(np.full(n - 1, 0.5), 1)
+    gram = r.conj().T @ r
+    norms = []
+    for mask in range(1, 2**n - 1):
+        diag = np.array([(mask >> k) & 1 for k in range(n)], dtype=float)
+        p = np.diag(diag).astype(complex)
+        norms.append(operator_norm(p @ gram - gram @ p))
+    return np.array(norms)
 
 
 class TestTwoDimAlgebra:
@@ -67,6 +82,21 @@ class TestRdrExample:
         npt.assert_allclose(ex.r @ ex.r_inv, np.eye(3), atol=1e-12)
         npt.assert_allclose(ex.basis[0], ex.r @ np.diag([1.0, 0, 0]) @ ex.r_inv,
                             atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_commutator_norms_equal_the_per_mask_loop(self, n, monkeypatch):
+        # every mask's norm, bit for bit and in mask order, not only the
+        # minimum: that is 1/2 for every n and is reached by the first mask
+        scored = []
+
+        def recording(stack):
+            scored.append(operator_norms(stack))
+            return scored[-1]
+
+        monkeypatch.setattr(examples, "operator_norms", recording)
+        reference = sequential_commutator_norms(n)
+        assert example_rdr(n).min_commutator == reference.min()
+        assert np.array_equal(np.concatenate(scored), reference)
 
     def test_range_limits(self):
         with pytest.raises(ValueError):

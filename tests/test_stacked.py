@@ -558,3 +558,38 @@ class TestSchurCounts:
         x = random_singular_cone_element(np.random.default_rng(6), 6, kernel_dim=2)
         spectral_idempotent(x, radius=5e-4)
         assert lapack_calls == ["zgees", "ztrsen", "ztrsyl"]
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Names of numpy's Hermitian eigensolvers called, in order."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+class TestChoiEigenCounts:
+    """``is_cp`` and ``stinespring`` share one ``eigh`` of the Choi matrix."""
+
+    def test_stinespring_makes_one_eigh(self, eigen_calls):
+        ocpmap.stinespring(_kraus_map(np.random.default_rng(2), 2, 3))
+        assert eigen_calls == ["eigh"]
+
+    def test_non_cp_map_is_rejected_by_the_same_eigh(self, eigen_calls):
+        with pytest.raises(ValueError):
+            ocpmap.stinespring(transpose_map(2))
+        assert eigen_calls == ["eigh"]
+
+    def test_is_cp_makes_one_eigh(self, eigen_calls):
+        assert ocpmap.is_cp(_kraus_map(np.random.default_rng(3), 3, 2))
+        assert not ocpmap.is_cp(transpose_map(3))
+        assert eigen_calls == ["eigh", "eigh"]

@@ -758,8 +758,6 @@ def quotient_norm(a, J: Subspace, tol: Tolerances = DEFAULT_TOL) -> QuotientNorm
     CERTIFIED as soon as the gap is at most ``iter_tol``, INCONCLUSIVE if the
     schedule ends first.  No random numbers are drawn.
     """
-    import scipy.optimize
-
     a = as_square_matrix(a)
     n = a.shape[0]
     if J.ambient_dim != n * n:
@@ -801,6 +799,10 @@ def quotient_norm(a, J: Subspace, tol: Tolerances = DEFAULT_TOL) -> QuotientNorm
     for mu in QUOTIENT_MU_SCHEDULE:
         if best_upper - lower <= tol.iter_tol:
             break
+        # Imported here, so a quotient that the warm start settles never
+        # loads scipy.optimize (about 20 MB and a quarter second).
+        import scipy.optimize
+
         x = scipy.optimize.minimize(
             objective, x, args=(mu,), jac=True, method="L-BFGS-B",
             options=QUOTIENT_LBFGS_OPTIONS,

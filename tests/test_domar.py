@@ -11,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oalab.domar import (
+    _GK15_NODES,
+    _GK15_WEIGHTS,
+    _GK_PANEL_LIMIT,
     GridFunction,
     RadicalWeight,
     alpha,
@@ -27,6 +30,7 @@ from oalab.domar import (
     titchmarsh_check,
     weighted_l1,
     weighted_l2,
+    _gauss_kronrod,
 )
 from oalab.sampling import complex_normal
 
@@ -251,6 +255,93 @@ class TestQuasinilpotence:
             quasinilpotence_estimate(grid_indicator(0.05, 1.0, 2.0), w, 13)
 
 
+def counted(f):
+    """``f`` wrapped to record the length of every argument it is called on."""
+    sizes = []
+
+    def wrapped(x):
+        sizes.append(len(x))
+        return f(x)
+
+    return wrapped, sizes
+
+
+class TestGaussKronrod:
+    @pytest.mark.parametrize("d", range(24))
+    def test_one_panel_is_exact_on_monomials(self, d):
+        # K15 integrates x^d exactly for d <= 23 and G7 for d <= 13, so a
+        # wrong digit in a node or weight shows.
+        k15, g7 = 0.5 * (_GK15_WEIGHTS @ (0.5 + 0.5 * _GK15_NODES) ** d)
+        assert abs(k15 - 1.0 / (d + 1)) <= 1e-15
+        if d <= 13:
+            assert abs(g7 - 1.0 / (d + 1)) <= 1e-15
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.0, 2.0])
+    def test_gaussian_ratio_integral_closed_form(self, t):
+        # (omega(x+t)/omega(x))^2 = exp(-4tx - 2t^2); over [0, H - t] the
+        # integral is e^{-2t^2} (1 - e^{-4t(H - t)}) / (4t), and over
+        # [0, inf) it is e^{-2t^2} / (4t).
+        w = make_weight("gaussian")
+        report = domar_criterion_check(w, t)
+        full = math.exp(-2.0 * t * t) / (4.0 * t)
+        on_interval = full * -math.expm1(-4.0 * t * (w.horizon - t))
+        assert abs(report.ratio_integral - on_interval) <= 1e-12
+        assert abs(report.ratio_integral - full) <= report.ratio_integral_error
+
+    @pytest.mark.parametrize(
+        "omega",
+        [
+            lambda t: np.exp(-np.asarray(t) ** 1.6),
+            lambda t: np.exp(-np.asarray(t) - 0.5 * np.asarray(t) ** 2),
+        ],
+        ids=["t^1.6", "t+t^2/2"],
+    )
+    def test_custom_weights_agree_with_quad(self, omega):
+        import scipy.integrate
+
+        w = make_weight("custom", omega=omega, epsilon=0.5, horizon=20.0)
+        report = domar_criterion_check(w, 0.7)
+
+        def integrand(x):
+            return (w.omega(x + 0.7) / w.omega(x)) ** 2
+
+        value, err = scipy.integrate.quad(integrand, 0.0, w.horizon - 0.7, limit=200)
+        assert abs(report.ratio_integral - value) <= report.ratio_integral_error + err
+
+    def test_error_is_the_gauss_error_where_kronrod_is_exact(self):
+        # On x^14 over [0, 1], K15 is exact and G7 is not, so the estimate
+        # |K15 - G7| is G7's true error (5.7e-9 < 1.49e-8: one panel).
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        g7 = 0.5 * float(weights @ (0.5 + 0.5 * nodes) ** 14)
+        f, sizes = counted(lambda x: x**14)
+        value, error = _gauss_kronrod(f, 0.0, 1.0)
+        assert sizes == [15]
+        assert abs(value - 1.0 / 15.0) <= 1e-15
+        assert error == pytest.approx(abs(g7 - 1.0 / 15.0), rel=1e-6)
+
+    def test_bisects_a_sharp_peak(self):
+        # A peak of width 1e-2 at 0.3 needs many panels; one call per round.
+        f, sizes = counted(lambda x: np.exp(-(((x - 0.3) / 0.01) ** 2)))
+        value, error = _gauss_kronrod(f, 0.0, 1.0)
+        exact = 0.005 * math.sqrt(math.pi) * (math.erf(70.0) + math.erf(30.0))
+        assert len(sizes) > 2 and sum(sizes) > 15 * len(sizes)
+        assert all(size % 15 == 0 for size in sizes)
+        assert error <= 1.49e-8
+        assert abs(value - exact) <= error
+
+    def test_panel_cap_returns_the_estimate(self):
+        # 1591 periods of sin(1e4 x) cannot be resolved with 200 panels: the
+        # rule stops at the cap, above tolerance, without raising.
+        f, sizes = counted(lambda x: np.sin(1e4 * x))
+        value, error = _gauss_kronrod(f, 0.0, 1.0)
+        assert np.isfinite(value) and error > 1.49e-8
+        # 1 panel, then each bisection adds 2 evaluated panels and 1 net panel.
+        assert sum(sizes) == 15 * (1 + 2 * (_GK_PANEL_LIMIT - 1))
+
+    def test_empty_interval(self):
+        assert _gauss_kronrod(np.exp, 2.0, 2.0) == (0.0, 0.0)
+
+
 class TestWeightCriterion:
     def test_gaussian_integral_closed_form(self):
         # (omega(x+1)/omega(x))^2 = exp(-4x-2), integral e^{-2}/4.
@@ -276,7 +367,8 @@ class TestWeightCriterion:
         report = domar_criterion_check(w, 1.0)
         assert report.eta_convex
         assert not report.tail_superlinear
-        assert report.ratio_integral_error > 0.1  # non-decaying tail flagged
+        # The integrand at the cutoff flags the non-decaying tail.
+        assert report.ratio_integral_error == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_json(self):
         payload = json.loads(

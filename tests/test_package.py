@@ -30,10 +30,11 @@ def test_exports_are_the_module_objects():
 
 
 # Subpackages that `import oalab` must not load.  scipy.signal once cost
-# half a second of a fresh import; scipy.optimize, scipy.integrate and
-# scipy.sparse.linalg (with scipy.special, scipy.spatial and scipy.fft behind
-# them) cost about 0.3 s and 23 MB together, and only quotient_norm,
-# domar_criterion_check and volterra_norm use them.
+# half a second of a fresh import.  scipy.optimize (with scipy.special,
+# scipy.spatial, scipy.fft and scipy.sparse behind it) costs about 0.27 s
+# and 22 MB, and only quotient_norm loads it, at its first L-BFGS-B stage;
+# volterra_norm loads scipy.sparse.  scipy.integrate, once behind
+# domar_criterion_check, is used by no module.
 HEAVY_SUBPACKAGES = (
     "scipy.signal",
     "scipy.optimize",
@@ -83,12 +84,6 @@ def test_disk_test_suite_loads_no_heavy_scipy_subpackage():
             "scipy.optimize",
         ),
         (
-            "from oalab import domar_criterion_check, make_weight\n"
-            "r = domar_criterion_check(make_weight('gaussian'), 1.0)\n"
-            "assert r.eta_convex and 0 < r.ratio_integral < 1, r",
-            "scipy.integrate",
-        ),
-        (
             "from oalab import volterra_norm\n"
             "import numpy as np\n"
             "assert abs(volterra_norm(50) - 1 / (100 * np.tan(np.pi / 200))) < 1e-12",
@@ -99,6 +94,53 @@ def test_disk_test_suite_loads_no_heavy_scipy_subpackage():
 def test_lazy_imports_work_on_the_first_call(call, loads):
     # Each routine imports its scipy subpackage when first called.
     assert loads in _loaded_heavy(call)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "from oalab import domar_criterion_check, make_weight\n"
+        "r = domar_criterion_check(make_weight('gaussian'), 1.0)\n"
+        "assert r.eta_convex and 0 < r.ratio_integral < 1, r",
+        # The Frobenius warm start settles a block-diagonal a modulo a block
+        # ideal: its quotient norm is the norm of the other block, |a[2, 2]|.
+        "from oalab import block_ideal_subspace, quotient_norm\n"
+        "from oalab.sampling import complex_normal\n"
+        "import numpy as np\n"
+        "a = complex_normal(np.random.default_rng(1), (3, 3))\n"
+        "a[:2, 2] = a[2, :2] = 0\n"
+        "r = quotient_norm(a, block_ideal_subspace([2, 1], [0]))\n"
+        "assert r.status == 'CERTIFIED' and abs(r.upper - abs(a[2, 2])) < 1e-12, r",
+    ],
+    ids=["domar_criterion_check", "block-quotient"],
+)
+def test_calls_that_need_no_heavy_scipy_subpackage(call):
+    # The suites that run these, domar-criterion and quotient-cone, are
+    # rows of test_heavy_imports_per_suite.
+    assert _loaded_heavy(call) == []
+
+
+def test_heavy_imports_per_suite():
+    # Every registered suite at its reduced config, in SUITE_NAMES order, in
+    # one interpreter: which heavy subpackages each suite is the first to
+    # load.  An eager import shows up here as a row, not as a silent +20 MB.
+    from test_acceptance import _REDUCED
+
+    code = (
+        "from oalab import SUITE_NAMES, SuiteConfig, run_suite\n"
+        f"reduced = {_REDUCED!r}\n"
+        "seen, table = set(), {}\n"
+        "for name in SUITE_NAMES:\n"
+        "    run_suite(SuiteConfig(suite=name, seed=3, **reduced[name]))\n"
+        f"    now = {{m for m in {HEAVY_SUBPACKAGES!r} if m in sys.modules}}\n"
+        "    table[name] = sorted(now - seen)\n"
+        "    seen = now\n"
+        "print(table)"
+    )
+    table = ast.literal_eval(_fresh("import sys\n" + code))
+    expected = {name: [] for name in suites.SUITE_NAMES}
+    expected["volterra"] = ["scipy.sparse"]
+    assert table == expected
 
 
 def _unused_imports(path: Path) -> list:

@@ -526,10 +526,13 @@ def domar_criterion_check(
     t_probe: float,
     tol: Tolerances = DEFAULT_TOL,
 ) -> WeightCriterionReport:
-    """Weight-criterion diagnostics on ``w``'s horizon; failures are entries, not errors."""
-    if t_probe <= 0:
-        raise ValueError("t_probe must be positive")
+    """Weight-criterion diagnostics on ``w``'s horizon; failures are entries, not errors.
+
+    ``0 < t_probe < horizon``: at or beyond the horizon nothing would be measured.
+    """
     horizon = w.horizon
+    if not 0 < t_probe < horizon:
+        raise ValueError(f"t_probe must lie in (0, {horizon:.3g}), got {t_probe}")
     ts = np.linspace(horizon / 400.0, horizon, 400)
     eta = w.eta(ts)
     second = np.diff(eta, 2)
@@ -549,8 +552,8 @@ def domar_criterion_check(
     # are undefined and analytic ones underflow.  The integrand's value at
     # the cutoff is added to the reported error, so that a tail that does
     # not decay shows; it flags such a tail and does not bound it.
-    value, err = _gauss_kronrod(integrand, 0.0, max(upper, 0.0))
-    err += float(integrand(max(upper, 0.0)))
+    value, err = _gauss_kronrod(integrand, 0.0, upper)
+    err += float(integrand(upper))
     return WeightCriterionReport(
         eta_convex=eta_convex,
         worst_second_difference=worst,

@@ -81,7 +81,7 @@ class MatrixMap:
         n, m = self.in_dim, self.out_dim
         if n < 1 or m < 1:
             raise ValueError("dimensions must be positive")
-        arr = np.asarray(self.action, dtype=complex)
+        arr = np.ascontiguousarray(self.action, dtype=complex)
         if arr.shape != (n, n, m, m):
             raise ValueError(
                 f"action must have shape {(n, n, m, m)}, got {arr.shape}"
@@ -92,20 +92,25 @@ class MatrixMap:
 
     def apply(self, x) -> np.ndarray:
         x = as_square_matrix(x)
-        if x.shape != (self.in_dim, self.in_dim):
-            raise ValueError(
-                f"expected a {self.in_dim}x{self.in_dim} argument, got {x.shape}"
-            )
-        return np.tensordot(x, self.action, axes=([0, 1], [0, 1]))
+        n = self.in_dim
+        if x.shape != (n, n):
+            raise ValueError(f"expected a {n}x{n} argument, got {x.shape}")
+        return self._images(x)[0]
+
+    def _images(self, xs: np.ndarray) -> np.ndarray:
+        """``T(x_b)`` for a ``(B, n, n)`` stack: ``np.matmul`` forms each ``(1, n^2)``
+        row product on its own, so an image rounds the same whatever ``B`` is."""
+        n, m = self.in_dim, self.out_dim
+        flat = np.matmul(xs.reshape(-1, 1, n * n), self.action.reshape(n * n, m * m))
+        return flat.reshape(-1, m, m)
 
     def adjoint_apply(self, y) -> np.ndarray:
         """The Frobenius adjoint: ``<T(x), y> = <x, adjoint_apply(y)>``."""
         y = as_square_matrix(y)
-        if y.shape != (self.out_dim, self.out_dim):
-            raise ValueError(
-                f"expected a {self.out_dim}x{self.out_dim} argument, got {y.shape}"
-            )
-        return np.tensordot(self.action.conj(), y, axes=([2, 3], [0, 1]))
+        n, m = self.in_dim, self.out_dim
+        if y.shape != (m, m):
+            raise ValueError(f"expected a {m}x{m} argument, got {y.shape}")
+        return np.dot(self.action.reshape(n * n, m * m).conj(), y.ravel()).reshape(n, n)
 
     @functools.cached_property
     def choi(self) -> np.ndarray:
@@ -153,17 +158,17 @@ def matrix_map_from_kraus(kraus: Sequence[np.ndarray]) -> MatrixMap:
     m, n = mats[0].shape
     if any(k.shape != (m, n) for k in mats):
         raise ValueError("Kraus operators must share one shape")
-    return matrix_map_from_function(
-        n, m, lambda x: sum(k @ x @ k.conj().T for k in mats)
-    )
+    # T(E_ab)[r, q] = sum_s K_s[r, a] conj(K_s[q, b])
+    ks = np.stack(mats)
+    return MatrixMap(in_dim=n, out_dim=m, action=np.einsum("sra,sqb->abrq", ks, ks.conj()))
 
 
 def identity_map(n: int) -> MatrixMap:
-    return matrix_map_from_function(n, n, lambda x: x)
+    return MatrixMap(in_dim=n, out_dim=n, action=np.eye(n * n).reshape(n, n, n, n))
 
 
 def transpose_map(n: int) -> MatrixMap:
-    return matrix_map_from_function(n, n, lambda x: x.T)
+    return MatrixMap(in_dim=n, out_dim=n, action=identity_map(n).action.swapaxes(2, 3))
 
 
 def _cp_choi_eigh(t: MatrixMap, tol: Tolerances):
@@ -203,10 +208,8 @@ def amplify(t: MatrixMap, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixMap:
         )
     action = np.zeros((kn, kn, km, km), dtype=complex)
     # index (i*n + a, j*n + b, i*m + r, j*m + s) carries T(E_ab)[r, s]
-    blocks = action.reshape(k, n, k, n, k, m, k, m)
-    for i in range(k):
-        for j in range(k):
-            blocks[i, :, j, :, i, :, j, :] = t.action
+    i, j = np.arange(k)[:, None], np.arange(k)
+    action.reshape(k, n, k, n, k, m, k, m)[i, :, j, :, i, :, j, :] = t.action
     amplified = MatrixMap(in_dim=kn, out_dim=km, action=action)
     if kn * km <= 1024:
         _verify_choi_shuffle(t, amplified, k, tol)
@@ -288,9 +291,9 @@ def ocp_falsify(
     or ``None``.  ``None`` is *not* a proof that the bound holds -- only a
     failed search; for a completely positive map, :func:`dilation_bound`
     proves a bound at every level at once.  Every returned witness is
-    independently re-verified: cone membership via the membership predicate
-    and the value by a fresh norm evaluation; ``value > c + iter_tol`` is
-    required.
+    independently re-verified: its value by a fresh norm evaluation, which
+    must exceed ``c + iter_tol``, and only then its cone membership via the
+    membership predicate.
     """
     if c <= 0:
         raise ValueError("the bound constant must be positive")
@@ -317,7 +320,7 @@ def ocp_falsify(
     draws = max(0, budget // 2 - len(candidates))
     for block in stack_slices(draws, max(kn, km)):
         xs = eye + haar_unitaries(rng, block.stop - block.start, kn)
-        mats = target - np.tensordot(xs, amp.action, axes=([1, 2], [0, 1]))
+        mats = target - amp._images(xs)
         gram = mats.conj().swapaxes(1, 2) @ mats
         if _psd_within(-gram, (best_val * (1.0 - GRAM_SCREEN_GUARD)) ** 2):
             continue
@@ -342,11 +345,10 @@ def ocp_falsify(
         svd_u, svd_vh = next_u, next_vh
 
     # Independent certification of the best candidate.
-    witness = best_x
-    certified_value = operator_norm(target - amp.apply(witness))
-    if in_F(witness, tol) and certified_value > c + tol.iter_tol:
+    certified_value = operator_norm(target - amp.apply(best_x))
+    if certified_value > c + tol.iter_tol and in_F(best_x, tol):
         return {
-            "x": matrix_to_json(witness),
+            "x": matrix_to_json(best_x),
             "level": k,
             "bound": float(c),
             "value": float(certified_value),
@@ -470,18 +472,15 @@ def stinespring(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> StinespringTripl
         raise ValueError("Stinespring factorization needs a completely positive map")
     n, m = t.in_dim, t.out_dim
     lam, vecs = eig
-    top = max(float(lam[-1]), 0.0)
-    kraus = []
-    for s in range(len(lam) - 1, -1, -1):
-        if lam[s] <= tol.rank_tol * max(top, 1.0):
-            break
-        kraus.append(np.sqrt(lam[s]) * vecs[:, s].reshape(n, m).T.copy())
-    if not kraus:
-        kraus = [np.zeros((m, n), dtype=complex)]
-    rebuilt = matrix_map_from_kraus(kraus)
+    # ``eigh`` sorts ascending: the kept eigenpairs are a suffix, taken from the top
+    keep = np.flatnonzero(lam > tol.rank_tol * max(float(lam[-1]), 1.0))[::-1]
+    ks = np.sqrt(lam[keep])[:, None, None] * vecs[:, keep].T.reshape(-1, n, m).swapaxes(1, 2)
+    if not keep.size:
+        ks = np.zeros((1, m, n), dtype=complex)
+    rebuilt = matrix_map_from_kraus(ks)
     residual = float(np.linalg.norm(t.action - rebuilt.action, axis=(2, 3)).max())
-    v = np.vstack([k.conj().T for k in kraus])
-    return StinespringTriple(kraus=kraus, v=v, residual=residual)
+    v = ks.conj().transpose(0, 2, 1).reshape(-1, m)
+    return StinespringTriple(kraus=list(ks), v=v, residual=residual)
 
 
 def dilation_bound(t: MatrixMap, c: float, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -591,13 +590,9 @@ def cp_extension_search(
     if not mats:
         raise ValueError("need at least one agreement pair")
     stack = np.stack([a.ravel() for a, _ in mats]).T
-    unit_coeffs, res, _, _ = np.linalg.lstsq(
-        stack, np.eye(n, dtype=complex).ravel(), rcond=None
-    )
-    unit_residual = float(
-        np.linalg.norm(stack @ unit_coeffs - np.eye(n, dtype=complex).ravel())
-    )
-    if unit_residual > tol.rank_tol * n:
+    unit = np.eye(n, dtype=complex).ravel()
+    unit_coeffs = np.linalg.lstsq(stack, unit, rcond=None)[0]
+    if np.linalg.norm(stack @ unit_coeffs - unit) > tol.rank_tol * n:
         raise ValueError("the identity must lie in the span of the domain elements")
 
     size = n * m

@@ -370,6 +370,24 @@ class TestWeightCriterion:
         # The integrand at the cutoff flags the non-decaying tail.
         assert report.ratio_integral_error == pytest.approx(math.exp(-2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("beyond", [0.0, 6.0])
+    @pytest.mark.parametrize("kind", ["gaussian", "custom"])
+    def test_probe_at_or_beyond_the_horizon_rejected(self, kind, beyond):
+        # The ratio integral runs over [0, horizon - t_probe]: an empty
+        # interval measures nothing, for either kind of weight.
+        if kind == "gaussian":
+            w = make_weight("gaussian")
+        else:
+            w = make_weight("custom", omega=lambda t: np.exp(-np.asarray(t) ** 2), horizon=24.0)
+        assert w.horizon == 24.0
+        with pytest.raises(ValueError, match="t_probe"):
+            domar_criterion_check(w, w.horizon + beyond)
+
+    @pytest.mark.parametrize("t_probe", [0.0, -1.0, float("nan")])
+    def test_nonpositive_probe_rejected(self, t_probe):
+        with pytest.raises(ValueError, match="t_probe"):
+            domar_criterion_check(make_weight("gaussian"), t_probe)
+
     def test_json(self):
         payload = json.loads(
             domar_criterion_check(make_weight("gaussian"), 1.0).to_json()

@@ -32,8 +32,10 @@ from oalab.ocpmap import (
     disk_test,
     entangled_cone_element,
     identity_map,
+    matrix_map_from_function,
     matrix_map_from_kraus,
     ocp_falsify,
+    stinespring,
     transpose_map,
 )
 from oalab.sampling import (
@@ -113,6 +115,31 @@ def sequential_ocp_falsify(t, c, k, budget, seed, tol=DEFAULT_TOL):
     return None
 
 
+def sequential_stinespring(t, tol=DEFAULT_TOL):
+    """Kraus operators, ``v`` and residual, one Choi eigenpair at a time from the top."""
+    lam, vecs = ocpmap._cp_choi_eigh(t, tol)
+    n, m = t.in_dim, t.out_dim
+    top = max(float(lam[-1]), 0.0)
+    kraus = []
+    for s in range(len(lam) - 1, -1, -1):
+        if lam[s] <= tol.rank_tol * max(top, 1.0):
+            break
+        kraus.append(np.sqrt(lam[s]) * vecs[:, s].reshape(n, m).T.copy())
+    if not kraus:
+        kraus = [np.zeros((m, n), dtype=complex)]
+    rebuilt = matrix_map_from_kraus(kraus)
+    residual = float(np.linalg.norm(t.action - rebuilt.action, axis=(2, 3)).max())
+    return kraus, np.vstack([k.conj().T for k in kraus]), residual
+
+
+def sequential_kraus_action(kraus):
+    """``T(E_ij) = sum_s K_s E_ij K_s^*`` tabulated one matrix unit at a time."""
+    m, n = kraus[0].shape
+    return matrix_map_from_function(
+        n, m, lambda x: sum(k @ x @ k.conj().T for k in kraus)
+    ).action
+
+
 def sequential_numerical_range(x, theta_count):
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_count, endpoint=False)
     boundary = np.empty(theta_count, dtype=complex)
@@ -152,6 +179,17 @@ def sequential_constraints(mats, n, m):
 
 def _kraus_map(rng, n, m):
     return matrix_map_from_kraus([complex_normal(rng, (m, n)) for _ in range(2)])
+
+
+def _isometric_map(rng, n, m):
+    """``x -> V x V*`` for an isometry ``V``: ``||1 - T(1 + u)|| = 1`` on every unitary."""
+    return matrix_map_from_kraus([haar_unitary(rng, m)[:, :n]])
+
+
+# Every (n, m, k) with n, m, k in {1, 2, 3}: kn, km <= 9, and kn = 1 at (1, m, 1).
+LEVEL_CASES = [(n, m, k) for n in (1, 2, 3) for m in (1, 2, 3) for k in (1, 2, 3)]
+
+HAIR_TRIGGER = Tolerances(iter_tol=1e-300)
 
 
 def _block(kn, km):
@@ -227,6 +265,23 @@ class TestOperatorNorms:
             operator_norms(stack)
 
 
+class TestImages:
+    """``MatrixMap._images`` is one batched product: each draw rounds as in
+    the one-draw ``apply``, whatever the stack's length."""
+
+    @pytest.mark.parametrize("n, m, k", LEVEL_CASES)
+    def test_stacked_images_equal_one_draw_apply(self, n, m, k):
+        rng = np.random.default_rng(9 * n + 3 * m + k)
+        amp = amplify(_kraus_map(rng, n, m), k)
+        kn, km = k * n, k * m
+        for count in (1, 2, _block(kn, km)):
+            xs = np.eye(kn) + haar_unitaries(rng, count, kn)
+            images = amp._images(xs)
+            assert images.shape == (count, km, km)
+            for image, x in zip(images, xs):
+                assert np.array_equal(image, amp.apply(x))
+
+
 class TestFalsifyStacked:
     # Haar draws = budget // 2 minus 2 or 3 starting candidates.  A block
     # holds 256 draws at kn = km = 4 and 50 at max(kn, km) = 9, so these
@@ -287,6 +342,17 @@ class TestFalsifyStacked:
         for seed in (0, 3):
             got = ocp_falsify(t, 1.5, k=3, budget=230, seed=seed)
             assert got == sequential_ocp_falsify(t, 1.5, 3, 230, seed)
+
+    # With an iteration tolerance far below the rounding, a witness is any
+    # draw whose value rounds above c, so the reference and the kernel agree
+    # only if every image and every norm rounds the same in both.
+    @pytest.mark.parametrize("n, m, k", LEVEL_CASES)
+    def test_hair_trigger_witnesses_equal_the_reference(self, n, m, k):
+        t = _kraus_map(np.random.default_rng(70 + 9 * n + 3 * m + k), n, m)
+        natural = operator_norm(t.apply(np.eye(n)))
+        for c in (natural, 0.5 * natural):
+            got = ocp_falsify(t, c, k=k, budget=200, seed=5, tol=HAIR_TRIGGER)
+            assert got == sequential_ocp_falsify(t, c, k, 200, 5, HAIR_TRIGGER)
 
 
 class TestNumericalRangeStacked:
@@ -449,7 +515,7 @@ class TestGramScreen:
         eye = np.eye(4)
 
         def values(xs):
-            return operator_norms(c * eye - np.tensordot(xs, amp.action, axes=([1, 2], [0, 1])))
+            return operator_norms(c * eye - amp._images(xs))
 
         candidates = np.array([2.0 * eye, 0.0 * eye, entangled_cone_element(2)])
         first_block = eye + haar_unitaries(np.random.default_rng(seed), _block(4, 4), 4)
@@ -466,28 +532,37 @@ class TestGramScreen:
     # x = 0, so no screen passes.  With an iteration tolerance far below the
     # rounding, the witness is the first draw whose value rounds above c,
     # which the screen must neither skip nor reorder.
-    HAIR_TRIGGER = Tolerances(iter_tol=1e-300)
+    def _assert_ties_on_every_block(self, svd_calls, t, k, budget):
+        c = operator_norm(t.apply(np.eye(t.in_dim)))
+        assert ocp_falsify(t, c, k=k, budget=budget, seed=8) is None
+        expected = sequential_ocp_falsify(t, c, k, budget, 8, HAIR_TRIGGER)
+        svd_calls.clear()
+        assert ocp_falsify(t, c, k=k, budget=budget, seed=8, tol=HAIR_TRIGGER) == expected
+        assert expected is not None
+        assert len(_stacked(svd_calls)) == _haar_blocks(t, k, budget)
 
     @pytest.mark.parametrize(
-        "n, m, k, budget", [(1, 1, 3, 1000), (1, 2, 2, 600), (1, 3, 2, 600), (1, 3, 3, 1000)]
+        "n, m, k, budget",
+        [(1, 1, 3, 1000), (1, 2, 2, 600), (1, 3, 1, 600), (1, 3, 2, 600), (1, 3, 3, 1000)],
     )
     def test_a_map_from_m1_ties_on_every_block(self, svd_calls, n, m, k, budget):
         # T(x) = x T(1) makes ||c 1 - T_k(1 + u)|| = c on every unitary u.
         t = _kraus_map(np.random.default_rng(40 + m), n, m)
-        c = operator_norm(t.apply(np.eye(n)))
-        assert ocp_falsify(t, c, k=k, budget=budget, seed=8) is None
-        expected = sequential_ocp_falsify(t, c, k, budget, 8, self.HAIR_TRIGGER)
-        svd_calls.clear()
-        assert ocp_falsify(t, c, k=k, budget=budget, seed=8, tol=self.HAIR_TRIGGER) == expected
-        assert expected is not None
-        assert len(_stacked(svd_calls)) == _haar_blocks(t, k, budget)
+        self._assert_ties_on_every_block(svd_calls, t, k, budget)
+
+    @pytest.mark.parametrize("n, m, k, budget", [(2, 3, 1, 600), (2, 3, 2, 600)])
+    def test_an_isometric_conjugation_ties_on_every_block(self, svd_calls, n, m, k, budget):
+        # 1 - V(1 + u)V* is the projection 1 - VV* plus -VuV* on the range
+        # of V, so its norm is 1 = ||T(1)|| on every unitary u.
+        t = _isometric_map(np.random.default_rng(60 + m), n, m)
+        self._assert_ties_on_every_block(svd_calls, t, k, budget)
 
     def test_identity_map_ties_on_every_block(self, svd_calls):
         t = identity_map(2)
         assert ocp_falsify(t, 1.0, k=2, budget=1100, seed=3) is None
-        expected = sequential_ocp_falsify(t, 1.0, 2, 1100, 3, self.HAIR_TRIGGER)
+        expected = sequential_ocp_falsify(t, 1.0, 2, 1100, 3, HAIR_TRIGGER)
         svd_calls.clear()
-        assert ocp_falsify(t, 1.0, k=2, budget=1100, seed=3, tol=self.HAIR_TRIGGER) == expected
+        assert ocp_falsify(t, 1.0, k=2, budget=1100, seed=3, tol=HAIR_TRIGGER) == expected
         assert expected is not None
         assert len(_stacked(svd_calls)) == _haar_blocks(t, 2, 1100) == 3
 
@@ -593,3 +668,97 @@ class TestChoiEigenCounts:
         assert ocpmap.is_cp(_kraus_map(np.random.default_rng(3), 3, 2))
         assert not ocpmap.is_cp(transpose_map(3))
         assert eigen_calls == ["eigh", "eigh"]
+
+
+class TestKrausStacked:
+    """``stinespring``'s Kraus selection and ``matrix_map_from_kraus``'s
+    tabulation against the loops they replaced."""
+
+    @staticmethod
+    def _maps(count):
+        # every tenth map is zero and every tenth is rank deficient: its
+        # Kraus operators are multiples of one another
+        rng = np.random.default_rng(17)
+        for trial in range(count):
+            n, m, r = (int(d) for d in rng.integers(1, 4, size=3))
+            kraus = [complex_normal(rng, (m, n)) for _ in range(r)]
+            if trial % 10 == 0:
+                kraus = [np.zeros((m, n), dtype=complex)]
+            elif trial % 10 == 1:
+                kraus = [kraus[0], 2j * kraus[0], -kraus[0]]
+            yield kraus
+
+    def test_stinespring_equals_the_eigenpair_loop(self):
+        for kraus in self._maps(300):
+            t = matrix_map_from_kraus(kraus)
+            triple = stinespring(t)
+            ref_kraus, ref_v, ref_residual = sequential_stinespring(t)
+            assert len(triple.kraus) == len(ref_kraus)
+            assert all(np.array_equal(a, b) for a, b in zip(triple.kraus, ref_kraus))
+            assert np.array_equal(triple.v, ref_v)
+            assert triple.residual == ref_residual
+
+    def test_kraus_action_equals_the_matrix_unit_loop(self):
+        for kraus in self._maps(300):
+            action = matrix_map_from_kraus(kraus).action
+            expected = sequential_kraus_action(kraus)
+            scale = max(float(np.abs(expected).max()), np.finfo(float).tiny)
+            assert np.abs(action - expected).max() <= 1e-14 * scale
+
+
+class TestOcpFalsifyTraffic:
+    """What one ``ocp_falsify`` call and one ocp-falsify suite run compute."""
+
+    @pytest.fixture
+    def in_f_calls(self, monkeypatch):
+        calls = []
+        member = ocpmap.in_F
+        monkeypatch.setattr(ocpmap, "in_F", lambda x, tol: calls.append(x) or member(x, tol))
+        return calls
+
+    def test_membership_is_checked_only_on_a_returned_witness(self, in_f_calls):
+        t = _kraus_map(np.random.default_rng(5), 2, 3)
+        c = operator_norm(t.apply(np.eye(2)))
+        assert ocp_falsify(t, c, k=2, budget=200, seed=1) is None
+        assert in_f_calls == []
+        witness = ocp_falsify(transpose_map(2), 1.0, k=2, budget=200, seed=1)
+        assert witness is not None
+        assert len(in_f_calls) == 1
+
+    def test_suite_amplifies_once_per_call_and_factors_once_per_map(
+        self, monkeypatch, eigen_calls
+    ):
+        from oalab import suites
+        from test_acceptance import _REDUCED
+
+        counts = {"ocp_falsify": 0, "shuffle": 0}
+        inside, tensordot_inside = [], []
+        verify, tensordot = ocpmap._verify_choi_shuffle, np.tensordot
+
+        def falsify(*args, **kwargs):
+            counts["ocp_falsify"] += 1
+            inside.append(True)
+            try:
+                return ocp_falsify(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def shuffle(*args):
+            counts["shuffle"] += 1
+            return verify(*args)
+
+        def counted_tensordot(*args, **kwargs):
+            tensordot_inside.append(bool(inside))
+            return tensordot(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "ocp_falsify", falsify)
+        monkeypatch.setattr(ocpmap, "_verify_choi_shuffle", shuffle)
+        monkeypatch.setattr(np, "tensordot", counted_tensordot)
+        trials = _REDUCED["ocp-falsify"]["trials"]
+        report = suites.run_suite(suites.SuiteConfig(suite="ocp-falsify", seed=3, trials=trials))
+        assert report.failures == []
+        # three transpose bounds, then levels 1-3 for each CP map
+        assert counts == {"ocp_falsify": 3 + 3 * trials, "shuffle": 3 + 3 * trials}
+        assert not any(tensordot_inside)
+        # dilation_bound's stinespring is the only Choi factorization
+        assert eigen_calls.count("eigh") == trials

@@ -479,7 +479,7 @@ def stinespring(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> StinespringTripl
         ks = np.zeros((1, m, n), dtype=complex)
     rebuilt = matrix_map_from_kraus(ks)
     residual = float(np.linalg.norm(t.action - rebuilt.action, axis=(2, 3)).max())
-    v = ks.conj().transpose(0, 2, 1).reshape(-1, m)
+    v = ks.conj().swapaxes(1, 2).reshape(-1, m)
     return StinespringTriple(kraus=list(ks), v=v, residual=residual)
 
 

@@ -2,7 +2,8 @@
 
 ``ocp_falsify``'s Haar phase, ``numerical_range``, ``disk_test`` and the
 ``cp_extension_search`` constraint rows run as stacked numpy calls over
-``(B, n, n)`` blocks.  The sequential versions are kept here as references:
+``(B, n, n)`` blocks, and ``stinespring``'s Kraus selection and
+``matrix_map_from_kraus``'s tabulation as single numpy calls.  The sequential versions are kept here as references:
 where the arithmetic per matrix is unchanged the results must be equal bit
 for bit, and where a reduction runs in another order (the boundary points
 of the numerical range) within a tolerance fixed from the dtype.
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oalab import ocpmap
+from oalab import ocpmap, suites
 from oalab.calculus import matrix_power_r, spectral_idempotent
 from oalab.cone import in_F
 from oalab.matcore import (
@@ -729,7 +730,6 @@ class TestOcpFalsifyTraffic:
     def test_suite_amplifies_once_per_call_and_factors_once_per_map(
         self, monkeypatch, eigen_calls
     ):
-        from oalab import suites
         from test_acceptance import _REDUCED
 
         counts = {"ocp_falsify": 0, "shuffle": 0}

@@ -3,10 +3,11 @@
 ``ocp_falsify``'s Haar phase, ``numerical_range``, ``disk_test`` and the
 ``cp_extension_search`` constraint rows run as stacked numpy calls over
 ``(B, n, n)`` blocks, and ``stinespring``'s Kraus selection and
-``matrix_map_from_kraus``'s tabulation as single numpy calls.  The sequential versions are kept here as references:
-where the arithmetic per matrix is unchanged the results must be equal bit
-for bit, and where a reduction runs in another order (the boundary points
-of the numerical range) within a tolerance fixed from the dtype.
+``matrix_map_from_kraus``'s tabulation as single numpy calls.  The
+sequential versions are kept here as references: where the arithmetic per
+matrix is unchanged the results must be equal bit for bit, and where a
+reduction runs in another order (the boundary points of the numerical
+range, the Kraus tabulation) within a tolerance fixed from the dtype.
 """
 
 import numpy as np

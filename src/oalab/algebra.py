@@ -735,28 +735,89 @@ def _dual_bound(g: np.ndarray, m: np.ndarray, J: Subspace) -> float:
     return abs(np.vdot(g, m)) / nuc
 
 
-# quotient_norm's smoothing parameters, lowered tenfold, and its L-BFGS-B
-# settings: at the default ftol of 2.2e-9 the last stages stop too early.
+class _SmoothedNorm(NamedTuple):
+    """The smoothed norm of ``m`` at one point; see :func:`_dilation_objective`."""
+
+    value: float  # f_mu
+    top: float  # lambda_max(H) = ||m||
+    m: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    dual: np.ndarray  # G = 2 P[:n, n:]
+
+
+def _dilation_objective(a: np.ndarray, j_mats: np.ndarray, x: np.ndarray, mu: float) -> _SmoothedNorm:
+    """``f_mu = mu log tr exp(H / mu)`` with its gradient and Hessian in ``x``.
+
+    ``H = [[0, m], [m*, 0]]`` is the Hermitian dilation of
+    ``m = a - sum_k c_k J_k``, ``c = x[:k] + i x[k:]``.  Its eigenvalues are
+    ``+-sigma_i(m)``, so ``||m|| <= f_mu <= ||m|| + mu log 2n``, and unlike
+    ``mu log sum_i exp(sigma_i / mu)`` it is smooth where ``m`` is singular.
+    One ``eigh`` ``H = Q diag(lam) Q*`` gives everything.  With
+    ``p = softmax(lam / mu)`` and ``D_r = Q* (dH / dx_r) Q``, the gradient is
+    ``sum_a p_a D_r[a, a]`` and the Hessian is the Daleckii–Krein form
+    ``Re sum_ab L_ab D_r[a, b] conj(D_s[a, b]) - g g^T / mu``, where
+    ``L_ab = (p_a - p_b) / (lam_a - lam_b)`` and ``L_aa = p_a / mu``.  The
+    dual candidate is ``G = 2 P[:n, n:]`` with ``P = Q diag(p) Q*``, the
+    matrix whose inner products with the ``J_k`` are the gradient.
+    """
+    n, k = a.shape[0], len(j_mats)
+    m = a - linear_combination(x[:k] + 1j * x[k:], j_mats)
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    h[:n, n:] = m
+    h[n:, :n] = m.conj().T
+    lam, q = np.linalg.eigh(h)
+    w = np.exp((lam - lam[-1]) / mu)
+    total = float(np.sum(w))
+    p = w / total
+    # D_r = X + X* with X = Q1* dm Q2, where dm = -J_r along Re c_r and
+    # -i J_r along Im c_r.
+    q1, q2 = q[:n], q[n:]
+    y = q1.conj().T @ j_mats @ q2
+    yh = np.swapaxes(y.conj(), 1, 2)
+    d = np.concatenate([-(y + yh), -1j * (y - yh)]).reshape(2 * k, -1)
+    grad = d[:, :: 2 * n + 1].real @ p
+    # L_ab as max(p_a, p_b) (1 - e^-t) / (mu t), t = |lam_a - lam_b| / mu:
+    # no cancellation between close eigenvalues.
+    t = np.abs(lam[:, None] - lam) / mu
+    ell = np.maximum.outer(p, p) / mu * np.divide(-np.expm1(-t), t, out=np.ones_like(t), where=t > 0)
+    hess = ((d * ell.ravel()) @ d.conj().T).real - np.outer(grad, grad) / mu
+    return _SmoothedNorm(
+        value=float(lam[-1]) + mu * np.log(total),
+        top=float(lam[-1]),
+        m=m,
+        grad=grad,
+        hess=hess,
+        dual=2.0 * (q1 * p) @ q2.conj().T,
+    )
+
+
+# quotient_norm's smoothing parameters, lowered tenfold.
 QUOTIENT_MU_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-QUOTIENT_LBFGS_OPTIONS = {"ftol": 1e-12}
 
 
 def quotient_norm(a, J: Subspace, tol: Tolerances = DEFAULT_TOL) -> QuotientNormResult:
     """Certified quotient norm ``min_{j in J} ||a - j||`` (operator norm).
 
-    Minimizes the smoothed norm ``f_mu = mu log sum_i exp(sigma_i / mu)`` of
-    ``m = a - sum_k c_k J_k`` over the real and imaginary parts of ``c``:
-    L-BFGS-B, then a root of the gradient, for each ``mu`` in
-    :data:`QUOTIENT_MU_SCHEDULE`, each stage starting where the last ended.
-    One SVD of ``m`` gives ``f_mu``, ``sigma_max`` (the upper bound, at an
-    explicit ``c``) and ``G = U diag(softmax(sigma / mu)) V*``, whose inner
-    products with the ``J_k`` are the gradient and which is the dual
-    candidate of the lower bound: at a stationary point ``G`` is orthogonal
-    to ``J`` and ``<G, m> >= sigma_max - mu log n``.  The Frobenius
-    projection is tried first, with ``G`` the top singular pair (``mu -> 0``),
-    which settles block-diagonal and triangular quotients with one SVD.
-    CERTIFIED as soon as the gap is at most ``iter_tol``, INCONCLUSIVE if the
-    schedule ends first.  No random numbers are drawn.
+    Minimizes the smoothed norm ``f_mu = mu log tr exp(H / mu)`` of the
+    Hermitian dilation ``H = [[0, m], [m*, 0]]`` of ``m = a - sum_k c_k J_k``
+    (see :func:`_dilation_objective`) over the real and imaginary parts of
+    ``c``, for each ``mu`` in :data:`QUOTIENT_MU_SCHEDULE`, each stage
+    starting where the last ended.  Each stage is a Levenberg–Marquardt
+    Newton iteration on the exact Hessian: a step that achieves more than a
+    tenth of its predicted decrease is taken and the damping quartered,
+    otherwise the damping is quadrupled.  Once the predicted decrease is
+    below the rounding of ``f_mu``, a step is taken if it shrinks the
+    gradient, and the stage ends at the first that does not: the lower bound
+    needs a far smaller gradient than ``f_mu`` can resolve.  The last
+    ``G = 2 P[:n, n:]`` of a stage is the dual candidate of the lower bound:
+    at a stationary point ``G`` is orthogonal to ``J`` and
+    ``<G, m> >= ||m|| - mu log 2n``.  ``upper`` is the operator norm at the
+    coefficients of the smallest ``||m||`` seen.  The Frobenius projection
+    is tried first, with ``G`` the top singular pair, which settles
+    block-diagonal and triangular quotients with one SVD.  CERTIFIED as soon
+    as the gap is at most ``iter_tol``, INCONCLUSIVE if the schedule ends
+    first.  No random numbers are drawn.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
@@ -770,53 +831,48 @@ def quotient_norm(a, J: Subspace, tol: Tolerances = DEFAULT_TOL) -> QuotientNorm
             minimizer_coeffs=np.zeros(0, dtype=complex),
         )
     j_mats = J.basis.reshape(k, n, n)
-    best_upper, best_coeffs = np.inf, None
-
-    def smoothed(c, mu):
-        """``f_mu``, ``G`` and ``m`` at ``c``; ``mu = 0`` gives the top pair as ``G``."""
-        nonlocal best_upper, best_coeffs
-        m = a - linear_combination(c, j_mats)
-        u, s, vh = np.linalg.svd(m)
-        if s[0] < best_upper:
-            best_upper, best_coeffs = float(s[0]), c
-        if mu == 0.0:
-            return float(s[0]), np.outer(u[:, 0], vh[0]), m
-        w = np.exp((s - s[0]) / mu)
-        total = float(np.sum(w))
-        return float(s[0]) + mu * np.log(total), (u * (w / total)) @ vh, m
-
-    def objective(x, mu):
-        f, g, _ = smoothed(x[:k] + 1j * x[k:], mu)
-        inner = J.basis @ g.conj().ravel()  # <G, J_k>
-        return f, np.concatenate([-inner.real, inner.imag])
-
     # The basis is orthonormal, so the Frobenius projection's coefficients
     # are plain inner products.
-    warm = J.basis.conj() @ a.ravel()
-    _, g, m = smoothed(warm, 0.0)
-    lower = _dual_bound(g, m, J)
-    x = np.concatenate([warm.real, warm.imag])
+    best = J.basis.conj() @ a.ravel()
+    m = a - linear_combination(best, j_mats)
+    u, s, vh = np.linalg.svd(m)
+    upper = float(s[0])
+    lower = _dual_bound(np.outer(u[:, 0], vh[0]), m, J)
+    x = np.concatenate([best.real, best.imag])
     for mu in QUOTIENT_MU_SCHEDULE:
-        if best_upper - lower <= tol.iter_tol:
+        if upper - lower <= tol.iter_tol:
             break
-        # Imported here, so a quotient that the warm start settles never
-        # loads scipy.optimize (about 20 MB and a quarter second).
-        import scipy.optimize
-
-        x = scipy.optimize.minimize(
-            objective, x, args=(mu,), jac=True, method="L-BFGS-B",
-            options=QUOTIENT_LBFGS_OPTIONS,
-        ).x
-        # L-BFGS-B stops once f_mu no longer decreases measurably, with the
-        # gradient, and so G's component in J, still near 1e-6; a root of
-        # the gradient needs no f values.
-        x = scipy.optimize.root(lambda y: objective(y, mu)[1], x, method="hybr").x
-        _, g, m = smoothed(x[:k] + 1j * x[k:], mu)
-        lower = max(lower, _dual_bound(g, m, J))
-    status = "CERTIFIED" if best_upper - lower <= tol.iter_tol else "INCONCLUSIVE"
-    return QuotientNormResult(
-        lower=lower, upper=best_upper, status=status, minimizer_coeffs=best_coeffs
-    )
+        cur = _dilation_objective(a, j_mats, x, mu)
+        top, top_x = cur.top, x
+        # The damping starts at a two-hundredth of the largest curvature
+        # there can be: the J_k are orthonormal, so none exceeds 2 / mu.
+        damping = 1e-2 / mu
+        for _ in range(1000):
+            step = np.linalg.solve(cur.hess + damping * np.eye(2 * k), -cur.grad)
+            predicted = -(cur.grad @ step + 0.5 * step @ cur.hess @ step)
+            trial = _dilation_objective(a, j_mats, x + step, mu)
+            if trial.top < top:
+                top, top_x = trial.top, x + step
+            # f_mu is rounded to about 1e-14 of its size; above that, its
+            # decrease judges the step.
+            if predicted > 1e-14 * max(1.0, abs(cur.value)):
+                if cur.value - trial.value > 0.1 * predicted:
+                    x, cur, damping = x + step, trial, damping / 4
+                else:
+                    damping *= 4
+            # Below the rounding of f_mu the gradient judges the step, and
+            # the first step that does not shrink it ends the stage.
+            elif np.linalg.norm(trial.grad) < np.linalg.norm(cur.grad):
+                x, cur, damping = x + step, trial, damping / 4
+            else:
+                break
+        lower = max(lower, _dual_bound(cur.dual, cur.m, J))
+        c = top_x[:k] + 1j * top_x[k:]
+        nrm = operator_norm(a - linear_combination(c, j_mats))
+        if nrm < upper:
+            upper, best = nrm, c
+    status = "CERTIFIED" if upper - lower <= tol.iter_tol else "INCONCLUSIVE"
+    return QuotientNormResult(lower=lower, upper=upper, status=status, minimizer_coeffs=best)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -30,11 +30,11 @@ def test_exports_are_the_module_objects():
 
 
 # Subpackages that `import oalab` must not load.  scipy.signal once cost
-# half a second of a fresh import.  scipy.optimize (with scipy.special,
-# scipy.spatial, scipy.fft and scipy.sparse behind it) costs about 0.27 s
-# and 22 MB, and only quotient_norm loads it, at its first L-BFGS-B stage;
-# volterra_norm loads scipy.sparse.  scipy.integrate, once behind
-# domar_criterion_check, is used by no module.
+# half a second of a fresh import, and scipy.optimize (with scipy.special,
+# scipy.spatial, scipy.fft and scipy.sparse behind it) about 0.27 s and
+# 22 MB.  Only volterra_norm loads one, scipy.sparse, at its first call.
+# scipy.optimize, once behind quotient_norm's descent, and scipy.integrate,
+# once behind domar_criterion_check, are used by no module.
 HEAVY_SUBPACKAGES = (
     "scipy.signal",
     "scipy.optimize",
@@ -76,14 +76,6 @@ def test_disk_test_suite_loads_no_heavy_scipy_subpackage():
     "call, loads",
     [
         (
-            "from oalab import matrix_span, quotient_norm\n"
-            "from oalab.sampling import complex_normal\n"
-            "import numpy as np\n"
-            "a, j = complex_normal(np.random.default_rng(1), (2, 3, 3))\n"
-            "assert quotient_norm(a, matrix_span([j])).status == 'CERTIFIED'",
-            "scipy.optimize",
-        ),
-        (
             "from oalab import volterra_norm\n"
             "import numpy as np\n"
             "assert abs(volterra_norm(50) - 1 / (100 * np.tan(np.pi / 200))) < 1e-12",
@@ -92,7 +84,7 @@ def test_disk_test_suite_loads_no_heavy_scipy_subpackage():
     ],
 )
 def test_lazy_imports_work_on_the_first_call(call, loads):
-    # Each routine imports its scipy subpackage when first called.
+    # A routine that needs a scipy subpackage imports it when first called.
     assert loads in _loaded_heavy(call)
 
 
@@ -111,8 +103,16 @@ def test_lazy_imports_work_on_the_first_call(call, loads):
         "a[:2, 2] = a[2, :2] = 0\n"
         "r = quotient_norm(a, block_ideal_subspace([2, 1], [0]))\n"
         "assert r.status == 'CERTIFIED' and abs(r.upper - abs(a[2, 2])) < 1e-12, r",
+        # The warm start does not settle a random one-dimensional J, so
+        # this runs the Newton descent.
+        "from oalab import matrix_span, quotient_norm\n"
+        "from oalab.sampling import complex_normal\n"
+        "import numpy as np\n"
+        "a, j = complex_normal(np.random.default_rng(1), (2, 3, 3))\n"
+        "r = quotient_norm(a, matrix_span([j]))\n"
+        "assert r.status == 'CERTIFIED' and r.lower < r.upper, r",
     ],
-    ids=["domar_criterion_check", "block-quotient"],
+    ids=["domar_criterion_check", "block-quotient", "random-quotient"],
 )
 def test_calls_that_need_no_heavy_scipy_subpackage(call):
     # The suites that run these, domar-criterion and quotient-cone, are
@@ -141,6 +141,32 @@ def test_heavy_imports_per_suite():
     expected = {name: [] for name in suites.SUITE_NAMES}
     expected["volterra"] = ["scipy.sparse"]
     assert table == expected
+
+
+def _imported_modules(path: Path) -> set:
+    """Dotted names of the modules a source file imports, at any depth;
+    ``from scipy import optimize`` counts as ``scipy.optimize``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+            names |= {f"{node.module}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_no_module_imports_scipy_optimize():
+    # quotient_norm's descent is a numpy Newton iteration; an import of
+    # scipy.optimize anywhere in the package, even inside a function, would
+    # bring back its 20 MB.
+    package = Path(oalab.__file__).parent
+    importers = sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.") for name in _imported_modules(path))
+    )
+    assert importers == []
 
 
 def _unused_imports(path: Path) -> list:

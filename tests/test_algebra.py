@@ -423,10 +423,10 @@ class TestDilationObjective:
         x = rng.standard_normal(2 * k)
         a = complex_normal(rng, (n, n))
         if singular:
-            r = n // 2
-            m = complex_normal(rng, (n, r)) @ complex_normal(rng, (r, n))
+            rank = n // 2
+            m = complex_normal(rng, (n, rank)) @ complex_normal(rng, (rank, n))
             a = m + linear_combination(x[:k] + 1j * x[k:], j_mats)
-            assert np.linalg.matrix_rank(_dilation_objective(a, j_mats, x, mu).m) == r
+            assert np.linalg.matrix_rank(_dilation_objective(a, j_mats, x, mu).m) == rank
         at = _dilation_objective(a, j_mats, x, mu)
         h = 1e-4 * mu
         grad_fd, hess_fd = np.empty(2 * k), np.empty((2 * k, 2 * k))

@@ -109,8 +109,7 @@ def test_lazy_imports_work_on_the_first_call(call, loads):
         "from oalab.sampling import complex_normal\n"
         "import numpy as np\n"
         "a, j = complex_normal(np.random.default_rng(1), (2, 3, 3))\n"
-        "r = quotient_norm(a, matrix_span([j]))\n"
-        "assert r.status == 'CERTIFIED' and r.lower < r.upper, r",
+        "assert quotient_norm(a, matrix_span([j])).status == 'CERTIFIED'",
     ],
     ids=["domar_criterion_check", "block-quotient", "random-quotient"],
 )

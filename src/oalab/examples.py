@@ -23,11 +23,12 @@ Three constructions:
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .algebra import FDAlgebra
-from .matcore import DEFAULT_TOL, Tolerances, operator_norms, stack_slices
+from .matcore import DEFAULT_TOL, ConvergenceError, Tolerances, operator_norms, stack_slices
 
 __all__ = [
     "RdrExample",
@@ -112,26 +113,36 @@ def volterra(n: int) -> np.ndarray:
     return v
 
 
+_POWER_STEP_CAP = 100  # volterra_norm's steps; no n up to 10^6 takes more than 18
+
+
 def volterra_norm(n: int) -> float:
     """``||volterra(n)||`` without forming the matrix.
 
     ``V x = (cumsum(x) - x/2)/n`` and ``V* y`` is the same sum taken from
-    the other end, so ARPACK's Lanczos iteration finds the top eigenvalue of
-    the real ``V* V`` in ``O(n)`` memory and time per step.  The start vector
-    is fixed (all ones, which the top eigenvector, a sampled
-    ``cos(pi t / 2)``, does not annihilate), so repeated calls return the
-    same bits.  The closed form is ``1 / (2n tan(pi / 4n))``.
+    the other end, so a power iteration on the real ``V* V`` costs ``O(n)``
+    per step.  Its top two eigenvalues differ by a factor of about 9, and
+    the Rayleigh quotient, which converges at their squared ratio, is
+    returned once a step moves it by at most four ulps
+    (:class:`~oalab.matcore.ConvergenceError` after ``_POWER_STEP_CAP``
+    steps).  The start vector is fixed (all ones, which the top eigenvector,
+    a sampled ``cos(pi t / 2)``, does not annihilate), so repeated calls
+    return the same bits.  The closed form is ``1 / (2n tan(pi / 4n))``.
     """
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     if n < 2:
         raise ValueError("n must be at least 2")
 
     def gram(x: np.ndarray) -> np.ndarray:
-        x = np.ravel(x)
         vx = (np.cumsum(x) - x / 2.0) / n
         return (np.cumsum(vx[::-1])[::-1] - vx / 2.0) / n
 
-    op = LinearOperator((n, n), matvec=gram, dtype=float)
-    top = eigsh(op, k=1, which="LA", tol=0, v0=np.ones(n), return_eigenvectors=False)
-    return float(np.sqrt(top[0]))
+    v = np.full(n, 1.0 / math.sqrt(n))
+    top = 0.0
+    for _ in range(_POWER_STEP_CAP):
+        w = gram(v)
+        rayleigh = float(v @ w)
+        if abs(rayleigh - top) <= 4.0 * np.finfo(float).eps * rayleigh:
+            return math.sqrt(rayleigh)
+        top = rayleigh
+        v = w / np.linalg.norm(w)
+    raise ConvergenceError(f"||V_{n}||: no power-iteration fixed point in {_POWER_STEP_CAP} steps")

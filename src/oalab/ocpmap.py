@@ -47,7 +47,6 @@ __all__ = [
     "MatrixMap",
     "StinespringTriple",
     "DiskTestReport",
-    "ExtensionResult",
     "matrix_map_from_function",
     "matrix_map_from_kraus",
     "identity_map",
@@ -59,7 +58,6 @@ __all__ = [
     "disk_test",
     "stinespring",
     "dilation_bound",
-    "cp_extension_search",
 ]
 
 _DIM_CAP = 64
@@ -522,133 +520,3 @@ def dilation_bound(t: MatrixMap, c: float, tol: Tolerances = DEFAULT_TOL) -> flo
     rounding = 4.0 * (rows + m) * np.finfo(float).eps * (c + float(np.vdot(v, v).real))
     return float(c + 2.0 * delta + 2.0 * n * n * triple.residual + rounding)
 
-
-# --------------------------------------------------------------------------
-# completely positive extension search
-
-
-@dataclasses.dataclass(frozen=True)
-class ExtensionResult:
-    """Outcome of the alternating-projection search for a CP extension.
-
-    ``status`` is ``"FEASIBLE"`` (a certified extension was found; its
-    Choi matrix, agreement residual, and PSD defect are reported) or
-    ``"INCONCLUSIVE"`` (the iteration did not certify within the budget --
-    which is *not* an infeasibility proof).
-    """
-
-    status: str
-    choi: Optional[np.ndarray]
-    agreement_residual: float
-    psd_defect: float
-    iterations: int
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "FEASIBLE"
-
-
-def _agreement_constraints(mats: Sequence, n: int, m: int):
-    """Rows and right-hand side of ``sum_ij a[i,j] C[(i,:),(j,:)] = b``.
-
-    One ``m x m`` block of rows per pair ``(a, b)``: row ``(p, r, c)``, read
-    as an ``(n, m, n, m)`` array, carries ``a_p`` at ``[:, r, :, c]``.
-    """
-    size = n * m
-    rows = np.zeros((len(mats), m, m, n, m, n, m), dtype=complex)
-    r, c = np.arange(m)[:, None], np.arange(m)
-    rows[:, r, c, :, r, :, c] = np.stack([a for a, _ in mats])
-    rhs = np.stack([b for _, b in mats]).ravel()
-    return rows.reshape(-1, size * size), rhs
-
-
-def cp_extension_search(
-    pairs: Sequence,
-    in_dim: int,
-    out_dim: int,
-    budget: int = 400,
-    tol: Tolerances = DEFAULT_TOL,
-) -> ExtensionResult:
-    """Search for a completely positive ``T: M_n -> M_m`` with ``T(a) = b``.
-
-    ``pairs`` lists ``(a, b)`` agreement constraints on a unital domain:
-    the identity must lie in the span of the ``a`` (otherwise the
-    normalization of the extension is unconstrained and the cone argument
-    breaks down; a ``ValueError`` reports it).  The search runs Dykstra's
-    alternating projections between the PSD cone (eigenvalue clipping of
-    the candidate Choi matrix) and the affine agreement set (least-squares
-    correction).  Success requires both residuals below ``iter_tol`` *and*
-    an independent re-verification of the rebuilt map.
-    """
-    n, m = in_dim, out_dim
-    if n * m > _DIM_CAP:
-        raise ValueError(f"Choi dimension {n * m} exceeds the {_DIM_CAP} cap")
-    mats = [(as_square_matrix(a), as_square_matrix(b)) for a, b in pairs]
-    for a, b in mats:
-        if a.shape != (n, n) or b.shape != (m, m):
-            raise ValueError("agreement pairs must match the stated dimensions")
-    if not mats:
-        raise ValueError("need at least one agreement pair")
-    stack = np.stack([a.ravel() for a, _ in mats]).T
-    unit = np.eye(n, dtype=complex).ravel()
-    unit_coeffs = np.linalg.lstsq(stack, unit, rcond=None)[0]
-    if np.linalg.norm(stack @ unit_coeffs - unit) > tol.rank_tol * n:
-        raise ValueError("the identity must lie in the span of the domain elements")
-
-    size = n * m
-    constraint, rhs = _agreement_constraints(mats, n, m)
-    pinv = np.linalg.pinv(constraint, rcond=1e-12)
-
-    def project_affine(c_mat: np.ndarray) -> np.ndarray:
-        vec = c_mat.reshape(size * size)
-        correction = pinv @ (constraint @ vec - rhs)
-        return (vec - correction).reshape(size, size)
-
-    def project_psd(c_mat: np.ndarray) -> np.ndarray:
-        herm = (c_mat + c_mat.conj().T) / 2.0
-        lam, vecs = np.linalg.eigh(herm)
-        return (vecs * np.maximum(lam, 0.0)) @ vecs.conj().T
-
-    c_mat = project_affine(np.zeros((size, size), dtype=complex))
-    p_corr = np.zeros_like(c_mat)
-    q_corr = np.zeros_like(c_mat)
-    agreement = np.inf
-    psd_defect = np.inf
-    iterations = 0
-    for iterations in range(1, budget + 1):
-        y = project_psd(c_mat + p_corr)
-        p_corr = c_mat + p_corr - y
-        c_mat = project_affine(y + q_corr)
-        q_corr = y + q_corr - c_mat
-        lam_min = float(np.linalg.eigvalsh((c_mat + c_mat.conj().T) / 2.0)[0])
-        psd_defect = max(0.0, -lam_min)
-        agreement = float(np.linalg.norm(constraint @ c_mat.ravel() - rhs))
-        if psd_defect < tol.iter_tol / 2 and agreement < tol.iter_tol / 2:
-            break
-
-    if psd_defect < tol.iter_tol and agreement < tol.iter_tol:
-        candidate = project_psd(c_mat)
-        rebuilt = MatrixMap(
-            in_dim=n,
-            out_dim=m,
-            action=candidate.reshape(n, m, n, m).transpose(0, 2, 1, 3).copy(),
-        )
-        # Independent certification of the rebuilt map.
-        worst = max(
-            float(np.linalg.norm(rebuilt.apply(a) - b)) for a, b in mats
-        )
-        if is_cp(rebuilt, tol) and worst <= tol.iter_tol * 10:
-            return ExtensionResult(
-                status="FEASIBLE",
-                choi=candidate,
-                agreement_residual=worst,
-                psd_defect=0.0,
-                iterations=iterations,
-            )
-    return ExtensionResult(
-        status="INCONCLUSIVE",
-        choi=None,
-        agreement_residual=float(agreement),
-        psd_defect=float(psd_defect),
-        iterations=iterations,
-    )

@@ -208,11 +208,8 @@ def join_supports(xs, tol: Tolerances = DEFAULT_TOL) -> dict:
         if not in_F(m, tol):
             raise ValueError("join_supports requires every member in the cone")
         _require_nonzero(m, tol)
-    stacked = np.hstack(mats)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=True)
-    cutoff = tol.rank_tol * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > cutoff))
-    join = u[:, :rank] @ u[:, :rank].conj().T
+    # Every member is nonzero, so the stack's top singular value is above rank_tol.
+    join = _range_projection(np.hstack(mats), tol)
     mean = sum(mats) / len(mats)
     via_sum = support_projection(mean, tol).projection
     return {

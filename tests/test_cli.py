@@ -146,6 +146,41 @@ class TestRunSuite:
         assert math.isnan(failed["route-agreement"])
         assert records == [("route-agreement", ["residuals", "trial", "x"])] * 2
 
+    def test_zero_margin_passes_without_a_failure_record(self, monkeypatch):
+        # A case passes at margin 0, so no runner writes a failure record
+        # there: a commutator exactly at the 1e-6 gate, a root sequence
+        # that stalls for one step, and two equal probe defects.
+        import oalab.suites as suites_mod
+        from oalab import domar
+
+        rdr = suites_mod.example_rdr
+        estimate, bump = domar.quasinilpotence_estimate, domar.bump_cai_check
+
+        def stalled(*args):
+            roots = estimate(*args)
+            roots[1] = roots[2]
+            return roots
+
+        def tied(*args):
+            report = bump(*args)
+            report.rows[2]["probe_defects"][0] = report.rows[1]["probe_defects"][0]
+            return report
+
+        monkeypatch.setattr(
+            suites_mod, "example_rdr", lambda n: dataclasses.replace(rdr(n), min_commutator=1e-6)
+        )
+        monkeypatch.setattr(domar, "quasinilpotence_estimate", stalled)
+        monkeypatch.setattr(domar, "bump_cai_check", tied)
+        for suite, case in (
+            ("projection-truncation", "min-commutator"),
+            ("domar-quasinilpotence", "roots-decrease"),
+            ("domar-bump", "probe-defect-decreases"),
+        ):
+            report = run_suite(SuiteConfig(suite=suite, seed=0))
+            margins = {c["name"]: c["margin"] for c in report.cases}
+            assert margins[case] == 0.0, (suite, margins)
+            assert report.passed and report.failures == [], suite
+
     def test_undersized_volterra_fails_honestly(self):
         report = run_suite(SuiteConfig(suite="volterra", dim=5, seed=0))
         names = {c["name"]: c["status"] for c in report.cases}
@@ -154,7 +189,7 @@ class TestRunSuite:
         assert any(f["case"] == "norm-limit" for f in report.failures)
 
     def test_volterra_norm_is_matrix_free(self):
-        # A dense V_100000 would take 160 GB; the Lanczos norm takes ~0.1 s.
+        # A dense V_100000 would take 160 GB; the power iteration takes ~0.05 s.
         start = time.perf_counter()
         report = run_suite(SuiteConfig(suite="volterra", dim=100_000, seed=0))
         elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ from oalab.calculus import bai_sequence
 from oalab.cone import in_F
 from oalab import examples
 from oalab.examples import example_rdr, example_two_dim, volterra, volterra_norm
-from oalab.matcore import operator_norm, operator_norms, spectral_radius
+from oalab.matcore import ConvergenceError, operator_norm, operator_norms, spectral_radius
 
 
 def sequential_commutator_norms(n):
@@ -155,8 +155,14 @@ class TestVolterra:
         dense = operator_norm(volterra(n))
         assert abs(volterra_norm(n) - dense) <= 1e-14 * dense
 
+    def test_matrix_free_norm_raises_when_the_step_cap_runs_out(self, monkeypatch):
+        monkeypatch.setattr(examples, "_POWER_STEP_CAP", 3)
+        with pytest.raises(ConvergenceError):
+            volterra_norm(1000)
+
     def test_matrix_free_norm_is_reproducible(self):
-        # ARPACK starts from a fixed vector, so reruns agree to the bit.
+        # The power iteration starts from a fixed vector, so reruns agree to
+        # the bit.
         for n in (7, 1000):
             assert volterra_norm(n).hex() == volterra_norm(n).hex()
 

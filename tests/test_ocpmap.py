@@ -10,7 +10,6 @@ from oalab.ocpmap import (
     MatrixMap,
     _verify_choi_shuffle,
     amplify,
-    cp_extension_search,
     dilation_bound,
     disk_test,
     entangled_cone_element,
@@ -444,48 +443,3 @@ class TestDilationBound:
                     value = operator_norm(c * np.eye(2 * m) - amp.apply(x))
                     assert value <= bound
 
-
-class TestExtensionSearch:
-    def test_diagonal_restriction_of_identity(self):
-        e11 = np.diag([1.0, 0.0]).astype(complex)
-        e22 = np.diag([0.0, 1.0]).astype(complex)
-        pairs = [(np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
-                 (e11, e11), (e22, e22)]
-        result = cp_extension_search(pairs, 2, 2)
-        assert result.feasible
-        assert result.agreement_residual < 1e-6
-        lam = np.linalg.eigvalsh(result.choi)
-        assert lam[0] >= -1e-9
-
-    def test_unit_span_always_extendable(self):
-        result = cp_extension_search(
-            [(np.eye(2, dtype=complex), np.eye(3, dtype=complex))], 2, 3
-        )
-        assert result.feasible
-
-    def test_transpose_is_inconclusive_never_infeasible(self):
-        pairs = []
-        for i in range(2):
-            for j in range(2):
-                unit = np.zeros((2, 2), dtype=complex)
-                unit[i, j] = 1.0
-                pairs.append((unit, unit.T.copy()))
-        result = cp_extension_search(pairs, 2, 2, budget=200)
-        assert result.status == "INCONCLUSIVE"
-        assert result.psd_defect > 0.1  # stuck against the PSD cone
-        assert not result.feasible
-
-    def test_missing_unit_rejected(self):
-        e11 = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            cp_extension_search([(e11, e11)], 2, 2)
-
-    def test_empty_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            cp_extension_search([], 2, 2)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cp_extension_search(
-                [(np.eye(3, dtype=complex), np.eye(2, dtype=complex))], 2, 2
-            )

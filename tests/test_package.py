@@ -32,9 +32,7 @@ def test_exports_are_the_module_objects():
 # Subpackages that `import oalab` must not load.  scipy.signal once cost
 # half a second of a fresh import, and scipy.optimize (with scipy.special,
 # scipy.spatial, scipy.fft and scipy.sparse behind it) about 0.27 s and
-# 22 MB.  Only volterra_norm loads one, scipy.sparse, at its first call.
-# scipy.optimize, once behind quotient_norm's descent, and scipy.integrate,
-# once behind domar_criterion_check, are used by no module.
+# 22 MB.  No module uses any of them.
 HEAVY_SUBPACKAGES = (
     "scipy.signal",
     "scipy.optimize",
@@ -70,22 +68,6 @@ def test_disk_test_suite_loads_no_heavy_scipy_subpackage():
         "assert run_suite(SuiteConfig(suite='disk-test', seed=3, trials=60)).passed"
     )
     assert _loaded_heavy(setup) == []
-
-
-@pytest.mark.parametrize(
-    "call, loads",
-    [
-        (
-            "from oalab import volterra_norm\n"
-            "import numpy as np\n"
-            "assert abs(volterra_norm(50) - 1 / (100 * np.tan(np.pi / 200))) < 1e-12",
-            "scipy.sparse",
-        ),
-    ],
-)
-def test_lazy_imports_work_on_the_first_call(call, loads):
-    # A routine that needs a scipy subpackage imports it when first called.
-    assert loads in _loaded_heavy(call)
 
 
 @pytest.mark.parametrize(
@@ -137,9 +119,7 @@ def test_heavy_imports_per_suite():
         "print(table)"
     )
     table = ast.literal_eval(_fresh("import sys\n" + code))
-    expected = {name: [] for name in suites.SUITE_NAMES}
-    expected["volterra"] = ["scipy.sparse"]
-    assert table == expected
+    assert table == {name: [] for name in suites.SUITE_NAMES}
 
 
 def _imported_modules(path: Path) -> set:
@@ -155,17 +135,20 @@ def _imported_modules(path: Path) -> set:
     return names
 
 
-def test_no_module_imports_scipy_optimize():
-    # quotient_norm's descent is a numpy Newton iteration; an import of
-    # scipy.optimize anywhere in the package, even inside a function, would
-    # bring back its 20 MB.
+def test_no_module_imports_a_scipy_subpackage_but_linalg():
+    # quotient_norm's descent and volterra_norm's power iteration are numpy
+    # loops; an import of scipy.optimize or scipy.sparse anywhere in the
+    # package, even inside a function, would bring back its 20 MB.
     package = Path(oalab.__file__).parent
-    importers = sorted(
-        str(path.relative_to(package))
+    importers = {
+        str(path.relative_to(package)): sorted(others)
         for path in package.rglob("*.py")
-        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.") for name in _imported_modules(path))
-    )
-    assert importers == []
+        if (others := {
+            name for name in _imported_modules(path)
+            if name.startswith("scipy.") and name.split(".")[1] != "linalg"
+        })
+    }
+    assert importers == {}
 
 
 def _unused_imports(path: Path) -> list:

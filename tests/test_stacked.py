@@ -1,11 +1,10 @@
 """Stacked evaluation against the per-matrix loops it replaced.
 
-``ocp_falsify``'s Haar phase, ``numerical_range``, ``disk_test`` and the
-``cp_extension_search`` constraint rows run as stacked numpy calls over
-``(B, n, n)`` blocks, and ``stinespring``'s Kraus selection and
-``matrix_map_from_kraus``'s tabulation as single numpy calls.  The
-sequential versions are kept here as references: where the arithmetic per
-matrix is unchanged the results must be equal bit for bit, and where a
+``ocp_falsify``'s Haar phase, ``numerical_range`` and ``disk_test`` run as
+stacked numpy calls over ``(B, n, n)`` blocks, and ``stinespring``'s Kraus
+selection and ``matrix_map_from_kraus``'s tabulation as single numpy calls.
+The sequential versions are kept here as references: where the arithmetic
+per matrix is unchanged the results must be equal bit for bit, and where a
 reduction runs in another order (the boundary points of the numerical
 range, the Kraus tabulation) within a tolerance fixed from the dtype.
 """
@@ -29,7 +28,6 @@ from oalab.matcore import (
 )
 from oalab.ocpmap import (
     MatrixMap,
-    _agreement_constraints,
     amplify,
     disk_test,
     entangled_cone_element,
@@ -164,19 +162,6 @@ def sequential_disk_sweep(x, circle_points):
         if excess > worst_excess:
             worst_excess, worst_z = excess, complex(z)
     return worst_excess, worst_z
-
-
-def sequential_constraints(mats, n, m):
-    size = n * m
-    rows, rhs = [], []
-    for a, b in mats:
-        for out_r in range(m):
-            for out_c in range(m):
-                row = np.zeros((n, m, n, m), dtype=complex)
-                row[:, out_r, :, out_c] = a
-                rows.append(row.reshape(size * size))
-                rhs.append(b[out_r, out_c])
-    return np.stack(rows), np.asarray(rhs, dtype=complex)
 
 
 def _kraus_map(rng, n, m):
@@ -394,16 +379,6 @@ class TestDiskTestStacked:
                 worst_excess, worst_z = sequential_disk_sweep(x.astype(complex), points)
                 assert report.worst_excess == worst_excess
                 assert report.worst_z == worst_z
-
-
-def test_agreement_constraints_equal_the_loop():
-    rng = np.random.default_rng(3)
-    for n, m, pairs in ((1, 1, 1), (2, 3, 2), (3, 2, 3), (2, 2, 4)):
-        mats = [(complex_normal(rng, (n, n)), complex_normal(rng, (m, m))) for _ in range(pairs)]
-        constraint, rhs = _agreement_constraints(mats, n, m)
-        ref_constraint, ref_rhs = sequential_constraints(mats, n, m)
-        assert np.array_equal(constraint, ref_constraint)
-        assert np.array_equal(rhs, ref_rhs)
 
 
 @pytest.fixture

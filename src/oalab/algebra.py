@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -46,7 +45,6 @@ from .matcore import (
     Tolerances,
     as_square_matrix,
     linear_combination,
-    matrix_from_json,
     matrix_span,
     operator_norm,
     operator_norm_at_most,
@@ -189,17 +187,6 @@ class FDAlgebra(JsonReport):
         if coeffs.shape != (self.dim,):
             raise ValueError(f"need {self.dim} coefficients, got {coeffs.shape}")
         return linear_combination(coeffs, self.basis)
-
-    @classmethod
-    def from_json(cls, text: str, tol: Tolerances = DEFAULT_TOL) -> "FDAlgebra":
-        payload = json.loads(text)
-        mats = [matrix_from_json(b) for b in payload["basis"]]
-        alg = cls.build(mats, tol)
-        if alg.ambient_dim != int(payload["ambient_dim"]):
-            raise ValueError("ambient_dim does not match the basis matrices")
-        if bool(payload["unital"]) != alg.unital:
-            raise ValueError("declared unitality disagrees with the basis")
-        return alg
 
 
 def _find_unit(mats: np.ndarray, tol: Tolerances) -> Optional[np.ndarray]:

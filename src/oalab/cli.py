@@ -16,8 +16,8 @@ import sys
 from typing import Optional, Sequence
 
 from .examples import example_rdr, example_two_dim, volterra
-from .matcore import DEFAULT_TOL, matrix_to_json, spectral_radius, to_jsonable
-from .suites import SUITE_NAMES, SuiteConfig, emit_report, run_suite
+from .matcore import DEFAULT_TOL, spectral_radius, to_jsonable
+from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -52,22 +52,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _example_payload(name: str, size: Optional[int]) -> dict:
     if name == "two-dim":
-        return {"example": name, "payload": to_jsonable(example_two_dim())}
+        return {"example": name, "payload": example_two_dim()}
     if name == "rdr":
         n = size if size is not None else 4
-        return {"example": name, "size": n, "payload": to_jsonable(example_rdr(n))}
+        return {"example": name, "size": n, "payload": example_rdr(n)}
     if name == "volterra":
         n = size if size is not None else 100
         v = volterra(n)
         return {
             "example": name,
             "size": n,
-            "payload": {
-                "matrix": matrix_to_json(v),
-                "spectral_radius": spectral_radius(v),
-            },
+            "payload": {"matrix": v, "spectral_radius": spectral_radius(v)},
         }
     raise KeyError(f"unknown example {name!r}; registered: {', '.join(_EXAMPLE_NAMES)}")
+
+
+def _write_json(path: str, value, what: str) -> bool:
+    """Write ``value``'s :func:`to_jsonable` form to ``path``; report a failure."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(to_jsonable(value), handle, sort_keys=True, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    print(f"{what} written to {path}")
+    return True
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -91,13 +101,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{report.suite}/{case['name']}: {case['status']}"
                 f" (margin {case['margin']:.3e}, tol {case['tol']:.1e})"
             )
-        if args.out:
-            try:
-                emit_report(report, args.out)
-            except OSError as exc:
-                print(f"error: cannot write report: {exc}", file=sys.stderr)
-                return 2
-            print(f"report written to {args.out}")
+        if args.out and not _write_json(args.out, report, "report"):
+            return 2
         return 0 if report.passed else 1
 
     if args.command == "example":
@@ -106,15 +111,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, indent=2)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write example: {exc}", file=sys.stderr)
-            return 2
-        print(f"example written to {args.out}")
-        return 0
+        return 0 if _write_json(args.out, payload, "example") else 2
 
     parser.error(f"unknown command {args.command!r}")
     return 2

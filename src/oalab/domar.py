@@ -22,7 +22,6 @@ normalized-bump approximate identities.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from typing import Callable, Optional, Sequence
 
@@ -67,14 +66,13 @@ class RadicalWeight:
     ``epsilon`` is the superlinearity exponent used by the criterion check:
     the weight qualifies when ``eta(t)/t^(1+epsilon)`` grows along the tail,
     where ``eta = -log(omega)``.  ``horizon`` bounds the interval on which
-    the invariants were verified (and, for interpolated weights, the domain
-    of validity).
+    the invariants were verified (and, for custom weights, the domain of
+    validity).
     """
 
     kind: str
     epsilon: float
     horizon: float
-    description: str
     omega_fn: Callable[[np.ndarray], np.ndarray] = dataclasses.field(repr=False)
 
     def omega(self, t):
@@ -91,38 +89,6 @@ class RadicalWeight:
 
     def eta(self, t):
         return -np.log(self.omega(t))
-
-    def to_json(self) -> str:
-        if self.kind == "gaussian":
-            return json.dumps({"kind": "gaussian", "horizon": self.horizon})
-        ts = np.linspace(0.0, self.horizon, 1001)
-        return json.dumps(
-            {
-                "kind": "custom",
-                "epsilon": self.epsilon,
-                "horizon": self.horizon,
-                "samples": [[float(t), float(w)] for t, w in zip(ts, self.omega(ts))],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "RadicalWeight":
-        payload = json.loads(text)
-        if payload["kind"] == "gaussian":
-            return make_weight("gaussian", horizon=payload.get("horizon", 24.0))
-        samples = np.array(payload["samples"], dtype=float)
-        ts, ws = samples[:, 0], samples[:, 1]
-
-        def interpolated(t):
-            return np.interp(t, ts, ws)
-
-        return make_weight(
-            "custom",
-            omega=interpolated,
-            epsilon=float(payload["epsilon"]),
-            horizon=float(payload["horizon"]),
-            description="interpolated from samples",
-        )
 
 
 def _verify_weight_invariants(w: RadicalWeight, tol: Tolerances) -> None:
@@ -159,7 +125,6 @@ def make_weight(
     omega: Optional[Callable] = None,
     epsilon: float = 0.5,
     horizon: float = 24.0,
-    description: str = "",
     tol: Tolerances = DEFAULT_TOL,
 ) -> RadicalWeight:
     """Construct a verified weight.
@@ -178,7 +143,6 @@ def make_weight(
             kind="gaussian",
             epsilon=0.5,
             horizon=float(horizon),
-            description=description or "omega(t) = exp(-t^2)",
             omega_fn=lambda t: np.exp(-np.square(t)),
         )
     elif kind == "custom":
@@ -188,7 +152,6 @@ def make_weight(
             kind="custom",
             epsilon=float(epsilon),
             horizon=float(horizon),
-            description=description or "custom weight",
             omega_fn=lambda t, fn=omega: np.asarray(fn(t), dtype=float),
         )
     else:
@@ -229,12 +192,6 @@ class GridFunction(JsonReport):
 
     def times(self) -> np.ndarray:
         return self.h * np.arange(len(self.coeffs))
-
-    @staticmethod
-    def from_json(text: str) -> "GridFunction":
-        payload = json.loads(text)
-        coeffs = [complex(re, im) for re, im in payload["coeffs"]]
-        return GridFunction(h=float(payload["h"]), coeffs=np.array(coeffs))
 
 
 def grid_delta(h: float, index: int = 0) -> GridFunction:

@@ -36,7 +36,6 @@ __all__ = [
     "operator_norms",
     "spectrum",
     "spectral_radius",
-    "range_kernel_projections",
     "Subspace",
     "matrix_span",
     "matrix_to_json",
@@ -223,22 +222,6 @@ def spectrum(x) -> np.ndarray:
 
 def spectral_radius(x) -> float:
     return float(np.abs(spectrum(x)[0]))
-
-
-def range_kernel_projections(x, tol: Tolerances = DEFAULT_TOL):
-    """Orthogonal projections onto the range and the kernel of ``x``.
-
-    Returns ``(p_range, p_kernel, rank)``.  The rank is the number of
-    singular values above ``rank_tol`` relative to the largest one, so
-    ``p_range @ x == x`` and ``x @ p_kernel == 0`` hold within that scale.
-    """
-    a = as_square_matrix(x)
-    u, s, vh = np.linalg.svd(a)
-    cutoff = tol.rank_tol * (s[0] if s[0] > 0 else 1.0)
-    rank = int(np.sum(s > cutoff))
-    p_range = u[:, :rank] @ u[:, :rank].conj().T
-    p_kernel = vh[rank:].conj().T @ vh[rank:]
-    return p_range, p_kernel, rank
 
 
 class Subspace:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -34,7 +33,6 @@ from .matcore import (
     JsonReport,
     Tolerances,
     as_square_matrix,
-    matrix_from_json,
     matrix_to_json,
     operator_norm,
     operator_norm_at_most,
@@ -64,7 +62,7 @@ _DIM_CAP = 64
 
 
 @dataclasses.dataclass(frozen=True)
-class MatrixMap:
+class MatrixMap(JsonReport):
     """A linear map ``M_n -> M_m`` given by its images of the matrix units.
 
     ``action[i, j]`` is ``T(E_ij)`` as an ``m x m`` array; the map extends
@@ -115,20 +113,6 @@ class MatrixMap:
         """``sum_ij E_ij (x) T(E_ij)``, indexed ``(i*m + a, j*m + b)``."""
         n, m = self.in_dim, self.out_dim
         return self.action.transpose(0, 2, 1, 3).reshape(n * m, n * m).copy()
-
-    def to_json(self) -> str:
-        n, m = self.in_dim, self.out_dim
-        images = [matrix_to_json(a) for a in self.action.reshape(n * n, m, m)]
-        return json.dumps({"in_dim": n, "out_dim": m, "action": images})
-
-    @staticmethod
-    def from_json(text: str) -> "MatrixMap":
-        payload = json.loads(text)
-        n, m = int(payload["in_dim"]), int(payload["out_dim"])
-        images = payload["action"]
-        if len(images) != n * n:
-            raise ValueError(f"expected {n * n} images, got {len(images)}")
-        return _tabulate(n, m, [matrix_from_json(image) for image in images])
 
 
 def _tabulate(n: int, m: int, images: Sequence[np.ndarray]) -> MatrixMap:
@@ -363,12 +347,13 @@ def ocp_falsify(
 class DiskTestReport(JsonReport):
     """Sampled and algebraic verdicts for the scaling-disk condition.
 
-    ``member`` means ``z x`` stays in the cone ``{y: ||1-y|| <= 1}`` for
-    every ``z`` in the closed disk ``|1 - z| <= 1``; by subharmonicity of
+    ``member`` is the sampled verdict: ``z x`` stays in the cone
+    ``{y: ||1-y|| <= 1}`` (within ``10 exact_tol``) at every sampled ``z``
+    of the closed disk ``|1 - z| <= 1``; by subharmonicity of
     ``z -> ||1 - z x||`` the boundary circle decides this.  The condition
     holds exactly for positive-semidefinite contractions (for ``w`` in the
     numerical range, ``w . disk c disk`` forces ``w in [0, 1]``), which is
-    the independent cross-check.
+    the independent algebraic verdict ``hermitian_psd``.
     """
 
     member: bool
@@ -425,7 +410,7 @@ def disk_test(
             f"{worst_excess:.3e} (slack {slack:.3e})"
         )
     return DiskTestReport(
-        member=hermitian_psd,
+        member=bool(sampled_member),
         worst_excess=float(worst_excess),
         worst_z=worst_z,
         circle_points=circle_points,

@@ -21,7 +21,6 @@ On top of the sweep this module provides
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 import scipy.linalg
@@ -71,20 +70,6 @@ class NumericalRangeSample(JsonReport):
     boundary_points: np.ndarray
     support_values: np.ndarray
     radius: float
-
-    @staticmethod
-    def from_json(text: str) -> "NumericalRangeSample":
-        payload = json.loads(text)
-        pts = np.array(
-            [complex(re, im) for re, im in payload["boundary_points"]],
-            dtype=np.complex128,
-        )
-        return NumericalRangeSample(
-            theta_count=int(payload["theta_count"]),
-            boundary_points=pts,
-            support_values=np.array(payload["support_values"], dtype=float),
-            radius=float(payload["radius"]),
-        )
 
 
 # Twice LAPACK's underflow threshold: dstebz then bisects each eigenvalue

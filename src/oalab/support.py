@@ -71,9 +71,9 @@ def _require_nonzero(x: np.ndarray, tol: Tolerances) -> None:
 
 
 def _range_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Range projection of a nonzero ``a`` (as in
-    :func:`~oalab.matcore.range_kernel_projections`) from one full SVD,
-    whose ``s[0]`` is also ``||a||`` for the nonzero check."""
+    """Orthogonal projection onto the range of a nonzero ``a`` from one full
+    SVD: the rank counts singular values above ``rank_tol * s[0]``, and
+    ``s[0]`` is also ``||a||`` for the nonzero check."""
     u, s, _ = np.linalg.svd(a)
     if s[0] <= tol.rank_tol:
         raise ValueError("support projection requires x != 0")

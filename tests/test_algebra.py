@@ -81,20 +81,6 @@ class TestFDAlgebra:
         assert alg.span is alg.span
         assert "span" not in json.loads(alg.to_json())
 
-    def test_json_roundtrip(self):
-        alg = upper_triangular_algebra(2)
-        back = FDAlgebra.from_json(alg.to_json())
-        assert back.ambient_dim == 2
-        assert back.unital
-        assert back.span.equals(alg.span)
-
-    def test_json_rejects_wrong_unital_flag(self):
-        alg = full_matrix_algebra(2)
-        payload = json.loads(alg.to_json())
-        payload["unital"] = False
-        with pytest.raises(ValueError):
-            FDAlgebra.from_json(json.dumps(payload))
-
 
 class TestGeneratedAlgebra:
     def test_projection_generates_one_dimension(self):

@@ -9,7 +9,7 @@ import pytest
 
 from oalab.cli import main
 from oalab.matcore import DEFAULT_TOL
-from oalab.suites import SUITE_NAMES, SuiteConfig, emit_report, run_suite
+from oalab.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
 class TestRunSuite:
@@ -207,10 +207,10 @@ class TestRunSuite:
 
 class TestEmitReport:
     def test_byte_identical_except_wall_ms(self, tmp_path):
-        cfg = SuiteConfig(suite="domar-titchmarsh", trials=40, seed=1)
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
-            emit_report(run_suite(cfg), str(path))
+            argv = ["run", "--suite", "domar-titchmarsh", "--trials", "40", "--seed", "1"]
+            assert main(argv + ["--out", str(path)]) == 0
         payloads = [json.loads(p.read_text()) for p in paths]
         for payload in payloads:
             payload.pop("wall_ms")

@@ -15,7 +15,6 @@ from oalab.domar import (
     _GK15_WEIGHTS,
     _GK_PANEL_LIMIT,
     GridFunction,
-    RadicalWeight,
     alpha,
     alpha_index,
     bump_cai_check,
@@ -41,7 +40,6 @@ def flat_weight(horizon=30.0):
         omega=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         epsilon=0.5,
         horizon=horizon,
-        description="constant weight",
     )
 
 
@@ -101,23 +99,6 @@ class TestWeights:
         with pytest.raises(ValueError):
             w.omega(7.0)
 
-    def test_json_roundtrip_gaussian(self):
-        w = make_weight("gaussian")
-        again = RadicalWeight.from_json(w.to_json())
-        assert again.kind == "gaussian"
-        np.testing.assert_allclose(again.omega(1.5), math.exp(-2.25), rtol=1e-15)
-
-    def test_json_roundtrip_custom(self):
-        w = make_weight(
-            "custom",
-            omega=lambda t: np.exp(-np.asarray(t)),
-            epsilon=0.25,
-            horizon=12.0,
-        )
-        again = RadicalWeight.from_json(w.to_json())
-        assert again.epsilon == 0.25
-        np.testing.assert_allclose(again.omega(3.0), math.exp(-3.0), rtol=1e-9)
-
 
 class TestGridFunctions:
     def test_validation(self):
@@ -133,12 +114,6 @@ class TestGridFunctions:
         np.testing.assert_array_equal(f.coeffs[:3], 0.0)
         np.testing.assert_array_equal(f.coeffs[3:7], 1.0)
         assert alpha(f) == pytest.approx(0.3)
-
-    def test_json_roundtrip(self):
-        f = GridFunction(h=0.05, coeffs=np.array([1.0 + 2.0j, 0.0, -3.0j]))
-        again = GridFunction.from_json(f.to_json())
-        assert again.h == f.h
-        np.testing.assert_array_equal(again.coeffs, f.coeffs)
 
     def test_json_shape(self):
         payload = json.loads(grid_delta(0.5).to_json())

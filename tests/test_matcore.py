@@ -19,7 +19,6 @@ from oalab.matcore import (
     matrix_to_json,
     operator_norm,
     operator_norm_at_most,
-    range_kernel_projections,
     spectral_radius,
     spectrum,
     to_jsonable,
@@ -134,30 +133,6 @@ def test_complex_schur_equals_scipy_schur(n):
 def test_spectral_radius_triangular():
     a = np.array([[0.25, 7.0], [0.0, -0.5]])
     assert spectral_radius(a) == pytest.approx(0.5)
-
-
-def test_range_kernel_projections_contracts():
-    rng = np.random.default_rng(3)
-    for _ in range(15):
-        dim = int(rng.integers(2, 7))
-        rank = int(rng.integers(1, dim + 1))
-        a = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) @ (
-            rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
-        )
-        p_range, p_kernel, r = range_kernel_projections(a)
-        assert r == rank
-        for p in (p_range, p_kernel):
-            np.testing.assert_allclose(p, p.conj().T, atol=1e-10)
-            np.testing.assert_allclose(p @ p, p, atol=1e-10)
-        np.testing.assert_allclose(p_range @ a, a, atol=1e-8 * operator_norm(a))
-        np.testing.assert_allclose(a @ p_kernel, np.zeros_like(a), atol=1e-8 * operator_norm(a))
-
-
-def test_range_kernel_projections_known_example():
-    p_range, p_kernel, rank = range_kernel_projections(np.diag([2.0, 0.0]))
-    assert rank == 1
-    np.testing.assert_allclose(p_range, np.diag([1.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(p_kernel, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_subspace_membership_matrix_units():

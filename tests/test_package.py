@@ -182,3 +182,35 @@ def test_no_unused_imports():
         if (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def test_json_is_written_by_one_rule_and_read_nowhere():
+    # Every record goes through matcore.to_jsonable, reached by
+    # JsonReport.to_json or the CLI's writer; matrix_from_json is the one
+    # reader.  A hand-written to_json or a from_json parser would be a second
+    # wire format to keep in step with the first.
+    package = Path(oalab.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {
+            id(item): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (
+                node.name == "from_json"
+                or node.name == "to_json" and owners.get(id(node)) != "JsonReport"
+            ):
+                found.append((path.name, f"def {node.name}"))
+            elif isinstance(node, ast.Attribute) and node.attr == "loads" and (
+                getattr(node.value, "id", None) == "json"
+            ):
+                found.append((path.name, "json.loads"))
+            elif isinstance(node, ast.Import) and "json" in {a.name for a in node.names} and (
+                path.name not in ("matcore.py", "cli.py")
+            ):
+                found.append((path.name, "import json"))
+    assert found == []

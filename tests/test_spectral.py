@@ -15,7 +15,6 @@ from oalab.sampling import (
     random_strict_cone_element,
 )
 from oalab.spectral import (
-    NumericalRangeSample,
     numerical_radius,
     numerical_range,
     sharp_neumann,
@@ -86,15 +85,6 @@ class TestNumericalRange:
     def test_rejects_tiny_sweep(self):
         with pytest.raises(ValueError):
             numerical_range(np.eye(2), theta_count=4)
-
-    def test_json_roundtrip(self):
-        x = np.array([[0.5, 0.3j], [0.0, 0.2]], dtype=np.complex128)
-        sample = numerical_range(x, theta_count=64)
-        back = NumericalRangeSample.from_json(sample.to_json())
-        assert back.theta_count == sample.theta_count
-        npt.assert_allclose(back.boundary_points, sample.boundary_points)
-        npt.assert_allclose(back.support_values, sample.support_values)
-        npt.assert_allclose(back.radius, sample.radius)
 
 
 def _sweep_inputs(n):

@@ -11,8 +11,6 @@ On top of the container the module provides
   (span of its powers, without adjoining a unit);
 * :func:`ideal_subspaces` -- the one-sided ideals ``xA``, ``Ax`` and the
   corner ``xAx`` as subspaces;
-* :func:`left_identity_search` / :func:`one_minus_ideal` -- left identities
-  of right ideals, and the right ideal ``(1-x)A`` for a contraction ``x``;
 * :func:`nor_battery` -- sampled verification that in a given unital algebra
   every non-scalar ball element ``a`` satisfies the radical-free conditions
   (powers decay, spectral radius / numerical radius / ``||1+a||`` strictly
@@ -23,9 +21,7 @@ On top of the container the module provides
   semisimplicity flag);
 * :func:`quotient_norm` / :func:`quotient_cone_check` -- certified quotient
   norms ``min_j ||a - j||`` and the two inclusions between the image of the
-  unit ball's shifted cone and the quotient's cone;
-* :func:`compression_invertibility` -- invertibility of corner compressions
-  ``pxp`` for strictly accretive ``x``.
+  unit ball's shifted cone and the quotient's cone.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cone import in_F, strictly_real_positive
+from .cone import in_F
 from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
@@ -61,20 +57,15 @@ __all__ = [
     "WsBatteryReport",
     "QuotientNormResult",
     "QuotientConeReport",
-    "CompressionResult",
     "full_matrix_algebra",
-    "upper_triangular_algebra",
     "block_diagonal_algebra",
     "block_ideal_subspace",
     "generated_algebra",
     "ideal_subspaces",
-    "left_identity_search",
-    "one_minus_ideal",
     "nor_battery",
     "ws_battery",
     "quotient_norm",
     "quotient_cone_check",
-    "compression_invertibility",
 ]
 
 
@@ -213,13 +204,6 @@ def full_matrix_algebra(n: int, tol: Tolerances = DEFAULT_TOL) -> FDAlgebra:
     return FDAlgebra.build(_matrix_units(np.ones((n, n), dtype=bool)), tol)
 
 
-def upper_triangular_algebra(n: int, tol: Tolerances = DEFAULT_TOL) -> FDAlgebra:
-    """Upper-triangular matrices in ``M_n``."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return FDAlgebra.build(_matrix_units(np.triu(np.ones((n, n), dtype=bool))), tol)
-
-
 def block_diagonal_algebra(
     dims: Sequence[int], tol: Tolerances = DEFAULT_TOL
 ) -> FDAlgebra:
@@ -301,74 +285,6 @@ def ideal_subspaces(x, A: FDAlgebra, tol: Tolerances = DEFAULT_TOL) -> IdealTrip
     ax = matrix_span(A.basis @ x, tol)
     xax = matrix_span(x @ A.basis @ x, tol)
     return IdealTriple(xA=xa, Ax=ax, xAx=xax)
-
-
-def left_identity_search(
-    J: Subspace, A: FDAlgebra, tol: Tolerances = DEFAULT_TOL
-) -> Optional[np.ndarray]:
-    """Find ``e`` in the right ideal ``J`` with ``e j = j`` for all ``j``.
-
-    ``J`` must be a right ideal of ``A`` (``J * A`` stays in ``J``; checked).
-    Solves the linear system by least squares over the coordinates of ``J``;
-    returns the solution when the residual is below ``iter_tol`` and ``None``
-    otherwise.  A found solution is necessarily idempotent (``e*e = e``
-    follows from ``e`` acting as a left identity on ``J`` while belonging to
-    ``J``); that forced property is verified and a violation raises
-    :class:`~oalab.matcore.CrossCheckError`.
-
-    A zero ideal returns the zero matrix (degenerate left identity).
-    """
-    n = A.ambient_dim
-    if J.ambient_dim != n * n:
-        raise ValueError("J must be a subspace of flattened ambient matrices")
-    if J.dim == 0:
-        return np.zeros((n, n), dtype=complex)
-    j_mats = J.basis.reshape(J.dim, n, n)
-    if not _products_stay(J, j_mats, A.basis, tol).all():
-        raise ValueError("J is not a right ideal of A")
-    rhs = j_mats.ravel()
-    coeffs, residual = _lstsq_combination(j_mats[:, None] @ j_mats[None, :], rhs)
-    if residual > tol.iter_tol * max(1.0, float(np.linalg.norm(rhs))):
-        return None
-    e = linear_combination(coeffs, j_mats)
-    idem_defect = operator_norm(e @ e - e)
-    if idem_defect > tol.iter_tol * max(1.0, operator_norm(e) ** 2):
-        raise CrossCheckError(
-            f"left identity is not idempotent (defect {idem_defect:.3g}); "
-            "the solve produced an inconsistent element"
-        )
-    return e
-
-
-def one_minus_ideal(x, A: FDAlgebra, tol: Tolerances = DEFAULT_TOL):
-    """The right ideal ``(1 - x) A`` for a contraction ``x``, with left identity.
-
-    ``A`` must be unital and ``x`` a contraction in its span.  Returns the
-    pair ``(J, left_id)`` where ``J`` is the span of ``{(unit - x) b}`` and
-    ``left_id`` is the left identity of ``J`` found by
-    :func:`left_identity_search` (guaranteed to exist here: a right ideal of
-    this form in a unital finite-dimensional algebra always has one).
-    """
-    x = as_square_matrix(x)
-    if not A.unital:
-        raise ValueError("one_minus_ideal requires a unital algebra")
-    norm_x = operator_norm(x)
-    if norm_x > 1.0 + tol.exact_tol:
-        raise ValueError("x must be a contraction")
-    if not A.contains(x):
-        raise ValueError("x does not lie in the span of A")
-    u = A.unit
-    shift = u - x
-    # A numerically-zero shift (x is the unit up to solve noise) must give
-    # the zero ideal; a relative span of all-tiny generators would instead
-    # orthonormalize the noise.
-    if operator_norm_at_most(shift, tol.rank_tol * max(1.0, norm_x)):
-        n = A.ambient_dim
-        J = Subspace(np.zeros((0, n * n)), n * n, tol.rank_tol)
-    else:
-        J = matrix_span([shift @ b for b in A.basis], tol)
-    left_id = left_identity_search(J, A, tol)
-    return J, left_id
 
 
 # --------------------------------------------------------------------------
@@ -968,50 +884,3 @@ def quotient_cone_check(
         backward_membership_residual=membership_res,
         inconclusive_quotients=inconclusive,
     )
-
-
-# --------------------------------------------------------------------------
-# compressions
-
-
-@dataclasses.dataclass(frozen=True)
-class CompressionResult:
-    """Invertibility of a corner compression, with the deciding singular value."""
-
-    invertible: bool
-    sigma_min: float
-
-    def __bool__(self) -> bool:
-        return self.invertible
-
-
-def compression_invertibility(
-    x, p, tol: Tolerances = DEFAULT_TOL
-) -> CompressionResult:
-    """Invertibility of ``p x p`` on the range of the projection ``p``.
-
-    Requires ``x`` strictly accretive inside the unit-shifted cone
-    (``strictly_real_positive``) and ``p`` a Hermitian idempotent.  Under
-    that hypothesis the compression is invertible for every projection; this
-    operation verifies it through the rank oracle and reports the smallest
-    singular value of the compressed matrix.  The zero projection counts as
-    (vacuously) invertible with ``sigma_min = inf``.
-    """
-    x = as_square_matrix(x)
-    p = as_square_matrix(p)
-    if not strictly_real_positive(x, tol):
-        raise ValueError("x must be strictly real positive")
-    if not (
-        operator_norm_at_most(p - p.conj().T, tol.exact_tol)
-        and operator_norm_at_most(p @ p - p, tol.exact_tol)
-    ):
-        raise ValueError("p must be a Hermitian idempotent")
-    evals, evecs = np.linalg.eigh((p + p.conj().T) / 2.0)
-    cols = evecs[:, evals > 0.5]
-    if cols.shape[1] == 0:
-        return CompressionResult(invertible=True, sigma_min=np.inf)
-    comp = cols.conj().T @ x @ cols
-    sigmas = np.linalg.svd(comp, compute_uv=False)
-    sigma_min = float(sigmas[-1])
-    invertible = sigma_min > tol.rank_tol * max(1.0, float(sigmas[0]))
-    return CompressionResult(invertible=invertible, sigma_min=sigma_min)

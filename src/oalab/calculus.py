@@ -23,7 +23,6 @@ against something that shares none of its machinery.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,6 @@ __all__ = [
     "RecurrenceBreakdown",
     "matrix_power_r",
     "series_power_oracle",
-    "bai_element",
-    "bai_sequence",
-    "root_cai",
     "spectral_idempotent",
 ]
 
@@ -339,56 +335,6 @@ def series_power_oracle(
     else:
         value = np.eye(n) - acc
     return value, series
-
-
-def _geometric_averages(a: np.ndarray):
-    """Yield (1/n) sum_{k=1}^n (1-a)^k for n = 1, 2, ..."""
-    y = np.eye(a.shape[0]) - a
-    acc = np.zeros_like(a)
-    power = np.eye(a.shape[0], dtype=complex)
-    for n in itertools.count(1):
-        power = power @ y
-        acc += power
-        yield acc / n
-
-
-def _checked_bai(avg: np.ndarray, n: int, tol: Tolerances) -> np.ndarray:
-    """``1 - avg`` after checking the averaged sum has norm at most one."""
-    norm = operator_norm(avg)
-    if norm > 1.0 + 10.0 * tol.exact_tol:
-        raise CrossCheckError(f"averaged geometric sum exceeded norm one at n={n}: {norm!r}")
-    return np.eye(avg.shape[0]) - avg
-
-
-def bai_element(x, n: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """e_n = 1 - (1/n) sum_{k=1}^n (1-x)^k, with the averaged-sum norm check.
-
-    The partial-sum average has norm at most 1 whenever ``||1 - x|| <= 1``;
-    that bound is verified and a violation raises :class:`CrossCheckError`.
-    """
-    a = as_square_matrix(x)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    avg = next(itertools.islice(_geometric_averages(a), n - 1, None))
-    return _checked_bai(avg, n, tol)
-
-
-def bai_sequence(x, n_max: int, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
-    """The elements e_1 .. e_{n_max} (see :func:`bai_element`)."""
-    a = as_square_matrix(x)
-    if not in_F(a, tol):
-        raise ValueError("bai_sequence requires ||1 - x|| <= 1")
-    averages = zip(range(1, n_max + 1), _geometric_averages(a))
-    return [_checked_bai(avg, n, tol) for n, avg in averages]
-
-
-def root_cai(x, n_max: int, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
-    """u_n = (x/2)^{1/n} for n = 1..n_max; each u_n stays in the cone."""
-    a = as_square_matrix(x)
-    if not in_F(a, tol):
-        raise ValueError("root_cai requires ||1 - x|| <= 1")
-    half = a / 2.0
-    return [matrix_power_r(half, 1.0 / n, tol) for n in range(1, n_max + 1)]
 
 
 def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

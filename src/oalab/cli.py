@@ -64,7 +64,7 @@ def _example_payload(name: str, size: Optional[int]) -> dict:
             "size": n,
             "payload": {"matrix": v, "spectral_radius": spectral_radius(v)},
         }
-    raise KeyError(f"unknown example {name!r}; registered: {', '.join(_EXAMPLE_NAMES)}")
+    raise ValueError(f"unknown example {name!r}; registered: {', '.join(_EXAMPLE_NAMES)}")
 
 
 def _write_json(path: str, value, what: str) -> bool:
@@ -94,7 +94,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             report = run_suite(cfg)
         except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            # str() of a KeyError is the repr of its message, quotes and all
+            message = exc.args[0] if isinstance(exc, KeyError) else exc
+            print(f"error: {message}", file=sys.stderr)
             return 2
         for case in report.cases:
             print(
@@ -108,7 +110,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "example":
         try:
             payload = _example_payload(args.name, args.size)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0 if _write_json(args.out, payload, "example") else 2

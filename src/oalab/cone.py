@@ -13,14 +13,11 @@ silently wrong boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
-    JsonReport,
     Tolerances,
     as_square_matrix,
     operator_norm,
@@ -28,12 +25,8 @@ from .matcore import (
 
 __all__ = [
     "in_F",
-    "in_halfF",
     "accretive",
-    "strictly_real_positive",
     "cone_constant",
-    "ConeReport",
-    "cone_report",
 ]
 
 
@@ -83,26 +76,10 @@ def in_F(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     return by_norm
 
 
-def in_halfF(x, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether ``||1 - 2x|| <= 1`` within ``exact_tol``."""
-    return in_F(2.0 * as_square_matrix(x), tol)
-
-
 def accretive(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether x + x* is positive semidefinite within ``exact_tol``."""
     a = as_square_matrix(x)
     return _psd_within(a + a.conj().T, tol.exact_tol)
-
-
-def strictly_real_positive(x, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether Re(x) = (x + x*)/2 is strictly positive definite.
-
-    Precondition: ``in_F(x)`` — raises ``ValueError`` otherwise.
-    """
-    a = as_square_matrix(x)
-    if not in_F(a, tol):
-        raise ValueError("strictly_real_positive requires ||1 - x|| <= 1")
-    return _psd_within((a + a.conj().T) / 2.0, -tol.exact_tol)
 
 
 def cone_constant(x, tol: Tolerances = DEFAULT_TOL) -> float | None:
@@ -133,31 +110,3 @@ def cone_constant(x, tol: Tolerances = DEFAULT_TOL) -> float | None:
             f"cone constant self-check failed: C = {c!r} but C*x is not in the cone"
         )
     return c
-
-
-@dataclass(frozen=True)
-class ConeReport(JsonReport):
-    """Summary of all cone predicates for one matrix."""
-
-    in_F: bool
-    in_halfF: bool
-    accretive: bool
-    strictly_real_positive: bool
-    best_cone_constant: float | None
-
-
-def cone_report(x, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
-    """Evaluate every membership predicate on ``x``.
-
-    ``strictly_real_positive`` is reported as False when x is not in the cone
-    (the standalone predicate would refuse the call).
-    """
-    a = as_square_matrix(x)
-    member = in_F(a, tol)
-    return ConeReport(
-        in_F=member,
-        in_halfF=in_halfF(a, tol),
-        accretive=accretive(a, tol),
-        strictly_real_positive=strictly_real_positive(a, tol) if member else False,
-        best_cone_constant=cone_constant(a, tol),
-    )

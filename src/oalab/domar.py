@@ -39,7 +39,6 @@ __all__ = [
     "PrincipalDensityResult",
     "BumpCaiReport",
     "make_weight",
-    "grid_delta",
     "grid_indicator",
     "weighted_l1",
     "weighted_l2",
@@ -192,19 +191,6 @@ class GridFunction(JsonReport):
 
     def times(self) -> np.ndarray:
         return self.h * np.arange(len(self.coeffs))
-
-
-def grid_delta(h: float, index: int = 0) -> GridFunction:
-    """The discrete delta at ``t = index*h``: value ``1/h`` in one cell.
-
-    At ``index = 0`` this is a two-sided identity for :func:`convolve` --
-    bit-exact for dyadic steps, one rounding of ``h * (1/h)`` otherwise.
-    """
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    coeffs = np.zeros(index + 1, dtype=complex)
-    coeffs[index] = 1.0 / h
-    return GridFunction(h=h, coeffs=coeffs)
 
 
 def grid_indicator(h: float, a: float, b: float) -> GridFunction:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -45,11 +45,9 @@ __all__ = [
     "MatrixMap",
     "StinespringTriple",
     "DiskTestReport",
-    "matrix_map_from_function",
     "matrix_map_from_kraus",
     "identity_map",
     "transpose_map",
-    "is_cp",
     "amplify",
     "entangled_cone_element",
     "ocp_falsify",
@@ -115,23 +113,6 @@ class MatrixMap(JsonReport):
         return self.action.transpose(0, 2, 1, 3).reshape(n * m, n * m).copy()
 
 
-def _tabulate(n: int, m: int, images: Sequence[np.ndarray]) -> MatrixMap:
-    """The map with images ``T(E_ij)`` (row-major), each checked to be m x m."""
-    for k, image in enumerate(images):
-        if image.shape != (m, m):
-            raise ValueError(
-                f"image of E_{divmod(k, n)} has shape {image.shape}, expected {(m, m)}"
-            )
-    action = np.array(images, dtype=complex).reshape(n, n, m, m)
-    return MatrixMap(in_dim=n, out_dim=m, action=action)
-
-
-def matrix_map_from_function(n: int, m: int, fn: Callable) -> MatrixMap:
-    """Tabulate ``fn`` on the matrix units of ``M_n``."""
-    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-    return _tabulate(n, m, [as_square_matrix(fn(unit)) for unit in units])
-
-
 def matrix_map_from_kraus(kraus: Sequence[np.ndarray]) -> MatrixMap:
     """``T(x) = sum_s K_s x K_s^*`` -- completely positive by construction."""
     mats = [np.asarray(k, dtype=complex) for k in kraus]
@@ -166,11 +147,6 @@ def _cp_choi_eigh(t: MatrixMap, tol: Tolerances):
         return None
     lam, vecs = np.linalg.eigh((c + c.conj().T) / 2.0)
     return (lam, vecs) if lam[0] >= -tol.exact_tol * scale else None
-
-
-def is_cp(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Complete positivity via the Choi matrix: its Hermitian part is PSD."""
-    return _cp_choi_eigh(t, tol) is not None
 
 
 def amplify(t: MatrixMap, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixMap:

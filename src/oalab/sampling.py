@@ -1,4 +1,4 @@
-"""Seeded random generators used by the library, the test batteries and CLI suites.
+"""Seeded random generators used by the library and its CLI suites.
 
 All sampling goes through an explicit ``numpy.random.Generator`` so suite
 runs are reproducible from a single seed, and every complex Gaussian draw
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import as_square_matrix, linear_combination, operator_norm
+from .matcore import linear_combination, operator_norm
 
 __all__ = [
     "complex_normal",
@@ -21,11 +21,6 @@ __all__ = [
     "haar_unitaries",
     "random_contraction",
     "random_span_element",
-    "random_projection",
-    "random_cone_element",
-    "random_half_cone_element",
-    "random_strict_cone_element",
-    "random_singular_cone_element",
     "random_normal_singular_cone_element",
 ]
 
@@ -53,13 +48,13 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_contraction(rng: np.random.Generator, dim: int, radius: float = 1.0) -> np.ndarray:
-    """Random matrix with operator norm exactly uniform in (0, radius]."""
+    """Random matrix with operator norm exactly uniform in [0, radius)."""
     g = complex_normal(rng, (dim, dim))
     return g * (rng.uniform(0.0, radius) / np.linalg.norm(g, 2))
 
 
 def random_span_element(rng: np.random.Generator, basis: np.ndarray, radius: float):
-    """Random element of span(basis) with operator norm uniform in (0, radius].
+    """Random element of span(basis) with operator norm uniform in [0, radius).
 
     A complex Gaussian combination of the ``(k, n, n)`` basis, rescaled.  A
     numerically zero combination (norm at most ``1e-12``) gives ``None``,
@@ -70,59 +65,6 @@ def random_span_element(rng: np.random.Generator, basis: np.ndarray, radius: flo
     if nrm <= 1e-12:
         return None
     return raw * (rng.uniform(0.0, radius) / nrm)
-
-
-def random_projection(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """Random orthogonal projection of the given (or random nontrivial) rank."""
-    if rank is None:
-        rank = int(rng.integers(1, dim)) if dim > 1 else 1
-    u = haar_unitary(rng, dim)[:, :rank]
-    return u @ u.conj().T
-
-
-def random_cone_element(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random x with ||1 - x|| <= 1, i.e. x = 1 - c for a random contraction c."""
-    return np.eye(dim) - random_contraction(rng, dim)
-
-
-def random_half_cone_element(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random x with ||1 - 2x|| <= 1."""
-    return (np.eye(dim) - random_contraction(rng, dim)) / 2.0
-
-
-def random_strict_cone_element(
-    rng: np.random.Generator, dim: int, floor: float = 0.05
-) -> np.ndarray:
-    """Random x = 1 - c with ||c|| <= 1 - floor, hence Re(x) strictly positive."""
-    return np.eye(dim) - random_contraction(rng, dim, radius=1.0 - floor)
-
-
-def random_singular_cone_element(
-    rng: np.random.Generator,
-    dim: int,
-    kernel_dim: int = 1,
-    min_sigma: float = 1e-3,
-) -> np.ndarray:
-    """Random singular x with ||1 - x|| <= 1 and an exact kernel of given dimension.
-
-    Built as U (0 (+) y) U* for a Haar unitary U and an invertible block y with
-    ||1 - y|| <= 1; the direct sum keeps the cone membership because
-    ||1 - (0 (+) y)|| = max(1, ||1 - y||) = 1, and the kernel is orthogonal to
-    the range by construction.
-    """
-    if not 1 <= kernel_dim <= dim:
-        raise ValueError(f"kernel_dim must lie in [1, {dim}], got {kernel_dim}")
-    block = dim - kernel_dim
-    if block == 0:
-        return np.zeros((dim, dim), dtype=complex)
-    while True:
-        y = random_cone_element(rng, block)
-        if np.linalg.svd(y, compute_uv=False)[-1] > min_sigma:
-            break
-    x = np.zeros((dim, dim), dtype=complex)
-    x[kernel_dim:, kernel_dim:] = y
-    u = haar_unitary(rng, dim)
-    return as_square_matrix(u @ x @ u.conj().T)
 
 
 def random_normal_singular_cone_element(rng: np.random.Generator, dim: int) -> np.ndarray:

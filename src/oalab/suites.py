@@ -80,6 +80,8 @@ class SuiteConfig:
             raise ValueError("dim must be positive")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclasses.dataclass(frozen=True)

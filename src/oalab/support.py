@@ -42,10 +42,6 @@ __all__ = [
     "support_projection_routes",
     "power_limit_projection",
     "join_supports",
-    "peak_projection",
-    "DensityState",
-    "state_vanishing_check",
-    "VanishingReport",
 ]
 
 
@@ -217,62 +213,3 @@ def join_supports(xs, tol: Tolerances = DEFAULT_TOL) -> dict:
         "via_sum": via_sum,
         "residual": operator_norm(join - via_sum),
     }
-
-
-def peak_projection(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Complement 1 - s(x) of the support projection."""
-    a = as_square_matrix(x)
-    result = support_projection(a, tol)
-    return np.eye(a.shape[0]) - result.projection
-
-
-@dataclass(frozen=True)
-class DensityState:
-    """A state given by a density matrix (Hermitian, PSD, unit trace)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        rho = as_square_matrix(self.matrix)
-        object.__setattr__(self, "matrix", rho)
-        if not operator_norm_at_most(rho - rho.conj().T, 1e-9, scale=rho):
-            raise ValueError("density matrix must be Hermitian")
-        if float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]) < -1e-9:
-            raise ValueError("density matrix must be positive semidefinite")
-        if abs(np.trace(rho).real - 1.0) > 1e-8:
-            raise ValueError("density matrix must have unit trace")
-
-    def __call__(self, x) -> complex:
-        return complex(np.trace(self.matrix @ as_square_matrix(x)))
-
-
-@dataclass(frozen=True)
-class VanishingReport:
-    value_on_x: complex
-    value_on_support: float
-    vanishes_on_x: bool
-    vanishes_on_support: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.vanishes_on_x == self.vanishes_on_support
-
-
-def state_vanishing_check(x, rho, tol: Tolerances = DEFAULT_TOL) -> VanishingReport:
-    """Check phi(x) = 0 iff phi(s(x)) = 0 for a state phi = tr(rho .).
-
-    Both values are reported with booleans at ``iter_tol``; for x in the cone
-    the exact-zero equivalence is a theorem, so the booleans agree except on
-    threshold-straddling inputs.
-    """
-    a = as_square_matrix(x)
-    state = rho if isinstance(rho, DensityState) else DensityState(rho)
-    s = support_projection(a, tol).projection
-    value_x = state(a)
-    value_s = float(state(s).real)
-    return VanishingReport(
-        value_on_x=value_x,
-        value_on_support=value_s,
-        vanishes_on_x=abs(value_x) <= tol.iter_tol,
-        vanishes_on_support=abs(value_s) <= tol.iter_tol,
-    )

@@ -6,34 +6,23 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from draws import random_singular_cone_element
 
 from oalab.algebra import (
     FDAlgebra,
     _dilation_objective,
     block_diagonal_algebra,
     block_ideal_subspace,
-    compression_invertibility,
     full_matrix_algebra,
     generated_algebra,
     ideal_subspaces,
-    left_identity_search,
     nor_battery,
-    one_minus_ideal,
     quotient_cone_check,
     quotient_norm,
-    upper_triangular_algebra,
     ws_battery,
 )
 from oalab.matcore import linear_combination, matrix_span, operator_norm
-from oalab.sampling import (
-    complex_normal,
-    haar_unitary,
-    random_cone_element,
-    random_contraction,
-    random_projection,
-    random_singular_cone_element,
-    random_strict_cone_element,
-)
+from oalab.sampling import complex_normal, haar_unitary, random_contraction
 from oalab.support import support_projection
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -85,7 +74,8 @@ class TestFDAlgebra:
 class TestGeneratedAlgebra:
     def test_projection_generates_one_dimension(self):
         rng = np.random.default_rng(0)
-        p = random_projection(rng, 4, rank=2)
+        u = haar_unitary(rng, 4)[:, :2]
+        p = u @ u.conj().T
         alg = generated_algebra(p)
         assert alg.dim == 1
         assert alg.unital
@@ -146,7 +136,7 @@ class TestIdealSubspaces:
         rng = np.random.default_rng(21)
         alg = full_matrix_algebra(4)
         for _ in range(20):
-            x = random_cone_element(rng, 4)
+            x = np.eye(4) - random_contraction(rng, 4)
             triple = ideal_subspaces(x, alg)
             assert triple.xAx.membership(x.ravel())
 
@@ -154,69 +144,6 @@ class TestIdealSubspaces:
         alg = FDAlgebra.build([np.eye(2, dtype=complex)])
         with pytest.raises(ValueError):
             ideal_subspaces(E11, alg)
-
-
-class TestLeftIdentitySearch:
-    def test_row_ideal_left_identity(self):
-        alg = full_matrix_algebra(2)
-        triple = ideal_subspaces(np.diag([2.0, 0.0]), alg)
-        e = left_identity_search(triple.xA, alg)
-        npt.assert_allclose(e, E11, atol=1e-9)
-
-    def test_square_zero_ideal_has_none(self):
-        alg = upper_triangular_algebra(2)
-        J = matrix_span([E12])
-        assert left_identity_search(J, alg) is None
-
-    def test_whole_unital_algebra_returns_unit(self):
-        alg = full_matrix_algebra(2)
-        e = left_identity_search(alg.span, alg)
-        npt.assert_allclose(e, np.eye(2), atol=1e-9)
-
-    def test_zero_ideal_degenerates(self):
-        alg = full_matrix_algebra(2)
-        J = matrix_span([np.zeros((2, 2))])
-        npt.assert_allclose(left_identity_search(J, alg), 0.0, atol=1e-12)
-
-    def test_non_right_ideal_rejected(self):
-        alg = full_matrix_algebra(2)
-        with pytest.raises(ValueError):
-            left_identity_search(matrix_span([E11]), alg)
-
-
-class TestOneMinusIdeal:
-    def test_unit_gives_zero_ideal(self):
-        alg = full_matrix_algebra(2)
-        J, e = one_minus_ideal(np.eye(2), alg)
-        assert J.dim == 0
-        npt.assert_allclose(e, 0.0, atol=1e-12)
-
-    def test_zero_gives_whole_algebra(self):
-        alg = full_matrix_algebra(2)
-        J, e = one_minus_ideal(np.zeros((2, 2)), alg)
-        assert J.equals(alg.span)
-        npt.assert_allclose(e, np.eye(2), atol=1e-9)
-
-    def test_random_contractions_always_yield_left_identity(self):
-        rng = np.random.default_rng(33)
-        alg = full_matrix_algebra(3)
-        for _ in range(10):
-            x = random_contraction(rng, 3)
-            J, e = one_minus_ideal(x, alg)
-            assert e is not None
-            for j in J.basis.reshape(J.dim, 3, 3):
-                npt.assert_allclose(e @ j, j, atol=1e-6)
-            npt.assert_allclose(e @ e, e, atol=1e-6)
-
-    def test_norm_precondition(self):
-        alg = full_matrix_algebra(2)
-        with pytest.raises(ValueError):
-            one_minus_ideal(3.0 * np.eye(2), alg)
-
-    def test_requires_unital_algebra(self):
-        alg = FDAlgebra.build([E12])
-        with pytest.raises(ValueError):
-            one_minus_ideal(0.5 * E12, alg)
 
 
 class TestNorBattery:
@@ -295,7 +222,7 @@ class TestWsBattery:
             n = int(rng.integers(2, 6))
             alg = full_matrix_algebra(n)
             if rng.uniform() < 0.5:
-                x = random_cone_element(rng, n)
+                x = np.eye(n) - random_contraction(rng, n)
             else:
                 x = random_singular_cone_element(rng, n)
             rep = ws_battery(x, alg)
@@ -446,7 +373,7 @@ class TestQuotientConeCheck:
         assert rep.inconclusive_quotients == 0
 
     def test_identityless_ideal_rejected(self):
-        A = upper_triangular_algebra(2)
+        A = FDAlgebra.build([E11, E12, np.diag([0.0, 1.0])])
         with pytest.raises(ValueError):
             quotient_cone_check(A, matrix_span([E12]), samples=3, seed=0)
 
@@ -454,37 +381,6 @@ class TestQuotientConeCheck:
         A = full_matrix_algebra(2)
         with pytest.raises(ValueError):
             quotient_cone_check(A, matrix_span([E11]), samples=3, seed=0)
-
-
-class TestCompressionInvertibility:
-    def test_identity_projection(self):
-        res = compression_invertibility(np.eye(2), np.eye(2))
-        assert res.invertible
-        assert bool(res)
-        npt.assert_allclose(res.sigma_min, 1.0, atol=1e-12)
-
-    def test_zero_projection_is_vacuous(self):
-        res = compression_invertibility(np.eye(2), np.zeros((2, 2)))
-        assert res.invertible
-        assert res.sigma_min == np.inf
-
-    def test_random_compressions_are_invertible(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            n = int(rng.integers(2, 9))
-            x = random_strict_cone_element(rng, n)
-            p = random_projection(rng, n)
-            res = compression_invertibility(x, p)
-            assert res.invertible
-
-    def test_non_strict_element_rejected(self):
-        with pytest.raises(ValueError):
-            compression_invertibility(np.zeros((2, 2)), np.eye(2))
-
-    def test_non_hermitian_projection_rejected(self):
-        oblique = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            compression_invertibility(np.eye(2), oblique)
 
 
 class TestStrictnessRoutesAgree:
@@ -499,9 +395,9 @@ class TestStrictnessRoutesAgree:
             alg = full_matrix_algebra(n)
             u = rng.uniform()
             if u < 0.4:
-                x = random_strict_cone_element(rng, n)
+                x = np.eye(n) - random_contraction(rng, n, radius=0.95)
             elif u < 0.7:
-                x = random_cone_element(rng, n)
+                x = np.eye(n) - random_contraction(rng, n)
             else:
                 x = random_singular_cone_element(rng, n)
             full_ideal = ideal_subspaces(x, alg).xA.dim == n * n

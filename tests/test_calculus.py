@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from draws import random_singular_cone_element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,15 +13,12 @@ from oalab.calculus import (
     _cluster_labels,
     _guarded_parlett,
     _triangular_power,
-    bai_element,
-    bai_sequence,
     binomial_coefficients,
     matrix_power_r,
-    root_cai,
     series_power_oracle,
     spectral_idempotent,
 )
-from oalab.cone import in_F, in_halfF
+from oalab.cone import in_F
 from oalab.matcore import (
     SpectralGapError,
     SpectrumError,
@@ -29,13 +27,7 @@ from oalab.matcore import (
     operator_norm,
     spectrum,
 )
-from oalab.sampling import (
-    complex_normal,
-    haar_unitary,
-    random_cone_element,
-    random_half_cone_element,
-    random_singular_cone_element,
-)
+from oalab.sampling import complex_normal, haar_unitary, random_contraction
 
 
 class TestBinomialSeries:
@@ -87,7 +79,7 @@ class TestMatrixPower:
         rng = np.random.default_rng(42)
         for _ in range(40):
             dim = int(rng.integers(1, 9))
-            x = random_cone_element(rng, dim)
+            x = np.eye(dim) - random_contraction(rng, dim)
             root = matrix_power_r(x, 0.5)
             np.testing.assert_allclose(root @ root, x, atol=1e-8)
 
@@ -106,7 +98,7 @@ class TestMatrixPower:
     def test_power_composition(self):
         rng = np.random.default_rng(44)
         for _ in range(10):
-            x = random_cone_element(rng, 5)
+            x = np.eye(5) - random_contraction(rng, 5)
             via_chain = matrix_power_r(matrix_power_r(x, 0.5), 1 / 3)
             direct = matrix_power_r(x, 1 / 6)
             np.testing.assert_allclose(via_chain, direct, atol=1e-9)
@@ -114,7 +106,8 @@ class TestMatrixPower:
     def test_cone_preserved_by_roots(self):
         rng = np.random.default_rng(45)
         for _ in range(20):
-            x = random_cone_element(rng, int(rng.integers(1, 8)))
+            dim = int(rng.integers(1, 8))
+            x = np.eye(dim) - random_contraction(rng, dim)
             for r in (0.2, 1 / 3, 0.5, 0.9):
                 y = matrix_power_r(x, r)
                 assert operator_norm(np.eye(len(y)) - y) <= 1 + 1e-8
@@ -122,15 +115,16 @@ class TestMatrixPower:
     def test_half_cone_preserved_by_roots(self):
         rng = np.random.default_rng(46)
         for _ in range(20):
-            x = random_half_cone_element(rng, int(rng.integers(1, 7)))
+            dim = int(rng.integers(1, 7))
+            x = (np.eye(dim) - random_contraction(rng, dim)) / 2
             for r in (1 / 3, 0.5):
                 y = matrix_power_r(x, r)
-                assert in_halfF(y)
+                assert in_F(2 * y)
 
     def test_commutes_with_argument(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
-            x = random_cone_element(rng, 6)
+            x = np.eye(6) - random_contraction(rng, 6)
             y = matrix_power_r(x, 0.4)
             assert operator_norm(x @ y - y @ x) < 1e-10
 
@@ -138,7 +132,7 @@ class TestMatrixPower:
         rng = np.random.default_rng(48)
         for _ in range(10):
             dim = int(rng.integers(2, 8))
-            x = random_cone_element(rng, dim)
+            x = np.eye(dim) - random_contraction(rng, dim)
             powers = [np.linalg.matrix_power(x, k) for k in range(1, dim + 1)]
             span = matrix_span(powers)
             assert span.residual(matrix_power_r(x, 0.5).ravel()) < 1e-8
@@ -147,7 +141,7 @@ class TestMatrixPower:
         rng = np.random.default_rng(49)
         checked = 0
         while checked < 15:
-            x = random_cone_element(rng, 5)
+            x = np.eye(5) - random_contraction(rng, 5)
             if np.linalg.svd(x, compute_uv=False)[-1] < 1e-3:
                 continue
             for r in (0.5, 1 / 3):
@@ -156,7 +150,7 @@ class TestMatrixPower:
             checked += 1
 
     def test_exponent_one_is_identity_map(self):
-        x = random_cone_element(np.random.default_rng(50), 4)
+        x = np.eye(4) - random_contraction(np.random.default_rng(50), 4)
         np.testing.assert_allclose(matrix_power_r(x, 1.0), x, atol=0)
 
     def test_rejects_non_cone_input(self):
@@ -198,7 +192,7 @@ class TestMatrixPower:
             return result if lwork == -1 else (*result[:-1], 2)
 
         monkeypatch.setattr(scipy.linalg.lapack, "zgees", failing)
-        x = random_cone_element(np.random.default_rng(52), 4)
+        x = np.eye(4) - random_contraction(np.random.default_rng(52), 4)
         with pytest.raises(SpectrumError, match="info=2"):
             call(x, *args)
 
@@ -249,7 +243,7 @@ class TestTriangularKernel:
         if kernel_dim:
             x = random_singular_cone_element(rng, n, kernel_dim=kernel_dim)
         else:
-            x = random_cone_element(rng, n)
+            x = np.eye(n) - random_contraction(rng, n)
         t, z = complex_schur(x)
         labels = _cluster_labels(np.diag(t))
         np.testing.assert_array_equal(labels, np.arange(n))
@@ -310,7 +304,7 @@ class TestTriangularKernel:
             c = v @ tri @ v.conj().T
             b = np.eye(m) - c / max(1.0, np.linalg.norm(c, 2))
         else:
-            b = random_cone_element(rng, m)
+            b = np.eye(m) - random_contraction(rng, m)
         u = haar_unitary(rng, dim)
         x = np.zeros((dim, dim), dtype=complex)
         x[k:, k:] = b
@@ -323,7 +317,7 @@ class TestTriangularKernel:
 
 class TestSeriesOracle:
     def test_zero_corrected_polynomial_has_no_constant_term(self):
-        x = random_cone_element(np.random.default_rng(51), 4)
+        x = np.eye(4) - random_contraction(np.random.default_rng(51), 4)
         value, _ = series_power_oracle(np.zeros((4, 4)), 0.5, 30)
         assert np.allclose(value, 0)
         del x
@@ -332,7 +326,7 @@ class TestSeriesOracle:
         rng = np.random.default_rng(52)
         for _ in range(20):
             dim = int(rng.integers(1, 7))
-            x = random_cone_element(rng, dim)
+            x = np.eye(dim) - random_contraction(rng, dim)
             power = matrix_power_r(x, 0.5)
             plain, series = series_power_oracle(x, 0.5, 64, zero_corrected=False)
             assert operator_norm(plain - power) <= series.tail_bound + 1e-12
@@ -344,68 +338,14 @@ class TestSeriesOracle:
         for _ in range(10):
             dim = int(rng.integers(1, 7))
             # pull the spectrum strictly inside: ||1 - x|| <= 0.9
-            x = np.eye(dim) + 0.9 * (random_cone_element(rng, dim) - np.eye(dim))
+            x = np.eye(dim) - random_contraction(rng, dim)
+            x = np.eye(dim) + 0.9 * (x - np.eye(dim))
             power = matrix_power_r(x, 0.5)
             # plain truncation error is sum_{k>N} a_k 0.9^k, geometrically small
             approx, series = series_power_oracle(x, 0.5, 64, zero_corrected=False)
             err = operator_norm(approx - power)
             assert err <= series.tail_bound
             assert err < 5e-3  # far below the ~0.07 boundary tail
-
-
-class TestBaiSequence:
-    def test_telescoping_identity(self):
-        rng = np.random.default_rng(54)
-        for _ in range(10):
-            dim = int(rng.integers(1, 7))
-            x = random_cone_element(rng, dim)
-            n = int(rng.integers(1, 30))
-            e = bai_element(x, n)
-            y = np.eye(dim) - x
-            lhs = n * (x @ (np.eye(dim) - e))
-            rhs = y - np.linalg.matrix_power(y, n + 1)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-    def test_approximate_identity_bound(self):
-        rng = np.random.default_rng(55)
-        for _ in range(10):
-            dim = int(rng.integers(1, 7))
-            x = random_cone_element(rng, dim)
-            for n in (1, 4, 16, 64):
-                e = bai_element(x, n)
-                assert operator_norm(x @ e - x) <= 2.0 / n + 1e-10
-                assert operator_norm(np.eye(dim) - e) <= 1 + 1e-9
-
-    def test_matches_scalar_formula_on_diagonal_input(self):
-        lams = np.array([0.3 + 0.4j, 1.0, 1.9])
-        x = np.diag(lams)
-        for n in (1, 5, 17):
-            got = bai_element(x, n)
-            mus = 1 - lams
-            partial = np.array([np.sum(mu ** np.arange(1, n + 1)) for mu in mus])
-            want = np.diag(1 - partial / n)
-            np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_sequence_matches_elements(self):
-        x = random_cone_element(np.random.default_rng(56), 4)
-        seq = bai_sequence(x, 6)
-        for idx, e in enumerate(seq, start=1):
-            np.testing.assert_allclose(e, bai_element(x, idx), atol=1e-12)
-
-
-class TestRootCai:
-    def test_roots_stay_in_cone_and_approximate_identity(self):
-        rng = np.random.default_rng(57)
-        for _ in range(5):
-            dim = int(rng.integers(2, 6))
-            x = random_cone_element(rng, dim)
-            roots = root_cai(x, 6)
-            errs = [operator_norm(u @ x - x) for u in roots]
-            for u in roots:
-                assert in_F(u)
-                assert operator_norm(u @ x - x @ u) < 1e-9
-            # multiplication error decreases along the tail of the sequence
-            assert errs[-1] <= errs[1] + 1e-12
 
 
 class TestSpectralIdempotent:

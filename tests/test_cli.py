@@ -22,6 +22,8 @@ class TestRunSuite:
             SuiteConfig(suite="roots", trials=0)
         with pytest.raises(ValueError):
             SuiteConfig(suite="roots", dim=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SuiteConfig(suite="roots", seed=-1)
 
     def test_registry_names(self):
         assert SUITE_NAMES == tuple(sorted(SUITE_NAMES))
@@ -236,7 +238,11 @@ class TestCli:
 
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["run", "--suite", "nope"]) == 2
-        assert "unknown suite" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: unknown suite 'nope'")
+
+    def test_negative_seed_exit_two(self, capsys):
+        assert main(["run", "--suite", "roots", "--seed", "-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["support-join", "closure-battery", "disk-test", "quotient-cone"])
     def test_dim_below_suite_minimum_exit_two(self, suite, capsys):
@@ -281,7 +287,7 @@ class TestCli:
 
     def test_unknown_example_exit_two(self, capsys):
         assert main(["example", "bogus", "--out", "/tmp/unused.json"]) == 2
-        assert "unknown example" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: unknown example 'bogus'")
 
     def test_unwritable_out_exit_two(self):
         code = main(

@@ -1,48 +1,30 @@
-import json
-
 import numpy as np
 import pytest
+from draws import random_singular_cone_element
 
 from oalab import cone
-from oalab.cone import (
-    ConeReport,
-    accretive,
-    cone_constant,
-    cone_report,
-    in_F,
-    in_halfF,
-    strictly_real_positive,
-)
+from oalab.cone import accretive, cone_constant, in_F
 from oalab.matcore import DEFAULT_TOL, CrossCheckError, operator_norm
-from oalab.sampling import (
-    complex_normal,
-    haar_unitary,
-    random_cone_element,
-    random_half_cone_element,
-    random_singular_cone_element,
-    random_strict_cone_element,
-)
+from oalab.sampling import complex_normal, haar_unitary, random_contraction
 
 
 def test_identity_memberships():
     i2 = np.eye(2)
     assert in_F(i2)
-    assert in_halfF(i2)  # ||1 - 2*1|| = 1, boundary
+    assert in_F(2 * i2)  # ||1 - 2*1|| = 1, boundary
     assert accretive(i2)
-    assert strictly_real_positive(i2)
 
 
 def test_zero_matrix_is_boundary_member():
     z = np.zeros((3, 3))
     assert in_F(z)
-    assert not strictly_real_positive(z)
     assert cone_constant(z) is None
 
 
 def test_upper_triangular_unit_example():
     x = np.array([[1.0, 1.0], [0.0, 1.0]])
     assert in_F(x)  # ||1 - x|| = ||E12|| = 1
-    assert not in_halfF(x)
+    assert not in_F(2 * x)
 
 
 def test_two_times_identity_boundary():
@@ -53,11 +35,6 @@ def test_two_times_identity_boundary():
 def test_clear_nonmember():
     assert not in_F(np.diag([3.0, 1.0]))
     assert not in_F(np.array([[0.0, 2.0], [0.0, 0.0]]))
-
-
-def test_strictly_real_positive_requires_membership():
-    with pytest.raises(ValueError):
-        strictly_real_positive(np.diag([5.0, 5.0]))
 
 
 def test_cone_constant_identity_is_two():
@@ -85,7 +62,7 @@ def test_cone_constant_is_the_exact_boundary():
         if trial % 2 and dim > 1:
             x = random_singular_cone_element(rng, dim, kernel_dim=int(rng.integers(1, dim)))
         else:
-            x = random_cone_element(rng, dim)
+            x = np.eye(dim) - random_contraction(rng, dim)
         c = cone_constant(x)
         assert operator_norm(np.eye(dim) - c * x) <= 1 + 1e-12
         assert operator_norm(np.eye(dim) - c * (1 + 1e-6) * x) > 1
@@ -95,7 +72,7 @@ def test_random_cone_elements_are_members():
     rng = np.random.default_rng(21)
     for _ in range(50):
         dim = int(rng.integers(1, 7))
-        x = random_cone_element(rng, dim)
+        x = np.eye(dim) - random_contraction(rng, dim)
         assert in_F(x)
         # scaling into [0, 1] keeps membership (convexity with 0)
         assert in_F(rng.uniform(0.0, 1.0) * x)
@@ -104,8 +81,9 @@ def test_random_cone_elements_are_members():
 def test_half_cone_implies_cone():
     rng = np.random.default_rng(22)
     for _ in range(50):
-        x = random_half_cone_element(rng, int(rng.integers(1, 7)))
-        assert in_halfF(x)
+        dim = int(rng.integers(1, 7))
+        x = (np.eye(dim) - random_contraction(rng, dim)) / 2
+        assert in_F(2 * x)
         assert in_F(x)
 
 
@@ -113,7 +91,7 @@ def test_convex_combinations_stay_in_cone():
     rng = np.random.default_rng(23)
     for _ in range(25):
         dim = int(rng.integers(2, 6))
-        x, y = random_cone_element(rng, dim), random_cone_element(rng, dim)
+        x, y = (np.eye(dim) - random_contraction(rng, dim) for _ in range(2))
         t = rng.uniform()
         assert in_F(t * x + (1 - t) * y)
 
@@ -122,38 +100,13 @@ def test_strict_elements_have_cone_constant_certificate():
     rng = np.random.default_rng(24)
     for _ in range(25):
         dim = int(rng.integers(1, 6))
-        x = random_strict_cone_element(rng, dim)
-        assert strictly_real_positive(x)
+        x = np.eye(dim) - random_contraction(rng, dim, radius=0.95)
         assert accretive(x)
         c = cone_constant(x)
         assert c is not None and c > 0
         # maximality: slightly larger constants break positivity
         h = x + x.conj().T - (c * 1.01 + 1e-6) * (x.conj().T @ x)
         assert np.linalg.eigvalsh((h + h.conj().T) / 2)[0] < 0
-
-
-def test_cone_report_fields_and_json():
-    report = cone_report(np.eye(2))
-    assert isinstance(report, ConeReport)
-    payload = json.loads(report.to_json())
-    assert set(payload) == {
-        "in_F",
-        "in_halfF",
-        "accretive",
-        "strictly_real_positive",
-        "best_cone_constant",
-    }
-    assert payload["in_F"] is True
-    assert payload["best_cone_constant"] == pytest.approx(2.0, abs=1e-6)
-
-
-def test_cone_report_nonmember_disables_strict_flag():
-    report = cone_report(np.diag([4.0, 4.0]))
-    assert not report.in_F
-    assert not report.strictly_real_positive
-    # 4I is accretive and has cone constant 1/2
-    assert report.accretive
-    assert report.best_cone_constant == pytest.approx(0.5, rel=1e-6)
 
 
 def _lam_min(h):
@@ -166,7 +119,7 @@ def _cone_cases(rng, n):
     g = complex_normal(rng, (n, n))
     outside = np.eye(n) - 1.05 * g / np.linalg.norm(g, 2)
     boundary = np.zeros((1, 1)) if n == 1 else random_singular_cone_element(rng, n)
-    return [(random_cone_element(rng, n), True), (outside, False), (boundary, True)]
+    return [(np.eye(n) - random_contraction(rng, n), True), (outside, False), (boundary, True)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 200])
@@ -182,7 +135,8 @@ def test_cholesky_positivity_agrees_with_eigvalsh(n):
         assert in_F(x) == member
         assert accretive(x) == (_lam_min(a + a.conj().T) >= -tol)
         if member:
-            assert strictly_real_positive(x) == (_lam_min((a + a.conj().T) / 2.0) > tol)
+            strict = cone._psd_within((a + a.conj().T) / 2.0, -tol)
+            assert strict == (_lam_min((a + a.conj().T) / 2.0) > tol)
         c = cone_constant(x)
         assert (c is None) == (not accretive(x) or operator_norm(a) <= DEFAULT_TOL.rank_tol)
 
@@ -218,7 +172,7 @@ def test_psd_within_a_stack_needs_every_matrix():
 def test_identity_gap_still_raises(monkeypatch):
     # A norm route that contradicts the positivity route by far more than
     # the identity ||1-x||^2 = 1 - lambda_min allows is a numerical fault.
-    x = random_cone_element(np.random.default_rng(40), 6)
+    x = np.eye(6) - random_contraction(np.random.default_rng(40), 6)
     monkeypatch.setattr(cone, "operator_norm", lambda m: 1.5)
     with pytest.raises(CrossCheckError, match="identity gap"):
         in_F(x)

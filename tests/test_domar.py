@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from draws import grid_delta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,6 @@ from oalab.domar import (
     bump_cai_check,
     convolve,
     domar_criterion_check,
-    grid_delta,
     grid_indicator,
     make_weight,
     principal_density_check,

@@ -4,16 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from draws import random_singular_cone_element
 
-from oalab.calculus import root_cai
+from oalab.calculus import matrix_power_r
 from oalab.matcore import CrossCheckError, operator_norm, stack_slices
-from oalab.sampling import (
-    complex_normal,
-    haar_unitary,
-    random_cone_element,
-    random_singular_cone_element,
-    random_strict_cone_element,
-)
+from oalab.sampling import complex_normal, haar_unitary, random_contraction
 from oalab.spectral import (
     numerical_radius,
     numerical_range,
@@ -69,7 +64,7 @@ class TestNumericalRange:
         # eigenpair is computed; n = 45 is the last stacked size.
         count = 48
         assert all(b.stop - b.start == 1 for b in stack_slices(count, n)) == (n >= 46)
-        x = random_cone_element(np.random.default_rng(n), n) + complex_normal(
+        x = np.eye(n) - random_contraction(np.random.default_rng(n), n) + complex_normal(
             np.random.default_rng(n + 1), (n, n)
         )
         sample = numerical_range(x, count)
@@ -190,8 +185,9 @@ class TestWedgeMembership:
         rng = np.random.default_rng(42)
         grid_slack = 2.0 * np.pi / 720 + 1e-6
         for _ in range(12):
-            x = random_cone_element(rng, int(rng.integers(2, 7)))
-            roots = root_cai(x, n_max=5)
+            dim = int(rng.integers(2, 7))
+            x = np.eye(dim) - random_contraction(rng, dim)
+            roots = [matrix_power_r(x / 2, 1 / k) for k in range(1, 6)]
             prev_angle = np.pi
             for k, u in enumerate(roots, start=1):
                 report = wedge_membership(u, rho=np.pi / (2 * k))
@@ -223,7 +219,8 @@ class TestSharpNeumann:
     def test_strict_elements_are_invertible(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            x = random_strict_cone_element(rng, int(rng.integers(2, 7)))
+            dim = int(rng.integers(2, 7))
+            x = np.eye(dim) - random_contraction(rng, dim, radius=0.95)
             res = sharp_neumann(x)
             assert not res.singular
             assert res.norm_one_minus_half < 1.0 - 1e-6

@@ -12,6 +12,7 @@ range, the Kraus tabulation) within a tolerance fixed from the dtype.
 import numpy as np
 import pytest
 import scipy.linalg
+from draws import random_singular_cone_element
 
 from oalab import ocpmap, suites
 from oalab.calculus import matrix_power_r, spectral_idempotent
@@ -32,19 +33,12 @@ from oalab.ocpmap import (
     disk_test,
     entangled_cone_element,
     identity_map,
-    matrix_map_from_function,
     matrix_map_from_kraus,
     ocp_falsify,
     stinespring,
     transpose_map,
 )
-from oalab.sampling import (
-    complex_normal,
-    haar_unitaries,
-    haar_unitary,
-    random_cone_element,
-    random_singular_cone_element,
-)
+from oalab.sampling import complex_normal, haar_unitaries, haar_unitary, random_contraction
 from oalab.spectral import numerical_range
 from oalab.support import (
     _bai_limit_projection,
@@ -135,9 +129,9 @@ def sequential_stinespring(t, tol=DEFAULT_TOL):
 def sequential_kraus_action(kraus):
     """``T(E_ij) = sum_s K_s E_ij K_s^*`` tabulated one matrix unit at a time."""
     m, n = kraus[0].shape
-    return matrix_map_from_function(
-        n, m, lambda x: sum(k @ x @ k.conj().T for k in kraus)
-    ).action
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    images = [sum(k @ e @ k.conj().T for k in kraus) for e in units]
+    return np.array(images, dtype=complex).reshape(n, n, m, m)
 
 
 def sequential_numerical_range(x, theta_count):
@@ -424,7 +418,7 @@ class TestSvdCounts:
         assert svd_calls == [(7, 7)]
 
     def test_matrix_power_r_makes_one(self, svd_calls):
-        x = random_cone_element(np.random.default_rng(1), 5)
+        x = np.eye(5) - random_contraction(np.random.default_rng(1), 5)
         svd_calls.clear()
         matrix_power_r(x, 0.5)
         # in_F's norm route; the Frobenius bounds decide both post-checks
@@ -588,7 +582,7 @@ class TestSchurCounts:
     """
 
     def test_separated_spectrum_makes_no_sylvester_solve(self, lapack_calls):
-        matrix_power_r(random_cone_element(np.random.default_rng(1), 5), 0.5)
+        matrix_power_r(np.eye(5) - random_contraction(np.random.default_rng(1), 5), 0.5)
         assert lapack_calls == ["zgees"]
 
     def test_clusters_keep_their_reorderings_and_solves(self, lapack_calls):
@@ -631,7 +625,7 @@ def eigen_calls(monkeypatch):
 
 
 class TestChoiEigenCounts:
-    """``is_cp`` and ``stinespring`` share one ``eigh`` of the Choi matrix."""
+    """``stinespring`` decides complete positivity by the ``eigh`` it factors with."""
 
     def test_stinespring_makes_one_eigh(self, eigen_calls):
         ocpmap.stinespring(_kraus_map(np.random.default_rng(2), 2, 3))
@@ -641,11 +635,6 @@ class TestChoiEigenCounts:
         with pytest.raises(ValueError):
             ocpmap.stinespring(transpose_map(2))
         assert eigen_calls == ["eigh"]
-
-    def test_is_cp_makes_one_eigh(self, eigen_calls):
-        assert ocpmap.is_cp(_kraus_map(np.random.default_rng(3), 3, 2))
-        assert not ocpmap.is_cp(transpose_map(3))
-        assert eigen_calls == ["eigh", "eigh"]
 
 
 class TestKrausStacked:

@@ -1,21 +1,14 @@
 import numpy as np
 import pytest
+from draws import random_singular_cone_element
 
 from oalab.matcore import DEFAULT_TOL, ConvergenceError, operator_norm
-from oalab.sampling import (
-    haar_unitary,
-    random_cone_element,
-    random_singular_cone_element,
-    random_strict_cone_element,
-)
+from oalab.sampling import haar_unitary, random_contraction
 from oalab.support import (
-    DensityState,
     _bai_limit_projection,
     _cond_below,
     join_supports,
-    peak_projection,
     power_limit_projection,
-    state_vanishing_check,
     support_projection,
     support_projection_routes,
 )
@@ -28,7 +21,7 @@ def test_support_is_two_sided_projection():
         x = (
             random_singular_cone_element(rng, dim)
             if rng.uniform() < 0.5
-            else random_cone_element(rng, dim)
+            else np.eye(dim) - random_contraction(rng, dim)
         )
         if operator_norm(x) < 1e-8:
             continue
@@ -44,7 +37,7 @@ def test_support_is_two_sided_projection():
 
 def test_support_of_invertible_is_identity():
     rng = np.random.default_rng(61)
-    x = random_strict_cone_element(rng, 5)
+    x = np.eye(5) - random_contraction(rng, 5, radius=0.95)
     np.testing.assert_allclose(support_projection(x).projection, np.eye(5), atol=1e-9)
 
 
@@ -62,7 +55,7 @@ def test_three_routes_agree():
                 rng, dim, kernel_dim=int(rng.integers(1, dim))
             )
         else:
-            x = random_cone_element(rng, dim)
+            x = np.eye(dim) - random_contraction(rng, dim)
         if operator_norm(x) < 1e-8:
             continue
         routes = support_projection_routes(x)
@@ -191,39 +184,3 @@ def test_join_supports_random_families():
 def test_join_supports_rejects_non_cone_member():
     with pytest.raises(ValueError):
         join_supports([np.diag([2.0, 0.0]), np.diag([5.0, 0.0])])
-
-
-def test_peak_projection_complements_support():
-    p = peak_projection(np.diag([2.0, 0.0]))
-    np.testing.assert_allclose(p, np.diag([0.0, 1.0]), atol=1e-12)
-
-
-class TestStateVanishing:
-    def test_kernel_state_vanishes_consistently(self):
-        rng = np.random.default_rng(66)
-        for _ in range(10):
-            x = random_singular_cone_element(rng, 5, kernel_dim=2)
-            _, _, vh = np.linalg.svd(x)
-            v = vh[-1].conj()
-            rho = np.outer(v, v.conj())
-            report = state_vanishing_check(x, rho)
-            assert report.vanishes_on_x
-            assert report.vanishes_on_support
-            assert report.consistent
-
-    def test_generic_state_does_not_vanish(self):
-        rng = np.random.default_rng(67)
-        x = random_strict_cone_element(rng, 4)
-        rho = np.eye(4) / 4.0
-        report = state_vanishing_check(x, rho)
-        assert not report.vanishes_on_x
-        assert not report.vanishes_on_support
-        assert report.consistent
-
-    def test_density_validation(self):
-        with pytest.raises(ValueError):
-            DensityState(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-        with pytest.raises(ValueError):
-            DensityState(np.diag([2.0, -1.0]))  # not PSD
-        with pytest.raises(ValueError):
-            DensityState(np.diag([0.9, 0.9]))  # trace != 1

@@ -506,11 +506,9 @@ class WsBatteryReport(JsonReport):
 WS_CLUSTER_TOL = 1e-4
 
 
-def _is_diagonalizable(x: np.ndarray) -> bool:
-    """Square-free minimal polynomial test via clustered multiplicities."""
-    lams = spectrum(x)
-    scale = max(1.0, float(np.max(np.abs(lams))))
-    threshold = WS_CLUSTER_TOL * scale
+def _is_diagonalizable(x: np.ndarray, lams: np.ndarray, threshold: float) -> bool:
+    """Square-free minimal polynomial test via multiplicities of the
+    eigenvalues ``lams`` of ``x`` clustered within ``threshold``."""
     used = np.zeros(len(lams), dtype=bool)
     n = x.shape[0]
     eye = np.eye(n, dtype=complex)
@@ -530,12 +528,13 @@ def _is_diagonalizable(x: np.ndarray) -> bool:
 
 def ws_battery(
     x,
-    A: FDAlgebra,
+    A: Optional[FDAlgebra] = None,
     tol: Tolerances = DEFAULT_TOL,
     require_cone: bool = True,
 ) -> WsBatteryReport:
     """Evaluate the pseudo-inverse equivalence chain for ``x`` inside ``A``.
 
+    An omitted ``A`` is ``oa(x)``, the algebra the chain builds anyway.
     By default requires ``||1 - x|| <= 1`` (the regime where the chain's
     equivalences hold and, at finite dimension, all conditions are true).
     Passing ``require_cone=False`` admits arbitrary ``x`` -- in particular
@@ -543,16 +542,19 @@ def ws_battery(
     fail and the semisimple flag is false.
     """
     x = as_square_matrix(x)
-    if x.shape[0] != A.ambient_dim:
-        raise ValueError("x and A live in different ambient dimensions")
-    if not A.contains(x):
-        raise ValueError("x does not lie in the span of A")
+    if A is not None:
+        if x.shape[0] != A.ambient_dim:
+            raise ValueError("x and A live in different ambient dimensions")
+        if not A.contains(x):
+            raise ValueError("x does not lie in the span of A")
     if require_cone and not in_F(x, tol):
         raise ValueError(
             "x is outside the unit-shifted cone; pass require_cone=False "
             "to evaluate the chain anyway"
         )
     oax = generated_algebra(x, tol)
+    if A is None:
+        A = oax
     x_oax = matrix_span(x @ oax.basis, tol)
     cond_i = x_oax.membership(x.ravel())
     cond_ii = x_oax.dim == oax.dim
@@ -587,7 +589,7 @@ def ws_battery(
             "vi": bool(cond_vi),
             "vii": bool(cond_vii),
         },
-        semisimple=_is_diagonalizable(x),
+        semisimple=_is_diagonalizable(x, lams, threshold),
         cluster_tol=WS_CLUSTER_TOL,
         y_in_oa=y_oa if cond_iii else None,
         y_in_A=y_a if cond_vi else None,
@@ -646,7 +648,14 @@ class _SmoothedNorm(NamedTuple):
     m: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
-    dual: np.ndarray  # G = 2 P[:n, n:]
+    q: np.ndarray  # eigenvectors of H
+    p: np.ndarray  # softmax(lam / mu)
+
+    @property
+    def dual(self) -> np.ndarray:
+        """The dual candidate ``G = 2 P[:n, n:]``, formed when read."""
+        n = self.m.shape[0]
+        return 2.0 * (self.q[:n] * self.p) @ self.q[n:].conj().T
 
 
 def _dilation_objective(a: np.ndarray, j_mats: np.ndarray, x: np.ndarray, mu: float) -> _SmoothedNorm:
@@ -691,7 +700,8 @@ def _dilation_objective(a: np.ndarray, j_mats: np.ndarray, x: np.ndarray, mu: fl
         m=m,
         grad=grad,
         hess=hess,
-        dual=2.0 * (q1 * p) @ q2.conj().T,
+        q=q,
+        p=p,
     )
 
 

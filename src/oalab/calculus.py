@@ -7,7 +7,9 @@ a complex Schur triangularization (LAPACK ``zgees``) followed by a Parlett
 recurrence.  Eigenvalues are grouped into transitive clusters (tolerance
 ``DEFAULT_CLUSTER_TOL``).  When every cluster is a single eigenvalue, the
 generic case, Parlett's scalar recurrence fills the triangular power one
-superdiagonal at a time, each superdiagonal one vectorized step.  Otherwise
+superdiagonal at a time: in plain Python complex arithmetic up to
+``_SCALAR_PARLETT_MAX`` eigenvalues, each superdiagonal one vectorized step
+above that.  Otherwise
 (every singular input with a kernel of dimension two or more is such a case)
 the blocked recurrence of Davies-Higham runs: LAPACK ``ztrsen`` makes the
 clusters contiguous by a unitary reordering, each diagonal cluster block is
@@ -52,6 +54,12 @@ __all__ = [
 
 DEFAULT_CLUSTER_TOL = 1e-4
 _ZERO_SNAP = 1e-12
+# Largest triangular factor whose Parlett recurrence runs on Python lists.
+# Median single calls, lists against the vectorized band loop (one BLAS
+# thread, 2-vCPU shared VM, BENCH_small_calculus.json): 46 against 101 us at
+# n = 8, 131 against 170 us at n = 12, 256 against 246 us at n = 16; from
+# n = 13 on the two are within the host's noise of each other.
+_SCALAR_PARLETT_MAX = 12
 
 
 class RecurrenceBreakdown(ArithmeticError):
@@ -217,11 +225,27 @@ def _parlett_power(t: np.ndarray, r: float) -> np.ndarray:
     Parlett's scalar recurrence: ``TF = FT`` gives, for ``j > i``,
     ``f_ij (t_ii - t_jj) = (FT - TF)_ij`` evaluated with ``f_ij = 0``, and
     that right side reads only superdiagonals below ``j - i``.  So F fills
-    one superdiagonal at a time, each as one vectorized step over strided
-    views of the band: row i of a view holds ``F[i, i:j+1]``,
-    ``T[i:j+1, j]``, ``T[i, i:j+1]`` or ``F[i:j+1, j]``.
+    one superdiagonal at a time.  Up to ``_SCALAR_PARLETT_MAX`` rows, where
+    numpy's per-call cost outweighs the arithmetic, each entry is a Python
+    sum over lists of complex numbers.  Above it each superdiagonal is one
+    vectorized step over strided views of the band: row i of a view holds
+    ``F[i, i:j+1]``, ``T[i:j+1, j]``, ``T[i, i:j+1]`` or ``F[i:j+1, j]``.
     """
     n = t.shape[0]
+    if n <= _SCALAR_PARLETT_MAX:
+        rows = t.tolist()
+        f = [[0j] * n for _ in range(n)]
+        for i in range(n):
+            f[i][i] = _principal_power(rows[i][i], r)
+        for k in range(1, n):
+            for i in range(n - k):
+                j = i + k
+                f_i, t_i = f[i], rows[i]
+                num = 0j
+                for p in range(i, j + 1):
+                    num += f_i[p] * rows[p][j] - t_i[p] * f[p][j]
+                f_i[j] = num / (t_i[i] - rows[j][j])
+        return np.array(f)
     d = np.diag(t)
     t = np.ascontiguousarray(t, dtype=complex)
     f = np.zeros((n, n), dtype=complex)

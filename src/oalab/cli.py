@@ -3,8 +3,9 @@
 ``oalab run --suite NAME [--dim N] [--trials K] [--seed S] [--tol X]
 [--out PATH]`` executes one registered suite and prints one line per case;
 ``oalab example NAME [--size N] --out PATH`` writes a constructed example
-as JSON.  Exit codes: 0 all cases pass, 1 at least one assertion failed,
-2 usage error (unknown suite or example, invalid flags).
+as JSON (``--size`` for ``rdr`` and ``volterra`` only).  Exit codes: 0 all
+cases pass, 1 at least one assertion failed, 2 usage error (unknown suite or
+example, invalid flags).
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _example_payload(name: str, size: Optional[int]) -> dict:
     if name == "two-dim":
+        if size is not None:
+            raise ValueError("example 'two-dim' takes no --size")
         return {"example": name, "payload": example_two_dim()}
     if name == "rdr":
         n = size if size is not None else 4

@@ -240,7 +240,7 @@ def _suite_closure_battery(run):
     for trial in range(run.trials):
         d = int(run.rng.integers(2, cap + 1))
         x = np.eye(d) + random_contraction(run.rng, d)
-        report = ws_battery(x, generated_algebra(x, tol), tol)
+        report = ws_battery(x, tol=tol)
         run.count("random-consistency", not report.consistent,
                   lambda: {"trial": trial, "x": matrix_to_json(x), "report": to_jsonable(report)})
 
@@ -254,7 +254,7 @@ def _suite_closure_battery(run):
             x = np.zeros((nil_dim + inv_dim,) * 2, dtype=complex)
             x[:nil_dim, :nil_dim] = shift
             x[nil_dim:, nil_dim:] = 2.0 * np.eye(inv_dim)
-            report = ws_battery(x, generated_algebra(x, tol), tol, require_cone=False)
+            report = ws_battery(x, tol=tol, require_cone=False)
             ok = (
                 report.conditions["vii"]
                 and not report.conditions["vi"]

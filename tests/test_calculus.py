@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oalab import calculus
 from oalab.calculus import (
+    _SCALAR_PARLETT_MAX,
     RecurrenceBreakdown,
     _blocked_power,
     _checked_sylvester,
@@ -233,12 +234,20 @@ class TestTriangularKernel:
                 np.testing.assert_array_equal(_cluster_labels(diag), np.arange(n))
 
     @pytest.mark.parametrize(
-        "n, kernel_dim", [(n, k) for n in (*range(1, 10), 64, 200) for k in (0, 1) if k < n]
+        "n, kernel_dim",
+        [
+            (n, k)
+            for n in (*range(1, 10), _SCALAR_PARLETT_MAX, _SCALAR_PARLETT_MAX + 1, 64, 200)
+            for k in (0, 1)
+            if k < n
+        ],
     )
     def test_scalar_recurrence_matches_the_blocked_path(self, n, kernel_dim):
         # a separated spectrum, with or without a simple zero eigenvalue, takes
-        # Parlett's scalar recurrence; the blocked path, called directly on
-        # the same Schur pair, runs the same recurrence by Sylvester solves
+        # Parlett's scalar recurrence, on Python lists up to
+        # _SCALAR_PARLETT_MAX and by vectorized superdiagonals above; the
+        # blocked path, called directly on the same Schur pair, runs the same
+        # recurrence by Sylvester solves
         rng = np.random.default_rng(62 + n)
         if kernel_dim:
             x = random_singular_cone_element(rng, n, kernel_dim=kernel_dim)

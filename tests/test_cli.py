@@ -278,6 +278,12 @@ class TestCli:
         assert payload["payload"]["ambient_dim"] == 2
         assert len(payload["payload"]["basis"]) == 2
 
+    def test_example_two_dim_rejects_size(self, tmp_path, capsys):
+        out = tmp_path / "alg.json"
+        assert main(["example", "two-dim", "--size", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: example 'two-dim' takes no --size\n"
+        assert not out.exists()
+
     def test_example_volterra(self, tmp_path):
         out = tmp_path / "v.json"
         assert main(["example", "volterra", "--size", "10", "--out", str(out)]) == 0

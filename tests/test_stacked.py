@@ -9,18 +9,22 @@ reduction runs in another order (the boundary points of the numerical
 range, the Kraus tabulation) within a tolerance fixed from the dtype.
 """
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
 from draws import random_singular_cone_element
 
-from oalab import ocpmap, suites
+from oalab import algebra, matcore, ocpmap, suites
 from oalab.calculus import matrix_power_r, spectral_idempotent
 from oalab.cone import in_F
 from oalab.matcore import (
     DEFAULT_TOL,
     STACK_ENTRY_CAP,
     Tolerances,
+    matrix_span,
     matrix_to_json,
     operator_norm,
     operator_norm_at_most,
@@ -728,3 +732,53 @@ class TestOcpFalsifyTraffic:
         assert not any(tensordot_inside)
         # dilation_bound's stinespring is the only Choi factorization
         assert eigen_calls.count("eigh") == trials
+
+
+def count_calls(monkeypatch, calls: Counter, module, name: str) -> None:
+    """Count in ``calls[name]`` the calls of ``module.name``, made through
+    every oalab module that imported it."""
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "oalab" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counting)
+
+
+class TestCertificateCounts:
+    """Work per closure-battery trial and per quotient-norm stage.
+
+    Each ``ws_battery`` call builds ``oa(x)`` once and takes the spectrum of
+    ``x`` once, and ``quotient_norm`` forms the dual candidate ``G`` once per
+    smoothing stage rather than at every trial step of its descent.
+    """
+
+    def test_closure_battery_builds_oa_and_spectrum_once_per_battery(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((algebra, "ws_battery"), (algebra, "generated_algebra"), (matcore, "spectrum")):
+            count_calls(monkeypatch, calls, module, name)
+        report = suites.run_suite(suites.SuiteConfig(suite="closure-battery", trials=6, seed=1))
+        assert report.passed
+        # six random trials and the four nilpotent-plus-invertible elements
+        assert calls["ws_battery"] == 6 + 4
+        assert calls["generated_algebra"] == calls["ws_battery"]
+        assert calls["spectrum"] == calls["ws_battery"]
+
+    def test_quotient_norm_forms_one_dual_per_stage(self, monkeypatch):
+        mus, duals = [], []
+        objective = algebra._dilation_objective
+        monkeypatch.setattr(
+            algebra, "_dilation_objective", lambda a, j, x, mu: mus.append(mu) or objective(a, j, x, mu)
+        )
+        dual = algebra._SmoothedNorm.dual.fget
+        monkeypatch.setattr(algebra._SmoothedNorm, "dual", property(lambda s: duals.append(s) or dual(s)))
+        rng = np.random.default_rng(7)
+        a = complex_normal(rng, (4, 4))
+        result = algebra.quotient_norm(a, matrix_span(complex_normal(rng, (5, 4, 4))))
+        assert result.status == "CERTIFIED"
+        stages = len(set(mus))
+        assert stages >= 2 and len(mus) > 2 * stages
+        assert len(duals) == stages

@@ -36,7 +36,6 @@ from .cone import in_F
 from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
-    JsonReport,
     Subspace,
     Tolerances,
     as_square_matrix,
@@ -119,7 +118,7 @@ def _block_mask(dims: Sequence[int], chosen) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class FDAlgebra(JsonReport):
+class FDAlgebra:
     """A multiplication-closed subspace of ``M_n`` with optional unit.
 
     ``basis`` is a stack of linearly independent ``ambient_dim x ambient_dim``
@@ -172,12 +171,6 @@ class FDAlgebra(JsonReport):
         if x.shape[0] != self.ambient_dim:
             return False
         return self.span.membership(x.ravel())
-
-    def element(self, coeffs) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (self.dim,):
-            raise ValueError(f"need {self.dim} coefficients, got {coeffs.shape}")
-        return linear_combination(coeffs, self.basis)
 
 
 def _find_unit(mats: np.ndarray, tol: Tolerances) -> Optional[np.ndarray]:
@@ -314,11 +307,11 @@ class ConditionStats:
 
 
 @dataclasses.dataclass(frozen=True)
-class NorBatteryReport(JsonReport):
+class NorBatteryReport:
     """Sampled verification of the radical-free ball conditions.
 
     Conditions evaluated per sample ``a`` in ``Ball(A)`` at distance more
-    than ``rejection_margin`` from the scalar line:
+    than ``NOR_REJECTION_MARGIN`` from the scalar line:
 
     * ``power_decay``   -- margin ``1 - ||a^64||^(1/64)``;
     * ``spectral_gap``  -- margin ``||a|| - r(a)``;
@@ -335,7 +328,6 @@ class NorBatteryReport(JsonReport):
 
     trials_requested: int
     trials_sampled: int
-    rejection_margin: float
     conditions: dict
     margins: dict
     idempotent_witnesses: list
@@ -355,6 +347,9 @@ class NorBatteryReport(JsonReport):
 
 # Sweep angles of the numerical radius behind the ``radius_gap`` condition.
 NOR_THETA_COUNT = 360
+
+# Distance to the scalar line at or below which a ball sample is rejected.
+NOR_REJECTION_MARGIN = 0.1
 
 _NOR_CONDITIONS = (
     "power_decay",
@@ -384,13 +379,12 @@ def nor_battery(
     trials: int,
     seed: int,
     tol: Tolerances = DEFAULT_TOL,
-    rejection_margin: float = 0.05,
 ) -> NorBatteryReport:
     """Sample ``Ball(A)`` away from the scalars and test the five conditions.
 
     Elements are drawn as Gaussian combinations of the basis, rescaled to a
     uniformly random operator norm in ``(0, 1]``, and rejected when their
-    distance to the scalar line ``C*unit`` is at most ``rejection_margin``
+    distance to the scalar line ``C*unit`` is at most ``NOR_REJECTION_MARGIN``
     (the conditions degenerate continuously as ``a`` approaches a scalar, so
     margins must be bounded away).  Basis elements that are themselves
     non-scalar idempotent contractions are recorded as deterministic
@@ -411,7 +405,7 @@ def nor_battery(
     while len(samples) < trials and attempts < cap:
         attempts += 1
         a = random_span_element(rng, A.basis, 1.0)
-        if a is not None and _distance_to_scalars(a, unit) > rejection_margin:
+        if a is not None and _distance_to_scalars(a, unit) > NOR_REJECTION_MARGIN:
             samples.append(a)
 
     margins = {name: [] for name in _NOR_CONDITIONS}
@@ -436,13 +430,12 @@ def nor_battery(
             1.0, operator_norm(b) ** 2
         )
         in_ball = operator_norm(b) <= 1.0 + tol.exact_tol
-        nonscalar = _distance_to_scalars(b, unit) > rejection_margin
+        nonscalar = _distance_to_scalars(b, unit) > NOR_REJECTION_MARGIN
         if idem and in_ball and nonscalar:
             witnesses.append(b)
     return NorBatteryReport(
         trials_requested=trials,
         trials_sampled=len(samples),
-        rejection_margin=rejection_margin,
         conditions=conditions,
         margins=margins,
         idempotent_witnesses=witnesses,
@@ -458,7 +451,7 @@ def _solve_xyx(x: np.ndarray, basis: np.ndarray, tol: Tolerances):
 
 
 @dataclasses.dataclass(frozen=True)
-class WsBatteryReport(JsonReport):
+class WsBatteryReport:
     """Pseudo-inverse equivalence chain for one element ``x``.
 
     Conditions (finite-dimensional surrogates):
@@ -475,15 +468,13 @@ class WsBatteryReport(JsonReport):
 
     ``semisimple`` reports whether ``oa(x)`` is semisimple, decided by
     diagonalizability of ``x`` (square-free minimal polynomial) with
-    eigenvalue clustering at ``cluster_tol``, which is always
-    :data:`WS_CLUSTER_TOL`.  ``consistent`` asserts the chain: (i)--(vi)
-    agree mutually, (vi) implies (vii), and -- only under semisimplicity --
-    (vii) implies (ii).
+    eigenvalue clustering at :data:`WS_CLUSTER_TOL`.  ``consistent``
+    asserts the chain: (i)--(vi) agree mutually, (vi) implies (vii), and --
+    only under semisimplicity -- (vii) implies (ii).
     """
 
     conditions: dict
     semisimple: bool
-    cluster_tol: float
     y_in_oa: Optional[np.ndarray]
     y_in_A: Optional[np.ndarray]
     residual_oa: float
@@ -590,7 +581,6 @@ def ws_battery(
             "vii": bool(cond_vii),
         },
         semisimple=_is_diagonalizable(x, lams, threshold),
-        cluster_tol=WS_CLUSTER_TOL,
         y_in_oa=y_oa if cond_iii else None,
         y_in_A=y_a if cond_vi else None,
         residual_oa=res_oa,
@@ -603,7 +593,7 @@ def ws_battery(
 
 
 @dataclasses.dataclass(frozen=True)
-class QuotientNormResult(JsonReport):
+class QuotientNormResult:
     """Certified interval for ``min_j ||a - j||`` over a subspace ``J``.
 
     ``upper`` is the smallest ``||a - j||`` evaluated at an explicit ``j``
@@ -789,7 +779,7 @@ def quotient_norm(a, J: Subspace, tol: Tolerances = DEFAULT_TOL) -> QuotientNorm
 
 
 @dataclasses.dataclass(frozen=True)
-class QuotientConeReport(JsonReport):
+class QuotientConeReport:
     """Two-directional check that the quotient of the shifted cone is the cone.
 
     ``forward_excess``: worst of ``quotient_norm(unit - x) - 1`` over sampled

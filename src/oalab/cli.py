@@ -74,7 +74,7 @@ def _write_json(path: str, value, what: str) -> bool:
     """Write ``value``'s :func:`to_jsonable` form to ``path``; report a failure."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(to_jsonable(value), handle, sort_keys=True, indent=2)
+            json.dump(to_jsonable(value), handle, sort_keys=True, indent=2, allow_nan=False)
             handle.write("\n")
     except OSError as exc:
         print(f"error: cannot write {what}: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .matcore import DEFAULT_TOL, JsonReport, Tolerances, to_jsonable
+from .matcore import DEFAULT_TOL, Tolerances, to_jsonable
 from .sampling import complex_normal
 
 __all__ = [
@@ -57,20 +57,21 @@ __all__ = [
 # --------------------------------------------------------------------------
 # weights
 
+# Superlinearity exponent ``epsilon`` of the criterion check: a weight
+# qualifies when ``eta(t)/t^(1+epsilon)`` grows along the tail, where
+# ``eta = -log(omega)``.
+SUPERLINEAR_EPSILON = 0.5
+
 
 @dataclasses.dataclass(frozen=True)
 class RadicalWeight:
     """A positive weight with sampled-verified radical-weight invariants.
 
-    ``epsilon`` is the superlinearity exponent used by the criterion check:
-    the weight qualifies when ``eta(t)/t^(1+epsilon)`` grows along the tail,
-    where ``eta = -log(omega)``.  ``horizon`` bounds the interval on which
-    the invariants were verified (and, for custom weights, the domain of
-    validity).
+    ``horizon`` bounds the interval on which the invariants were verified
+    (and, for custom weights, the domain of validity).
     """
 
     kind: str
-    epsilon: float
     horizon: float
     omega_fn: Callable[[np.ndarray], np.ndarray] = dataclasses.field(repr=False)
 
@@ -122,25 +123,22 @@ def _verify_weight_invariants(w: RadicalWeight, tol: Tolerances) -> None:
 def make_weight(
     kind: str,
     omega: Optional[Callable] = None,
-    epsilon: float = 0.5,
     horizon: float = 24.0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> RadicalWeight:
     """Construct a verified weight.
 
-    ``kind="gaussian"`` builds ``omega(t) = exp(-t^2)`` with
-    ``epsilon = 0.5`` (``eta(t) = t^2``, so ``eta/t^1.5`` grows without
-    bound).  ``kind="custom"`` takes any positive callable; the sampled
-    invariants (positivity, ``omega(0)=1``, submultiplicativity, and
-    non-increasing ``t``-th roots) are verified on ``[0, horizon]`` and a
-    violation raises ``ValueError``.
+    ``kind="gaussian"`` builds ``omega(t) = exp(-t^2)`` (``eta(t) = t^2``,
+    so ``eta/t^1.5`` grows without bound).  ``kind="custom"`` takes
+    any positive callable; the sampled invariants (positivity,
+    ``omega(0)=1``, submultiplicativity, and non-increasing ``t``-th roots)
+    are verified on ``[0, horizon]`` and a violation raises ``ValueError``.
     """
     if kind == "gaussian":
         if horizon > 27.0:
             raise ValueError("gaussian weight underflows beyond horizon 27")
         w = RadicalWeight(
             kind="gaussian",
-            epsilon=0.5,
             horizon=float(horizon),
             omega_fn=lambda t: np.exp(-np.square(t)),
         )
@@ -149,7 +147,6 @@ def make_weight(
             raise ValueError("custom weights need an omega callable")
         w = RadicalWeight(
             kind="custom",
-            epsilon=float(epsilon),
             horizon=float(horizon),
             omega_fn=lambda t, fn=omega: np.asarray(fn(t), dtype=float),
         )
@@ -164,7 +161,7 @@ def make_weight(
 
 
 @dataclasses.dataclass(frozen=True)
-class GridFunction(JsonReport):
+class GridFunction:
     """A finitely supported function on the uniform grid ``t_k = k h``.
 
     ``coeffs[k]`` is the value at the left endpoint ``k h``; the function is
@@ -249,21 +246,19 @@ def alpha(f: GridFunction, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class TitchmarshReport(JsonReport):
+class TitchmarshReport:
     """Exact-additivity tally for the support functional under convolution."""
 
     trials: int
     exact_matches: int
     failures: list
 
-    @property
-    def all_exact(self) -> bool:
-        return self.exact_matches == self.trials and not self.failures
+
+# Grid step of the functions titchmarsh_check draws.
+TITCHMARSH_STEP = 0.05
 
 
-def titchmarsh_check(
-    trials: int, seed: int, h: float = 0.05, tol: Tolerances = DEFAULT_TOL
-) -> TitchmarshReport:
+def titchmarsh_check(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> TitchmarshReport:
     """Sample random pairs and assert ``alpha(f*g) = alpha(f) + alpha(g)``.
 
     The identity is checked at the index level (integers), so it is exact,
@@ -284,7 +279,7 @@ def titchmarsh_check(
             body = complex_normal(rng, length)
             body[0] = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
             coeffs = np.concatenate([np.zeros(offset, dtype=complex), body])
-            parts.append(GridFunction(h=h, coeffs=coeffs))
+            parts.append(GridFunction(h=TITCHMARSH_STEP, coeffs=coeffs))
         f, g = parts
         conv = convolve(f, g)
         expected = alpha_index(f, tol) + alpha_index(g, tol)
@@ -361,13 +356,14 @@ def quasinilpotence_root_bound(
 
 
 @dataclasses.dataclass(frozen=True)
-class WeightCriterionReport(JsonReport):
+class WeightCriterionReport:
     """Convexity, superlinear tail, and ratio-integral data for a weight.
 
     * ``eta_convex`` -- second differences of ``eta`` on a uniform grid stay
       above ``-exact_tol`` (``worst_second_difference`` records the minimum);
     * ``tail_superlinear`` -- ``eta(t)/t^(1+epsilon)`` is nondecreasing over
-      the last quarter of the horizon;
+      the last quarter of the horizon, ``epsilon`` the module's
+      ``SUPERLINEAR_EPSILON``;
     * ``ratio_integral`` -- quadrature of
       ``integral of (omega(x+t_probe)/omega(x))^2 dx`` over
       ``[0, horizon - t_probe]`` (the integrand is decreasing in ``x`` for
@@ -482,7 +478,7 @@ def domar_criterion_check(
     worst = float(np.min(second)) if second.size else 0.0
     eta_convex = worst >= -tol.exact_tol
 
-    ratio = eta / ts ** (1.0 + w.epsilon)
+    ratio = eta / ts ** (1.0 + SUPERLINEAR_EPSILON)
     tail = ratio[3 * len(ratio) // 4 :]
     tail_superlinear = bool(np.all(np.diff(tail) >= -tol.exact_tol))
 
@@ -512,18 +508,15 @@ def domar_criterion_check(
 
 
 @dataclasses.dataclass(frozen=True)
-class PrincipalDensityResult(JsonReport):
+class PrincipalDensityResult:
     """Triangular-solve witness that ``g`` lies in the ideal generated by ``f``.
 
     ``residual`` is the relative weighted-L2 error of ``f * u - g`` on the
-    truncated grid of ``g``; ``cond_log10`` is a crude growth estimate for
-    the forward substitution (length times the log of the per-step
-    amplification factor).
+    truncated grid of ``g``.
     """
 
     residual: float
     solution: GridFunction
-    cond_log10: float
 
 
 def principal_density_check(
@@ -542,7 +535,7 @@ def principal_density_check(
     grid.  LAPACK ``ztbtrs`` solves it from the band alone (no pivoting, so
     it is the forward substitution, in ``O(length x bandwidth)`` memory);
     the residual is at quadrature precision whenever the substitution is
-    well conditioned, and ``cond_log10`` surfaces the conditioning.
+    well conditioned.
     """
     if abs(t_f.h - g.h) > 1e-15:
         raise ValueError("grid steps differ")
@@ -558,7 +551,7 @@ def principal_density_check(
         raise ValueError(f"solution length {length} exceeds budget {budget}")
     if length <= 0:
         u = GridFunction(h=h, coeffs=np.zeros(1, dtype=complex))
-        return PrincipalDensityResult(residual=0.0, solution=u, cond_log10=0.0)
+        return PrincipalDensityResult(residual=0.0, solution=u)
     fcoef = t_f.coeffs
     # Row d of the band is the d-th subdiagonal; those past the last row
     # of the system are never read, so the band stops there.
@@ -574,11 +567,7 @@ def principal_density_check(
     diff = GridFunction(h=h, coeffs=padded - g.coeffs)
     denom = max(weighted_l2(g, w), 1e-30)
     residual = weighted_l2(diff, w) / denom
-    amplifier = float(np.sum(np.abs(fcoef[k0 + 1 :])) / abs(fcoef[k0]) + 1.0)
-    cond_log10 = length * math.log10(amplifier)
-    return PrincipalDensityResult(
-        residual=residual, solution=solution, cond_log10=cond_log10
-    )
+    return PrincipalDensityResult(residual=residual, solution=solution)
 
 
 # --------------------------------------------------------------------------
@@ -586,7 +575,7 @@ def principal_density_check(
 
 
 @dataclasses.dataclass(frozen=True)
-class BumpCaiReport(JsonReport):
+class BumpCaiReport:
     """Weighted-norm and probe-defect table for normalized bumps.
 
     One row per requested width ``eps``: the effective (grid-rounded)
@@ -603,13 +592,15 @@ def bump_cai_check(
     eps_list: Sequence[float],
     w: RadicalWeight,
     probes: Sequence[GridFunction],
-    h: Optional[float] = None,
 ) -> BumpCaiReport:
-    """Evaluate normalized bumps ``(1/eps) * indicator([0, eps])`` as identities."""
-    if h is None:
-        if not probes:
-            raise ValueError("need a grid step when no probes are given")
-        h = probes[0].h
+    """Evaluate normalized bumps ``(1/eps) * indicator([0, eps])`` as identities.
+
+    The bumps live on the probes' common grid step, so at least one probe
+    is needed.
+    """
+    if not probes:
+        raise ValueError("need at least one probe to fix the grid step")
+    h = probes[0].h
     for p in probes:
         if abs(p.h - h) > 1e-15:
             raise ValueError("probes must share one grid step")

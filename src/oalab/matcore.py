@@ -16,7 +16,6 @@ the number of matrices.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,15 +278,6 @@ class Subspace:
         scale = max(1.0, float(np.linalg.norm(vec)))
         return self.residual(vec) <= self.rank_tol * scale
 
-    def equals(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("subspaces live in different ambient dimensions")
-        if self.dim != other.dim:
-            return False
-        return all(other.membership(b) for b in self.basis) and all(
-            self.membership(b) for b in other.basis
-        )
-
 
 def matrix_span(matrices, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of a family of equally-shaped matrices, flattened row-major."""
@@ -323,11 +313,13 @@ def matrix_from_json(payload: dict) -> np.ndarray:
 
 
 def to_jsonable(obj):
-    """Plain JSON value of a report: the one wire rule for every ``to_json``.
+    """Plain JSON value of a report: the one wire rule for every record.
 
     A dataclass becomes the dict of its fields, a square 2-D array the
     :func:`matrix_to_json` form, any other array, list or tuple a list, a
-    complex number ``[re, im]`` and a numpy scalar its Python value.
+    complex number ``[re, im]`` and a numpy scalar its Python value.  A
+    non-finite float becomes the string ``"inf"``, ``"-inf"`` or ``"nan"``,
+    which ``float()`` reads back, so the output is strict JSON.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
@@ -340,12 +332,7 @@ def to_jsonable(obj):
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [to_jsonable(obj.real), to_jsonable(obj.imag)]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return str(obj)
     return obj
-
-
-class JsonReport:
-    """Mixin giving a dataclass the shared :func:`to_jsonable` serialization."""
-
-    def to_json(self) -> str:
-        return json.dumps(to_jsonable(self), sort_keys=True, indent=2)

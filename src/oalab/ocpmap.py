@@ -30,7 +30,6 @@ from .matcore import (
     DEFAULT_TOL,
     GRAM_SCREEN_GUARD,
     CrossCheckError,
-    JsonReport,
     Tolerances,
     as_square_matrix,
     matrix_to_json,
@@ -60,7 +59,7 @@ _DIM_CAP = 64
 
 
 @dataclasses.dataclass(frozen=True)
-class MatrixMap(JsonReport):
+class MatrixMap:
     """A linear map ``M_n -> M_m`` given by its images of the matrix units.
 
     ``action[i, j]`` is ``T(E_ij)`` as an ``m x m`` array; the map extends
@@ -320,7 +319,7 @@ def ocp_falsify(
 
 
 @dataclasses.dataclass(frozen=True)
-class DiskTestReport(JsonReport):
+class DiskTestReport:
     """Sampled and algebraic verdicts for the scaling-disk condition.
 
     ``member`` is the sampled verdict: ``z x`` stays in the cone
@@ -411,10 +410,6 @@ class StinespringTriple:
     kraus: List[np.ndarray]
     v: np.ndarray
     residual: float
-
-    @property
-    def rank(self) -> int:
-        return len(self.kraus)
 
 
 def stinespring(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> StinespringTriple:

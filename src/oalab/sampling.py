@@ -5,7 +5,7 @@ runs are reproducible from a single seed, and every complex Gaussian draw
 goes through :func:`complex_normal` -- except the one in
 :func:`haar_unitaries`.  That stacked draw takes ``(count, 2, dim, dim)``
 normals, real part then imaginary part per matrix, because this interleaving
-is the stream ``count`` sequential :func:`haar_unitary` calls consume;
+is the stream ``count`` one-matrix draws consume;
 ``complex_normal(rng, (count, dim, dim))`` would draw all real parts first.
 """
 
@@ -17,7 +17,6 @@ from .matcore import linear_combination, operator_norm
 
 __all__ = [
     "complex_normal",
-    "haar_unitary",
     "haar_unitaries",
     "random_contraction",
     "random_span_element",
@@ -34,17 +33,12 @@ def haar_unitaries(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
     """``count`` Haar-distributed unitaries, stacked as ``(count, dim, dim)``.
 
     One stacked QR of Ginibre matrices with the phase fix; the result equals
-    ``count`` sequential :func:`haar_unitary` draws bit for bit.
+    ``count`` sequential one-matrix draws bit for bit.
     """
     g = rng.standard_normal((count, 2, dim, dim))
     q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     d = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
     return q * (d / np.abs(d))
-
-
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    return haar_unitaries(rng, 1, dim)[0]
 
 
 def random_contraction(rng: np.random.Generator, dim: int, radius: float = 1.0) -> np.ndarray:

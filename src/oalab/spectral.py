@@ -28,7 +28,6 @@ import scipy.linalg
 from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
-    JsonReport,
     SpectrumError,
     Tolerances,
     as_square_matrix,
@@ -48,7 +47,7 @@ __all__ = [
 
 
 @dataclasses.dataclass(frozen=True)
-class NumericalRangeSample(JsonReport):
+class NumericalRangeSample:
     """Boundary sample of a numerical range obtained by a support sweep.
 
     Attributes
@@ -184,7 +183,7 @@ def numerical_radius(x: np.ndarray, theta_count: int = 720) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class WedgeReport(JsonReport):
+class WedgeReport:
     """Outcome of a sampled wedge-membership check.
 
     ``inside`` is True when every sampled boundary point ``w`` satisfies
@@ -246,7 +245,7 @@ def wedge_membership(
 
 
 @dataclasses.dataclass(frozen=True)
-class SharpNeumannResult(JsonReport):
+class SharpNeumannResult:
     """Invertibility verdict read off two operator norms.
 
     For ``T`` with ``||1 - T|| <= 1`` the matrix is singular exactly when

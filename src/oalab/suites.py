@@ -36,7 +36,6 @@ from .examples import example_rdr, example_two_dim, volterra, volterra_norm
 from .matcore import (
     DEFAULT_TOL,
     CrossCheckError,
-    JsonReport,
     Tolerances,
     matrix_span,
     matrix_to_json,
@@ -85,7 +84,7 @@ class SuiteConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class SuiteReport(JsonReport):
+class SuiteReport:
     suite: str
     config: dict
     cases: list
@@ -211,7 +210,7 @@ def _suite_support_join(run):
         # still be the join (positive combinations cannot cancel ranges).
         coeffs = run.rng.uniform(0.1, 2.0, size=count)
         combo = sum(c * x for c, x in zip(coeffs, family))
-        p_combo = support_projection(combo, run.tol).projection
+        p_combo = support_projection(combo, run.tol)
         gap = max(float(joined["residual"]), operator_norm(p_combo - joined["join"]))
         run.bound("join-identity", gap, 1e-6, lambda: {
             "trial": trial,
@@ -268,17 +267,12 @@ def _suite_closure_battery(run):
 def _suite_nonunital_battery(run):
     # The two reference algebras fix their own dimensions.
     seed = int(run.rng.integers(0, 2**31))
-    report = nor_battery(
-        example_two_dim(run.tol), run.trials, seed=seed, tol=run.tol, rejection_margin=0.1
-    )
+    report = nor_battery(example_two_dim(run.tol), run.trials, seed=seed, tol=run.tol)
     worst = min(report.worst_margins().values()) if not report.vacuous else -np.inf
     margin = worst - 1e-3 if report.all_pass else -1.0
     run.case("two-dim-margins", margin, 1e-3, lambda: to_jsonable(report))
 
-    m2 = nor_battery(
-        full_matrix_algebra(2), max(run.trials // 5, 20), seed=seed + 1, tol=run.tol,
-        rejection_margin=0.1,
-    )
+    m2 = nor_battery(full_matrix_algebra(2), max(run.trials // 5, 20), seed=seed + 1, tol=run.tol)
     # Negative control: the full matrix algebra must fail, with an explicit
     # idempotent witness recorded.
     control_ok = (not m2.all_pass) and bool(m2.idempotent_witnesses)

@@ -20,8 +20,6 @@ The routes share no machinery, so their pairwise agreement is a real check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calculus import spectral_idempotent
@@ -37,28 +35,11 @@ from .matcore import (
 )
 
 __all__ = [
-    "SupportResult",
     "support_projection",
     "support_projection_routes",
     "power_limit_projection",
     "join_supports",
 ]
-
-
-@dataclass(frozen=True)
-class SupportResult:
-    projection: np.ndarray
-    route: str
-    residual: float
-
-
-def _support_residual(p: np.ndarray, x: np.ndarray) -> float:
-    return max(
-        operator_norm(p @ p - p),
-        operator_norm(p - p.conj().T),
-        operator_norm(p @ x - x),
-        operator_norm(x @ p - x),
-    )
 
 
 def _require_nonzero(x: np.ndarray, tol: Tolerances) -> None:
@@ -77,12 +58,9 @@ def _range_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     return u[:, :rank] @ u[:, :rank].conj().T
 
 
-def support_projection(x, tol: Tolerances = DEFAULT_TOL) -> SupportResult:
-    """Support projection of a nonzero x via the SVD range projection; the
-    residual is the largest of its four support defects."""
-    a = as_square_matrix(x)
-    p = _range_projection(a, tol)
-    return SupportResult(projection=p, route="svd", residual=_support_residual(p, a))
+def support_projection(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Support projection of a nonzero x: its SVD range projection."""
+    return _range_projection(as_square_matrix(x), tol)
 
 
 def _cond_below(v: np.ndarray, vinv: np.ndarray, limit: float) -> bool:
@@ -166,8 +144,7 @@ def support_projection_routes(x, tol: Tolerances = DEFAULT_TOL) -> dict:
     """All three support routes with their pairwise residuals.
 
     The SVD route is :func:`support_projection`'s range projection, which
-    also rejects a zero ``x``; its four support defects are not computed,
-    since only the projections and their residuals are returned.
+    also rejects a zero ``x``.
     """
     a = as_square_matrix(x)
     svd_route = _range_projection(a, tol)
@@ -207,7 +184,7 @@ def join_supports(xs, tol: Tolerances = DEFAULT_TOL) -> dict:
     # Every member is nonzero, so the stack's top singular value is above rank_tol.
     join = _range_projection(np.hstack(mats), tol)
     mean = sum(mats) / len(mats)
-    via_sum = support_projection(mean, tol).projection
+    via_sum = support_projection(mean, tol)
     return {
         "join": join,
         "via_sum": via_sum,

@@ -3,7 +3,7 @@
 import numpy as np
 
 from oalab.domar import GridFunction
-from oalab.sampling import haar_unitary, random_contraction
+from oalab.sampling import haar_unitaries, random_contraction
 
 
 def random_singular_cone_element(rng, dim, kernel_dim=1, min_sigma=1e-3):
@@ -23,7 +23,7 @@ def random_singular_cone_element(rng, dim, kernel_dim=1, min_sigma=1e-3):
             break
     x = np.zeros((dim, dim), dtype=complex)
     x[kernel_dim:, kernel_dim:] = y
-    u = haar_unitary(rng, dim)
+    u = haar_unitaries(rng, 1, dim)[0]
     return u @ x @ u.conj().T
 
 

@@ -28,7 +28,7 @@ from oalab.matcore import (
     operator_norm,
     spectrum,
 )
-from oalab.sampling import complex_normal, haar_unitary, random_contraction
+from oalab.sampling import complex_normal, haar_unitaries, random_contraction
 
 
 class TestBinomialSeries:
@@ -309,12 +309,12 @@ class TestTriangularKernel:
             tri = np.diag(centers[member] + 1e-7 * complex_normal(rng, m))
             across = member[:, None] != member[None, :]
             tri += 0.3 * np.triu(complex_normal(rng, (m, m)) * across, 1)
-            v = haar_unitary(rng, m)
+            v = haar_unitaries(rng, 1, m)[0]
             c = v @ tri @ v.conj().T
             b = np.eye(m) - c / max(1.0, np.linalg.norm(c, 2))
         else:
             b = np.eye(m) - random_contraction(rng, m)
-        u = haar_unitary(rng, dim)
+        u = haar_unitaries(rng, 1, dim)[0]
         x = np.zeros((dim, dim), dtype=complex)
         x[k:, k:] = b
         x = u @ x @ u.conj().T

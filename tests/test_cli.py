@@ -8,7 +8,7 @@ import time
 import pytest
 
 from oalab.cli import main
-from oalab.matcore import DEFAULT_TOL
+from oalab.matcore import DEFAULT_TOL, to_jsonable
 from oalab.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -46,7 +46,7 @@ class TestRunSuite:
 
     def test_report_shape(self):
         report = run_suite(SuiteConfig(suite="roots", dim=3, trials=5, seed=0))
-        payload = json.loads(report.to_json())
+        payload = to_jsonable(report)
         assert set(payload) == {"suite", "config", "cases", "failures", "wall_ms"}
         for case in payload["cases"]:
             assert set(case) == {"name", "status", "margin", "tol"}
@@ -219,6 +219,32 @@ class TestEmitReport:
         assert json.dumps(payloads[0], sort_keys=True) == json.dumps(
             payloads[1], sort_keys=True
         )
+
+    def test_failing_report_is_strict_json(self, tmp_path, monkeypatch, capsys):
+        # An INCONCLUSIVE quotient norm fails closed-form-gap at margin -inf;
+        # the report spells it "-inf", never a bare -Infinity token.
+        import oalab.suites as suites_mod
+        from oalab.algebra import QuotientNormResult
+
+        monkeypatch.setattr(
+            suites_mod,
+            "quotient_norm",
+            lambda a, J, tol, **kw: QuotientNormResult(
+                lower=0.0, upper=10.0, status="INCONCLUSIVE", minimizer_coeffs=None
+            ),
+        )
+        out = tmp_path / "report.json"
+        argv = ["run", "--suite", "quotient-cone", "--dim", "4", "--trials", "2"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "quotient-cone/closed-form-gap: fail (margin -inf" in capsys.readouterr().out
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        margins = {c["name"]: c["margin"] for c in payload["cases"]}
+        assert margins["closed-form-gap"] == "-inf"
+        assert float(margins["closed-form-gap"]) == -math.inf
 
 
 class TestCli:

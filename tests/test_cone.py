@@ -5,7 +5,7 @@ from draws import random_singular_cone_element
 from oalab import cone
 from oalab.cone import accretive, cone_constant, in_F
 from oalab.matcore import DEFAULT_TOL, CrossCheckError, operator_norm
-from oalab.sampling import complex_normal, haar_unitary, random_contraction
+from oalab.sampling import complex_normal, haar_unitaries, random_contraction
 
 
 def test_identity_memberships():
@@ -143,7 +143,7 @@ def test_cholesky_positivity_agrees_with_eigvalsh(n):
 
 def test_psd_within_is_positivity_past_the_shift():
     def psd(*diag):
-        u = haar_unitary(np.random.default_rng(42), len(diag))
+        u = haar_unitaries(np.random.default_rng(42), 1, len(diag))[0]
         return cone._psd_within((u * np.array(diag)) @ u.conj().T, 1e-9)
 
     assert psd(4.0, 0.0, 9.0)
@@ -156,7 +156,7 @@ def test_psd_within_a_stack_needs_every_matrix():
     rng = np.random.default_rng(43)
     stack = []
     for diag in ((4.0, 0.0, 9.0), (1.0, -0.5e-9, 2.0), (3.0, 3.0, 5.0)):
-        u = haar_unitary(rng, 3)
+        u = haar_unitaries(rng, 1, 3)[0]
         stack.append((u * np.array(diag)) @ u.conj().T)
     stack = np.array(stack)
     assert cone._psd_within(stack.copy(), 1e-9)

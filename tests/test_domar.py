@@ -1,6 +1,5 @@
 """Tests for the weighted convolution algebra on the half-line grid."""
 
-import json
 import math
 import re
 
@@ -31,6 +30,7 @@ from oalab.domar import (
     weighted_l2,
     _gauss_kronrod,
 )
+from oalab.matcore import to_jsonable
 from oalab.sampling import complex_normal
 
 
@@ -38,7 +38,6 @@ def flat_weight(horizon=30.0):
     return make_weight(
         "custom",
         omega=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        epsilon=0.5,
         horizon=horizon,
     )
 
@@ -49,7 +48,6 @@ class TestWeights:
         assert w.omega(0.0) == 1.0
         np.testing.assert_allclose(w.omega(1.0), math.exp(-1.0), rtol=1e-15)
         np.testing.assert_allclose(w.eta(2.0), 4.0, rtol=1e-12)
-        assert w.epsilon == 0.5
 
     def test_gaussian_vectorized(self):
         w = make_weight("gaussian")
@@ -116,7 +114,7 @@ class TestGridFunctions:
         assert alpha(f) == pytest.approx(0.3)
 
     def test_json_shape(self):
-        payload = json.loads(grid_delta(0.5).to_json())
+        payload = to_jsonable(grid_delta(0.5))
         assert set(payload) == {"h", "coeffs"}
         assert payload["coeffs"] == [[2.0, 0.0]]
 
@@ -189,12 +187,11 @@ class TestAlpha:
 
     def test_titchmarsh_sweep(self):
         report = titchmarsh_check(200, seed=11)
-        assert report.all_exact
-        assert report.exact_matches == 200
+        assert report.exact_matches == report.trials == 200
         assert report.failures == []
 
     def test_titchmarsh_json(self):
-        payload = json.loads(titchmarsh_check(5, seed=0).to_json())
+        payload = to_jsonable(titchmarsh_check(5, seed=0))
         assert payload["trials"] == 5
         assert payload["exact_matches"] == 5
 
@@ -274,7 +271,7 @@ class TestGaussKronrod:
     def test_custom_weights_agree_with_quad(self, omega):
         import scipy.integrate
 
-        w = make_weight("custom", omega=omega, epsilon=0.5, horizon=20.0)
+        w = make_weight("custom", omega=omega, horizon=20.0)
         report = domar_criterion_check(w, 0.7)
 
         def integrand(x):
@@ -364,9 +361,7 @@ class TestWeightCriterion:
             domar_criterion_check(make_weight("gaussian"), t_probe)
 
     def test_json(self):
-        payload = json.loads(
-            domar_criterion_check(make_weight("gaussian"), 1.0).to_json()
-        )
+        payload = to_jsonable(domar_criterion_check(make_weight("gaussian"), 1.0))
         assert payload["eta_convex"] is True
         assert payload["t_probe"] == 1.0
 
@@ -503,7 +498,7 @@ class TestDensityBandSolve:
         w = make_weight("gaussian")
         g = GridFunction(h=0.1, coeffs=np.zeros(3, dtype=complex))
         result = principal_density_check(grid_delta(0.1, index=5), g, w)
-        assert result.residual == 0.0 and result.cond_log10 == 0.0
+        assert result.residual == 0.0
         np.testing.assert_array_equal(result.solution.coeffs, [0.0])
         assert ztbtrs_calls == []
 
@@ -530,7 +525,7 @@ class TestDensityBandSolve:
 class TestBumpCai:
     def test_weighted_mass_approaches_one(self):
         w = make_weight("gaussian")
-        report = bump_cai_check([0.4, 0.2, 0.1], w, [], h=0.01)
+        report = bump_cai_check([0.4, 0.2, 0.1], w, [grid_delta(0.01)])
         masses = [row["l1_norm"] for row in report.rows]
         assert masses[0] < masses[1] < masses[2] <= 1.0
         assert 0.99 < masses[2] <= 1.0  # eps = 0.1
@@ -545,7 +540,7 @@ class TestBumpCai:
     def test_grid_floor(self):
         # Below one cell the bump saturates at the grid resolution.
         w = make_weight("gaussian")
-        report = bump_cai_check([0.01, 0.001], w, [], h=0.01)
+        report = bump_cai_check([0.01, 0.001], w, [grid_delta(0.01)])
         assert report.rows[0]["eps_effective"] == pytest.approx(0.01)
         assert report.rows[1]["eps_effective"] == pytest.approx(0.01)
 
@@ -553,3 +548,5 @@ class TestBumpCai:
         w = make_weight("gaussian")
         with pytest.raises(ValueError):
             bump_cai_check([0.1], w, [grid_delta(0.1), grid_delta(0.2)])
+        with pytest.raises(ValueError, match="probe"):
+            bump_cai_check([0.1], w, [])

@@ -8,7 +8,13 @@ from oalab.algebra import nor_battery
 from oalab.cone import in_F
 from oalab import examples
 from oalab.examples import example_rdr, example_two_dim, volterra, volterra_norm
-from oalab.matcore import ConvergenceError, operator_norm, operator_norms, spectral_radius
+from oalab.matcore import (
+    ConvergenceError,
+    linear_combination,
+    operator_norm,
+    operator_norms,
+    spectral_radius,
+)
 
 
 def sequential_commutator_norms(n):
@@ -35,7 +41,7 @@ class TestTwoDimAlgebra:
 
     def test_elements_have_difference_corner(self):
         alg = example_two_dim()
-        x = alg.element([0.3 - 1j, 0.7j])
+        x = linear_combination(np.array([0.3 - 1j, 0.7j]), alg.basis)
         s, t = x[0, 0], x[1, 1]
         npt.assert_allclose(x[0, 1], s - t, atol=1e-12)
         npt.assert_allclose(x[1, 0], 0.0, atol=1e-12)

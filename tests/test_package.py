@@ -4,6 +4,7 @@ definition is reached from a suite, the CLI or the benchmark."""
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -186,32 +187,22 @@ def test_no_unused_imports():
 
 
 def test_json_is_written_by_one_rule_and_read_nowhere():
-    # Every record goes through matcore.to_jsonable, reached by
-    # JsonReport.to_json or the CLI's writer; matrix_from_json is the one
-    # reader.  A hand-written to_json or a from_json parser would be a second
-    # wire format to keep in step with the first.
+    # Every record goes through matcore.to_jsonable, written only by the
+    # CLI's writer; matrix_from_json is the one reader.  A to_json method or
+    # a from_json parser would be a second wire format to keep in step with
+    # the first, and only cli.py imports json.
     package = Path(oalab.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        owners = {
-            id(item): node.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-            for item in node.body
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and (
-                node.name == "from_json"
-                or node.name == "to_json" and owners.get(id(node)) != "JsonReport"
-            ):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in ("to_json", "from_json"):
                 found.append((path.name, f"def {node.name}"))
             elif isinstance(node, ast.Attribute) and node.attr == "loads" and (
                 getattr(node.value, "id", None) == "json"
             ):
                 found.append((path.name, "json.loads"))
             elif isinstance(node, ast.Import) and "json" in {a.name for a in node.names} and (
-                path.name not in ("matcore.py", "cli.py")
+                path.name != "cli.py"
             ):
                 found.append((path.name, "import json"))
     assert found == []
@@ -229,34 +220,133 @@ UNREACHED_ALLOWED = {
 
 
 def _names(node) -> set:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    }
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | _attributes(node)
 
 
-def test_every_definition_is_reached_from_a_suite_the_cli_or_the_benchmark():
-    # Roots: the module-level code of every module (the suite registry, the
-    # CLI's ``__main__`` call, ``__init__``'s ``__all__`` over ``_LAYERS``),
-    # the console script ``cli.main`` and every name oabench/*.py uses.  A
-    # name reaches each top-level function or class of that name, whose body
-    # reaches the names it uses in turn.  Strings, such as ``__all__``
-    # entries, reach nothing.
-    package = Path(oalab.__file__).parent
-    definitions, roots = {}, {"main"}
+def _attributes(node) -> set:
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _is_exempt(name: str) -> bool:
+    """Dunders, ``__post_init__`` among them, run without an attribute read."""
+    return name.startswith("__") and name.endswith("__")
+
+
+def _bench_roots(tree, modules: set) -> set:
+    """Names a benchmark file reaches in the package: those it imports from
+    an ``oalab`` module and the attributes it reads off an imported one.  A
+    name it defines itself reaches nothing, whatever it is called."""
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if alias.name.split(".")[0] == "oalab"
+            }
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "oalab":
+            for alias in node.names:
+                module = node.module == "oalab" and alias.name in modules
+                (aliases if module else names).add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                names.add(node.attr)
+    return names
+
+
+def _unreached(package: Path, bench: Path) -> set:
+    """Top-level definitions of the package, and methods and properties of
+    the classes among them, that no root reaches.
+
+    Roots: the module-level code of every module (the suite registry, the
+    CLI's ``__main__`` call, ``__init__``'s ``__all__`` over ``_LAYERS``),
+    the console script ``cli.main`` and :func:`_bench_roots` of every
+    benchmark file.  A name reaches each top-level function or class of that
+    name, and an attribute name each method or property of that name in a
+    reached class; a reached body reaches the names it uses in turn.  A
+    reached class reaches its body except its non-dunder methods.  Strings,
+    such as ``__all__`` entries, reach nothing.
+    """
+    definitions, members, names, attributes = {}, {}, {"main"}, set()
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 definitions.setdefault(node.name, []).append((f"{path.stem}.{node.name}", node))
             else:
-                roots |= _names(node)
-    for path in sorted((package.parents[1] / "oabench").glob("*.py")):
-        roots |= _names(ast.parse(path.read_text(encoding="utf-8")))
-    reached, frontier = set(), list(roots)
+                names |= _names(node)
+                attributes |= _attributes(node)
+    modules = {path.stem for path in package.glob("*.py")}
+    for path in sorted(bench.glob("*.py")):
+        names |= _bench_roots(ast.parse(path.read_text(encoding="utf-8")), modules)
+    reached, frontier = set(), list(names)
+
+    def reach(key, node):
+        if key in reached:
+            return
+        reached.add(key)
+        body = [node]
+        if isinstance(node, ast.ClassDef):
+            body = node.bases + node.decorator_list + node.keywords
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not _is_exempt(item.name):
+                    members.setdefault(item.name, []).append((f"{key}.{item.name}", item))
+                else:
+                    body.append(item)
+            frontier.extend(name for name in members if name in attributes)
+        for part in body:
+            attributes.update(_attributes(part))
+            frontier.extend(_names(part))
+
     while frontier:
-        for key, node in definitions.get(frontier.pop(), []):
-            if key not in reached:
-                reached.add(key)
-                frontier.extend(_names(node))
-    unreached = {key for found in definitions.values() for key, _ in found} - reached
+        name = frontier.pop()
+        for key, node in definitions.get(name, []):
+            reach(key, node)
+        if name in attributes:
+            for key, node in members.get(name, []):
+                reach(key, node)
+    defined = {key for found in definitions.values() for key, _ in found}
+    member_keys = {key for found in members.values() for key, _ in found}
+    return (defined | member_keys) - reached
+
+
+def test_every_definition_is_reached_from_a_suite_the_cli_or_the_benchmark():
+    package = Path(oalab.__file__).parent
+    unreached = _unreached(package, package.parents[1] / "oabench")
     assert sorted(unreached - set(UNREACHED_ALLOWED)) == []
     assert sorted(set(UNREACHED_ALLOWED) - unreached) == []  # missing or reached
+
+
+@pytest.mark.parametrize(
+    "module, anchor, added, key",
+    [
+        (
+            "ocpmap.py",
+            "    residual: float\n",
+            "\n    @property\n    def rank(self) -> int:\n        return len(self.kraus)\n",
+            "ocpmap.StinespringTriple.rank",
+        ),
+        # oabench/workloads.py defines a haar_unitary of its own, which must
+        # not reach the package's.
+        (
+            "sampling.py",
+            "    return q * (d / np.abs(d))\n",
+            "\n\ndef haar_unitary(rng, dim):\n    return haar_unitaries(rng, 1, dim)[0]\n",
+            "sampling.haar_unitary",
+        ),
+    ],
+    ids=["method", "name-collision"],
+)
+def test_the_guard_finds_a_re_added_test_only_definition(tmp_path, module, anchor, added, key):
+    package = Path(oalab.__file__).parent
+    bench = package.parents[1] / "oabench"
+    copy = tmp_path / "oalab"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (copy / module).read_text(encoding="utf-8")
+    assert text.count(anchor) == 1
+    (copy / module).write_text(text.replace(anchor, anchor + added), encoding="utf-8")
+    assert "def haar_unitary(" in (bench / "workloads.py").read_text(encoding="utf-8")
+    assert _unreached(copy, bench) - _unreached(package, bench) == {key}

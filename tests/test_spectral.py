@@ -7,8 +7,8 @@ import scipy.linalg
 from draws import random_singular_cone_element
 
 from oalab.calculus import matrix_power_r
-from oalab.matcore import CrossCheckError, operator_norm, stack_slices
-from oalab.sampling import complex_normal, haar_unitary, random_contraction
+from oalab.matcore import CrossCheckError, operator_norm, stack_slices, to_jsonable
+from oalab.sampling import complex_normal, haar_unitaries, random_contraction
 from oalab.spectral import (
     numerical_radius,
     numerical_range,
@@ -41,7 +41,7 @@ class TestNumericalRange:
         for _ in range(8):
             n = int(rng.integers(2, 6))
             lams = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            u = haar_unitary(rng, n)
+            u = haar_unitaries(rng, 1, n)[0]
             x = u @ np.diag(lams) @ u.conj().T
             sample = numerical_range(x, theta_count=1440)
             # For a normal matrix the range is the convex hull of the
@@ -238,10 +238,8 @@ class TestSharpNeumann:
             sharp_neumann(t)
 
     def test_json_fields(self):
-        import json
-
         res = sharp_neumann(np.eye(2))
-        payload = json.loads(res.to_json())
+        payload = to_jsonable(res)
         assert set(payload) == {
             "singular",
             "norm_one_minus",

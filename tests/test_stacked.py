@@ -42,10 +42,11 @@ from oalab.ocpmap import (
     stinespring,
     transpose_map,
 )
-from oalab.sampling import complex_normal, haar_unitaries, haar_unitary, random_contraction
+from oalab.sampling import complex_normal, haar_unitaries, random_contraction
 from oalab.spectral import numerical_range
 from oalab.support import (
     _bai_limit_projection,
+    join_supports,
     power_limit_projection,
     support_projection,
     support_projection_routes,
@@ -168,7 +169,7 @@ def _kraus_map(rng, n, m):
 
 def _isometric_map(rng, n, m):
     """``x -> V x V*`` for an isometry ``V``: ``||1 - T(1 + u)|| = 1`` on every unitary."""
-    return matrix_map_from_kraus([haar_unitary(rng, m)[:, :n]])
+    return matrix_map_from_kraus([haar_unitaries(rng, 1, m)[0][:, :n]])
 
 
 # Every (n, m, k) with n, m, k in {1, 2, 3}: kn, km <= 9, and kn = 1 at (1, m, 1).
@@ -219,7 +220,7 @@ class TestHaarUnitaries:
 
     def test_single_draw_is_the_count_one_case(self):
         a, b = np.random.default_rng(4), np.random.default_rng(4)
-        assert np.array_equal(haar_unitary(a, 5), sequential_haar(b, 5))
+        assert np.array_equal(haar_unitaries(a, 1, 5)[0], sequential_haar(b, 5))
 
 
 class TestOperatorNorms:
@@ -457,16 +458,25 @@ class TestSvdCounts:
             route(x)
             counts.append(len(svd_calls))
         svd, bai, power, routes = counts
-        # one full SVD for the nonzero check and the range projection, then
-        # the four support defects
-        assert svd == 5
+        # one full SVD for the nonzero check and the range projection
+        assert svd == 1
         # the Frobenius bound on cond(v) decides the eigenbasis route, and
         # the Frobenius bounds decide every squaring step
         assert bai == 0
         assert power == 0
-        # the routes take the range projection without its support defects,
-        # then the three pairwise residuals
-        assert routes == (svd - 4) + bai + power + 3
+        # the three routes, then their three pairwise residuals
+        assert routes == svd + bai + power + 3
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_join_supports_adds_three_to_the_members_cone_checks(self, svd_calls, k):
+        rng = np.random.default_rng(5)
+        family = [np.eye(5) - random_contraction(rng, 5) for _ in range(k)]
+        svd_calls.clear()
+        join_supports(family)
+        # in_F's norm route per member (the Frobenius bounds decide each
+        # nonzero check), the stacked family's range projection, the
+        # average's support projection and the residual between the two
+        assert svd_calls == [(5, 5)] * k + [(5, 5 * k), (5, 5), (5, 5)]
 
 
 class TestGramScreen:
@@ -592,7 +602,7 @@ class TestSchurCounts:
     def test_clusters_keep_their_reorderings_and_solves(self, lapack_calls):
         # eigenvalues 0.9 (three), 0.5 (two) and 0.3: three clusters, two of
         # them to gather, and two block columns after the first
-        u = haar_unitary(np.random.default_rng(4), 6)
+        u = haar_unitaries(np.random.default_rng(4), 1, 6)[0]
         eigs = np.array([0.9, 0.5, 0.9 + 3e-5, 0.3, 0.5 - 2e-5, 0.9 - 4e-5])
         matrix_power_r((u * eigs) @ u.conj().T, 1 / 3)
         assert lapack_calls == ["zgees"] + ["ztrsen"] * 2 + ["ztrsyl"] * 2

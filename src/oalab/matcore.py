@@ -16,6 +16,7 @@ the number of matrices.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,13 +90,13 @@ class ConvergenceError(RuntimeError):
     """An iterative limit did not converge within its budget."""
 
 
-def _square_array(x, ndim: int, what: str) -> np.ndarray:
+def _square_array(x, ndim: int, what: str, finite: bool = True) -> np.ndarray:
     a = np.asarray(x, dtype=complex)
     if a.ndim != ndim or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square {what}, got shape {a.shape}")
     if a.size == 0:
         raise ValueError(f"expected a nonempty {what}, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if finite and not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
     return a
 
@@ -123,13 +124,17 @@ FROBENIUS_GUARD = 1e-12
 
 # Relative guard of the Gram screen in ocp_falsify's Haar phase, which skips
 # a block when one stacked Cholesky factors ``t 1 - M_b* M_b`` with
-# ``t = (v (1 - GRAM_SCREEN_GUARD))**2`` for the incumbent value ``v``.
+# ``t = (w (1 - GRAM_SCREEN_GUARD))**2``, where ``w = v + exact_tol max(1, v)``
+# is what a draw must exceed to replace the incumbent value ``v``.
 # Forming the Gram stack and factoring it are backward stable with errors of
 # at most about ``m**2 u (t + ||M_b||**2)`` at order m (u the unit
 # roundoff), and the SVD's sigma_max is within ``m u ||M_b||`` of the exact
 # one; so a factorization that succeeds puts every SVD value below
-# ``v (1 - GRAM_SCREEN_GUARD) (1 + O(m**2 u))``, which is below ``v`` while
+# ``w (1 - GRAM_SCREEN_GUARD) (1 + O(m**2 u))``, which is below ``w`` while
 # the guard is far above ``m**2 u``: 4.5e-13 at the m <= 64 cap of ocpmap.
+# At the default exact_tol = 1e-9, ten times the guard, ``sqrt(t)`` exceeds
+# ``v`` by about ``9e-10 max(1, v)``, so a block whose draws only tie ``v``
+# skips.
 GRAM_SCREEN_GUARD = 1e-10
 
 
@@ -291,18 +296,31 @@ def matrix_span(matrices, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return Subspace.from_vectors([m.ravel() for m in mats], n * n, tol)
 
 
+def _json_float(v: float):
+    """``v``, or the string ``"inf"``, ``"-inf"`` or ``"nan"`` if it is not finite."""
+    return v if math.isfinite(v) else str(v)
+
+
 def matrix_to_json(x) -> dict:
-    """Serialize to ``{"dim": n, "entries": [[re, im], ...]}`` (row-major)."""
-    a = as_square_matrix(x)
-    entries = [[float(z.real), float(z.imag)] for z in a.ravel()]
+    """Serialize to ``{"dim": n, "entries": [[re, im], ...]}`` (row-major).
+
+    A non-finite part is written as the string ``"inf"``, ``"-inf"`` or
+    ``"nan"``, as :func:`to_jsonable` writes a scalar, so a failure record
+    holding such a matrix is still strict JSON.
+    """
+    a = _square_array(x, 2, "matrix", finite=False)
+    entries = [[_json_float(float(z.real)), _json_float(float(z.imag))] for z in a.ravel()]
     return {"dim": int(a.shape[0]), "entries": entries}
 
 
 def matrix_from_json(payload: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; rejects non-square payloads."""
+    """Inverse of :func:`matrix_to_json` on finite matrices; rejects
+    non-square payloads and non-finite entries."""
     try:
         dim = int(payload["dim"])
-        flat = np.array([complex(re, im) for re, im in payload["entries"]], dtype=complex)
+        flat = np.array(
+            [complex(float(re), float(im)) for re, im in payload["entries"]], dtype=complex
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc
     if dim < 0 or flat.size != dim * dim:
@@ -333,6 +351,6 @@ def to_jsonable(obj):
         obj = obj.item()
     if isinstance(obj, complex):
         return [to_jsonable(obj.real), to_jsonable(obj.imag)]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return str(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
     return obj

@@ -227,22 +227,26 @@ def ocp_falsify(
     the entangled element ``2p`` when ``k`` equals the input dimension, and
     polishes the best candidate by conditional-gradient steps (each step
     maximizes the linearized objective over the ball, which lands on a
-    unitary again).  ``budget >= 1`` counts objective evaluations: the 2
-    or 3 starting candidates are always scored, the Haar draws fill the
-    first ``budget // 2`` and the polish the rest, so a search makes at
-    most ``max(budget, candidates)`` evaluations.  Each polish step takes
-    one full SVD of its iterate, whose top singular value is the iterate's
-    value and whose top singular pair gives the next gradient.
+    unitary again).  A Haar draw or a polish step replaces the incumbent
+    value ``v`` only when it exceeds ``v + exact_tol max(1, v)``, so a tie
+    decided by rounding never moves the search.  ``budget >= 1`` counts
+    objective evaluations: the 2 or 3 starting candidates are always
+    scored, the Haar draws fill the first ``budget // 2`` and the polish the
+    rest, so a search makes at most ``max(budget, candidates)`` evaluations.
+    Each polish step takes one full SVD of its iterate, whose top singular
+    value is the iterate's value and whose top singular pair gives the next
+    gradient.
 
     The draws are scored in stacked blocks of at most ``STACK_ENTRY_CAP``
     entries per ``(B, max(kn, km), max(kn, km))`` stack.  A block whose one
     stacked Cholesky of ``t 1 - M_b* M_b`` succeeds, for
-    ``M_b = c 1 - T_k(x_b)`` and ``t = (v (1 - GRAM_SCREEN_GUARD))**2`` with
-    ``v`` the best value so far, holds no draw that beats ``v`` and skips
-    its SVD.  For a completely positive map at ``c = ||T(1)||``, where
-    ``x = 0`` already attains the supremum ``c``, most blocks skip; a map
-    constant on the unitaries (``in_dim = 1``, or the identity) ties on
-    every block and keeps every SVD.  The result is the same either way.
+    ``M_b = c 1 - T_k(x_b)`` and
+    ``t = ((v + exact_tol max(1, v)) (1 - GRAM_SCREEN_GUARD))**2`` with ``v``
+    the best value so far, holds no draw that replaces ``v`` and skips its
+    SVD.  For a completely positive map at ``c = ||T(1)||``, where ``x = 0``
+    already attains the supremum ``c``, no draw can clear the allowance and
+    every block skips, also where every draw ties ``c`` (``in_dim = 1``, or
+    the identity).  The result is the same as with no screen.
 
     Returns a certified witness dict (the matrix, its value, the margin)
     or ``None``.  ``None`` is *not* a proof that the bound holds -- only a
@@ -270,21 +274,27 @@ def ocp_falsify(
         val = operator_norm(target - amp.apply(x))
         if val > best_val:
             best_x, best_val = x, val
-    # The Haar phase, in stacked blocks; the first maximum of each block is
-    # what a strict ``>`` over the draws in sequence would keep.  A block
-    # whose Gram screen proves every value below the incumbent's cannot
-    # update it, and skips its SVD.
+
+    def to_beat(v):
+        """What a value must exceed to replace the incumbent ``v``: ``v`` plus
+        the rounding allowance ``exact_tol max(1, v)``."""
+        return v + tol.exact_tol * max(1.0, v)
+
+    # The Haar phase, in stacked blocks.  A block whose Gram screen proves
+    # every value below ``to_beat(best_val)`` cannot update the incumbent,
+    # and skips its SVD; in the others the draws that clear the incumbent's
+    # bar are taken in order, as the rule applied draw by draw would.
     draws = max(0, budget // 2 - len(candidates))
     for block in stack_slices(draws, max(kn, km)):
         xs = eye + haar_unitaries(rng, block.stop - block.start, kn)
         mats = target - amp._images(xs)
         gram = mats.conj().swapaxes(1, 2) @ mats
-        if _psd_within(-gram, (best_val * (1.0 - GRAM_SCREEN_GUARD)) ** 2):
+        if _psd_within(-gram, (to_beat(best_val) * (1.0 - GRAM_SCREEN_GUARD)) ** 2):
             continue
         vals = operator_norms(mats)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_x, best_val = xs[i].copy(), float(vals[i])
+        for i in np.flatnonzero(vals > to_beat(best_val)):
+            if vals[i] > to_beat(best_val):
+                best_x, best_val = xs[i].copy(), float(vals[i])
     evaluations = len(candidates) + draws
 
     # Conditional-gradient polish: move to the unitary maximizing the
@@ -296,7 +306,7 @@ def ocp_falsify(
         x_next = eye + _polar_unitary(grad)
         next_u, s, next_vh = np.linalg.svd(target - amp.apply(x_next))
         evaluations += 1
-        if s[0] <= best_val + tol.exact_tol:
+        if s[0] <= to_beat(best_val):
             break
         best_x, best_val = x_next, float(s[0])
         svd_u, svd_vh = next_u, next_vh

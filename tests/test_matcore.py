@@ -187,6 +187,23 @@ def test_matrix_json_rejects_non_square_payload():
         matrix_from_json({"dim": 1, "entries": [1.0]})
 
 
+def test_non_finite_matrix_entries_are_written_as_strings_and_refused_on_read():
+    # A failure record may hold a matrix that overflowed; writing it must
+    # not abort the run, and reading it back must not pass it on.
+    a = np.array([[np.inf, complex(1.0, -np.inf)], [np.nan, 2.0]])
+    record = to_jsonable({"trial": 3, "x": a})
+    assert record["x"] == matrix_to_json(a) == {
+        "dim": 2,
+        "entries": [["inf", 0.0], [1.0, "-inf"], ["nan", 0.0], [2.0, 0.0]],
+    }
+    assert json.loads(json.dumps(record, allow_nan=False)) == record
+    with pytest.raises(ValueError, match="non-finite"):
+        matrix_from_json(record["x"])
+    # the shape checks still apply
+    with pytest.raises(ValueError, match="square"):
+        matrix_to_json(np.full((2, 3), np.inf))
+
+
 class TestEmptyMatrices:
     # n = 0 policy: a 0x0 matrix is rejected up front with a ValueError,
     # never surfacing later as an IndexError or a false CrossCheckError.

@@ -75,6 +75,9 @@ def sequential_ocp_falsify(t, c, k, budget, seed, tol=DEFAULT_TOL):
     def value(x):
         return operator_norm(target - amp.apply(x))
 
+    def to_beat(v):
+        return v + tol.exact_tol * max(1.0, v)
+
     evaluations = 0
     candidates = [eye + eye, np.zeros((kn, kn), dtype=complex)]
     if k == t.in_dim:
@@ -89,7 +92,7 @@ def sequential_ocp_falsify(t, c, k, budget, seed, tol=DEFAULT_TOL):
         x = eye + sequential_haar(rng, kn)
         val = value(x)
         evaluations += 1
-        if val > best_val:
+        if val > to_beat(best_val):
             best_x, best_val = x, val
     x = best_x
     while evaluations < budget:
@@ -99,7 +102,7 @@ def sequential_ocp_falsify(t, c, k, budget, seed, tol=DEFAULT_TOL):
         x_next = eye + u @ vh
         val = value(x_next)
         evaluations += 1
-        if val <= best_val + tol.exact_tol:
+        if val <= to_beat(best_val):
             break
         best_x, best_val, x = x_next, val, x_next
     certified_value = operator_norm(target - amp.apply(best_x))
@@ -192,9 +195,9 @@ def _haar_blocks(t, k, budget):
     return -(-draws // _block(k * t.in_dim, k * t.out_dim))
 
 
-def _stacked(svd_calls):
-    """The shapes of the stacked SVDs among the recorded calls."""
-    return [shape for shape in svd_calls if len(shape) == 3]
+def _stacked(calls):
+    """The shapes of the stacked ``(B, n, n)`` factorizations among the recorded calls."""
+    return [shape for shape in calls if len(shape) == 3]
 
 
 class TestStackSlices:
@@ -479,9 +482,24 @@ class TestSvdCounts:
         assert svd_calls == [(5, 5)] * k + [(5, 5 * k), (5, 5), (5, 5)]
 
 
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Shapes passed to numpy's Cholesky, the Gram screen's factorization."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
 class TestGramScreen:
     """The Haar phase skips the SVD of a block whose stacked Cholesky of
-    ``t 1 - M_b* M_b`` proves that no draw in it beats the incumbent."""
+    ``t 1 - M_b* M_b`` proves that no draw in it clears the incumbent's
+    allowance, and so none can replace it."""
 
     @pytest.mark.parametrize("n, m, k", [(2, 2, 2), (2, 3, 1), (3, 2, 2), (3, 3, 3)])
     def test_cp_map_at_its_natural_bound_makes_no_stacked_svd(self, svd_calls, n, m, k):
@@ -515,54 +533,97 @@ class TestGramScreen:
         assert 1 <= len(_stacked(svd_calls)) <= _haar_blocks(t, 2, budget) == 3
 
     # A map constant on the unitaries ties every draw with the candidate
-    # x = 0, so no screen passes.  With an iteration tolerance far below the
-    # rounding, the witness is the first draw whose value rounds above c,
-    # which the screen must neither skip nor reorder.
-    def _assert_ties_on_every_block(self, svd_calls, t, k, budget):
-        c = operator_norm(t.apply(np.eye(t.in_dim)))
-        assert ocp_falsify(t, c, k=k, budget=budget, seed=8) is None
-        expected = sequential_ocp_falsify(t, c, k, budget, 8, HAIR_TRIGGER)
-        svd_calls.clear()
-        assert ocp_falsify(t, c, k=k, budget=budget, seed=8, tol=HAIR_TRIGGER) == expected
-        assert expected is not None
-        assert len(_stacked(svd_calls)) == _haar_blocks(t, k, budget)
+    # x = 0.  No tie clears the allowance exact_tol max(1, v), so every
+    # screen passes and no block takes an SVD: at the default tolerances,
+    # and with an iteration tolerance far below the rounding, where a draw
+    # rounding above c would otherwise be the witness.
+    def _assert_ties_on_every_block(self, svd_calls, t, c, k, budget, seed):
+        for tol in (DEFAULT_TOL, HAIR_TRIGGER):
+            expected = sequential_ocp_falsify(t, c, k, budget, seed, tol)
+            svd_calls.clear()
+            got = ocp_falsify(t, c, k=k, budget=budget, seed=seed, tol=tol)
+            assert got == expected
+            assert _stacked(svd_calls) == []
+            if tol is DEFAULT_TOL:
+                assert got is None
 
+    # Every (m, k) in {1, 2, 3}^2, at the budgets of the cp1xm benchmark
+    # jobs or above.
     @pytest.mark.parametrize(
         "n, m, k, budget",
-        [(1, 1, 3, 1000), (1, 2, 2, 600), (1, 3, 1, 600), (1, 3, 2, 600), (1, 3, 3, 1000)],
+        [
+            (1, 1, 1, 400), (1, 1, 2, 600), (1, 1, 3, 1000),
+            (1, 2, 1, 400), (1, 2, 2, 600), (1, 2, 3, 1000),
+            (1, 3, 1, 600), (1, 3, 2, 600), (1, 3, 3, 1000),
+        ],
     )
     def test_a_map_from_m1_ties_on_every_block(self, svd_calls, n, m, k, budget):
         # T(x) = x T(1) makes ||c 1 - T_k(1 + u)|| = c on every unitary u.
         t = _kraus_map(np.random.default_rng(40 + m), n, m)
-        self._assert_ties_on_every_block(svd_calls, t, k, budget)
+        c = operator_norm(t.apply(np.eye(n)))
+        self._assert_ties_on_every_block(svd_calls, t, c, k, budget, 8)
 
     @pytest.mark.parametrize("n, m, k, budget", [(2, 3, 1, 600), (2, 3, 2, 600)])
     def test_an_isometric_conjugation_ties_on_every_block(self, svd_calls, n, m, k, budget):
         # 1 - V(1 + u)V* is the projection 1 - VV* plus -VuV* on the range
         # of V, so its norm is 1 = ||T(1)|| on every unitary u.
         t = _isometric_map(np.random.default_rng(60 + m), n, m)
-        self._assert_ties_on_every_block(svd_calls, t, k, budget)
+        c = operator_norm(t.apply(np.eye(n)))
+        self._assert_ties_on_every_block(svd_calls, t, c, k, budget, 8)
 
     def test_identity_map_ties_on_every_block(self, svd_calls):
-        t = identity_map(2)
-        assert ocp_falsify(t, 1.0, k=2, budget=1100, seed=3) is None
-        expected = sequential_ocp_falsify(t, 1.0, 2, 1100, 3, HAIR_TRIGGER)
-        svd_calls.clear()
-        assert ocp_falsify(t, 1.0, k=2, budget=1100, seed=3, tol=HAIR_TRIGGER) == expected
-        assert expected is not None
-        assert len(_stacked(svd_calls)) == _haar_blocks(t, 2, 1100) == 3
+        assert _haar_blocks(identity_map(2), 2, 1100) == 3
+        self._assert_ties_on_every_block(svd_calls, identity_map(2), 1.0, 2, 1100, 3)
 
-    def test_stacks_stay_within_the_entry_cap_when_km_exceeds_kn(self, svd_calls):
+    # T(x) = i x on M_1 at c = 1: the candidates x = 2 score |1 - 2i| = sqrt 5
+    # and x = 0 scores 1, while a draw 1 + u scores |(1 - i) - iu|, up to
+    # 1 + sqrt 2.  The two Haar draws are unitaries placed at
+    # v + beat a(v) for v = sqrt 5 and a(v) = exact_tol max(1, v); the polish
+    # step lands on x = 0, which cannot move the incumbent, so the witness is
+    # the Haar phase's incumbent.  A draw within the allowance of the
+    # incumbent, the first draw's value once it has replaced it, is kept out.
+    @pytest.mark.parametrize(
+        "beats, kept",
+        [((0.5, 0.5), None), ((2.0, 2.0), 0), ((2.0, 2.5), 0), ((0.5, 2.0), 1)],
+        ids=["tie-tie", "beat-tie", "beat-beat-within", "tie-beat"],
+    )
+    def test_a_draw_replaces_the_incumbent_only_beyond_the_allowance(
+        self, svd_calls, monkeypatch, beats, kept
+    ):
+        t = MatrixMap(1, 1, np.full((1, 1, 1, 1), 1j))
+        v = operator_norm(1.0 - t.apply(2.0 * np.eye(1)))
+        allowance = DEFAULT_TOL.exact_tol * max(1.0, v)
+        # |sqrt 2 + e^{i phi}|^2 = 3 + 2 sqrt 2 cos phi
+        w = v + np.array(beats) * allowance
+        phi = np.arccos((w * w - 3.0) / (2.0 * np.sqrt(2.0)))
+        us = (1j * np.exp(1j * phi) * (1.0 - 1j) / np.sqrt(2.0)).reshape(2, 1, 1)
+        values = operator_norms(1.0 - amplify(t, 1)._images(np.eye(1) + us))
+        np.testing.assert_allclose(values - v, np.array(beats) * allowance, rtol=1e-3)
+        monkeypatch.setattr(ocpmap, "haar_unitaries", lambda rng, count, dim: us[:count])
+        monkeypatch.setattr(ocpmap, "_polar_unitary", lambda g: -np.eye(len(g)))
+        svd_calls.clear()
+        got = ocp_falsify(t, 1.0, k=1, budget=10, seed=0)
+        assert _stacked(svd_calls) == ([] if max(beats) < 1.0 else [(2, 1, 1)])
+        if kept is None:
+            assert got["x"] == matrix_to_json(2.0 * np.eye(1))
+            assert got["value"] == v
+        else:
+            assert got["x"] == matrix_to_json(np.eye(1) + us[kept])
+            assert got["value"] == values[kept]
+
+    def test_stacks_stay_within_the_entry_cap_when_km_exceeds_kn(self, svd_calls, cholesky_calls):
         # M_1 -> M_32: the draws are 1 x 1 and the images 32 x 32, so a
         # block slices by km.  Sliced by kn, one block held 4096 images
-        # (4M entries, some 130 MB with its difference stack).
+        # (4M entries, some 130 MB with its difference stack).  Every draw
+        # ties c, so each block's Gram screen passes and no SVD follows.
         t = _kraus_map(np.random.default_rng(50), 1, 32)
         c = operator_norm(t.apply(np.eye(1)))
         assert ocp_falsify(t, c, k=1, budget=8200, seed=0) is None
-        stacked = _stacked(svd_calls)
+        stacked = _stacked(cholesky_calls)
         assert len(stacked) == _haar_blocks(t, 1, 8200) == 1025
         assert set(stacked) == {(4, 32, 32), (1, 32, 32)}
         assert all(np.prod(shape) <= STACK_ENTRY_CAP for shape in stacked)
+        assert _stacked(svd_calls) == []
 
 
 @pytest.fixture

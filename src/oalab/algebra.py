@@ -34,10 +34,11 @@ import numpy as np
 
 from .cone import in_F
 from .matcore import (
-    DEFAULT_TOL,
+    EXACT_TOL,
+    ITER_TOL,
+    RANK_TOL,
     CrossCheckError,
     Subspace,
-    Tolerances,
     as_square_matrix,
     linear_combination,
     matrix_span,
@@ -86,18 +87,16 @@ def _lstsq_combination(columns: np.ndarray, rhs: np.ndarray):
     return coeffs, residual
 
 
-def _products_stay(
-    span: Subspace, lefts: np.ndarray, rights: np.ndarray, tol: Tolerances
-) -> np.ndarray:
+def _products_stay(span: Subspace, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     """Per left factor: does every product ``lefts[i] @ rights[j]`` lie in ``span``?
 
     One stacked product and one projection; each residual is compared
-    against ``rank_tol`` relative to ``max(1, ||product||_F)``.
+    against ``RANK_TOL`` relative to ``max(1, ||product||_F)``.
     """
     count = len(lefts) * len(rights)
     prods = (lefts[:, None] @ rights[None, :]).reshape(count, span.ambient_dim)
     scale = np.maximum(1.0, np.linalg.norm(prods, axis=1))
-    inside = span.residuals(prods) <= tol.rank_tol * scale
+    inside = span.residuals(prods) <= RANK_TOL * scale
     return inside.reshape(len(lefts), len(rights)).all(axis=1)
 
 
@@ -131,32 +130,25 @@ class FDAlgebra:
     basis: np.ndarray
     unital: bool
     unit: Optional[np.ndarray]
-    tol: Tolerances = DEFAULT_TOL
 
     @classmethod
-    def build(cls, matrices, tol: Tolerances = DEFAULT_TOL) -> "FDAlgebra":
+    def build(cls, matrices, iter_tol: float = ITER_TOL) -> "FDAlgebra":
         mats = np.stack([as_square_matrix(m) for m in matrices])
         n = mats.shape[1]
-        span = matrix_span(mats, tol)
+        span = matrix_span(mats)
         if span.dim != len(mats):
             raise ValueError(
                 f"basis is not linearly independent: {len(mats)} generators "
                 f"span only {span.dim} dimensions"
             )
-        stays = _products_stay(span, mats, mats, tol)
+        stays = _products_stay(span, mats, mats)
         if not stays.all():
             raise ValueError(
                 f"basis is not closed under multiplication "
                 f"(product {int(np.argmin(stays))} escapes the span)"
             )
-        unit = _find_unit(mats, tol)
-        return cls(
-            ambient_dim=n,
-            basis=mats,
-            unital=unit is not None,
-            unit=unit,
-            tol=tol,
-        )
+        unit = _find_unit(mats, iter_tol)
+        return cls(ambient_dim=n, basis=mats, unital=unit is not None, unit=unit)
 
     @property
     def dim(self) -> int:
@@ -164,7 +156,7 @@ class FDAlgebra:
 
     @functools.cached_property
     def span(self) -> Subspace:
-        return matrix_span(self.basis, self.tol)
+        return matrix_span(self.basis)
 
     def contains(self, x) -> bool:
         x = as_square_matrix(x)
@@ -173,7 +165,7 @@ class FDAlgebra:
         return self.span.membership(x.ravel())
 
 
-def _find_unit(mats: np.ndarray, tol: Tolerances) -> Optional[np.ndarray]:
+def _find_unit(mats: np.ndarray, iter_tol: float) -> Optional[np.ndarray]:
     """Two-sided identity of span(mats), or None.
 
     Solves ``e * b = b * e = b`` for all basis elements ``b`` by least
@@ -185,31 +177,27 @@ def _find_unit(mats: np.ndarray, tol: Tolerances) -> Optional[np.ndarray]:
     rhs = np.tile(mats.ravel(), 2)
     coeffs, residual = _lstsq_combination(np.concatenate([left, right], axis=1), rhs)
     scale = max(1.0, float(np.linalg.norm(rhs)))
-    if residual <= tol.iter_tol * scale:
+    if residual <= iter_tol * scale:
         return linear_combination(coeffs, mats)
     return None
 
 
-def full_matrix_algebra(n: int, tol: Tolerances = DEFAULT_TOL) -> FDAlgebra:
+def full_matrix_algebra(n: int, iter_tol: float = ITER_TOL) -> FDAlgebra:
     """All of ``M_n``, with the matrix units as basis."""
     if n < 1:
         raise ValueError("n must be positive")
-    return FDAlgebra.build(_matrix_units(np.ones((n, n), dtype=bool)), tol)
+    return FDAlgebra.build(_matrix_units(np.ones((n, n), dtype=bool)), iter_tol)
 
 
-def block_diagonal_algebra(
-    dims: Sequence[int], tol: Tolerances = DEFAULT_TOL
-) -> FDAlgebra:
+def block_diagonal_algebra(dims: Sequence[int], iter_tol: float = ITER_TOL) -> FDAlgebra:
     """Direct sum ``M_{d_1} + ... + M_{d_k}`` embedded block-diagonally."""
     dims = [int(d) for d in dims]
     if not dims or any(d < 1 for d in dims):
         raise ValueError("dims must be a nonempty list of positive integers")
-    return FDAlgebra.build(_matrix_units(_block_mask(dims, range(len(dims)))), tol)
+    return FDAlgebra.build(_matrix_units(_block_mask(dims, range(len(dims)))), iter_tol)
 
 
-def block_ideal_subspace(
-    dims: Sequence[int], block_indices: Sequence[int], tol: Tolerances = DEFAULT_TOL
-) -> Subspace:
+def block_ideal_subspace(dims: Sequence[int], block_indices: Sequence[int]) -> Subspace:
     """Span of the matrix units of the selected blocks of a block-diagonal sum.
 
     The result is a two-sided ideal of :func:`block_diagonal_algebra(dims)`
@@ -219,28 +207,28 @@ def block_ideal_subspace(
     chosen = set(int(i) for i in block_indices)
     if not chosen or not chosen.issubset(range(len(dims))):
         raise ValueError("block_indices must select existing blocks")
-    return matrix_span(_matrix_units(_block_mask(dims, chosen)), tol)
+    return matrix_span(_matrix_units(_block_mask(dims, chosen)))
 
 
 # --------------------------------------------------------------------------
 # generated algebras and ideals
 
 
-def generated_algebra(x, tol: Tolerances = DEFAULT_TOL) -> FDAlgebra:
+def generated_algebra(x, iter_tol: float = ITER_TOL) -> FDAlgebra:
     """The algebra generated by ``x``: span of ``{x, x^2, ...}``.
 
     Raw powers form an ill-conditioned generating family, so the span is
     built as an Arnoldi (Krylov) basis: ``q_1 = x / ||x||_F``, and each
     ``x q_k``, orthogonalized twice against ``q_1, ..., q_k`` in the
     Frobenius inner product, gives ``q_{k+1}``.  The basis is complete once
-    the remainder is at most ``rank_tol * ||x q_k||`` (then left
+    the remainder is at most ``RANK_TOL * ||x q_k||`` (then left
     multiplication by ``x`` maps the span into itself), and after at most
     ``ambient_dim`` vectors, the degree bound of the minimal polynomial.  No
     unit is adjoined; the result is unital exactly when some polynomial in
     ``x`` without constant term acts as a two-sided identity on the span.
     """
     x = as_square_matrix(x)
-    if operator_norm_at_most(x, tol.rank_tol):
+    if operator_norm_at_most(x, RANK_TOL):
         raise ValueError("generated_algebra requires a nonzero generator")
     n = x.shape[0]
     q = (x / np.linalg.norm(x)).reshape(1, n * n)
@@ -249,10 +237,10 @@ def generated_algebra(x, tol: Tolerances = DEFAULT_TOL) -> FDAlgebra:
         v = product - q.T @ (q.conj() @ product)
         v = v - q.T @ (q.conj() @ v)
         norm = float(np.linalg.norm(v))
-        if norm <= tol.rank_tol * float(np.linalg.norm(product)):
+        if norm <= RANK_TOL * float(np.linalg.norm(product)):
             break
         q = np.vstack([q, v / norm])
-    return FDAlgebra.build(q.reshape(-1, n, n), tol)
+    return FDAlgebra.build(q.reshape(-1, n, n), iter_tol)
 
 
 class IdealTriple(NamedTuple):
@@ -263,7 +251,7 @@ class IdealTriple(NamedTuple):
     xAx: Subspace
 
 
-def ideal_subspaces(x, A: FDAlgebra, tol: Tolerances = DEFAULT_TOL) -> IdealTriple:
+def ideal_subspaces(x, A: FDAlgebra) -> IdealTriple:
     """Spans of ``{x b}``, ``{b x}``, ``{x b x}`` over the basis of ``A``.
 
     Requires ``x`` to lie in the span of ``A``.  For ``x`` with
@@ -274,9 +262,9 @@ def ideal_subspaces(x, A: FDAlgebra, tol: Tolerances = DEFAULT_TOL) -> IdealTrip
     x = as_square_matrix(x)
     if not A.contains(x):
         raise ValueError("x does not lie in the span of A")
-    xa = matrix_span(x @ A.basis, tol)
-    ax = matrix_span(A.basis @ x, tol)
-    xax = matrix_span(x @ A.basis @ x, tol)
+    xa = matrix_span(x @ A.basis)
+    ax = matrix_span(A.basis @ x)
+    xax = matrix_span(x @ A.basis @ x)
     return IdealTriple(xA=xa, Ax=ax, xAx=xax)
 
 
@@ -374,12 +362,7 @@ def _nor_margins(a: np.ndarray, unit: np.ndarray) -> dict:
     }
 
 
-def nor_battery(
-    A: FDAlgebra,
-    trials: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> NorBatteryReport:
+def nor_battery(A: FDAlgebra, trials: int, seed: int) -> NorBatteryReport:
     """Sample ``Ball(A)`` away from the scalars and test the five conditions.
 
     Elements are drawn as Gaussian combinations of the basis, rescaled to a
@@ -426,10 +409,8 @@ def nor_battery(
 
     witnesses = []
     for b in A.basis:
-        idem = operator_norm(b @ b - b) <= tol.exact_tol * max(
-            1.0, operator_norm(b) ** 2
-        )
-        in_ball = operator_norm(b) <= 1.0 + tol.exact_tol
+        idem = operator_norm(b @ b - b) <= EXACT_TOL * max(1.0, operator_norm(b) ** 2)
+        in_ball = operator_norm(b) <= 1.0 + EXACT_TOL
         nonscalar = _distance_to_scalars(b, unit) > NOR_REJECTION_MARGIN
         if idem and in_ball and nonscalar:
             witnesses.append(b)
@@ -442,11 +423,11 @@ def nor_battery(
     )
 
 
-def _solve_xyx(x: np.ndarray, basis: np.ndarray, tol: Tolerances):
+def _solve_xyx(x: np.ndarray, basis: np.ndarray, iter_tol: float):
     """Least-squares ``y`` in span(basis) with ``x y x = x``."""
     coeffs, residual = _lstsq_combination(x @ basis @ x, x)
     y = linear_combination(coeffs, basis)
-    ok = residual <= tol.iter_tol * max(1.0, float(np.linalg.norm(x)))
+    ok = residual <= iter_tol * max(1.0, float(np.linalg.norm(x)))
     return ok, y, residual
 
 
@@ -520,7 +501,7 @@ def _is_diagonalizable(x: np.ndarray, lams: np.ndarray, threshold: float) -> boo
 def ws_battery(
     x,
     A: Optional[FDAlgebra] = None,
-    tol: Tolerances = DEFAULT_TOL,
+    iter_tol: float = ITER_TOL,
     require_cone: bool = True,
 ) -> WsBatteryReport:
     """Evaluate the pseudo-inverse equivalence chain for ``x`` inside ``A``.
@@ -538,15 +519,15 @@ def ws_battery(
             raise ValueError("x and A live in different ambient dimensions")
         if not A.contains(x):
             raise ValueError("x does not lie in the span of A")
-    if require_cone and not in_F(x, tol):
+    if require_cone and not in_F(x):
         raise ValueError(
             "x is outside the unit-shifted cone; pass require_cone=False "
             "to evaluate the chain anyway"
         )
-    oax = generated_algebra(x, tol)
+    oax = generated_algebra(x, iter_tol)
     if A is None:
         A = oax
-    x_oax = matrix_span(x @ oax.basis, tol)
+    x_oax = matrix_span(x @ oax.basis)
     cond_i = x_oax.membership(x.ravel())
     cond_ii = x_oax.dim == oax.dim
     if cond_ii != oax.unital:
@@ -554,11 +535,11 @@ def ws_battery(
             "rank test for unitality of oa(x) disagrees with the unit solve: "
             f"rank says {cond_ii}, solve says {oax.unital}"
         )
-    cond_iii, y_oa, res_oa = _solve_xyx(x, oax.basis, tol)
-    triple = ideal_subspaces(x, A, tol)
+    cond_iii, y_oa, res_oa = _solve_xyx(x, oax.basis, iter_tol)
+    triple = ideal_subspaces(x, A)
     cond_iv = triple.xAx.membership(x.ravel())
     cond_v = triple.xA.membership(x.ravel()) and triple.Ax.membership(x.ravel())
-    cond_vi, y_a, res_a = _solve_xyx(x, A.basis, tol)
+    cond_vi, y_a, res_a = _solve_xyx(x, A.basis, iter_tol)
 
     lams = spectrum(x)
     scale = max(1.0, float(np.max(np.abs(lams))))
@@ -699,7 +680,7 @@ def _dilation_objective(a: np.ndarray, j_mats: np.ndarray, x: np.ndarray, mu: fl
 QUOTIENT_MU_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
 
-def quotient_norm(a, J: Subspace, tol: Tolerances = DEFAULT_TOL) -> QuotientNormResult:
+def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormResult:
     """Certified quotient norm ``min_{j in J} ||a - j||`` (operator norm).
 
     Minimizes the smoothed norm ``f_mu = mu log tr exp(H / mu)`` of the
@@ -743,7 +724,7 @@ def quotient_norm(a, J: Subspace, tol: Tolerances = DEFAULT_TOL) -> QuotientNorm
     lower = _dual_bound(np.outer(u[:, 0], vh[0]), m, J)
     x = np.concatenate([best.real, best.imag])
     for mu in QUOTIENT_MU_SCHEDULE:
-        if upper - lower <= tol.iter_tol:
+        if upper - lower <= iter_tol:
             break
         cur = _dilation_objective(a, j_mats, x, mu)
         top, top_x = cur.top, x
@@ -774,7 +755,7 @@ def quotient_norm(a, J: Subspace, tol: Tolerances = DEFAULT_TOL) -> QuotientNorm
         nrm = operator_norm(a - linear_combination(c, j_mats))
         if nrm < upper:
             upper, best = nrm, c
-    status = "CERTIFIED" if upper - lower <= tol.iter_tol else "INCONCLUSIVE"
+    status = "CERTIFIED" if upper - lower <= iter_tol else "INCONCLUSIVE"
     return QuotientNormResult(lower=lower, upper=upper, status=status, minimizer_coeffs=best)
 
 
@@ -798,22 +779,13 @@ class QuotientConeReport:
     backward_membership_residual: float
     inconclusive_quotients: int
 
-    @property
-    def consistent(self) -> bool:
-        return (
-            self.forward_excess <= 1e-6
-            and self.backward_lift_excess <= 1e-6
-            and self.backward_membership_residual <= 1e-6
-            and self.inconclusive_quotients == 0
-        )
-
 
 def quotient_cone_check(
     A: FDAlgebra,
     J: Subspace,
     samples: int,
     seed: int,
-    tol: Tolerances = DEFAULT_TOL,
+    iter_tol: float = ITER_TOL,
 ) -> QuotientConeReport:
     """Verify both inclusions between ``q(cone of A)`` and the quotient cone.
 
@@ -833,13 +805,13 @@ def quotient_cone_check(
     rng = np.random.default_rng(seed)
     j_mats = J.basis.reshape(J.dim, n, n)
     if not (
-        _products_stay(J, j_mats, A.basis, tol).all()
-        and _products_stay(J, A.basis, j_mats, tol).all()
+        _products_stay(J, j_mats, A.basis).all()
+        and _products_stay(J, A.basis, j_mats).all()
     ):
         raise ValueError("J is not a two-sided ideal of A")
     if J.dim == 0:
         raise ValueError("the zero ideal has no identity")
-    e = _find_unit(j_mats, tol)
+    e = _find_unit(j_mats, iter_tol)
     if e is None:
         raise ValueError("J has no two-sided identity")
     unit = A.unit
@@ -856,7 +828,7 @@ def quotient_cone_check(
     inconclusive = 0
     for _ in range(samples):
         x = unit - random_contraction_in_A()
-        qn = quotient_norm(unit - x, J, tol)
+        qn = quotient_norm(unit - x, J, iter_tol)
         if qn.status != "CERTIFIED":
             inconclusive += 1
         forward_excess = max(forward_excess, qn.value - 1.0)
@@ -865,11 +837,11 @@ def quotient_cone_check(
         rep = comp @ (unit - random_contraction_in_A()) @ comp + linear_combination(
             complex_normal(rng, J.dim), j_mats
         )
-        qn_rep = quotient_norm(unit - rep, J, tol)
+        qn_rep = quotient_norm(unit - rep, J, iter_tol)
         if qn_rep.status != "CERTIFIED":
             inconclusive += 1
             continue
-        if qn_rep.value <= 1.0 + tol.iter_tol:
+        if qn_rep.value <= 1.0 + iter_tol:
             y = comp @ rep @ comp + e
             backward_checked += 1
             lift_excess = max(lift_excess, operator_norm(unit - y) - 1.0)

@@ -32,11 +32,11 @@ import scipy.linalg
 
 from .cone import in_F
 from .matcore import (
-    DEFAULT_TOL,
+    EXACT_TOL,
+    ITER_TOL,
     CrossCheckError,
     SpectralGapError,
     SpectrumError,
-    Tolerances,
     as_square_matrix,
     complex_schur,
     operator_norm,
@@ -298,33 +298,29 @@ def _blocked_power(t: np.ndarray, z: np.ndarray, labels: np.ndarray, r: float) -
     return z @ f @ z.conj().T
 
 
-def matrix_power_r(
-    x,
-    r: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def matrix_power_r(x, r: float, iter_tol: float = ITER_TOL) -> np.ndarray:
     """Principal r-th power (0 < r <= 1) of x with ``||1 - x|| <= 1``.
 
-    Guarantees on return: ``||1 - x^r|| <= 1 + 10*exact_tol``, commutation
+    Guarantees on return: ``||1 - x^r|| <= 1 + 10*EXACT_TOL``, commutation
     with x within ``iter_tol``, and ``0^r = 0``.  Violations (possible only if
     a confluent cluster defeated the recurrence) raise instead of returning.
     """
     a = as_square_matrix(x)
     if not 0.0 < r <= 1.0:
         raise ValueError(f"exponent must lie in (0, 1], got {r!r}")
-    if not in_F(a, tol):
+    if not in_F(a):
         raise ValueError("matrix_power_r requires ||1 - x|| <= 1")
     if r == 1.0:
         return a.copy()
     out = _triangular_power(*complex_schur(a), r)
     # one n x n buffer holds 1 - x^r, then [x^r, x]
     check = np.eye(a.shape[0]) - out
-    if not operator_norm_at_most(check, 1.0 + 10.0 * tol.exact_tol):
+    if not operator_norm_at_most(check, 1.0 + 10.0 * EXACT_TOL):
         raise RecurrenceBreakdown(
             f"computed power left the cone: ||1 - x^r|| = {operator_norm(check)!r}"
         )
     np.subtract(np.matmul(out, a, out=check), a @ out, out=check)
-    if not operator_norm_at_most(check, tol.iter_tol, scale=a):
+    if not operator_norm_at_most(check, iter_tol, scale=a):
         raise RecurrenceBreakdown(
             f"computed power does not commute with x: {operator_norm(check)!r}"
         )
@@ -361,7 +357,7 @@ def series_power_oracle(
     return value, series
 
 
-def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def spectral_idempotent(x, radius: float) -> np.ndarray:
     """Idempotent onto the spectral subspace for eigenvalues with |lam| < radius.
 
     Requires a genuine gap: any eigenvalue modulus within +-10% of ``radius``
@@ -401,8 +397,8 @@ def spectral_idempotent(x, radius: float, tol: Tolerances = DEFAULT_TOL) -> np.n
     e_tri[:sdim, sdim:] = y
     e = z @ e_tri @ z.conj().T
     e_scale = max(1.0, operator_norm(e))
-    if not operator_norm_at_most(e @ e - e, 100.0 * tol.exact_tol * e_scale**2):
+    if not operator_norm_at_most(e @ e - e, 100.0 * EXACT_TOL * e_scale**2):
         raise CrossCheckError("spectral idempotent failed e^2 = e")
-    if not operator_norm_at_most(e @ a - a @ e, 100.0 * tol.exact_tol * e_scale, scale=a):
+    if not operator_norm_at_most(e @ a - a @ e, 100.0 * EXACT_TOL * e_scale, scale=a):
         raise CrossCheckError("spectral idempotent does not commute with x")
     return e

@@ -11,13 +11,12 @@ example, invalid flags).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
 
 from .examples import example_rdr, example_two_dim, volterra
-from .matcore import DEFAULT_TOL, spectral_radius, to_jsonable
+from .matcore import ITER_TOL, spectral_radius, to_jsonable
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -40,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--trials", type=int, help="sample count")
     run_parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     run_parser.add_argument(
-        "--tol", type=float, help="override the iterative tolerance (iter_tol)"
+        "--tol", type=float, default=ITER_TOL,
+        help=f"the iterative tolerance iter_tol (default {ITER_TOL:g})",
     )
     run_parser.add_argument("--out", help="write the JSON report to this path")
 
@@ -89,11 +89,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "run":
         try:
-            tol = DEFAULT_TOL
-            if args.tol is not None:
-                tol = dataclasses.replace(DEFAULT_TOL, iter_tol=args.tol)
             cfg = SuiteConfig(
-                suite=args.suite, dim=args.dim, trials=args.trials, seed=args.seed, tol=tol
+                suite=args.suite, dim=args.dim, trials=args.trials, seed=args.seed,
+                iter_tol=args.tol,
             )
             report = run_suite(cfg)
         except (KeyError, ValueError) as exc:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .matcore import (
-    DEFAULT_TOL,
+    EXACT_TOL,
+    RANK_TOL,
     CrossCheckError,
-    Tolerances,
     as_square_matrix,
     operator_norm,
 )
@@ -30,21 +30,21 @@ __all__ = [
 ]
 
 
-def _psd_within(h: np.ndarray, tol: float) -> bool:
-    """Whether the Hermitian ``h`` satisfies ``h + tol * 1 > 0``, i.e.
-    ``lambda_min(h) > -tol``, by a Cholesky factorization; for a
+def _psd_within(h: np.ndarray, shift: float) -> bool:
+    """Whether the Hermitian ``h`` satisfies ``h + shift * 1 > 0``, i.e.
+    ``lambda_min(h) > -shift``, by a Cholesky factorization; for a
     ``(B, n, n)`` stack, whether every matrix in it does, by one stacked
     factorization.
 
     Shifts the diagonal of ``h`` in place, through a writeable view, so
-    ``h`` holds ``h + tol * 1`` afterwards: adding ``tol * eye(n)`` would
+    ``h`` holds ``h + shift * 1`` afterwards: adding ``shift * eye(n)`` would
     hold two more arrays of ``h``'s size at the peak.  The factorization is
     numpy's, like the SVDs and eigensolves around it: the numpy and scipy
     wheels each bundle an OpenBLAS, and calling scipy's ``zpotrf`` in
     between made ``cone_constant`` 2-3x slower on two threads.
     """
     diagonal = np.einsum("...ii->...i", h)
-    diagonal += tol
+    diagonal += shift
     try:
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
@@ -52,21 +52,26 @@ def _psd_within(h: np.ndarray, tol: float) -> bool:
     return True
 
 
-def in_F(x, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether ``||1 - x|| <= 1`` within ``exact_tol``.
+def in_F(x) -> bool:
+    """Whether ``||1 - x|| <= 1`` within ``EXACT_TOL``.
 
     Both characterizations are evaluated; if their booleans disagree while the
-    connecting identity is broken beyond ``10 * exact_tol`` (relative to the
+    connecting identity is broken beyond ``10 * EXACT_TOL`` (relative to the
     squared norm) the disagreement is surfaced as :class:`CrossCheckError`.
     """
+    return _in_F(x, EXACT_TOL)
+
+
+def _in_F(x, slack: float) -> bool:
+    """:func:`in_F` with the allowance ``slack`` in place of ``EXACT_TOL``."""
     a = as_square_matrix(x)
     norm_val = operator_norm(np.eye(a.shape[0]) - a)
-    by_norm = norm_val <= 1.0 + tol.exact_tol
+    by_norm = norm_val <= 1.0 + slack
     h = a + a.conj().T - a @ a.conj().T
-    if by_norm != _psd_within(h, tol.exact_tol):
-        lam_min = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0]) - tol.exact_tol
+    if by_norm != _psd_within(h, slack):
+        lam_min = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0]) - slack
         identity_gap = abs(norm_val**2 - (1.0 - lam_min))
-        if identity_gap > 10.0 * tol.exact_tol * max(1.0, norm_val**2):
+        if identity_gap > 10.0 * slack * max(1.0, norm_val**2):
             raise CrossCheckError(
                 "cone membership characterizations disagree: "
                 f"||1-x|| = {norm_val!r}, lambda_min(x+x*-xx*) = {lam_min!r}, "
@@ -76,19 +81,19 @@ def in_F(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     return by_norm
 
 
-def accretive(x, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether x + x* is positive semidefinite within ``exact_tol``."""
+def accretive(x) -> bool:
+    """Whether x + x* is positive semidefinite within ``EXACT_TOL``."""
     a = as_square_matrix(x)
-    return _psd_within(a + a.conj().T, tol.exact_tol)
+    return _psd_within(a + a.conj().T, EXACT_TOL)
 
 
-def cone_constant(x, tol: Tolerances = DEFAULT_TOL) -> float | None:
+def cone_constant(x) -> float | None:
     """Largest C >= 0 with ``x + x* >= C x*x``, else None.
 
     Returns None when no positive constant works (x + x* not PSD within
-    ``exact_tol``) and, by convention, for the zero matrix (every constant
+    ``EXACT_TOL``) and, by convention, for the zero matrix (every constant
     works vacuously).  With ``x = U S V*`` and ``V_r`` the right singular
-    vectors above ``rank_tol``, ``x*x = V_r S_r^2 V_r*`` and ``ker x`` lies in
+    vectors above ``RANK_TOL``, ``x*x = V_r S_r^2 V_r*`` and ``ker x`` lies in
     ``ker(x + x*)`` for accretive x, so C is the least eigenvalue of
     ``S_r^-1 V_r* (x + x*) V_r S_r^-1``.  The returned C satisfies the
     membership certificate ``C*x`` in the cone:
@@ -96,16 +101,16 @@ def cone_constant(x, tol: Tolerances = DEFAULT_TOL) -> float | None:
     """
     a = as_square_matrix(x)
     _, sigma, vh = np.linalg.svd(a)
-    if sigma[0] <= tol.rank_tol:
+    if sigma[0] <= RANK_TOL:
         return None
-    if not accretive(a, tol):
+    if not accretive(a):
         return None
     herm = a + a.conj().T
-    keep = sigma > tol.rank_tol * sigma[0]
+    keep = sigma > RANK_TOL * sigma[0]
     w = vh[keep].conj().T / sigma[keep]
     m = w.conj().T @ herm @ w
     c = max(0.0, float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]))
-    if not in_F(c * a, Tolerances(tol.exact_tol * 10, tol.iter_tol, tol.rank_tol)):
+    if not _in_F(c * a, EXACT_TOL * 10):
         raise CrossCheckError(
             f"cone constant self-check failed: C = {c!r} but C*x is not in the cone"
         )

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .matcore import DEFAULT_TOL, Tolerances, to_jsonable
+from .matcore import EXACT_TOL, RANK_TOL, to_jsonable
 from .sampling import complex_normal
 
 __all__ = [
@@ -52,6 +52,11 @@ __all__ = [
     "principal_density_check",
     "bump_cai_check",
 ]
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -91,12 +96,12 @@ class RadicalWeight:
         return -np.log(self.omega(t))
 
 
-def _verify_weight_invariants(w: RadicalWeight, tol: Tolerances) -> None:
+def _verify_weight_invariants(w: RadicalWeight) -> None:
     ts = np.linspace(0.0, w.horizon, 1000)
     vals = w.omega(ts)
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
         raise ValueError("weight must be positive and finite on [0, horizon]")
-    if abs(w.omega(0.0) - 1.0) > tol.exact_tol:
+    if abs(w.omega(0.0) - 1.0) > EXACT_TOL:
         raise ValueError(f"omega(0) must be 1, got {w.omega(0.0)!r}")
     # Submultiplicativity on a coarse pair grid; the first failing pair in
     # row-major (s, t) order is reported.
@@ -105,7 +110,7 @@ def _verify_weight_invariants(w: RadicalWeight, tol: Tolerances) -> None:
     inside = s + t <= w.horizon
     lhs = w.omega(np.where(inside, s + t, 0.0))
     rhs = w.omega(s) * w.omega(t)
-    failing = np.argwhere(inside & (lhs > rhs * (1.0 + tol.exact_tol) + tol.exact_tol))
+    failing = np.argwhere(inside & (lhs > rhs * (1.0 + EXACT_TOL) + EXACT_TOL))
     if failing.size:
         i, j = failing[0]
         raise ValueError(
@@ -116,7 +121,7 @@ def _verify_weight_invariants(w: RadicalWeight, tol: Tolerances) -> None:
     # the limit itself is not decidable from finitely many samples).
     tail = np.linspace(w.horizon / 100.0, w.horizon, 100)
     roots = w.omega(tail) ** (1.0 / tail)
-    if np.any(np.diff(roots) > tol.exact_tol):
+    if np.any(np.diff(roots) > EXACT_TOL):
         raise ValueError("omega(t)^(1/t) increases along the horizon")
 
 
@@ -124,7 +129,6 @@ def make_weight(
     kind: str,
     omega: Optional[Callable] = None,
     horizon: float = 24.0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> RadicalWeight:
     """Construct a verified weight.
 
@@ -132,8 +136,10 @@ def make_weight(
     so ``eta/t^1.5`` grows without bound).  ``kind="custom"`` takes
     any positive callable; the sampled invariants (positivity,
     ``omega(0)=1``, submultiplicativity, and non-increasing ``t``-th roots)
-    are verified on ``[0, horizon]`` and a violation raises ``ValueError``.
+    are verified on ``[0, horizon]`` and a violation raises ``ValueError``,
+    as does a ``horizon`` that is not finite and positive.
     """
+    _require_finite_positive("horizon", horizon)
     if kind == "gaussian":
         if horizon > 27.0:
             raise ValueError("gaussian weight underflows beyond horizon 27")
@@ -152,7 +158,7 @@ def make_weight(
         )
     else:
         raise ValueError(f"unknown weight kind: {kind!r}")
-    _verify_weight_invariants(w, tol)
+    _verify_weight_invariants(w)
     return w
 
 
@@ -173,8 +179,7 @@ class GridFunction:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("grid step must be positive")
+        _require_finite_positive("grid step", self.h)
         arr = np.asarray(self.coeffs, dtype=complex).ravel()
         if arr.size == 0:
             raise ValueError("grid functions need at least one coefficient")
@@ -192,8 +197,9 @@ class GridFunction:
 
 def grid_indicator(h: float, a: float, b: float) -> GridFunction:
     """Indicator of ``[a, b)`` sampled on the grid (left endpoints)."""
-    if not 0.0 <= a < b:
-        raise ValueError("need 0 <= a < b")
+    _require_finite_positive("grid step", h)
+    if not 0.0 <= a < b < math.inf:
+        raise ValueError("need 0 <= a < b < inf")
     n = int(round(b / h))
     k0 = int(round(a / h))
     coeffs = np.zeros(max(n, k0 + 1), dtype=complex)
@@ -225,23 +231,23 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(h=f.h, coeffs=f.h * np.convolve(f.coeffs, g.coeffs))
 
 
-def alpha_index(f: GridFunction, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Index of the first coefficient above ``rank_tol * max|f|``; -1 if none."""
+def alpha_index(f: GridFunction) -> int:
+    """Index of the first coefficient above ``RANK_TOL * max|f|``; -1 if none."""
     mags = np.abs(f.coeffs)
     top = float(mags.max())
     if top <= 0.0:
         return -1
-    above = np.nonzero(mags > tol.rank_tol * top)[0]
+    above = np.nonzero(mags > RANK_TOL * top)[0]
     return int(above[0]) if above.size else -1
 
 
-def alpha(f: GridFunction, tol: Tolerances = DEFAULT_TOL) -> float:
+def alpha(f: GridFunction) -> float:
     """Infimum of the support: ``h * first-nonzero-index``; +inf for zero.
 
-    The threshold is relative (``rank_tol * max|f|``) so the value is
+    The threshold is relative (``RANK_TOL * max|f|``) so the value is
     invariant under scaling.
     """
-    k = alpha_index(f, tol)
+    k = alpha_index(f)
     return math.inf if k < 0 else f.h * k
 
 
@@ -258,7 +264,7 @@ class TitchmarshReport:
 TITCHMARSH_STEP = 0.05
 
 
-def titchmarsh_check(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> TitchmarshReport:
+def titchmarsh_check(trials: int, seed: int) -> TitchmarshReport:
     """Sample random pairs and assert ``alpha(f*g) = alpha(f) + alpha(g)``.
 
     The identity is checked at the index level (integers), so it is exact,
@@ -282,8 +288,8 @@ def titchmarsh_check(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> T
             parts.append(GridFunction(h=TITCHMARSH_STEP, coeffs=coeffs))
         f, g = parts
         conv = convolve(f, g)
-        expected = alpha_index(f, tol) + alpha_index(g, tol)
-        got = alpha_index(conv, tol)
+        expected = alpha_index(f) + alpha_index(g)
+        got = alpha_index(conv)
         if got == expected:
             matches += 1
         else:
@@ -298,19 +304,14 @@ def titchmarsh_check(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> T
 # quasinilpotence
 
 
-def quasinilpotence_estimate(
-    f: GridFunction,
-    w: RadicalWeight,
-    n_max: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> list:
+def quasinilpotence_estimate(f: GridFunction, w: RadicalWeight, n_max: int) -> list:
     """Weighted-norm roots ``||f^{*n}||_1^{1/n}`` for ``n = 1..n_max``.
 
     Requires ``alpha(f) > 0`` (the decay argument needs the support bounded
     away from zero) and the iterated support ``n_max * horizon(f)`` to stay
     within the weight's verified horizon.
     """
-    if alpha(f, tol) <= 0.0:
+    if alpha(f) <= 0.0:
         raise ValueError("quasinilpotence estimates need alpha(f) > 0")
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -328,9 +329,7 @@ def quasinilpotence_estimate(
     return roots
 
 
-def quasinilpotence_root_bound(
-    f: GridFunction, w: RadicalWeight, n: int, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def quasinilpotence_root_bound(f: GridFunction, w: RadicalWeight, n: int) -> float:
     """n-th root of the closed-form bound on ``||f^{*n}||_1``.
 
     The iterated convolution is supported in ``[n a, n b]`` for ``f``
@@ -339,7 +338,7 @@ def quasinilpotence_root_bound(
     where the plain-L1 factor uses the unweighted norm bound
     ``||f||_1 <= (weighted L1) / min(omega)``.
     """
-    a = alpha(f, tol)
+    a = alpha(f)
     if a <= 0.0:
         raise ValueError("the bound requires alpha(f) > 0")
     b = f.horizon
@@ -360,7 +359,7 @@ class WeightCriterionReport:
     """Convexity, superlinear tail, and ratio-integral data for a weight.
 
     * ``eta_convex`` -- second differences of ``eta`` on a uniform grid stay
-      above ``-exact_tol`` (``worst_second_difference`` records the minimum);
+      above ``-EXACT_TOL`` (``worst_second_difference`` records the minimum);
     * ``tail_superlinear`` -- ``eta(t)/t^(1+epsilon)`` is nondecreasing over
       the last quarter of the horizon, ``epsilon`` the module's
       ``SUPERLINEAR_EPSILON``;
@@ -460,11 +459,7 @@ def _gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) ->
         lo, hi, kronrod, error = lo[keep], hi[keep], kronrod[keep], error[keep]
 
 
-def domar_criterion_check(
-    w: RadicalWeight,
-    t_probe: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> WeightCriterionReport:
+def domar_criterion_check(w: RadicalWeight, t_probe: float) -> WeightCriterionReport:
     """Weight-criterion diagnostics on ``w``'s horizon; failures are entries, not errors.
 
     ``0 < t_probe < horizon``: at or beyond the horizon nothing would be measured.
@@ -476,11 +471,11 @@ def domar_criterion_check(
     eta = w.eta(ts)
     second = np.diff(eta, 2)
     worst = float(np.min(second)) if second.size else 0.0
-    eta_convex = worst >= -tol.exact_tol
+    eta_convex = worst >= -EXACT_TOL
 
     ratio = eta / ts ** (1.0 + SUPERLINEAR_EPSILON)
     tail = ratio[3 * len(ratio) // 4 :]
-    tail_superlinear = bool(np.all(np.diff(tail) >= -tol.exact_tol))
+    tail_superlinear = bool(np.all(np.diff(tail) >= -EXACT_TOL))
 
     upper = horizon - t_probe
 
@@ -519,12 +514,12 @@ class PrincipalDensityResult:
     solution: GridFunction
 
 
+# Most unknowns principal_density_check solves for.
+PRINCIPAL_DENSITY_BUDGET = 10**6
+
+
 def principal_density_check(
-    t_f: GridFunction,
-    g: GridFunction,
-    w: RadicalWeight,
-    budget: int = 10**6,
-    tol: Tolerances = DEFAULT_TOL,
+    t_f: GridFunction, g: GridFunction, w: RadicalWeight
 ) -> PrincipalDensityResult:
     """Solve ``t_f * u = g`` on the truncated grid by forward substitution.
 
@@ -539,16 +534,18 @@ def principal_density_check(
     """
     if abs(t_f.h - g.h) > 1e-15:
         raise ValueError("grid steps differ")
-    k0 = alpha_index(t_f, tol)
-    j0 = alpha_index(g, tol)
+    k0 = alpha_index(t_f)
+    j0 = alpha_index(g)
     if k0 < 0:
         raise ValueError("t_f must be nonzero")
     if j0 >= 0 and g.h * j0 <= t_f.h * k0:
         raise ValueError("need alpha(g) > alpha(t_f) strictly")
     h = t_f.h
     length = len(g.coeffs) - k0
-    if length > budget:
-        raise ValueError(f"solution length {length} exceeds budget {budget}")
+    if length > PRINCIPAL_DENSITY_BUDGET:
+        raise ValueError(
+            f"solution length {length} exceeds budget {PRINCIPAL_DENSITY_BUDGET}"
+        )
     if length <= 0:
         u = GridFunction(h=h, coeffs=np.zeros(1, dtype=complex))
         return PrincipalDensityResult(residual=0.0, solution=u)

@@ -1,8 +1,8 @@
 """Shared finite-dimensional linear algebra: tolerances, norms, spectra, subspaces.
 
 Everything downstream works with explicit square complex matrices.  All rank
-decisions go through singular values compared against ``Tolerances.rank_tol``;
-nothing is ever decided by an exact floating-point comparison.  A norm that
+decisions go through singular values compared against ``RANK_TOL``; nothing
+is ever decided by an exact floating-point comparison.  A norm that
 is only compared with a threshold goes through :func:`operator_norm_at_most`,
 which takes the SVD's verdict but skips the SVD when the Frobenius bounds
 already decide it.
@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
+    "EXACT_TOL",
+    "RANK_TOL",
+    "ITER_TOL",
     "SpectrumError",
     "CrossCheckError",
     "SpectralGapError",
@@ -42,31 +42,6 @@ __all__ = [
     "matrix_from_json",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerance bundle.
-
-    exact_tol
-        slack for algebraic identities evaluated in floating point
-    iter_tol
-        convergence target for iterative limits and optimization gaps
-    rank_tol
-        singular-value threshold for every rank/membership decision
-    """
-
-    exact_tol: float = 1e-9
-    iter_tol: float = 1e-6
-    rank_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("exact_tol", "iter_tol", "rank_tol"):
-            value = getattr(self, name)
-            if not (value > 0.0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-
-
-DEFAULT_TOL = Tolerances()
 
 # Complex entries per stacked (B, n, n) array: large enough that per-call
 # overhead stops dominating at n <= 9, small enough that a stack never moves
@@ -117,6 +92,16 @@ def operator_norm(x) -> float:
     return float(np.linalg.svd(as_square_matrix(x), compute_uv=False)[0])
 
 
+# The allowances every verdict is compared against.  EXACT_TOL is the slack
+# of algebraic identities evaluated in floating point, RANK_TOL the
+# singular-value threshold of every rank and membership decision; both are
+# fixed.  ITER_TOL, the convergence target of iterative limits and
+# optimization gaps, is the default of the ``iter_tol`` parameter of the
+# functions that read it, and the one tolerance a caller sets.
+EXACT_TOL = 1e-9
+RANK_TOL = 1e-8
+ITER_TOL = 1e-6
+
 # Relative guard on the Frobenius bounds of operator_norm_at_most: far above
 # the rounding of ||d||_F and of the SVD's sigma_max, so a verdict the bounds
 # decide is the verdict the SVD would give.
@@ -124,7 +109,7 @@ FROBENIUS_GUARD = 1e-12
 
 # Relative guard of the Gram screen in ocp_falsify's Haar phase, which skips
 # a block when one stacked Cholesky factors ``t 1 - M_b* M_b`` with
-# ``t = (w (1 - GRAM_SCREEN_GUARD))**2``, where ``w = v + exact_tol max(1, v)``
+# ``t = (w (1 - GRAM_SCREEN_GUARD))**2``, where ``w = v + EXACT_TOL max(1, v)``
 # is what a draw must exceed to replace the incumbent value ``v``.
 # Forming the Gram stack and factoring it are backward stable with errors of
 # at most about ``m**2 u (t + ||M_b||**2)`` at order m (u the unit
@@ -132,9 +117,8 @@ FROBENIUS_GUARD = 1e-12
 # one; so a factorization that succeeds puts every SVD value below
 # ``w (1 - GRAM_SCREEN_GUARD) (1 + O(m**2 u))``, which is below ``w`` while
 # the guard is far above ``m**2 u``: 4.5e-13 at the m <= 64 cap of ocpmap.
-# At the default exact_tol = 1e-9, ten times the guard, ``sqrt(t)`` exceeds
-# ``v`` by about ``9e-10 max(1, v)``, so a block whose draws only tie ``v``
-# skips.
+# With EXACT_TOL = 1e-9, ten times the guard, ``sqrt(t)`` exceeds ``v`` by
+# about ``9e-10 max(1, v)``, so a block whose draws only tie ``v`` skips.
 GRAM_SCREEN_GUARD = 1e-10
 
 
@@ -232,19 +216,18 @@ class Subspace:
     """A subspace of C^d stored as orthonormal rows.
 
     Membership and equality decisions compare projection residuals against
-    ``rank_tol`` (relative to ``max(1, |v|)``), never exact comparisons.
+    ``RANK_TOL`` (relative to ``max(1, |v|)``), never exact comparisons.
     """
 
-    def __init__(self, basis: np.ndarray, ambient_dim: int, rank_tol: float):
+    def __init__(self, basis: np.ndarray, ambient_dim: int):
         self.basis = np.asarray(basis, dtype=complex).reshape(-1, ambient_dim)
         self.ambient_dim = int(ambient_dim)
-        self.rank_tol = float(rank_tol)
 
     @classmethod
-    def from_vectors(cls, vectors, ambient_dim: int, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
+    def from_vectors(cls, vectors, ambient_dim: int) -> "Subspace":
         arr = np.asarray(vectors, dtype=complex)
         if arr.size == 0:
-            return cls(np.zeros((0, ambient_dim)), ambient_dim, tol.rank_tol)
+            return cls(np.zeros((0, ambient_dim)), ambient_dim)
         arr = arr.reshape(len(arr), -1)
         if arr.shape[1] != ambient_dim:
             raise ValueError(
@@ -252,9 +235,9 @@ class Subspace:
             )
         _, s, vh = np.linalg.svd(arr, full_matrices=False)
         if s.size == 0 or s[0] <= 0:
-            return cls(np.zeros((0, ambient_dim)), ambient_dim, tol.rank_tol)
-        keep = s > tol.rank_tol * s[0]
-        return cls(vh[keep], ambient_dim, tol.rank_tol)
+            return cls(np.zeros((0, ambient_dim)), ambient_dim)
+        keep = s > RANK_TOL * s[0]
+        return cls(vh[keep], ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -281,10 +264,10 @@ class Subspace:
     def membership(self, v) -> bool:
         vec = np.asarray(v, dtype=complex).ravel()
         scale = max(1.0, float(np.linalg.norm(vec)))
-        return self.residual(vec) <= self.rank_tol * scale
+        return self.residual(vec) <= RANK_TOL * scale
 
 
-def matrix_span(matrices, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def matrix_span(matrices) -> Subspace:
     """Span of a family of equally-shaped matrices, flattened row-major."""
     mats = [as_square_matrix(m) for m in matrices]
     if not mats:
@@ -293,7 +276,7 @@ def matrix_span(matrices, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     for m in mats:
         if m.shape != (n, n):
             raise ValueError(f"generator shapes differ: {m.shape} vs {(n, n)}")
-    return Subspace.from_vectors([m.ravel() for m in mats], n * n, tol)
+    return Subspace.from_vectors([m.ravel() for m in mats], n * n)
 
 
 def _json_float(v: float):

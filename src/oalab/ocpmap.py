@@ -27,10 +27,11 @@ import numpy as np
 
 from .cone import _psd_within, in_F
 from .matcore import (
-    DEFAULT_TOL,
+    EXACT_TOL,
     GRAM_SCREEN_GUARD,
+    ITER_TOL,
+    RANK_TOL,
     CrossCheckError,
-    Tolerances,
     as_square_matrix,
     matrix_to_json,
     operator_norm,
@@ -133,22 +134,22 @@ def transpose_map(n: int) -> MatrixMap:
     return MatrixMap(in_dim=n, out_dim=n, action=identity_map(n).action.swapaxes(2, 3))
 
 
-def _cp_choi_eigh(t: MatrixMap, tol: Tolerances):
+def _cp_choi_eigh(t: MatrixMap):
     """``eigh`` of the Hermitian part of ``t``'s Choi matrix; ``None`` unless CP.
 
     ``T`` is completely positive iff its Choi matrix is PSD; a
     non-Hermitian Choi matrix already rules that out.  The eigenvalue
-    threshold is ``exact_tol`` relative to the Choi scale.
+    threshold is ``EXACT_TOL`` relative to the Choi scale.
     """
     c = t.choi
     scale = max(1.0, operator_norm(c))
-    if not operator_norm_at_most(c - c.conj().T, tol.exact_tol * scale):
+    if not operator_norm_at_most(c - c.conj().T, EXACT_TOL * scale):
         return None
     lam, vecs = np.linalg.eigh((c + c.conj().T) / 2.0)
-    return (lam, vecs) if lam[0] >= -tol.exact_tol * scale else None
+    return (lam, vecs) if lam[0] >= -EXACT_TOL * scale else None
 
 
-def amplify(t: MatrixMap, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixMap:
+def amplify(t: MatrixMap, k: int) -> MatrixMap:
     """``id_k (x) T`` on ``M_k(M_n)``, block row/column index ``(i, a) = i*n + a``.
 
     The Choi matrix of the amplification is cross-checked against the
@@ -169,20 +170,18 @@ def amplify(t: MatrixMap, k: int, tol: Tolerances = DEFAULT_TOL) -> MatrixMap:
     action.reshape(k, n, k, n, k, m, k, m)[i, :, j, :, i, :, j, :] = t.action
     amplified = MatrixMap(in_dim=kn, out_dim=km, action=action)
     if kn * km <= 1024:
-        _verify_choi_shuffle(t, amplified, k, tol)
+        _verify_choi_shuffle(t, amplified, k)
     return amplified
 
 
-def _verify_choi_shuffle(
-    t: MatrixMap, amplified: MatrixMap, k: int, tol: Tolerances
-) -> None:
+def _verify_choi_shuffle(t: MatrixMap, amplified: MatrixMap, k: int) -> None:
     """Check ``C(id_k (x) T) = P [C(id_k) (x) C(T)] P^T`` for the regrouping P."""
     n, m = t.in_dim, t.out_dim
     kron = np.kron(identity_map(k).choi, t.choi)
     # kron is indexed ((i*k + u)*n + a)*m + b, the amplified Choi (i, a, u, b)
     perm = np.arange(k * k * n * m).reshape(k, k, n, m).transpose(0, 2, 1, 3).ravel()
     defect = amplified.choi - kron[np.ix_(perm, perm)]
-    if not operator_norm_at_most(defect, tol.exact_tol, scale=kron):
+    if not operator_norm_at_most(defect, EXACT_TOL, scale=kron):
         raise CrossCheckError(
             f"amplified Choi matrix disagrees with the permuted Kronecker "
             f"product by {operator_norm(defect):.3e}"
@@ -215,7 +214,7 @@ def ocp_falsify(
     k: int,
     budget: int = 10000,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
+    iter_tol: float = ITER_TOL,
 ) -> Optional[dict]:
     """Search for a level-``k`` witness against ``||c 1 - T_k(x)|| <= c``.
 
@@ -228,7 +227,7 @@ def ocp_falsify(
     polishes the best candidate by conditional-gradient steps (each step
     maximizes the linearized objective over the ball, which lands on a
     unitary again).  A Haar draw or a polish step replaces the incumbent
-    value ``v`` only when it exceeds ``v + exact_tol max(1, v)``, so a tie
+    value ``v`` only when it exceeds ``v + EXACT_TOL max(1, v)``, so a tie
     decided by rounding never moves the search.  ``budget >= 1`` counts
     objective evaluations: the 2 or 3 starting candidates are always
     scored, the Haar draws fill the first ``budget // 2`` and the polish the
@@ -241,7 +240,7 @@ def ocp_falsify(
     entries per ``(B, max(kn, km), max(kn, km))`` stack.  A block whose one
     stacked Cholesky of ``t 1 - M_b* M_b`` succeeds, for
     ``M_b = c 1 - T_k(x_b)`` and
-    ``t = ((v + exact_tol max(1, v)) (1 - GRAM_SCREEN_GUARD))**2`` with ``v``
+    ``t = ((v + EXACT_TOL max(1, v)) (1 - GRAM_SCREEN_GUARD))**2`` with ``v``
     the best value so far, holds no draw that replaces ``v`` and skips its
     SVD.  For a completely positive map at ``c = ||T(1)||``, where ``x = 0``
     already attains the supremum ``c``, no draw can clear the allowance and
@@ -260,7 +259,7 @@ def ocp_falsify(
         raise ValueError("the bound constant must be positive")
     if budget < 1:
         raise ValueError(f"the evaluation budget must be at least 1, got {budget}")
-    amp = amplify(t, k, tol)
+    amp = amplify(t, k)
     kn, km = amp.in_dim, amp.out_dim
     rng = np.random.default_rng(seed)
     target = c * np.eye(km, dtype=complex)
@@ -277,8 +276,8 @@ def ocp_falsify(
 
     def to_beat(v):
         """What a value must exceed to replace the incumbent ``v``: ``v`` plus
-        the rounding allowance ``exact_tol max(1, v)``."""
-        return v + tol.exact_tol * max(1.0, v)
+        the rounding allowance ``EXACT_TOL max(1, v)``."""
+        return v + EXACT_TOL * max(1.0, v)
 
     # The Haar phase, in stacked blocks.  A block whose Gram screen proves
     # every value below ``to_beat(best_val)`` cannot update the incumbent,
@@ -313,7 +312,7 @@ def ocp_falsify(
 
     # Independent certification of the best candidate.
     certified_value = operator_norm(target - amp.apply(best_x))
-    if certified_value > c + tol.iter_tol and in_F(best_x, tol):
+    if certified_value > c + iter_tol and in_F(best_x):
         return {
             "x": matrix_to_json(best_x),
             "level": k,
@@ -333,7 +332,7 @@ class DiskTestReport:
     """Sampled and algebraic verdicts for the scaling-disk condition.
 
     ``member`` is the sampled verdict: ``z x`` stays in the cone
-    ``{y: ||1-y|| <= 1}`` (within ``10 exact_tol``) at every sampled ``z``
+    ``{y: ||1-y|| <= 1}`` (within ``10 EXACT_TOL``) at every sampled ``z``
     of the closed disk ``|1 - z| <= 1``; by subharmonicity of
     ``z -> ||1 - z x||`` the boundary circle decides this.  The condition
     holds exactly for positive-semidefinite contractions (for ``w`` in the
@@ -349,14 +348,12 @@ class DiskTestReport:
     hermitian_psd: bool
 
 
-def disk_test(
-    x, circle_points: int = 500, tol: Tolerances = DEFAULT_TOL
-) -> DiskTestReport:
+def disk_test(x, circle_points: int = 500) -> DiskTestReport:
     """Sample ``||1 - z x|| <= 1`` over the circle ``|1 - z| = 1`` plus 0, 1, 2.
 
     The sampled verdict must agree with the algebraic one (Hermitian with
     eigenvalues in ``[0, 1]``) up to the grid slack
-    ``(2 pi / N) ||x|| + 10 exact_tol``; disagreement beyond the slack
+    ``(2 pi / N) ||x|| + 10 EXACT_TOL``; disagreement beyond the slack
     raises :class:`CrossCheckError`.
     """
     x = as_square_matrix(x)
@@ -371,20 +368,20 @@ def disk_test(
         excess[block] = operator_norms(eye - zs[block, None, None] * x) - 1.0
     worst = int(np.argmax(excess))
     worst_excess, worst_z = excess[worst], complex(zs[worst])
-    slack = (2.0 * np.pi / circle_points) * operator_norm(x) + 10.0 * tol.exact_tol
-    sampled_member = worst_excess <= tol.exact_tol * 10.0
+    slack = (2.0 * np.pi / circle_points) * operator_norm(x) + 10.0 * EXACT_TOL
+    sampled_member = worst_excess <= EXACT_TOL * 10.0
 
     hermitian_defect = operator_norm(x - x.conj().T)
     lam = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
     algebraic_excess = max(
         hermitian_defect, float(-lam[0]), float(lam[-1] - 1.0), 0.0
     )
-    hermitian_psd = algebraic_excess <= tol.exact_tol
+    hermitian_psd = algebraic_excess <= EXACT_TOL
 
     # The two verdicts must agree up to boundary rounding: a sampled pass
     # with a clear algebraic failure (or a sampled failure beyond the grid
     # slack with an algebraic pass) is a genuine inconsistency.
-    if sampled_member and algebraic_excess > 100.0 * tol.exact_tol:
+    if sampled_member and algebraic_excess > 100.0 * EXACT_TOL:
         raise CrossCheckError(
             f"disk sweep passed but the PSD-contraction check fails by "
             f"{algebraic_excess:.3e}"
@@ -422,22 +419,22 @@ class StinespringTriple:
     residual: float
 
 
-def stinespring(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> StinespringTriple:
+def stinespring(t: MatrixMap) -> StinespringTriple:
     """Factor a completely positive map through its Choi eigendecomposition.
 
     Eigenvectors of the Choi matrix with eigenvalue above
-    ``rank_tol * max-eigenvalue`` become Kraus operators
+    ``RANK_TOL * max-eigenvalue`` become Kraus operators
     ``K_s = sqrt(mu_s) reshape(v_s, (n, m)).T``; the reported residual is
     the worst Frobenius error of ``T(E_ij) - sum_s K_s E_ij K_s^*`` and the
     reconstruction is verified against the recomputed map.
     """
-    eig = _cp_choi_eigh(t, tol)
+    eig = _cp_choi_eigh(t)
     if eig is None:
         raise ValueError("Stinespring factorization needs a completely positive map")
     n, m = t.in_dim, t.out_dim
     lam, vecs = eig
     # ``eigh`` sorts ascending: the kept eigenpairs are a suffix, taken from the top
-    keep = np.flatnonzero(lam > tol.rank_tol * max(float(lam[-1]), 1.0))[::-1]
+    keep = np.flatnonzero(lam > RANK_TOL * max(float(lam[-1]), 1.0))[::-1]
     ks = np.sqrt(lam[keep])[:, None, None] * vecs[:, keep].T.reshape(-1, n, m).swapaxes(1, 2)
     if not keep.size:
         ks = np.zeros((1, m, n), dtype=complex)
@@ -447,7 +444,7 @@ def stinespring(t: MatrixMap, tol: Tolerances = DEFAULT_TOL) -> StinespringTripl
     return StinespringTriple(kraus=list(ks), v=v, residual=residual)
 
 
-def dilation_bound(t: MatrixMap, c: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def dilation_bound(t: MatrixMap, c: float) -> float:
     """A certified upper bound on ``sup_k sup_{x in F_k} ||c 1 - T_k(x)||``.
 
     ``F_k = {x in M_kn : ||1 - x|| <= 1}`` and ``T`` must be completely
@@ -477,7 +474,7 @@ def dilation_bound(t: MatrixMap, c: float, tol: Tolerances = DEFAULT_TOL) -> flo
     """
     if not c > 0:
         raise ValueError("the bound constant must be positive")
-    triple = stinespring(t, tol)
+    triple = stinespring(t)
     v = triple.v
     rows, m = v.shape
     n = t.in_dim

@@ -26,10 +26,11 @@ import numpy as np
 import scipy.linalg
 
 from .matcore import (
-    DEFAULT_TOL,
+    EXACT_TOL,
+    ITER_TOL,
+    RANK_TOL,
     CrossCheckError,
     SpectrumError,
-    Tolerances,
     as_square_matrix,
     operator_norm,
     stack_slices,
@@ -187,7 +188,7 @@ class WedgeReport:
     """Outcome of a sampled wedge-membership check.
 
     ``inside`` is True when every sampled boundary point ``w`` satisfies
-    both ``|arg w| <= rho + slack`` and ``|w - 1/2| <= 1/2 + tol``, where
+    both ``|arg w| <= rho + slack`` and ``|w - 1/2| <= 1/2 + EXACT_TOL``, where
     the angular ``slack`` accounts for the sweep's grid resolution.
     Points within ``tip_radius`` of the origin sit at the wedge tip and
     carry no usable angle, so they are counted inside.
@@ -205,7 +206,6 @@ def wedge_membership(
     x: np.ndarray,
     rho: float,
     theta_count: int = 720,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> WedgeReport:
     """Check whether the sampled numerical range of ``x`` lies in a wedge.
 
@@ -228,12 +228,12 @@ def wedge_membership(
     sample = numerical_range(x, theta_count=theta_count)
     pts = sample.boundary_points
     slack = 2.0 * np.pi / theta_count + 1e-6
-    tip_radius = max(tol.exact_tol, 1e-12)
+    tip_radius = EXACT_TOL
     angles = np.abs(np.angle(pts))
     usable = np.abs(pts) > tip_radius
     max_angle = float(np.max(angles[usable])) if usable.any() else 0.0
     disk_defect = float(np.max(np.abs(pts - 0.5)) - 0.5)
-    inside = max_angle <= rho + slack and disk_defect <= tol.exact_tol
+    inside = max_angle <= rho + slack and disk_defect <= EXACT_TOL
     return WedgeReport(
         inside=bool(inside),
         rho=float(rho),
@@ -262,38 +262,38 @@ class SharpNeumannResult:
     sigma_min: float
 
 
-def sharp_neumann(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SharpNeumannResult:
+def sharp_neumann(t: np.ndarray, iter_tol: float = ITER_TOL) -> SharpNeumannResult:
     """Decide invertibility of ``t`` from ``||1 - t||`` and ``||1 - t/2||``.
 
-    Requires ``||1 - t|| <= 1`` (up to ``exact_tol``); raises ``ValueError``
+    Requires ``||1 - t|| <= 1`` (up to ``EXACT_TOL``); raises ``ValueError``
     otherwise.  The verdict is "singular" precisely when both norms land in
-    the band ``[1 - iter_tol, 1 + exact_tol]``.  The verdict is then
+    the band ``[1 - iter_tol, 1 + EXACT_TOL]``.  The verdict is then
     cross-checked against the smallest singular value of ``t`` (singular
-    iff ``sigma_min <= rank_tol * max(1, ||t||)``); a disagreement raises
+    iff ``sigma_min <= RANK_TOL * max(1, ||t||)``); a disagreement raises
     :class:`~oalab.matcore.CrossCheckError` with both diagnostics, since it
     means the two routes resolve the spectrum near zero differently.
     """
     t = as_square_matrix(t)
     eye = np.eye(t.shape[0], dtype=np.complex128)
     norm_one = operator_norm(eye - t)
-    if norm_one > 1.0 + tol.exact_tol:
+    if norm_one > 1.0 + EXACT_TOL:
         raise ValueError(
             f"sharp_neumann requires ||1 - t|| <= 1, got {norm_one:.6g}"
         )
     norm_half = operator_norm(eye - t / 2.0)
-    if norm_half > 1.0 + tol.exact_tol:
+    if norm_half > 1.0 + EXACT_TOL:
         raise CrossCheckError(
             "||1 - t/2|| exceeds 1 although ||1 - t|| <= 1; "
             f"got {norm_half:.6g}"
         )
-    band_lo = 1.0 - tol.iter_tol
-    band_hi = 1.0 + tol.exact_tol
+    band_lo = 1.0 - iter_tol
+    band_hi = 1.0 + EXACT_TOL
     singular_by_norms = (
         band_lo <= norm_one <= band_hi and band_lo <= norm_half <= band_hi
     )
     sigma = np.linalg.svd(t, compute_uv=False)
     sigma_min = float(sigma[-1])
-    singular_by_rank = sigma_min <= tol.rank_tol * max(1.0, float(sigma[0]))
+    singular_by_rank = sigma_min <= RANK_TOL * max(1.0, float(sigma[0]))
     if singular_by_norms != singular_by_rank:
         raise CrossCheckError(
             "norm-based invertibility verdict disagrees with the rank oracle: "

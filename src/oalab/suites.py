@@ -34,9 +34,10 @@ from .algebra import (
 from .calculus import matrix_power_r
 from .examples import example_rdr, example_two_dim, volterra, volterra_norm
 from .matcore import (
-    DEFAULT_TOL,
+    EXACT_TOL,
+    ITER_TOL,
+    RANK_TOL,
     CrossCheckError,
-    Tolerances,
     matrix_span,
     matrix_to_json,
     operator_norm,
@@ -72,7 +73,7 @@ class SuiteConfig:
     dim: Optional[int] = None
     trials: Optional[int] = None
     seed: int = 0
-    tol: Tolerances = DEFAULT_TOL
+    iter_tol: float = ITER_TOL
 
     def __post_init__(self):
         if self.dim is not None and self.dim < 1:
@@ -81,6 +82,10 @@ class SuiteConfig:
             raise ValueError("trials must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not (self.iter_tol > 0.0 and math.isfinite(self.iter_tol)):
+            raise ValueError(
+                f"iter_tol must be finite and strictly positive, got {self.iter_tol!r}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,7 +114,7 @@ class _Run:
     dim: int
     trials: int
     rng: np.random.Generator
-    tol: Tolerances
+    iter_tol: float
     margins: dict = dataclasses.field(default_factory=dict)  # name -> [margin, tol]
     failures: list = dataclasses.field(default_factory=list)
 
@@ -160,20 +165,19 @@ _ROOT_EXPONENTS = (0.5, 1.0 / 3.0, 0.25, 0.2)
 
 
 def _suite_roots(run):
-    tol = run.tol
     for trial in range(run.trials):
         d = int(run.rng.integers(1, run.dim + 1))
         x = np.eye(d) + random_contraction(run.rng, d)
         eye = np.eye(d, dtype=complex)
-        half_root = matrix_power_r(x, 0.5, tol)
+        half_root = matrix_power_r(x, 0.5, run.iter_tol)
         square_err = operator_norm(half_root @ half_root - x)
         run.bound("half-root-squares", square_err, 1e-6,
                   lambda: {"trial": trial, "x": matrix_to_json(x)})
-        span = generated_algebra(x, tol).span
+        span = generated_algebra(x, run.iter_tol).span
         y = x / 2.0
         for r in _ROOT_EXPONENTS:
-            root = half_root if r == 0.5 else matrix_power_r(x, r, tol)
-            y_root = matrix_power_r(y, r, tol)
+            root = half_root if r == 0.5 else matrix_power_r(x, r, run.iter_tol)
+            y_root = matrix_power_r(y, r, run.iter_tol)
             vec = root.reshape(-1)
             member_res = span.residual(vec) / max(1.0, float(np.linalg.norm(vec)))
             if any([
@@ -193,9 +197,9 @@ def _suite_support_routes(run):
             x = random_normal_singular_cone_element(run.rng, d)
         else:
             x = np.eye(d) + random_contraction(run.rng, d)
-        if operator_norm_at_most(x, run.tol.rank_tol):
+        if operator_norm_at_most(x, RANK_TOL):
             continue
-        residuals = support_projection_routes(x, run.tol)["residuals"]
+        residuals = support_projection_routes(x, run.iter_tol)["residuals"]
         run.bound("route-agreement", max(residuals.values()), 1e-6,
                   lambda: {"trial": trial, "x": matrix_to_json(x), "residuals": residuals})
 
@@ -205,12 +209,12 @@ def _suite_support_join(run):
         d = int(run.rng.integers(2, run.dim + 1))
         count = int(run.rng.integers(2, 5))
         family = [np.eye(d) + random_contraction(run.rng, d) for _ in range(count)]
-        joined = join_supports(family, run.tol)
+        joined = join_supports(family)
         # Random positive coefficients: the support of the combination must
         # still be the join (positive combinations cannot cancel ranges).
         coeffs = run.rng.uniform(0.1, 2.0, size=count)
         combo = sum(c * x for c, x in zip(coeffs, family))
-        p_combo = support_projection(combo, run.tol)
+        p_combo = support_projection(combo)
         gap = max(float(joined["residual"]), operator_norm(p_combo - joined["join"]))
         run.bound("join-identity", gap, 1e-6, lambda: {
             "trial": trial,
@@ -228,18 +232,17 @@ def _suite_sharp_neumann(run):
         else:
             t_mat = np.eye(d) + random_contraction(run.rng, d, radius=0.9)
             expect_singular = False
-        result = sharp_neumann(t_mat, run.tol)  # raises CrossCheckError on clash
+        result = sharp_neumann(t_mat, run.iter_tol)  # raises CrossCheckError on clash
         run.count("classifier-vs-rank-oracle", result.singular != expect_singular,
                   lambda: {"trial": trial, "t": matrix_to_json(t_mat)})
 
 
 def _suite_closure_battery(run):
-    tol = run.tol
     cap = min(run.dim, 6)
     for trial in range(run.trials):
         d = int(run.rng.integers(2, cap + 1))
         x = np.eye(d) + random_contraction(run.rng, d)
-        report = ws_battery(x, tol=tol)
+        report = ws_battery(x, iter_tol=run.iter_tol)
         run.count("random-consistency", not report.consistent,
                   lambda: {"trial": trial, "x": matrix_to_json(x), "report": to_jsonable(report)})
 
@@ -253,7 +256,7 @@ def _suite_closure_battery(run):
             x = np.zeros((nil_dim + inv_dim,) * 2, dtype=complex)
             x[:nil_dim, :nil_dim] = shift
             x[nil_dim:, nil_dim:] = 2.0 * np.eye(inv_dim)
-            report = ws_battery(x, tol=tol, require_cone=False)
+            report = ws_battery(x, iter_tol=run.iter_tol, require_cone=False)
             ok = (
                 report.conditions["vii"]
                 and not report.conditions["vi"]
@@ -267,12 +270,12 @@ def _suite_closure_battery(run):
 def _suite_nonunital_battery(run):
     # The two reference algebras fix their own dimensions.
     seed = int(run.rng.integers(0, 2**31))
-    report = nor_battery(example_two_dim(run.tol), run.trials, seed=seed, tol=run.tol)
+    report = nor_battery(example_two_dim(run.iter_tol), run.trials, seed=seed)
     worst = min(report.worst_margins().values()) if not report.vacuous else -np.inf
     margin = worst - 1e-3 if report.all_pass else -1.0
     run.case("two-dim-margins", margin, 1e-3, lambda: to_jsonable(report))
 
-    m2 = nor_battery(full_matrix_algebra(2), max(run.trials // 5, 20), seed=seed + 1, tol=run.tol)
+    m2 = nor_battery(full_matrix_algebra(2), max(run.trials // 5, 20), seed=seed + 1)
     # Negative control: the full matrix algebra must fail, with an explicit
     # idempotent witness recorded.
     control_ok = (not m2.all_pass) and bool(m2.idempotent_witnesses)
@@ -290,7 +293,7 @@ def _suite_volterra(run):
     dim = run.dim
     # The spectral radius is exactly 1/(2n); gate on the distance to it.
     rho = spectral_radius(volterra(100))
-    run.bound("spectral-radius-100", abs(rho - 0.005), run.tol.exact_tol, lambda: {"rho": rho})
+    run.bound("spectral-radius-100", abs(rho - 0.005), EXACT_TOL, lambda: {"rho": rho})
     norm = volterra_norm(dim)
     exact = 1.0 / (2.0 * dim * math.tan(math.pi / (4.0 * dim)))
     if abs(norm - exact) > 1e-12 * exact:
@@ -303,7 +306,7 @@ def _suite_volterra(run):
 
 def _suite_domar_titchmarsh(run):
     seed = int(run.rng.integers(0, 2**31))
-    report = domar.titchmarsh_check(run.trials, seed=seed, tol=run.tol)
+    report = domar.titchmarsh_check(run.trials, seed=seed)
     for data in report.failures:
         run.fail("support-additivity", data)
     run.case("support-additivity", float(report.exact_matches - report.trials), 0.0)
@@ -311,7 +314,7 @@ def _suite_domar_titchmarsh(run):
 
 def _suite_domar_criterion(run):
     w = domar.make_weight("gaussian")
-    report = domar.domar_criterion_check(w, 1.0, tol=run.tol)
+    report = domar.domar_criterion_check(w, 1.0)
     closed = math.exp(-2.0) / 4.0
     if any([
         run.bound("gaussian-ratio-integral", abs(report.ratio_integral - closed), 1e-6),
@@ -321,7 +324,7 @@ def _suite_domar_criterion(run):
     exp_weight = domar.make_weight(
         "custom", omega=lambda t: np.exp(-np.asarray(t)), horizon=24.0
     )
-    exp_report = domar.domar_criterion_check(exp_weight, 1.0, tol=run.tol)
+    exp_report = domar.domar_criterion_check(exp_weight, 1.0)
     # Negative control: eta(t) = t is convex but not superlinear.
     control_ok = exp_report.eta_convex and not exp_report.tail_superlinear
     run.count("exponential-control", not control_ok, lambda: to_jsonable(exp_report))
@@ -330,10 +333,10 @@ def _suite_domar_criterion(run):
 def _suite_domar_quasinilpotence(run):
     w = domar.make_weight("gaussian")
     f = domar.grid_indicator(0.05, 1.0, 2.0)
-    roots = domar.quasinilpotence_estimate(f, w, 8, run.tol)
+    roots = domar.quasinilpotence_estimate(f, w, 8)
     decrease = min(roots[n] - roots[n + 1] for n in range(1, 7))
     bound_margin = min(
-        domar.quasinilpotence_root_bound(f, w, n + 1, run.tol) - roots[n]
+        domar.quasinilpotence_root_bound(f, w, n + 1) - roots[n]
         for n in range(8)
     )
     if any([
@@ -375,7 +378,7 @@ def _suite_domar_density(run):
         gc[a_g:] = complex_normal(rng, len_g)
         t_f = domar.GridFunction(h=h, coeffs=tc)
         g = domar.GridFunction(h=h, coeffs=gc)
-        result = domar.principal_density_check(t_f, g, w, tol=run.tol)
+        result = domar.principal_density_check(t_f, g, w)
         run.bound("triangular-solve", result.residual, 1e-8, lambda: {
             "trial": trial, "t_f": to_jsonable(t_f), "g": to_jsonable(g), "residual": result.residual
         })
@@ -413,7 +416,7 @@ def _suite_ocp_falsify(run):
     seeds, cp_draws = _ocp_falsify_draws(run.rng, run.trials)
     t = transpose_map(2)
     for c, seed in zip(_TRANSPOSE_BOUNDS, seeds):
-        witness = ocp_falsify(t, c, k=2, budget=200, seed=seed, tol=run.tol)
+        witness = ocp_falsify(t, c, k=2, budget=200, seed=seed, iter_tol=run.iter_tol)
         err = np.inf if witness is None else abs(witness["margin"] - 1.0)
         run.bound("transpose-witness", err, 1e-9, lambda: {"bound": c, "witness": witness})
 
@@ -422,13 +425,13 @@ def _suite_ocp_falsify(run):
     # and the margin is iter_tol minus that excess.  The falsifier still runs
     # at levels 1..3; a witness contradicts the certificate and fails the case.
     for trial, (cp_map, c, seed) in enumerate(cp_draws):
-        excess = dilation_bound(cp_map, c, run.tol) - c
+        excess = dilation_bound(cp_map, c) - c
         witnesses = [
-            ocp_falsify(cp_map, c, k=k, budget=share, seed=seed, tol=run.tol)
+            ocp_falsify(cp_map, c, k=k, budget=share, seed=seed, iter_tol=run.iter_tol)
             for k, share in _CP_BUDGETS
         ]
         found = any(w is not None for w in witnesses)
-        run.bound("cp-no-witness", math.inf if found else excess, run.tol.iter_tol, lambda: {
+        run.bound("cp-no-witness", math.inf if found else excess, run.iter_tol, lambda: {
             "trial": trial, "map": to_jsonable(cp_map), "excess": excess, "witnesses": witnesses
         })
 
@@ -436,7 +439,7 @@ def _suite_ocp_falsify(run):
 def _suite_stinespring(run):
     for trial in range(run.trials):
         cp_map = _random_cp_map(run.rng)
-        triple = stinespring(cp_map, run.tol)
+        triple = stinespring(cp_map)
         vnorm2 = operator_norm(triple.v.conj().T @ triple.v)
         t_one = operator_norm(cp_map.apply(np.eye(cp_map.in_dim)))
         if any([
@@ -458,13 +461,13 @@ def _suite_disk_test(run):
             x = (z + z.conj().T) / 2.0
         else:
             x = z / max(operator_norm(z), 1e-30)
-        report = disk_test(x, circle_points=150, tol=run.tol)
+        report = disk_test(x, circle_points=150)
         run.count("disk-vs-psd-oracle", report.member != report.hermitian_psd,
                   lambda: {"trial": trial, "x": matrix_to_json(x)})
 
 
 def _suite_quotient_cone(run):
-    tol, rng = run.tol, run.rng
+    iter_tol, rng = run.iter_tol, run.rng
     for trial in range(run.trials):
         while True:
             blocks = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(2, 4)))]
@@ -472,10 +475,10 @@ def _suite_quotient_cone(run):
                 break
         ideal_count = int(rng.integers(1, len(blocks)))
         ideal_blocks = list(rng.choice(len(blocks), size=ideal_count, replace=False))
-        algebra = block_diagonal_algebra(blocks, tol)
-        ideal = block_ideal_subspace(blocks, ideal_blocks, tol)
+        algebra = block_diagonal_algebra(blocks, iter_tol)
+        ideal = block_ideal_subspace(blocks, ideal_blocks)
         report = quotient_cone_check(
-            algebra, ideal, samples=8, seed=int(rng.integers(0, 2**31)), tol=tol
+            algebra, ideal, samples=8, seed=int(rng.integers(0, 2**31)), iter_tol=iter_tol
         )
         gap = max(
             report.forward_excess,
@@ -494,8 +497,8 @@ def _suite_quotient_cone(run):
     # strictly-upper ideal has norm max(|a11|, |a22|).
     for _ in range(10):
         a = np.triu(complex_normal(rng, (2, 2)))
-        ideal = matrix_span([np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)], tol)
-        result = quotient_norm(a, ideal, tol)
+        ideal = matrix_span([np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
+        result = quotient_norm(a, ideal, iter_tol)
         expected = max(abs(a[0, 0]), abs(a[1, 1]))
         gap = max(result.gap, abs(result.value - expected))
         if result.status != "CERTIFIED":
@@ -539,7 +542,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     if dim < min_dim:
         raise ValueError(f"suite {cfg.suite!r} needs dim >= {min_dim}, got {dim}")
     trials = cfg.trials if cfg.trials is not None else default_trials
-    run = _Run(dim, trials, np.random.default_rng(cfg.seed), cfg.tol)
+    run = _Run(dim, trials, np.random.default_rng(cfg.seed), cfg.iter_tol)
     start = time.perf_counter()
     runner(run)
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -549,7 +552,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
             "dim": int(dim),
             "trials": int(trials),
             "seed": int(cfg.seed),
-            "iter_tol": float(cfg.tol.iter_tol),
+            "iter_tol": float(cfg.iter_tol),
         },
         cases=run.cases(),
         failures=run.failures,

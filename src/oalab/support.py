@@ -25,10 +25,10 @@ import numpy as np
 from .calculus import spectral_idempotent
 from .cone import in_F
 from .matcore import (
-    DEFAULT_TOL,
     FROBENIUS_GUARD,
+    ITER_TOL,
+    RANK_TOL,
     ConvergenceError,
-    Tolerances,
     as_square_matrix,
     operator_norm,
     operator_norm_at_most,
@@ -42,25 +42,25 @@ __all__ = [
 ]
 
 
-def _require_nonzero(x: np.ndarray, tol: Tolerances) -> None:
-    if operator_norm_at_most(x, tol.rank_tol):
+def _require_nonzero(x: np.ndarray) -> None:
+    if operator_norm_at_most(x, RANK_TOL):
         raise ValueError("support projection requires x != 0")
 
 
-def _range_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _range_projection(a: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the range of a nonzero ``a`` from one full
-    SVD: the rank counts singular values above ``rank_tol * s[0]``, and
+    SVD: the rank counts singular values above ``RANK_TOL * s[0]``, and
     ``s[0]`` is also ``||a||`` for the nonzero check."""
     u, s, _ = np.linalg.svd(a)
-    if s[0] <= tol.rank_tol:
+    if s[0] <= RANK_TOL:
         raise ValueError("support projection requires x != 0")
-    rank = int(np.sum(s > tol.rank_tol * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     return u[:, :rank] @ u[:, :rank].conj().T
 
 
-def support_projection(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def support_projection(x) -> np.ndarray:
     """Support projection of a nonzero x: its SVD range projection."""
-    return _range_projection(as_square_matrix(x), tol)
+    return _range_projection(as_square_matrix(x))
 
 
 def _cond_below(v: np.ndarray, vinv: np.ndarray, limit: float) -> bool:
@@ -74,10 +74,10 @@ def _cond_below(v: np.ndarray, vinv: np.ndarray, limit: float) -> bool:
     return bound * (1.0 + FROBENIUS_GUARD) < limit or bool(np.linalg.cond(v) < limit)
 
 
-def _bai_limit_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _bai_limit_projection(a: np.ndarray) -> np.ndarray:
     eigvals, v = np.linalg.eig(a)
     scale = float(np.abs(eigvals).max())
-    kernel = np.abs(eigvals) <= tol.rank_tol * max(1.0, scale)
+    kernel = np.abs(eigvals) <= RANK_TOL * max(1.0, scale)
     if not np.any(kernel):
         return np.eye(a.shape[0], dtype=complex)
     try:
@@ -96,12 +96,12 @@ def _bai_limit_projection(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     zero_top = float(np.abs(eigvals[kernel]).max())
     nonzero_bottom = float(np.abs(eigvals[~kernel]).min())
     radius = np.sqrt(max(zero_top, 1e-300) * nonzero_bottom)
-    return np.eye(a.shape[0], dtype=complex) - spectral_idempotent(a, radius, tol)
+    return np.eye(a.shape[0], dtype=complex) - spectral_idempotent(a, radius)
 
 
 def power_limit_projection(
     x,
-    tol: Tolerances = DEFAULT_TOL,
+    iter_tol: float = ITER_TOL,
     n_max: int = 2**40,
 ) -> tuple[np.ndarray, int]:
     """Limit of (z*z)^n for z = 1 - x/2, by repeated squaring.
@@ -109,7 +109,7 @@ def power_limit_projection(
     Returns ``(limit, n)`` where n is the first power of two at which the
     squaring step moved by less than ``iter_tol``; the limit is the orthogonal
     projection onto the kernel of x.  Near-kernel directions far below
-    ``rank_tol`` plateau at eigenvalue ~1 and are captured into the kernel,
+    ``RANK_TOL`` plateau at eigenvalue ~1 and are captured into the kernel,
     matching the SVD rank decision; directions at intermediate scales either
     resolve (slowly) or exhaust ``n_max``, which raises
     :class:`ConvergenceError` with the operator norm of the last step.  An
@@ -133,23 +133,23 @@ def power_limit_projection(
         step = nxt - w
         w = nxt
         # ||step|| < iter_tol, i.e. at most the float below iter_tol
-        if operator_norm_at_most(step, np.nextafter(tol.iter_tol, 0.0)):
+        if operator_norm_at_most(step, np.nextafter(iter_tol, 0.0)):
             return w, n
     raise ConvergenceError(
         f"(z*z)^n did not settle by n = {n_max}: last step {operator_norm(step)!r}"
     )
 
 
-def support_projection_routes(x, tol: Tolerances = DEFAULT_TOL) -> dict:
+def support_projection_routes(x, iter_tol: float = ITER_TOL) -> dict:
     """All three support routes with their pairwise residuals.
 
     The SVD route is :func:`support_projection`'s range projection, which
     also rejects a zero ``x``.
     """
     a = as_square_matrix(x)
-    svd_route = _range_projection(a, tol)
-    bai_route = _bai_limit_projection(a, tol)
-    kernel_proj, n_used = power_limit_projection(a, tol)
+    svd_route = _range_projection(a)
+    bai_route = _bai_limit_projection(a)
+    kernel_proj, n_used = power_limit_projection(a, iter_tol)
     power_route = np.eye(a.shape[0]) - kernel_proj
     return {
         "svd": svd_route,
@@ -164,7 +164,7 @@ def support_projection_routes(x, tol: Tolerances = DEFAULT_TOL) -> dict:
     }
 
 
-def join_supports(xs, tol: Tolerances = DEFAULT_TOL) -> dict:
+def join_supports(xs) -> dict:
     """Join of the supports of a family in the cone, via two routes.
 
     ``join``: range projection of the horizontally stacked family (SVD).
@@ -178,13 +178,13 @@ def join_supports(xs, tol: Tolerances = DEFAULT_TOL) -> dict:
     for m in mats:
         if m.shape != (dim, dim):
             raise ValueError("family members have mismatched dimensions")
-        if not in_F(m, tol):
+        if not in_F(m):
             raise ValueError("join_supports requires every member in the cone")
-        _require_nonzero(m, tol)
-    # Every member is nonzero, so the stack's top singular value is above rank_tol.
-    join = _range_projection(np.hstack(mats), tol)
+        _require_nonzero(m)
+    # Every member is nonzero, so the stack's top singular value is above RANK_TOL.
+    join = _range_projection(np.hstack(mats))
     mean = sum(mats) / len(mats)
-    via_sum = support_projection(mean, tol)
+    via_sum = support_projection(mean)
     return {
         "join": join,
         "via_sum": via_sum,

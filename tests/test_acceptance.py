@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oalab.matcore import DEFAULT_TOL
+from oalab.matcore import ITER_TOL
 from oalab.ocpmap import dilation_bound, ocp_falsify
 from oalab.suites import SUITE_NAMES, SuiteConfig, _ocp_falsify_draws, run_suite
 
@@ -150,7 +150,7 @@ def test_10_order_bounded_maps():
     # 10^4-evaluation budget per map, split across levels 1..3.
     _, cp_draws = _ocp_falsify_draws(np.random.default_rng(0), 50)
     for trial, (cp_map, c, seed) in enumerate(cp_draws):
-        assert dilation_bound(cp_map, c) - c <= DEFAULT_TOL.iter_tol, trial
+        assert dilation_bound(cp_map, c) - c <= ITER_TOL, trial
         for k, budget in ((1, 2000), (2, 3000), (3, 5000)):
             witness = ocp_falsify(cp_map, c, k=k, budget=budget, seed=seed)
             assert witness is None, (trial, k, witness)

@@ -367,9 +367,11 @@ class TestQuotientConeCheck:
         A = block_diagonal_algebra([2, 1])
         J = block_ideal_subspace([2, 1], [0])
         rep = quotient_cone_check(A, J, samples=15, seed=3)
-        assert rep.consistent
-        assert rep.backward_checked == 15
+        assert rep.forward_excess <= 1e-6
+        assert rep.backward_lift_excess <= 1e-6
+        assert rep.backward_membership_residual <= 1e-6
         assert rep.inconclusive_quotients == 0
+        assert rep.backward_checked == 15
 
     def test_identityless_ideal_rejected(self):
         A = FDAlgebra.build([E11, E12, np.diag([0.0, 1.0])])

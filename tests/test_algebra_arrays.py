@@ -20,7 +20,7 @@ from oalab.algebra import (
     full_matrix_algebra,
     quotient_cone_check,
 )
-from oalab.matcore import DEFAULT_TOL, Subspace, linear_combination, matrix_span, operator_norm
+from oalab.matcore import ITER_TOL, RANK_TOL, Subspace, linear_combination, matrix_span, operator_norm
 from oalab.sampling import complex_normal, random_span_element
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -58,19 +58,19 @@ def loop_residual(span, v):
     return float(np.linalg.norm(v - span.basis.T @ (span.basis.conj() @ v)))
 
 
-def loop_products_stay(span, lefts, rights, tol):
+def loop_products_stay(span, lefts, rights):
     stays = []
     for a in lefts:
         ok = True
         for b in rights:
             prod = a @ b
             scale = max(1.0, float(np.linalg.norm(prod)))
-            ok &= loop_residual(span, prod.ravel()) <= tol.rank_tol * scale
+            ok &= loop_residual(span, prod.ravel()) <= RANK_TOL * scale
         stays.append(ok)
     return np.array(stays, dtype=bool)
 
 
-def loop_find_unit(mats, tol):
+def loop_find_unit(mats, iter_tol):
     columns = [
         np.concatenate([(m @ b).ravel() for b in mats] + [(b @ m).ravel() for b in mats])
         for m in mats
@@ -78,7 +78,7 @@ def loop_find_unit(mats, tol):
     mat = np.stack(columns, axis=1)
     rhs = np.concatenate([b.ravel() for b in mats] * 2)
     coeffs, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    if np.linalg.norm(mat @ coeffs - rhs) <= tol.iter_tol * max(1.0, np.linalg.norm(rhs)):
+    if np.linalg.norm(mat @ coeffs - rhs) <= iter_tol * max(1.0, np.linalg.norm(rhs)):
         return np.tensordot(coeffs, mats, axes=(0, 0))
     return None
 
@@ -140,9 +140,9 @@ class TestProductsStay:
         A = triu_units(2)
         J = matrix_span([E11, E12])
         for lefts, rights in ((A, A), (J.basis.reshape(-1, 2, 2), A), (A, J.basis.reshape(-1, 2, 2))):
-            got = _products_stay(J, lefts, rights, DEFAULT_TOL)
-            assert np.array_equal(got, loop_products_stay(J, lefts, rights, DEFAULT_TOL))
-        assert not _products_stay(J, A, A, DEFAULT_TOL).all()
+            got = _products_stay(J, lefts, rights)
+            assert np.array_equal(got, loop_products_stay(J, lefts, rights))
+        assert not _products_stay(J, A, A).all()
 
     def test_random_family(self):
         rng = np.random.default_rng(11)
@@ -150,16 +150,16 @@ class TestProductsStay:
         rights = complex_normal(rng, (2, 3, 3))
         prods = [lefts[i] @ b for i in (0, 2) for b in rights]
         span = matrix_span(prods + [complex_normal(rng, (3, 3))])
-        got = _products_stay(span, lefts, rights, DEFAULT_TOL)
+        got = _products_stay(span, lefts, rights)
         assert np.array_equal(got, [True, False, True, False])
-        assert np.array_equal(got, loop_products_stay(span, lefts, rights, DEFAULT_TOL))
+        assert np.array_equal(got, loop_products_stay(span, lefts, rights))
 
     @pytest.mark.parametrize("make", [lambda: full_matrix_algebra(3).basis,
                                       lambda: block_diagonal_algebra([2, 1]).basis,
                                       lambda: triu_units(2)[1:]])
     def test_unit_solve_equals_the_loop(self, make):
         mats = make()
-        got, want = _find_unit(mats, DEFAULT_TOL), loop_find_unit(mats, DEFAULT_TOL)
+        got, want = _find_unit(mats, ITER_TOL), loop_find_unit(mats, ITER_TOL)
         if want is None:
             assert got is None
         else:

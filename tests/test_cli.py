@@ -8,7 +8,7 @@ import time
 import pytest
 
 from oalab.cli import main
-from oalab.matcore import DEFAULT_TOL, to_jsonable
+from oalab.matcore import EXACT_TOL, to_jsonable
 from oalab.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -24,6 +24,9 @@ class TestRunSuite:
             SuiteConfig(suite="roots", dim=-1)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SuiteConfig(suite="roots", seed=-1)
+        for bad in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="iter_tol must be finite and strictly positive"):
+                SuiteConfig(suite="roots", iter_tol=bad)
 
     def test_registry_names(self):
         assert SUITE_NAMES == tuple(sorted(SUITE_NAMES))
@@ -68,7 +71,7 @@ class TestRunSuite:
         monkeypatch.setattr(
             suites_mod,
             "quotient_norm",
-            lambda a, J, tol, **kw: QuotientNormResult(
+            lambda a, J, iter_tol, **kw: QuotientNormResult(
                 lower=0.0, upper=10.0, status="INCONCLUSIVE", minimizer_coeffs=None
             ),
         )
@@ -200,10 +203,10 @@ class TestRunSuite:
 
     def test_volterra_radius_gate_is_off_the_true_value(self):
         # rho(V_100) = 1/200 exactly; the case gates |rho - 1/200| against
-        # exact_tol instead of rho against 1/200 itself.
+        # EXACT_TOL instead of rho against 1/200 itself.
         report = run_suite(SuiteConfig(suite="volterra", dim=5, seed=0))
         case = next(c for c in report.cases if c["name"] == "spectral-radius-100")
-        assert case["tol"] == DEFAULT_TOL.exact_tol
+        assert case["tol"] == EXACT_TOL
         assert 0.0 < case["margin"] <= case["tol"]
 
 
@@ -229,7 +232,7 @@ class TestEmitReport:
         monkeypatch.setattr(
             suites_mod,
             "quotient_norm",
-            lambda a, J, tol, **kw: QuotientNormResult(
+            lambda a, J, iter_tol, **kw: QuotientNormResult(
                 lower=0.0, upper=10.0, status="INCONCLUSIVE", minimizer_coeffs=None
             ),
         )

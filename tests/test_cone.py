@@ -4,7 +4,7 @@ from draws import random_singular_cone_element
 
 from oalab import cone
 from oalab.cone import accretive, cone_constant, in_F
-from oalab.matcore import DEFAULT_TOL, CrossCheckError, operator_norm
+from oalab.matcore import EXACT_TOL, RANK_TOL, CrossCheckError, operator_norm
 from oalab.sampling import complex_normal, haar_unitaries, random_contraction
 
 
@@ -126,7 +126,7 @@ def _cone_cases(rng, n):
 def test_cholesky_positivity_agrees_with_eigvalsh(n):
     # The shifted-Cholesky decisions against the lambda_min tests they
     # replace, on members, strict non-members and singular boundary elements.
-    tol = DEFAULT_TOL.exact_tol
+    tol = EXACT_TOL
     rng = np.random.default_rng(30 + n)
     for x, member in _cone_cases(rng, n):
         a = np.asarray(x, dtype=complex)
@@ -138,7 +138,7 @@ def test_cholesky_positivity_agrees_with_eigvalsh(n):
             strict = cone._psd_within((a + a.conj().T) / 2.0, -tol)
             assert strict == (_lam_min((a + a.conj().T) / 2.0) > tol)
         c = cone_constant(x)
-        assert (c is None) == (not accretive(x) or operator_norm(a) <= DEFAULT_TOL.rank_tol)
+        assert (c is None) == (not accretive(x) or operator_norm(a) <= RANK_TOL)
 
 
 def test_psd_within_is_positivity_past_the_shift():
@@ -179,10 +179,10 @@ def test_identity_gap_still_raises(monkeypatch):
 
 
 def test_borderline_skew_is_decided_by_the_norm(monkeypatch):
-    # On a boundary element, a norm just past 1 + exact_tol disagrees with
-    # positivity while the identity holds to 10 * exact_tol: no fault, and
+    # On a boundary element, a norm just past 1 + EXACT_TOL disagrees with
+    # positivity while the identity holds to 10 * EXACT_TOL: no fault, and
     # the norm route decides.
     x = random_singular_cone_element(np.random.default_rng(41), 6)
     assert in_F(x)
-    monkeypatch.setattr(cone, "operator_norm", lambda m: 1.0 + 2.0 * DEFAULT_TOL.exact_tol)
+    monkeypatch.setattr(cone, "operator_norm", lambda m: 1.0 + 2.0 * EXACT_TOL)
     assert not in_F(x)

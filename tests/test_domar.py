@@ -10,6 +10,7 @@ from draws import grid_delta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oalab import domar
 from oalab.domar import (
     _GK15_NODES,
     _GK15_WEIGHTS,
@@ -97,15 +98,40 @@ class TestWeights:
         with pytest.raises(ValueError):
             w.omega(7.0)
 
+    # A zero horizon verified the invariants at the single point t = 0,
+    # through a divide-by-zero warning; it and the other degenerate
+    # horizons are rejected before any sampling.
+    @pytest.mark.parametrize("kind", ["gaussian", "custom"])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_finite_and_positive(self, kind, horizon):
+        omega = lambda t: np.exp(-np.asarray(t))  # noqa: E731
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            make_weight(kind, omega=omega, horizon=horizon)
+
 
 class TestGridFunctions:
     def test_validation(self):
         with pytest.raises(ValueError):
             GridFunction(h=0.0, coeffs=np.ones(3))
         with pytest.raises(ValueError):
+            GridFunction(h=math.inf, coeffs=np.ones(3))
+        with pytest.raises(ValueError):
             GridFunction(h=0.1, coeffs=np.array([]))
         with pytest.raises(ValueError):
             GridFunction(h=0.1, coeffs=np.array([np.nan]))
+
+    # A zero step divided by zero and a negative one asked numpy for an
+    # array of negative length; every such step is rejected up front.
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
+    def test_indicator_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="grid step must be finite and positive"):
+            grid_indicator(h, 1.0, 2.0)
+
+    # An infinite right end once overflowed int(round(b / h)).
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (0.0, math.inf)])
+    def test_indicator_interval_must_be_finite_and_nonempty(self, a, b):
+        with pytest.raises(ValueError, match="need 0 <= a < b < inf"):
+            grid_indicator(0.1, a, b)
 
     def test_indicator_support(self):
         f = grid_indicator(0.1, 0.3, 0.7)
@@ -401,11 +427,12 @@ class TestPrincipalDensity:
                 grid_delta(0.1, index=2), grid_delta(0.1, index=2), w
             )
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         w = make_weight("gaussian")
+        monkeypatch.setattr(domar, "PRINCIPAL_DENSITY_BUDGET", 5)
         with pytest.raises(ValueError):
             principal_density_check(
-                grid_delta(0.1, index=1), grid_indicator(0.1, 1.0, 3.0), w, budget=5
+                grid_delta(0.1, index=1), grid_indicator(0.1, 1.0, 3.0), w
             )
 
     def test_random_instances(self):
@@ -502,14 +529,16 @@ class TestDensityBandSolve:
         np.testing.assert_array_equal(result.solution.coeffs, [0.0])
         assert ztbtrs_calls == []
 
-    def test_budget_caps_the_system_length(self, ztbtrs_calls):
+    def test_budget_caps_the_system_length(self, ztbtrs_calls, monkeypatch):
         w = make_weight("gaussian")
         t_f, g = _density_instance(np.random.default_rng(11), 4, 5, 2, 30)
         length = len(g.coeffs) - alpha_index(t_f)
+        monkeypatch.setattr(domar, "PRINCIPAL_DENSITY_BUDGET", length - 1)
         with pytest.raises(ValueError, match="exceeds budget"):
-            principal_density_check(t_f, g, w, budget=length - 1)
+            principal_density_check(t_f, g, w)
         assert ztbtrs_calls == []
-        principal_density_check(t_f, g, w, budget=length)
+        monkeypatch.setattr(domar, "PRINCIPAL_DENSITY_BUDGET", length)
+        principal_density_check(t_f, g, w)
         assert len(ztbtrs_calls) == 1
 
     def test_failed_solve_raises(self, monkeypatch):

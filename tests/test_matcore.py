@@ -9,9 +9,10 @@ import scipy.linalg
 
 from oalab.cone import in_F
 from oalab.matcore import (
-    DEFAULT_TOL,
+    EXACT_TOL,
+    ITER_TOL,
+    RANK_TOL,
     Subspace,
-    Tolerances,
     as_square_matrix,
     complex_schur,
     matrix_from_json,
@@ -28,18 +29,9 @@ from oalab.spectral import sharp_neumann
 
 
 def test_tolerances_defaults():
-    tol = Tolerances()
-    assert tol.exact_tol == 1e-9
-    assert tol.iter_tol == 1e-6
-    assert tol.rank_tol == 1e-8
-
-
-@pytest.mark.parametrize("field", ["exact_tol", "iter_tol", "rank_tol"])
-def test_tolerances_reject_nonpositive(field):
-    with pytest.raises(ValueError):
-        Tolerances(**{field: 0.0})
-    with pytest.raises(ValueError):
-        Tolerances(**{field: -1e-9})
+    assert EXACT_TOL == 1e-9
+    assert ITER_TOL == 1e-6
+    assert RANK_TOL == 1e-8
 
 
 def test_as_square_matrix_rejects_bad_shapes():
@@ -283,5 +275,5 @@ def test_to_jsonable_wire_rule():
 def test_subspace_rank_tol_filters_noise():
     base = np.array([1.0, 0.0, 0.0, 0.0])
     noisy = base + 1e-12 * np.array([0.0, 1.0, 0.0, 0.0])
-    s = Subspace.from_vectors([base, noisy], 4, DEFAULT_TOL)
+    s = Subspace.from_vectors([base, noisy], 4)
     assert s.dim == 1

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from oalab.matcore import (
-    DEFAULT_TOL,
     CrossCheckError,
     matrix_from_json,
     operator_norm,
@@ -194,7 +193,7 @@ class TestAmplify:
         action[1, 0, 3, 2] += 2e-3
         tampered = MatrixMap(in_dim=4, out_dim=4, action=action)
         with pytest.raises(CrossCheckError, match="permuted Kronecker") as info:
-            _verify_choi_shuffle(t, tampered, 2, DEFAULT_TOL)
+            _verify_choi_shuffle(t, tampered, 2)
         # the honest amplification equals the permuted product exactly
         expected = operator_norm(tampered.choi - honest.choi)
         assert str(info.value).endswith(f"by {expected:.3e}")
@@ -312,8 +311,8 @@ class TestDiskTest:
 
     def test_boundary_rounding_tolerated(self):
         # An eigenvalue 3e-9 above 1 must not trip the cross-check: the
-        # sweep's excess 6e-9 (at z = 2) is within its 10 exact_tol, while
-        # the algebraic check fails it against exact_tol.
+        # sweep's excess 6e-9 (at z = 2) is within its 10 EXACT_TOL, while
+        # the algebraic check fails it against EXACT_TOL.
         report = disk_test(np.diag([1.0 + 3e-9, 0.5]), circle_points=64)
         assert not report.hermitian_psd
         assert report.member

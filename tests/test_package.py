@@ -1,8 +1,10 @@
 """The package namespace is exactly the union of the layer modules' exports,
-importing it stays cheap, no module imports a name it never uses, and every
-definition is reached from a suite, the CLI or the benchmark."""
+importing it stays cheap, no module imports a name it never uses, every
+definition is reached from a suite, the CLI or the benchmark, and only the
+iteration tolerance is a parameter."""
 
 import ast
+import inspect
 import os
 import shutil
 import subprocess
@@ -350,3 +352,92 @@ def test_the_guard_finds_a_re_added_test_only_definition(tmp_path, module, ancho
     (copy / module).write_text(text.replace(anchor, anchor + added), encoding="utf-8")
     assert "def haar_unitary(" in (bench / "workloads.py").read_text(encoding="utf-8")
     assert _unreached(copy, bench) - _unreached(package, bench) == {key}
+
+
+# Every signature that takes a tolerance: the functions that read iter_tol,
+# directly or through a callee, the suite configuration and its run, and
+# the gate of a suite case.  The rounding and rank allowances are the
+# constants matcore.EXACT_TOL and matcore.RANK_TOL, never parameters.
+ITER_TOL_READERS = {
+    "algebra.FDAlgebra.build",
+    "algebra.full_matrix_algebra",
+    "algebra.block_diagonal_algebra",
+    "algebra.generated_algebra",
+    "examples.example_two_dim",
+    "algebra.ws_battery",
+    "algebra.quotient_norm",
+    "algebra.quotient_cone_check",
+    "calculus.matrix_power_r",
+    "support.power_limit_projection",
+    "support.support_projection_routes",
+    "spectral.sharp_neumann",
+    "ocpmap.ocp_falsify",
+}
+TOLERANCE_PARAMETERS = (
+    {(name, "iter_tol") for name in ITER_TOL_READERS}
+    | {("algebra._find_unit", "iter_tol"), ("algebra._solve_xyx", "iter_tol")}
+    | {("suites.SuiteConfig", "iter_tol"), ("suites._Run", "iter_tol")}
+    | {("suites._Run.case", "tol"), ("suites._Run.bound", "tol")}
+)
+
+
+def _is_tolerance(name: str, annotation) -> bool:
+    spelled = "tol" in name.lower().split("_") or "toler" in name.lower()
+    return spelled or "Tolerances" in (ast.unparse(annotation) if annotation else "")
+
+
+def _tolerance_parameters(package: Path) -> set:
+    """``(qualified name, parameter)`` for every function parameter and
+    class field in the package that carries a tolerance."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+                args = child.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if _is_tolerance(arg.arg, arg.annotation):
+                        found.add((name, arg.arg))
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                name = f"{prefix}.{child.name}"
+                for item in child.body:
+                    target = getattr(item, "target", None)
+                    if isinstance(item, ast.AnnAssign) and isinstance(target, ast.Name):
+                        if _is_tolerance(target.id, item.annotation):
+                            found.add((name, target.id))
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_only_the_iteration_tolerance_is_a_parameter():
+    assert _tolerance_parameters(Path(oalab.__file__).parent) == TOLERANCE_PARAMETERS
+    for name in ITER_TOL_READERS:
+        module, *path = name.split(".")
+        fn = getattr(oalab, module)
+        for part in path:
+            fn = getattr(fn, part)
+        assert inspect.signature(fn).parameters["iter_tol"].default == matcore.ITER_TOL, name
+    for gone in ("Tolerances", "DEFAULT_TOL"):
+        assert not hasattr(oalab, gone) and not hasattr(matcore, gone)
+        assert gone not in oalab.__all__
+
+
+def test_the_tolerance_guard_finds_a_re_added_parameter(tmp_path):
+    package = Path(oalab.__file__).parent
+    copy = tmp_path / "oalab"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (copy / "cone.py").read_text(encoding="utf-8")
+    anchor = "def accretive(x) -> bool:"
+    assert text.count(anchor) == 1
+    (copy / "cone.py").write_text(
+        text.replace(anchor, "def accretive(x, exact_tol: float = EXACT_TOL) -> bool:"),
+        encoding="utf-8",
+    )
+    assert _tolerance_parameters(copy) - TOLERANCE_PARAMETERS == {("cone.accretive", "exact_tol")}

@@ -21,9 +21,10 @@ from oalab import algebra, matcore, ocpmap, suites
 from oalab.calculus import matrix_power_r, spectral_idempotent
 from oalab.cone import in_F
 from oalab.matcore import (
-    DEFAULT_TOL,
+    EXACT_TOL,
+    ITER_TOL,
+    RANK_TOL,
     STACK_ENTRY_CAP,
-    Tolerances,
     matrix_span,
     matrix_to_json,
     operator_norm,
@@ -64,9 +65,9 @@ def sequential_haar(rng, dim):
     return q * (d / np.abs(d))
 
 
-def sequential_ocp_falsify(t, c, k, budget, seed, tol=DEFAULT_TOL):
+def sequential_ocp_falsify(t, c, k, budget, seed, iter_tol=ITER_TOL):
     """The witness search with one QR and one SVD per Haar draw."""
-    amp = amplify(t, k, tol)
+    amp = amplify(t, k)
     kn, km = amp.in_dim, amp.out_dim
     rng = np.random.default_rng(seed)
     target = c * np.eye(km, dtype=complex)
@@ -76,7 +77,7 @@ def sequential_ocp_falsify(t, c, k, budget, seed, tol=DEFAULT_TOL):
         return operator_norm(target - amp.apply(x))
 
     def to_beat(v):
-        return v + tol.exact_tol * max(1.0, v)
+        return v + EXACT_TOL * max(1.0, v)
 
     evaluations = 0
     candidates = [eye + eye, np.zeros((kn, kn), dtype=complex)]
@@ -106,7 +107,7 @@ def sequential_ocp_falsify(t, c, k, budget, seed, tol=DEFAULT_TOL):
             break
         best_x, best_val, x = x_next, val, x_next
     certified_value = operator_norm(target - amp.apply(best_x))
-    if in_F(best_x, tol) and certified_value > c + tol.iter_tol:
+    if in_F(best_x) and certified_value > c + iter_tol:
         return {
             "x": matrix_to_json(best_x),
             "level": k,
@@ -117,14 +118,14 @@ def sequential_ocp_falsify(t, c, k, budget, seed, tol=DEFAULT_TOL):
     return None
 
 
-def sequential_stinespring(t, tol=DEFAULT_TOL):
+def sequential_stinespring(t):
     """Kraus operators, ``v`` and residual, one Choi eigenpair at a time from the top."""
-    lam, vecs = ocpmap._cp_choi_eigh(t, tol)
+    lam, vecs = ocpmap._cp_choi_eigh(t)
     n, m = t.in_dim, t.out_dim
     top = max(float(lam[-1]), 0.0)
     kraus = []
     for s in range(len(lam) - 1, -1, -1):
-        if lam[s] <= tol.rank_tol * max(top, 1.0):
+        if lam[s] <= RANK_TOL * max(top, 1.0):
             break
         kraus.append(np.sqrt(lam[s]) * vecs[:, s].reshape(n, m).T.copy())
     if not kraus:
@@ -178,7 +179,8 @@ def _isometric_map(rng, n, m):
 # Every (n, m, k) with n, m, k in {1, 2, 3}: kn, km <= 9, and kn = 1 at (1, m, 1).
 LEVEL_CASES = [(n, m, k) for n in (1, 2, 3) for m in (1, 2, 3) for k in (1, 2, 3)]
 
-HAIR_TRIGGER = Tolerances(iter_tol=1e-300)
+# An iteration tolerance far below the rounding.
+HAIR_TRIGGER = 1e-300
 
 
 def _block(kn, km):
@@ -341,7 +343,7 @@ class TestFalsifyStacked:
         natural = operator_norm(t.apply(np.eye(n)))
         for c in (natural, 0.5 * natural):
             for seed in (5, 6, 7):
-                got = ocp_falsify(t, c, k=k, budget=200, seed=seed, tol=HAIR_TRIGGER)
+                got = ocp_falsify(t, c, k=k, budget=200, seed=seed, iter_tol=HAIR_TRIGGER)
                 assert got == sequential_ocp_falsify(t, c, k, 200, seed, HAIR_TRIGGER)
 
 
@@ -453,7 +455,7 @@ class TestSvdCounts:
         counts = []
         for route in (
             support_projection,
-            lambda a: _bai_limit_projection(a, DEFAULT_TOL),
+            _bai_limit_projection,
             power_limit_projection,
             support_projection_routes,
         ):
@@ -533,18 +535,18 @@ class TestGramScreen:
         assert 1 <= len(_stacked(svd_calls)) <= _haar_blocks(t, 2, budget) == 3
 
     # A map constant on the unitaries ties every draw with the candidate
-    # x = 0.  No tie clears the allowance exact_tol max(1, v), so every
-    # screen passes and no block takes an SVD: at the default tolerances,
+    # x = 0.  No tie clears the allowance EXACT_TOL max(1, v), so every
+    # screen passes and no block takes an SVD: at the default iter_tol,
     # and with an iteration tolerance far below the rounding, where a draw
     # rounding above c would otherwise be the witness.
     def _assert_ties_on_every_block(self, svd_calls, t, c, k, budget, seed):
-        for tol in (DEFAULT_TOL, HAIR_TRIGGER):
-            expected = sequential_ocp_falsify(t, c, k, budget, seed, tol)
+        for iter_tol in (ITER_TOL, HAIR_TRIGGER):
+            expected = sequential_ocp_falsify(t, c, k, budget, seed, iter_tol)
             svd_calls.clear()
-            got = ocp_falsify(t, c, k=k, budget=budget, seed=seed, tol=tol)
+            got = ocp_falsify(t, c, k=k, budget=budget, seed=seed, iter_tol=iter_tol)
             assert got == expected
             assert _stacked(svd_calls) == []
-            if tol is DEFAULT_TOL:
+            if iter_tol == ITER_TOL:
                 assert got is None
 
     # Every (m, k) in {1, 2, 3}^2, at the budgets of the cp1xm benchmark
@@ -578,7 +580,7 @@ class TestGramScreen:
     # T(x) = i x on M_1 at c = 1: the candidates x = 2 score |1 - 2i| = sqrt 5
     # and x = 0 scores 1, while a draw 1 + u scores |(1 - i) - iu|, up to
     # 1 + sqrt 2.  The two Haar draws are unitaries placed at
-    # v + beat a(v) for v = sqrt 5 and a(v) = exact_tol max(1, v); the polish
+    # v + beat a(v) for v = sqrt 5 and a(v) = EXACT_TOL max(1, v); the polish
     # step lands on x = 0, which cannot move the incumbent, so the witness is
     # the Haar phase's incumbent.  A draw within the allowance of the
     # incumbent, the first draw's value once it has replaced it, is kept out.
@@ -592,7 +594,7 @@ class TestGramScreen:
     ):
         t = MatrixMap(1, 1, np.full((1, 1, 1, 1), 1j))
         v = operator_norm(1.0 - t.apply(2.0 * np.eye(1)))
-        allowance = DEFAULT_TOL.exact_tol * max(1.0, v)
+        allowance = EXACT_TOL * max(1.0, v)
         # |sqrt 2 + e^{i phi}|^2 = 3 + 2 sqrt 2 cos phi
         w = v + np.array(beats) * allowance
         phi = np.arccos((w * w - 3.0) / (2.0 * np.sqrt(2.0)))
@@ -755,7 +757,7 @@ class TestOcpFalsifyTraffic:
     def in_f_calls(self, monkeypatch):
         calls = []
         member = ocpmap.in_F
-        monkeypatch.setattr(ocpmap, "in_F", lambda x, tol: calls.append(x) or member(x, tol))
+        monkeypatch.setattr(ocpmap, "in_F", lambda x: calls.append(x) or member(x))
         return calls
 
     def test_membership_is_checked_only_on_a_returned_witness(self, in_f_calls):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from draws import random_singular_cone_element
 
-from oalab.matcore import DEFAULT_TOL, ConvergenceError, operator_norm
+from oalab.matcore import RANK_TOL, ConvergenceError, operator_norm
 from oalab.sampling import haar_unitaries, random_contraction
 from oalab.support import (
     _bai_limit_projection,
@@ -109,11 +109,11 @@ def test_bai_limit_scaling_is_bit_equal_to_the_diagonal_product(dim, kernel_dim)
     rng = np.random.default_rng(dim + kernel_dim)
     x = np.asarray(random_singular_cone_element(rng, dim, kernel_dim=kernel_dim), dtype=complex)
     eigvals, v = np.linalg.eig(x)
-    kernel = np.abs(eigvals) <= DEFAULT_TOL.rank_tol * max(1.0, float(np.abs(eigvals).max()))
+    kernel = np.abs(eigvals) <= RANK_TOL * max(1.0, float(np.abs(eigvals).max()))
     assert kernel.sum() == kernel_dim and np.linalg.cond(v) < 1e8
     limit = np.where(kernel, 0.0, 1.0).astype(complex)
     reference = v @ np.diag(limit) @ np.linalg.inv(v)
-    assert _bai_limit_projection(x, DEFAULT_TOL).tobytes() == reference.tobytes()
+    assert _bai_limit_projection(x).tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 9.9e7, 1.01e8, 1.5e8, 3e8, 1e12])
@@ -150,7 +150,7 @@ def test_routes_reject_nonzero_nilpotent():
 
 
 def test_power_limit_treats_subtolerance_directions_as_kernel():
-    # directions below rank_tol plateau at eigenvalue ~1 and are captured into
+    # directions below RANK_TOL plateau at eigenvalue ~1 and are captured into
     # the kernel projection, matching the SVD route's rank decision
     x = np.diag([1e-14, 1.0])
     p, _ = power_limit_projection(x)

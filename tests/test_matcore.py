@@ -26,12 +26,22 @@ from oalab.matcore import (
 )
 from oalab.sampling import complex_normal
 from oalab.spectral import sharp_neumann
+from oalab.suites import SuiteConfig
 
 
 def test_tolerances_defaults():
     assert EXACT_TOL == 1e-9
     assert ITER_TOL == 1e-6
     assert RANK_TOL == 1e-8
+
+
+# iter_tol is the one tolerance a caller sets; SuiteConfig carries and checks it.
+@pytest.mark.parametrize("field", ["iter_tol"])
+def test_tolerances_reject_nonpositive(field):
+    with pytest.raises(ValueError):
+        SuiteConfig(suite="roots", **{field: 0.0})
+    with pytest.raises(ValueError):
+        SuiteConfig(suite="roots", **{field: -1e-9})
 
 
 def test_as_square_matrix_rejects_bad_shapes():

@@ -148,7 +148,10 @@ class FDAlgebra:
                 f"(product {int(np.argmin(stays))} escapes the span)"
             )
         unit = _find_unit(mats, iter_tol)
-        return cls(ambient_dim=n, basis=mats, unital=unit is not None, unit=unit)
+        algebra = cls(ambient_dim=n, basis=mats, unital=unit is not None, unit=unit)
+        # Prime the cached span with the one the closure check computed.
+        object.__setattr__(algebra, "span", span)
+        return algebra
 
     @property
     def dim(self) -> int:
@@ -262,10 +265,12 @@ def ideal_subspaces(x, A: FDAlgebra) -> IdealTriple:
     x = as_square_matrix(x)
     if not A.contains(x):
         raise ValueError("x does not lie in the span of A")
-    xa = matrix_span(x @ A.basis)
-    ax = matrix_span(A.basis @ x)
-    xax = matrix_span(x @ A.basis @ x)
-    return IdealTriple(xA=xa, Ax=ax, xAx=xax)
+    return _ideal_triple(x, A.basis, matrix_span(x @ A.basis))
+
+
+def _ideal_triple(x: np.ndarray, basis: np.ndarray, xa: Subspace) -> IdealTriple:
+    """:class:`IdealTriple` over ``basis``, given its ``xA`` span."""
+    return IdealTriple(xA=xa, Ax=matrix_span(basis @ x), xAx=matrix_span(x @ basis @ x))
 
 
 # --------------------------------------------------------------------------
@@ -506,7 +511,8 @@ def ws_battery(
 ) -> WsBatteryReport:
     """Evaluate the pseudo-inverse equivalence chain for ``x`` inside ``A``.
 
-    An omitted ``A`` is ``oa(x)``, the algebra the chain builds anyway.
+    An omitted ``A`` is ``oa(x)``, the algebra the chain builds anyway; then
+    the span of ``x * oa(x)`` is also ``xA``, and the solve of (iii) is (vi).
     By default requires ``||1 - x|| <= 1`` (the regime where the chain's
     equivalences hold and, at finite dimension, all conditions are true).
     Passing ``require_cone=False`` admits arbitrary ``x`` -- in particular
@@ -525,8 +531,6 @@ def ws_battery(
             "to evaluate the chain anyway"
         )
     oax = generated_algebra(x, iter_tol)
-    if A is None:
-        A = oax
     x_oax = matrix_span(x @ oax.basis)
     cond_i = x_oax.membership(x.ravel())
     cond_ii = x_oax.dim == oax.dim
@@ -536,10 +540,14 @@ def ws_battery(
             f"rank says {cond_ii}, solve says {oax.unital}"
         )
     cond_iii, y_oa, res_oa = _solve_xyx(x, oax.basis, iter_tol)
-    triple = ideal_subspaces(x, A)
+    if A is None:
+        triple = _ideal_triple(x, oax.basis, x_oax)
+        cond_vi, y_a, res_a = cond_iii, y_oa, res_oa
+    else:
+        triple = ideal_subspaces(x, A)
+        cond_vi, y_a, res_a = _solve_xyx(x, A.basis, iter_tol)
     cond_iv = triple.xAx.membership(x.ravel())
     cond_v = triple.xA.membership(x.ravel()) and triple.Ax.membership(x.ravel())
-    cond_vi, y_a, res_a = _solve_xyx(x, A.basis, iter_tol)
 
     lams = spectrum(x)
     scale = max(1.0, float(np.max(np.abs(lams))))
@@ -621,6 +629,8 @@ class _SmoothedNorm(NamedTuple):
     hess: np.ndarray
     q: np.ndarray  # eigenvectors of H
     p: np.ndarray  # softmax(lam / mu)
+    lam: np.ndarray  # eigenvalues of H, ascending
+    d_diag: np.ndarray  # D_r[a, a], one row per coordinate r
 
     @property
     def dual(self) -> np.ndarray:
@@ -659,7 +669,8 @@ def _dilation_objective(a: np.ndarray, j_mats: np.ndarray, x: np.ndarray, mu: fl
     y = q1.conj().T @ j_mats @ q2
     yh = np.swapaxes(y.conj(), 1, 2)
     d = np.concatenate([-(y + yh), -1j * (y - yh)]).reshape(2 * k, -1)
-    grad = d[:, :: 2 * n + 1].real @ p
+    d_diag = d[:, :: 2 * n + 1].real
+    grad = d_diag @ p
     # L_ab as max(p_a, p_b) (1 - e^-t) / (mu t), t = |lam_a - lam_b| / mu:
     # no cancellation between close eigenvalues.
     t = np.abs(lam[:, None] - lam) / mu
@@ -673,11 +684,31 @@ def _dilation_objective(a: np.ndarray, j_mats: np.ndarray, x: np.ndarray, mu: fl
         hess=hess,
         q=q,
         p=p,
+        lam=lam,
+        d_diag=d_diag,
     )
 
 
-# quotient_norm's smoothing parameters, lowered tenfold.
-QUOTIENT_MU_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+def _path_tangent(s: _SmoothedNorm, mu: float) -> np.ndarray:
+    """``dx/dmu`` along the minimizers of ``f_mu``, read from one evaluation.
+
+    At a minimizer ``g(x, mu) = 0``, so ``H dx/dmu = -dg/dmu``.  With
+    ``dp_a/dmu = -p_a (lam_a - lbar) / mu^2``, ``lbar = sum_a p_a lam_a``,
+    the gradient ``g_r = sum_a p_a D_r[a, a]`` moves with ``mu`` as
+    ``dg_r/dmu = -mu^-2 sum_a p_a (lam_a - lbar) D_r[a, a]``.  ``H`` is
+    positive definite in exact arithmetic; where rounding makes it singular
+    the tangent is zero, so the next stage starts where this one ended.
+    """
+    dg = -(s.d_diag @ (s.p * (s.lam - s.p @ s.lam))) / mu**2
+    try:
+        return -np.linalg.solve(s.hess, dg)
+    except np.linalg.LinAlgError:
+        return np.zeros_like(dg)
+
+
+# quotient_norm's smoothing parameters: a hundredfold steps, then a last
+# tenfold one.
+QUOTIENT_MU_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-7)
 
 
 def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormResult:
@@ -686,22 +717,28 @@ def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormRes
     Minimizes the smoothed norm ``f_mu = mu log tr exp(H / mu)`` of the
     Hermitian dilation ``H = [[0, m], [m*, 0]]`` of ``m = a - sum_k c_k J_k``
     (see :func:`_dilation_objective`) over the real and imaginary parts of
-    ``c``, for each ``mu`` in :data:`QUOTIENT_MU_SCHEDULE`, each stage
-    starting where the last ended.  Each stage is a Levenberg–Marquardt
-    Newton iteration on the exact Hessian: a step that achieves more than a
-    tenth of its predicted decrease is taken and the damping quartered,
-    otherwise the damping is quadrupled.  Once the predicted decrease is
-    below the rounding of ``f_mu``, a step is taken if it shrinks the
-    gradient, and the stage ends at the first that does not: the lower bound
-    needs a far smaller gradient than ``f_mu`` can resolve.  The last
-    ``G = 2 P[:n, n:]`` of a stage is the dual candidate of the lower bound:
-    at a stationary point ``G`` is orthogonal to ``J`` and
-    ``<G, m> >= ||m|| - mu log 2n``.  ``upper`` is the operator norm at the
-    coefficients of the smallest ``||m||`` seen.  The Frobenius projection
-    is tried first, with ``G`` the top singular pair, which settles
-    block-diagonal and triangular quotients with one SVD.  CERTIFIED as soon
-    as the gap is at most ``iter_tol``, INCONCLUSIVE if the schedule ends
-    first.  No random numbers are drawn.
+    ``c``, for each ``mu`` in :data:`QUOTIENT_MU_SCHEDULE`.  Each stage after
+    the first starts from the first-order predictor
+    ``x + (mu' - mu) dx/dmu`` of the path of minimizers (Allgower–Georg
+    continuation; see :func:`_path_tangent`), taken only if it lowers
+    ``f_mu'``, and otherwise where the last stage ended.  Each stage is a
+    Levenberg–Marquardt Newton iteration on the exact Hessian: a step that
+    achieves more than a tenth of its predicted decrease is taken and the
+    damping quartered, otherwise the damping is quadrupled.  Once the
+    predicted decrease is below the rounding of ``f_mu``, a step is taken if
+    it shrinks the gradient, and the stage ends at the first that does not:
+    the lower bound needs a far smaller gradient than ``f_mu`` can resolve.
+    ``G = 2 P[:n, n:]`` is the dual candidate of the lower bound: at a
+    stationary point ``G`` is orthogonal to ``J`` and
+    ``<G, m> >= ||m|| - mu log 2n``.  It is formed at most twice per stage:
+    at the first taken step whose gradient is at most ``iter_tol``, which
+    ends the whole descent if the gap has closed to ``iter_tol``, and at the
+    stage's last point.  ``upper`` is the operator norm at the coefficients
+    of the smallest ``||m||`` seen.  The Frobenius projection is tried
+    first, with ``G`` the top singular pair, which settles block-diagonal
+    and triangular quotients with one SVD.  CERTIFIED as soon as the gap is
+    at most ``iter_tol``, INCONCLUSIVE if the schedule ends first.  No
+    random numbers are drawn.
     """
     a = as_square_matrix(a)
     n = a.shape[0]
@@ -723,14 +760,35 @@ def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormRes
     upper = float(s[0])
     lower = _dual_bound(np.outer(u[:, 0], vh[0]), m, J)
     x = np.concatenate([best.real, best.imag])
+
+    def settle(cur: _SmoothedNorm, top_x: np.ndarray, dual: bool = True) -> bool:
+        """Fold ``cur``'s dual and the norm at ``top_x`` into the interval."""
+        nonlocal lower, upper, best
+        if dual:
+            lower = max(lower, _dual_bound(cur.dual, cur.m, J))
+        c = top_x[:k] + 1j * top_x[k:]
+        nrm = operator_norm(a - linear_combination(c, j_mats))
+        if nrm < upper:
+            upper, best = nrm, c
+        return upper - lower <= iter_tol
+
+    last = None  # the previous stage's final evaluation and its mu
     for mu in QUOTIENT_MU_SCHEDULE:
         if upper - lower <= iter_tol:
             break
         cur = _dilation_objective(a, j_mats, x, mu)
         top, top_x = cur.top, x
+        if last is not None:
+            ahead = x + (mu - last[1]) * _path_tangent(*last)
+            trial = _dilation_objective(a, j_mats, ahead, mu)
+            if trial.top < top:
+                top, top_x = trial.top, ahead
+            if trial.value < cur.value:
+                x, cur = ahead, trial
         # The damping starts at a two-hundredth of the largest curvature
         # there can be: the J_k are orthonormal, so none exceeds 2 / mu.
         damping = 1e-2 / mu
+        settled = None
         for _ in range(1000):
             step = np.linalg.solve(cur.hess + damping * np.eye(2 * k), -cur.grad)
             predicted = -(cur.grad @ step + 0.5 * step @ cur.hess @ step)
@@ -740,21 +798,26 @@ def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormRes
             # f_mu is rounded to about 1e-14 of its size; above that, its
             # decrease judges the step.
             if predicted > 1e-14 * max(1.0, abs(cur.value)):
-                if cur.value - trial.value > 0.1 * predicted:
-                    x, cur, damping = x + step, trial, damping / 4
-                else:
-                    damping *= 4
+                accept = cur.value - trial.value > 0.1 * predicted
             # Below the rounding of f_mu the gradient judges the step, and
             # the first step that does not shrink it ends the stage.
             elif np.linalg.norm(trial.grad) < np.linalg.norm(cur.grad):
-                x, cur, damping = x + step, trial, damping / 4
+                accept = True
             else:
                 break
-        lower = max(lower, _dual_bound(cur.dual, cur.m, J))
-        c = top_x[:k] + 1j * top_x[k:]
-        nrm = operator_norm(a - linear_combination(c, j_mats))
-        if nrm < upper:
-            upper, best = nrm, c
+            if not accept:
+                damping *= 4
+                continue
+            x, cur, damping = x + step, trial, damping / 4
+            # The first accepted step that is stationary to iter_tol tries
+            # the certificate; if it closes, the descent is over.
+            if settled is None and np.linalg.norm(cur.grad) <= iter_tol:
+                settled = cur
+                if settle(cur, top_x):
+                    break
+        if upper - lower > iter_tol:
+            settle(cur, top_x, dual=cur is not settled)
+        last = (cur, mu)
     status = "CERTIFIED" if upper - lower <= iter_tol else "INCONCLUSIVE"
     return QuotientNormResult(lower=lower, upper=upper, status=status, minimizer_coeffs=best)
 

@@ -48,6 +48,7 @@ __all__ = [
     "binomial_coefficients",
     "RecurrenceBreakdown",
     "matrix_power_r",
+    "matrix_powers",
     "series_power_oracle",
     "spectral_idempotent",
 ]
@@ -298,33 +299,49 @@ def _blocked_power(t: np.ndarray, z: np.ndarray, labels: np.ndarray, r: float) -
     return z @ f @ z.conj().T
 
 
-def matrix_power_r(x, r: float, iter_tol: float = ITER_TOL) -> np.ndarray:
-    """Principal r-th power (0 < r <= 1) of x with ``||1 - x|| <= 1``.
+def matrix_powers(x, rs, iter_tol: float = ITER_TOL) -> list:
+    """Principal r-th powers (0 < r <= 1) of x with ``||1 - x|| <= 1``, one per r.
 
-    Guarantees on return: ``||1 - x^r|| <= 1 + 10*EXACT_TOL``, commutation
-    with x within ``iter_tol``, and ``0^r = 0``.  Violations (possible only if
-    a confluent cluster defeated the recurrence) raise instead of returning.
+    One cone check and one Schur form serve every exponent.  Guarantees on
+    return, for each power: ``||1 - x^r|| <= 1 + 10*EXACT_TOL``, commutation
+    with x within ``iter_tol``, and ``0^r = 0``.  Violations (possible only
+    if a confluent cluster defeated the recurrence) raise instead of
+    returning.
     """
     a = as_square_matrix(x)
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"exponent must lie in (0, 1], got {r!r}")
+    for r in rs:
+        if not 0.0 < r <= 1.0:
+            raise ValueError(f"exponent must lie in (0, 1], got {r!r}")
     if not in_F(a):
-        raise ValueError("matrix_power_r requires ||1 - x|| <= 1")
-    if r == 1.0:
-        return a.copy()
-    out = _triangular_power(*complex_schur(a), r)
-    # one n x n buffer holds 1 - x^r, then [x^r, x]
-    check = np.eye(a.shape[0]) - out
-    if not operator_norm_at_most(check, 1.0 + 10.0 * EXACT_TOL):
-        raise RecurrenceBreakdown(
-            f"computed power left the cone: ||1 - x^r|| = {operator_norm(check)!r}"
-        )
-    np.subtract(np.matmul(out, a, out=check), a @ out, out=check)
-    if not operator_norm_at_most(check, iter_tol, scale=a):
-        raise RecurrenceBreakdown(
-            f"computed power does not commute with x: {operator_norm(check)!r}"
-        )
-    return out
+        raise ValueError("fractional powers require ||1 - x|| <= 1")
+    schur = None
+    powers = []
+    for r in rs:
+        if r == 1.0:
+            powers.append(a.copy())
+            continue
+        if schur is None:
+            schur = complex_schur(a)
+        out = _triangular_power(*schur, r)
+        # one n x n buffer holds 1 - x^r, then [x^r, x]
+        check = np.eye(a.shape[0]) - out
+        if not operator_norm_at_most(check, 1.0 + 10.0 * EXACT_TOL):
+            raise RecurrenceBreakdown(
+                f"computed power left the cone: ||1 - x^r|| = {operator_norm(check)!r}"
+            )
+        np.subtract(np.matmul(out, a, out=check), a @ out, out=check)
+        if not operator_norm_at_most(check, iter_tol, scale=a):
+            raise RecurrenceBreakdown(
+                f"computed power does not commute with x: {operator_norm(check)!r}"
+            )
+        powers.append(out)
+    return powers
+
+
+def matrix_power_r(x, r: float, iter_tol: float = ITER_TOL) -> np.ndarray:
+    """Principal r-th power (0 < r <= 1) of x with ``||1 - x|| <= 1``:
+    :func:`matrix_powers` with the one exponent ``r``."""
+    return matrix_powers(x, (r,), iter_tol)[0]
 
 
 def series_power_oracle(

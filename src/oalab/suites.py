@@ -31,7 +31,7 @@ from .algebra import (
     quotient_norm,
     ws_battery,
 )
-from .calculus import matrix_power_r
+from .calculus import matrix_powers
 from .examples import example_rdr, example_two_dim, volterra, volterra_norm
 from .matcore import (
     EXACT_TOL,
@@ -169,15 +169,14 @@ def _suite_roots(run):
         d = int(run.rng.integers(1, run.dim + 1))
         x = np.eye(d) + random_contraction(run.rng, d)
         eye = np.eye(d, dtype=complex)
-        half_root = matrix_power_r(x, 0.5, run.iter_tol)
+        roots = matrix_powers(x, _ROOT_EXPONENTS, run.iter_tol)
+        half_root = roots[_ROOT_EXPONENTS.index(0.5)]
         square_err = operator_norm(half_root @ half_root - x)
         run.bound("half-root-squares", square_err, 1e-6,
                   lambda: {"trial": trial, "x": matrix_to_json(x)})
         span = generated_algebra(x, run.iter_tol).span
-        y = x / 2.0
-        for r in _ROOT_EXPONENTS:
-            root = half_root if r == 0.5 else matrix_power_r(x, r, run.iter_tol)
-            y_root = matrix_power_r(y, r, run.iter_tol)
+        y_roots = matrix_powers(x / 2.0, _ROOT_EXPONENTS, run.iter_tol)
+        for r, root, y_root in zip(_ROOT_EXPONENTS, roots, y_roots):
             vec = root.reshape(-1)
             member_res = span.residual(vec) / max(1.0, float(np.linalg.norm(vec)))
             if any([

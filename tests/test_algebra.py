@@ -1,5 +1,7 @@
 """Tests for matrix algebras, ideals, batteries, and quotient norms."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from draws import random_singular_cone_element
 from oalab.algebra import (
     FDAlgebra,
     _dilation_objective,
+    _path_tangent,
     block_diagonal_algebra,
     block_ideal_subspace,
     full_matrix_algebra,
@@ -229,6 +232,26 @@ class TestWsBattery:
             assert rep.consistent
 
 
+    def test_omitted_algebra_is_the_generated_one(self):
+        # With A omitted the battery reuses the span of x * oa(x) as xA and
+        # the solve of (iii) as (vi); the report is the one for A = oa(x).
+        rng = np.random.default_rng(13)
+        draws = [np.eye(n) + random_contraction(rng, n) for n in (1, 2, 4, 6)]
+        draws += [random_singular_cone_element(rng, n) for n in (2, 3, 5)]
+        nil_plus_inv = np.diag([0.0, 0.0, 2.0]).astype(complex)
+        nil_plus_inv[0, 1] = 1.0
+        for x in draws + [nil_plus_inv]:
+            cone = x is not nil_plus_inv
+            got = ws_battery(x, require_cone=cone)
+            want = ws_battery(x, generated_algebra(x), require_cone=cone)
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    npt.assert_array_equal(a, b)
+                else:
+                    assert a == b, field.name
+
+
 class TestQuotientNorm:
     def test_member_has_zero_quotient(self):
         res = quotient_norm(E12, matrix_span([E12]))
@@ -319,6 +342,25 @@ class TestQuotientNorm:
             assert max(res.lower, res_t.lower) <= min(res.upper, res_t.upper) + 1e-12
 
 
+def _stage_minimizer(a, j_mats, x, mu):
+    """Minimizer of f_mu by damped Newton, run until no step improves it:
+    a step is taken if it lowers f_mu, or ties it to rounding and shrinks
+    the gradient."""
+    cur = _dilation_objective(a, j_mats, x, mu)
+    damping = 1.0 / mu
+    for _ in range(500):
+        if damping > 1e8 / mu:
+            break
+        step = np.linalg.solve(cur.hess + damping * np.eye(len(x)), -cur.grad)
+        trial = _dilation_objective(a, j_mats, x + step, mu)
+        ties = trial.value <= cur.value + 1e-14 * abs(cur.value)
+        if trial.value < cur.value or (ties and np.linalg.norm(trial.grad) < np.linalg.norm(cur.grad)):
+            x, cur, damping = x + step, trial, damping / 4
+        else:
+            damping = max(4 * damping, 1e-12 / mu)
+    return x, cur
+
+
 class TestDilationObjective:
     @pytest.mark.parametrize("singular", [False, True], ids=["generic", "rank-deficient"])
     @pytest.mark.parametrize("mu", [1e-1, 1e-3])
@@ -352,6 +394,34 @@ class TestDilationObjective:
         assert np.linalg.norm(grad_fd - at.grad) <= 1e-6 * max(np.linalg.norm(at.grad), 1.0)
         assert np.linalg.norm(hess_fd - at.hess) <= 1e-6 * np.linalg.norm(at.hess)
         npt.assert_allclose(at.hess, at.hess.T, rtol=0, atol=1e-12 * np.linalg.norm(at.hess))
+
+    @pytest.mark.parametrize("mu", [0.5, 1e-2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_path_tangent_matches_central_differences_of_minimizers(self, n, k, mu):
+        # quotient_norm's predictor steps along dx/dmu; here it is read from
+        # the evaluation at the minimizer of f_mu and compared with central
+        # differences of the minimizers at mu (1 +- 1e-3).  Where the top
+        # singular value of the minimizing m is simple (k = 1 at small mu)
+        # the path is flat to rounding, and so must the tangent be.
+        rng = np.random.default_rng(10 * n + k)
+        a = complex_normal(rng, (n, n))
+        J = matrix_span(complex_normal(rng, (k, n, n)))
+        j_mats = J.basis.reshape(k, n, n)
+        c = J.basis.conj() @ a.ravel()
+        x, at = _stage_minimizer(a, j_mats, np.concatenate([c.real, c.imag]), mu)
+        plus, _ = _stage_minimizer(a, j_mats, x, mu * (1 + 1e-3))
+        minus, _ = _stage_minimizer(a, j_mats, x, mu * (1 - 1e-3))
+        fd = (plus - minus) / (2e-3 * mu)
+        assert np.linalg.norm(_path_tangent(at, mu) - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
+
+    def test_singular_hessian_gives_no_predictor(self):
+        # An H that rounding left singular yields a zero tangent, so the
+        # next stage starts where the last one ended instead of raising.
+        rng = np.random.default_rng(4)
+        j_mats = complex_normal(rng, (2, 3, 3))
+        at = _dilation_objective(complex_normal(rng, (3, 3)), j_mats, rng.standard_normal(4), 1e-2)
+        npt.assert_array_equal(_path_tangent(at._replace(hess=np.zeros((4, 4))), 1e-2), np.zeros(4))
 
     def test_dual_candidate_gives_the_gradient(self):
         # <G, J_r> is the gradient: -Re along Re c_r, Im along Im c_r.

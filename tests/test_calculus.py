@@ -16,6 +16,7 @@ from oalab.calculus import (
     _triangular_power,
     binomial_coefficients,
     matrix_power_r,
+    matrix_powers,
     series_power_oracle,
     spectral_idempotent,
 )
@@ -28,7 +29,12 @@ from oalab.matcore import (
     operator_norm,
     spectrum,
 )
-from oalab.sampling import complex_normal, haar_unitaries, random_contraction
+from oalab.sampling import (
+    complex_normal,
+    haar_unitaries,
+    random_contraction,
+    random_normal_singular_cone_element,
+)
 
 
 class TestBinomialSeries:
@@ -153,6 +159,28 @@ class TestMatrixPower:
     def test_exponent_one_is_identity_map(self):
         x = np.eye(4) - random_contraction(np.random.default_rng(50), 4)
         np.testing.assert_allclose(matrix_power_r(x, 1.0), x, atol=0)
+
+    @pytest.mark.parametrize("kind", ["generic", "normal-singular"])
+    def test_powers_of_one_element_match_one_at_a_time(self, kind):
+        # One Schur form serves every exponent, r = 1 among them, and each
+        # power is bit for bit the one a single-exponent call returns.
+        rng = np.random.default_rng(54)
+        rs = (0.5, 1.0, 1.0 / 3.0, 0.25, 0.2, 0.7)
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            if kind == "generic" or n == 1:
+                x = np.eye(n) + random_contraction(rng, n)
+            else:
+                x = random_normal_singular_cone_element(rng, n)
+            powers = matrix_powers(x, rs)
+            assert len(powers) == len(rs)
+            for r, power in zip(rs, powers):
+                np.testing.assert_array_equal(power, matrix_power_r(x, r))
+        assert matrix_powers(np.eye(2), ()) == []
+
+    def test_powers_reject_any_bad_exponent(self):
+        with pytest.raises(ValueError, match="1.5"):
+            matrix_powers(np.eye(2), (0.5, 1.5))
 
     def test_rejects_non_cone_input(self):
         with pytest.raises(ValueError):

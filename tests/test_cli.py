@@ -123,9 +123,10 @@ class TestRunSuite:
         assert records == [("classifier-vs-rank-oracle", ["t", "trial"])] * 4
 
         # Grouped record: the three root gates of one (trial, r) share one
-        # ``root-bounds`` entry carrying the exponent.
+        # ``root-bounds`` entry carrying the exponent.  The suite takes every
+        # root of one element from one matrix_powers call; each is shifted.
         failed, records, failures = self._forced(
-            monkeypatch, "roots", "matrix_power_r", lambda root: root + 0.5, dim=3, trials=2
+            monkeypatch, "roots", "matrix_powers", lambda roots: [root + 0.5 for root in roots], dim=3, trials=2
         )
         assert {"half-root-squares", "roots-in-generated-span"} <= set(failed)
         assert records == (

@@ -368,6 +368,7 @@ ITER_TOL_READERS = {
     "algebra.quotient_norm",
     "algebra.quotient_cone_check",
     "calculus.matrix_power_r",
+    "calculus.matrix_powers",
     "support.power_limit_projection",
     "support.support_projection_routes",
     "spectral.sharp_neumann",

@@ -9,15 +9,17 @@ reduction runs in another order (the boundary points of the numerical
 range, the Kraus tabulation) within a tolerance fixed from the dtype.
 """
 
+import importlib.util
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from draws import random_singular_cone_element
 
-from oalab import algebra, matcore, ocpmap, suites
+from oalab import algebra, calculus, matcore, ocpmap, suites
 from oalab.calculus import matrix_power_r, spectral_idempotent
 from oalab.cone import in_F
 from oalab.matcore import (
@@ -58,6 +60,7 @@ try:  # numpy >= 2
 except ImportError:
     from numpy.linalg import linalg as _linalg_impl
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def sequential_haar(rng, dim):
     q, r = np.linalg.qr(complex_normal(rng, (dim, dim)))
@@ -822,11 +825,12 @@ def count_calls(monkeypatch, calls: Counter, module, name: str) -> None:
 
 
 class TestCertificateCounts:
-    """Work per closure-battery trial and per quotient-norm stage.
+    """Work per closure-battery and roots trial and per quotient-norm stage.
 
     Each ``ws_battery`` call builds ``oa(x)`` once and takes the spectrum of
-    ``x`` once, and ``quotient_norm`` forms the dual candidate ``G`` once per
-    smoothing stage rather than at every trial step of its descent.
+    ``x`` once, the roots suite factors each element once for all its
+    exponents, and ``quotient_norm`` forms the dual candidate ``G`` at most
+    twice per smoothing stage rather than at every trial step of its descent.
     """
 
     def test_closure_battery_builds_oa_and_spectrum_once_per_battery(self, monkeypatch):
@@ -840,18 +844,58 @@ class TestCertificateCounts:
         assert calls["generated_algebra"] == calls["ws_battery"]
         assert calls["spectrum"] == calls["ws_battery"]
 
-    def test_quotient_norm_forms_one_dual_per_stage(self, monkeypatch):
-        mus, duals = [], []
+    def test_roots_suite_factors_each_element_once(self, monkeypatch):
+        # Per trial, one matrix_powers call for x and one for x / 2: each
+        # runs one cone check and one Schur form for all four exponents.
+        calls = Counter()
+        for module, name in ((suites, "matrix_powers"), (calculus, "in_F"), (matcore, "complex_schur")):
+            count_calls(monkeypatch, calls, module, name)
+        report = suites.run_suite(suites.SuiteConfig(suite="roots", dim=5, trials=6, seed=1))
+        assert report.passed
+        assert calls == {"matrix_powers": 2 * 6, "in_F": 2 * 6, "complex_schur": 2 * 6}
+
+    def test_quotient_norm_forms_at_most_two_duals_per_stage(self, monkeypatch):
+        # One dual at the first step stationary to iter_tol, one where the
+        # stage ends, and none at the other trial steps of the descent.
+        evaluated, duals = [], Counter()
         objective = algebra._dilation_objective
-        monkeypatch.setattr(
-            algebra, "_dilation_objective", lambda a, j, x, mu: mus.append(mu) or objective(a, j, x, mu)
-        )
+
+        def traced(a, j, x, mu):
+            evaluated.append((objective(a, j, x, mu), mu))
+            return evaluated[-1][0]
+
+        def dual_of(s):
+            duals[next(mu for t, mu in evaluated if t is s)] += 1
+            return dual(s)
+
         dual = algebra._SmoothedNorm.dual.fget
-        monkeypatch.setattr(algebra._SmoothedNorm, "dual", property(lambda s: duals.append(s) or dual(s)))
+        monkeypatch.setattr(algebra, "_dilation_objective", traced)
+        monkeypatch.setattr(algebra._SmoothedNorm, "dual", property(dual_of))
         rng = np.random.default_rng(7)
         a = complex_normal(rng, (4, 4))
         result = algebra.quotient_norm(a, matrix_span(complex_normal(rng, (5, 4, 4))))
         assert result.status == "CERTIFIED"
-        stages = len(set(mus))
-        assert stages >= 2 and len(mus) > 2 * stages
-        assert len(duals) == stages
+        stages = len({mu for _, mu in evaluated})
+        assert stages >= 2 and len(evaluated) > 2 * stages
+        assert set(duals) == {mu for _, mu in evaluated}
+        assert max(duals.values()) <= 2
+
+    def test_hard_certify_mid_draw_certifies_in_47_evaluations(self, monkeypatch):
+        # The benchmark's certify-mid draw of a random 3-dimensional J in
+        # M_4 at seed 7 took 94 evaluations of f_mu over six tenfold stages
+        # that each restarted where the last ended.
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "oabench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses resolve their annotations through sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        job = next(
+            job for job in workloads.certify_mid(np.random.default_rng(7))
+            if job.name == "quotient_norm:random:n4k3"
+        )
+        calls = Counter()
+        count_calls(monkeypatch, calls, algebra, "_dilation_objective")
+        result = job.call()
+        assert result.status == "CERTIFIED"
+        assert job.check(result) is None
+        assert calls["_dilation_objective"] <= 47

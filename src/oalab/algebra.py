@@ -11,17 +11,20 @@ On top of the container the module provides
   (span of its powers, without adjoining a unit);
 * :func:`ideal_subspaces` -- the one-sided ideals ``xA``, ``Ax`` and the
   corner ``xAx`` as subspaces;
-* :func:`nor_battery` -- sampled verification that in a given unital algebra
-  every non-scalar ball element ``a`` satisfies the radical-free conditions
-  (powers decay, spectral radius / numerical radius / ``||1+a||`` strictly
-  below their ceilings, ``1-a`` invertible);
+* :func:`ball_margins` -- the radical-free conditions at one element ``a``
+  of the unit ball (powers decay, spectral radius / numerical radius /
+  ``||1+a||`` strictly below their ceilings, ``1-a`` invertible), with
+  :func:`ball_samples`, a rejection sampler of the ball away from the
+  scalars, and :func:`idempotent_witnesses`, the basis elements that fail
+  every condition;
 * :func:`ws_battery` -- the pseudo-inverse equivalence chain for a single
   element (membership of ``x`` in ``x*oa(x)``, unitality of ``oa(x)``,
   solvability of ``xyx = x``, corner membership, spectral-gap condition,
   semisimplicity flag);
-* :func:`quotient_norm` / :func:`quotient_cone_check` -- certified quotient
-  norms ``min_j ||a - j||`` and the two inclusions between the image of the
-  unit ball's shifted cone and the quotient's cone.
+* :func:`quotient_norm` -- certified quotient norms ``min_j ||a - j||``;
+  :func:`ideal_identity` and :func:`quotient_cone_lift` -- the identity of a
+  two-sided ideal and the lift that carries a coset in the quotient's cone
+  back into the cone.
 """
 
 from __future__ import annotations
@@ -47,25 +50,26 @@ from .matcore import (
     spectral_radius,
     spectrum,
 )
-from .sampling import complex_normal, random_span_element
+from .sampling import random_span_element
 from .spectral import numerical_radius
 
 __all__ = [
     "FDAlgebra",
     "IdealTriple",
-    "NorBatteryReport",
     "WsBatteryReport",
     "QuotientNormResult",
-    "QuotientConeReport",
     "full_matrix_algebra",
     "block_diagonal_algebra",
     "block_ideal_subspace",
     "generated_algebra",
     "ideal_subspaces",
-    "nor_battery",
+    "ball_margins",
+    "ball_samples",
+    "idempotent_witnesses",
     "ws_battery",
     "quotient_norm",
-    "quotient_cone_check",
+    "ideal_identity",
+    "quotient_cone_lift",
 ]
 
 
@@ -274,7 +278,7 @@ def _ideal_triple(x: np.ndarray, basis: np.ndarray, xa: Subspace) -> IdealTriple
 
 
 # --------------------------------------------------------------------------
-# sampled batteries
+# ball conditions and the closure battery
 
 
 def _distance_to_scalars(a: np.ndarray, unit: np.ndarray) -> float:
@@ -288,72 +292,30 @@ def _distance_to_scalars(a: np.ndarray, unit: np.ndarray) -> float:
     return operator_norm(a - lam * unit)
 
 
-@dataclasses.dataclass(frozen=True)
-class ConditionStats:
-    """Per-condition tally of a sampled battery run."""
-
-    name: str
-    passes: int
-    failures: int
-    worst_margin: float
-    worst_witness: Optional[np.ndarray]
-
-
-@dataclasses.dataclass(frozen=True)
-class NorBatteryReport:
-    """Sampled verification of the radical-free ball conditions.
-
-    Conditions evaluated per sample ``a`` in ``Ball(A)`` at distance more
-    than ``NOR_REJECTION_MARGIN`` from the scalar line:
-
-    * ``power_decay``   -- margin ``1 - ||a^64||^(1/64)``;
-    * ``spectral_gap``  -- margin ``||a|| - r(a)``;
-    * ``radius_gap``    -- margin ``||a|| - nu(a)`` (numerical radius);
-    * ``shift_norm``    -- margin ``2 - ||unit + a||``;
-    * ``quasi_invert``  -- margin ``sigma_min(unit - a)``.
-
-    A condition passes on a sample when its margin is strictly positive.
-    ``idempotent_witnesses`` lists non-scalar idempotent basis elements of
-    norm at most one (each is a deterministic counterexample: it fails all
-    five conditions).  ``all_pass`` requires every sampled condition to pass
-    and the witness list to be empty.
-    """
-
-    trials_requested: int
-    trials_sampled: int
-    conditions: dict
-    margins: dict
-    idempotent_witnesses: list
-
-    @property
-    def all_pass(self) -> bool:
-        sampled_ok = all(c.failures == 0 for c in self.conditions.values())
-        return sampled_ok and not self.idempotent_witnesses
-
-    @property
-    def vacuous(self) -> bool:
-        return self.trials_sampled == 0
-
-    def worst_margins(self) -> dict:
-        return {name: c.worst_margin for name, c in self.conditions.items()}
-
-
 # Sweep angles of the numerical radius behind the ``radius_gap`` condition.
 NOR_THETA_COUNT = 360
 
 # Distance to the scalar line at or below which a ball sample is rejected.
 NOR_REJECTION_MARGIN = 0.1
 
-_NOR_CONDITIONS = (
-    "power_decay",
-    "spectral_gap",
-    "radius_gap",
-    "shift_norm",
-    "quasi_invert",
-)
+
+def _unit_of(A: FDAlgebra, caller: str) -> np.ndarray:
+    if not A.unital:
+        raise ValueError(f"{caller} requires a unital algebra")
+    return A.unit
 
 
-def _nor_margins(a: np.ndarray, unit: np.ndarray) -> dict:
+def ball_margins(a: np.ndarray, unit: np.ndarray) -> dict:
+    """Margins of the five radical-free ball conditions at one element ``a``.
+
+    * ``power_decay``   -- ``1 - ||a^64||^(1/64)``;
+    * ``spectral_gap``  -- ``||a|| - r(a)``;
+    * ``radius_gap``    -- ``||a|| - nu(a)`` (numerical radius);
+    * ``shift_norm``    -- ``2 - ||unit + a||``;
+    * ``quasi_invert``  -- ``sigma_min(unit - a)``.
+
+    A condition holds at ``a`` when its margin is strictly positive.
+    """
     b = a.copy()
     for _ in range(6):
         b = b @ b
@@ -367,51 +329,34 @@ def _nor_margins(a: np.ndarray, unit: np.ndarray) -> dict:
     }
 
 
-def nor_battery(A: FDAlgebra, trials: int, seed: int) -> NorBatteryReport:
-    """Sample ``Ball(A)`` away from the scalars and test the five conditions.
+def ball_samples(rng: np.random.Generator, A: FDAlgebra, count: int) -> list:
+    """Up to ``count`` elements of ``Ball(A)`` away from the scalars.
 
-    Elements are drawn as Gaussian combinations of the basis, rescaled to a
-    uniformly random operator norm in ``(0, 1]``, and rejected when their
-    distance to the scalar line ``C*unit`` is at most ``NOR_REJECTION_MARGIN``
-    (the conditions degenerate continuously as ``a`` approaches a scalar, so
-    margins must be bounded away).  Basis elements that are themselves
-    non-scalar idempotent contractions are recorded as deterministic
-    witnesses -- such an element fails every condition (``a^n = a``).
-
-    With an algebra admitting no admissible samples (the scalar line itself)
-    the report is a vacuous pass.
+    Each attempt is a Gaussian combination of the basis rescaled to a
+    uniformly random operator norm in ``[0, 1)``, rejected when its distance
+    to the scalar line ``C*unit`` is at most ``NOR_REJECTION_MARGIN`` (the
+    ball conditions degenerate continuously as ``a`` approaches a scalar, so
+    margins must be bounded away).  Sampling gives up after
+    ``60 * max(count, 1)`` attempts, so the scalar line itself yields none.
     """
-    if not A.unital:
-        raise ValueError("nor_battery requires a unital algebra")
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    rng = np.random.default_rng(seed)
-    unit = A.unit
+    unit = _unit_of(A, "ball_samples")
     samples = []
     attempts = 0
-    cap = 60 * max(trials, 1)
-    while len(samples) < trials and attempts < cap:
+    while len(samples) < count and attempts < 60 * max(count, 1):
         attempts += 1
         a = random_span_element(rng, A.basis, 1.0)
         if a is not None and _distance_to_scalars(a, unit) > NOR_REJECTION_MARGIN:
             samples.append(a)
+    return samples
 
-    margins = {name: [] for name in _NOR_CONDITIONS}
-    for a in samples:
-        for name, m in _nor_margins(a, unit).items():
-            margins[name].append(m)
-    conditions = {}
-    for name, ms in margins.items():
-        passes = int(sum(m > 0.0 for m in ms))
-        worst = int(np.argmin(ms)) if samples else None  # first of the minima
-        conditions[name] = ConditionStats(
-            name=name,
-            passes=passes,
-            failures=len(samples) - passes,
-            worst_margin=ms[worst] if samples else np.inf,
-            worst_witness=samples[worst] if samples and ms[worst] <= 0.0 else None,
-        )
 
+def idempotent_witnesses(A: FDAlgebra) -> list:
+    """Basis elements of ``A`` that are non-scalar idempotent contractions.
+
+    Each is a deterministic counterexample to the ball conditions: it fails
+    all five (``a^n = a``).
+    """
+    unit = _unit_of(A, "idempotent_witnesses")
     witnesses = []
     for b in A.basis:
         idem = operator_norm(b @ b - b) <= EXACT_TOL * max(1.0, operator_norm(b) ** 2)
@@ -419,13 +364,7 @@ def nor_battery(A: FDAlgebra, trials: int, seed: int) -> NorBatteryReport:
         nonscalar = _distance_to_scalars(b, unit) > NOR_REJECTION_MARGIN
         if idem and in_ball and nonscalar:
             witnesses.append(b)
-    return NorBatteryReport(
-        trials_requested=trials,
-        trials_sampled=len(samples),
-        conditions=conditions,
-        margins=margins,
-        idempotent_witnesses=witnesses,
-    )
+    return witnesses
 
 
 def _solve_xyx(x: np.ndarray, basis: np.ndarray, iter_tol: float):
@@ -822,51 +761,14 @@ def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormRes
     return QuotientNormResult(lower=lower, upper=upper, status=status, minimizer_coeffs=best)
 
 
-@dataclasses.dataclass(frozen=True)
-class QuotientConeReport:
-    """Two-directional check that the quotient of the shifted cone is the cone.
+def ideal_identity(A: FDAlgebra, J: Subspace, iter_tol: float = ITER_TOL) -> np.ndarray:
+    """The identity ``e`` of ``J``, checked to be a two-sided ideal of ``A``.
 
-    ``forward_excess``: worst of ``quotient_norm(unit - x) - 1`` over sampled
-    ``x`` with ``||unit - x|| <= 1`` (the image of the cone must stay in the
-    quotient cone).  ``backward_*``: for sampled representatives whose coset
-    satisfies the quotient cone condition, an explicit lift ``y`` built from
-    the ideal's identity ``e`` as ``y = (1-e) x (1-e) + e`` must land back in
-    the cone (``lift_excess``) while keeping the same coset
-    (``membership_residual``).
+    ``ValueError`` when ``A`` has no unit, ``J`` is not a two-sided ideal of
+    ``A``, or ``J`` has no two-sided identity (the zero ideal among them).
     """
-
-    samples: int
-    forward_excess: float
-    backward_checked: int
-    backward_lift_excess: float
-    backward_membership_residual: float
-    inconclusive_quotients: int
-
-
-def quotient_cone_check(
-    A: FDAlgebra,
-    J: Subspace,
-    samples: int,
-    seed: int,
-    iter_tol: float = ITER_TOL,
-) -> QuotientConeReport:
-    """Verify both inclusions between ``q(cone of A)`` and the quotient cone.
-
-    ``J`` must be a two-sided ideal of ``A`` possessing an identity ``e``
-    (checked; ``ValueError`` otherwise).  Forward direction: sampled
-    ``x = unit - c`` with ``||c|| <= 1`` must satisfy
-    ``quotient_norm(unit - x, J) <= 1``.  Backward direction: sampled
-    representatives ``x'`` whose coset lies in the quotient cone are lifted
-    through ``y = (unit - e) x' (unit - e) + e``; the lift must satisfy
-    ``||unit - y|| <= 1`` and ``y - x'`` must lie in ``J``.  The lift formula
-    assumes ``e`` is central in ``A`` (true for block-diagonal instances,
-    where the check is exact).
-    """
-    if not A.unital:
-        raise ValueError("quotient_cone_check requires a unital algebra")
-    n = A.ambient_dim
-    rng = np.random.default_rng(seed)
-    j_mats = J.basis.reshape(J.dim, n, n)
+    _unit_of(A, "ideal_identity")
+    j_mats = J.basis.reshape(J.dim, A.ambient_dim, A.ambient_dim)
     if not (
         _products_stay(J, j_mats, A.basis).all()
         and _products_stay(J, A.basis, j_mats).all()
@@ -877,45 +779,23 @@ def quotient_cone_check(
     e = _find_unit(j_mats, iter_tol)
     if e is None:
         raise ValueError("J has no two-sided identity")
+    return e
+
+
+def quotient_cone_lift(A: FDAlgebra, J: Subspace, e: np.ndarray, rep: np.ndarray) -> tuple:
+    """Lift a representative whose coset lies in the quotient cone.
+
+    The lift is ``y = (unit - e) rep (unit - e) + e`` for the identity ``e``
+    of ``J`` (:func:`ideal_identity`).  Returns ``(||unit - y|| - 1,
+    residual)``, where the residual of ``y - rep`` in ``J`` is relative to
+    ``max(1, ||y - rep||_F)``: the lift lies in the cone and in the coset of
+    ``rep`` when the first is at most zero and the second is rounding.  The
+    formula assumes ``e`` is central in ``A`` (true for block-diagonal
+    instances, where the lift is exact).
+    """
     unit = A.unit
     comp = unit - e
-
-    def random_contraction_in_A() -> np.ndarray:
-        c = random_span_element(rng, A.basis, 1.0)
-        return np.zeros_like(unit) if c is None else c
-
-    forward_excess = 0.0
-    backward_checked = 0
-    lift_excess = 0.0
-    membership_res = 0.0
-    inconclusive = 0
-    for _ in range(samples):
-        x = unit - random_contraction_in_A()
-        qn = quotient_norm(unit - x, J, iter_tol)
-        if qn.status != "CERTIFIED":
-            inconclusive += 1
-        forward_excess = max(forward_excess, qn.value - 1.0)
-
-        # Backward: wild ideal part, cone-certified complement part.
-        rep = comp @ (unit - random_contraction_in_A()) @ comp + linear_combination(
-            complex_normal(rng, J.dim), j_mats
-        )
-        qn_rep = quotient_norm(unit - rep, J, iter_tol)
-        if qn_rep.status != "CERTIFIED":
-            inconclusive += 1
-            continue
-        if qn_rep.value <= 1.0 + iter_tol:
-            y = comp @ rep @ comp + e
-            backward_checked += 1
-            lift_excess = max(lift_excess, operator_norm(unit - y) - 1.0)
-            diff = y - rep
-            scale = max(1.0, float(np.linalg.norm(diff)))
-            membership_res = max(membership_res, J.residual(diff.ravel()) / scale)
-    return QuotientConeReport(
-        samples=samples,
-        forward_excess=forward_excess,
-        backward_checked=backward_checked,
-        backward_lift_excess=lift_excess,
-        backward_membership_residual=membership_res,
-        inconclusive_quotients=inconclusive,
-    )
+    y = comp @ rep @ comp + e
+    diff = y - rep
+    scale = max(1.0, float(np.linalg.norm(diff)))
+    return operator_norm(unit - y) - 1.0, J.residual(diff.ravel()) / scale

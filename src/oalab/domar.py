@@ -28,13 +28,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .matcore import EXACT_TOL, RANK_TOL, to_jsonable
-from .sampling import complex_normal
+from .matcore import EXACT_TOL, RANK_TOL
 
 __all__ = [
     "RadicalWeight",
     "GridFunction",
-    "TitchmarshReport",
     "WeightCriterionReport",
     "PrincipalDensityResult",
     "BumpCaiReport",
@@ -45,7 +43,6 @@ __all__ = [
     "convolve",
     "alpha",
     "alpha_index",
-    "titchmarsh_check",
     "quasinilpotence_estimate",
     "quasinilpotence_root_bound",
     "domar_criterion_check",
@@ -249,55 +246,6 @@ def alpha(f: GridFunction) -> float:
     """
     k = alpha_index(f)
     return math.inf if k < 0 else f.h * k
-
-
-@dataclasses.dataclass(frozen=True)
-class TitchmarshReport:
-    """Exact-additivity tally for the support functional under convolution."""
-
-    trials: int
-    exact_matches: int
-    failures: list
-
-
-# Grid step of the functions titchmarsh_check draws.
-TITCHMARSH_STEP = 0.05
-
-
-def titchmarsh_check(trials: int, seed: int) -> TitchmarshReport:
-    """Sample random pairs and assert ``alpha(f*g) = alpha(f) + alpha(g)``.
-
-    The identity is checked at the index level (integers), so it is exact,
-    not a floating-point near-equality: the leading coefficient of the
-    convolution is ``h f[k_f] g[k_g]``, a product of two nonzero numbers.
-    Leading coefficients are drawn with modulus in ``[0.5, 1.5]`` so the
-    relative support threshold cannot misclassify them.  Supports are built
-    inside the workspace, so no truncation can corrupt the sum.
-    """
-    rng = np.random.default_rng(seed)
-    matches = 0
-    failures = []
-    for trial in range(trials):
-        parts = []
-        for _ in range(2):
-            offset = int(rng.integers(0, 30))
-            length = int(rng.integers(1, 25))
-            body = complex_normal(rng, length)
-            body[0] = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
-            coeffs = np.concatenate([np.zeros(offset, dtype=complex), body])
-            parts.append(GridFunction(h=TITCHMARSH_STEP, coeffs=coeffs))
-        f, g = parts
-        conv = convolve(f, g)
-        expected = alpha_index(f) + alpha_index(g)
-        got = alpha_index(conv)
-        if got == expected:
-            matches += 1
-        else:
-            failures.append(
-                {"trial": trial, "expected_index": expected, "got_index": got,
-                 "f": to_jsonable(f), "g": to_jsonable(g)}
-            )
-    return TitchmarshReport(trials=trials, exact_matches=matches, failures=failures)
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,8 @@ Three constructions:
   upper-triangular ``2x2`` matrices whose corner entry is the difference of
   the diagonal entries, ``{[[s, s-t], [0, t]]}``.  Every non-scalar ball
   element of this algebra has powers decaying to zero (no nontrivial
-  idempotents of norm one), making it the standard pass case for
-  :func:`~oalab.algebra.nor_battery`.
+  idempotents of norm one), making it the standard pass case of the ball
+  conditions, :func:`~oalab.algebra.ball_margins`.
 * :func:`example_rdr` -- the conjugated diagonal algebra ``R D R^{-1}`` on
   ``C^n`` with ``R = I + S/2`` (``S`` the backward shift).  The point of the
   construction: no nontrivial diagonal 0/1 projection commutes with

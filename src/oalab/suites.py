@@ -22,12 +22,15 @@ import numpy as np
 
 from . import domar
 from .algebra import (
+    ball_margins,
+    ball_samples,
     block_diagonal_algebra,
     block_ideal_subspace,
     full_matrix_algebra,
     generated_algebra,
-    nor_battery,
-    quotient_cone_check,
+    ideal_identity,
+    idempotent_witnesses,
+    quotient_cone_lift,
     quotient_norm,
     ws_battery,
 )
@@ -38,6 +41,7 @@ from .matcore import (
     ITER_TOL,
     RANK_TOL,
     CrossCheckError,
+    linear_combination,
     matrix_span,
     matrix_to_json,
     operator_norm,
@@ -53,7 +57,12 @@ from .ocpmap import (
     stinespring,
     transpose_map,
 )
-from .sampling import complex_normal, random_contraction, random_normal_singular_cone_element
+from .sampling import (
+    complex_normal,
+    random_contraction,
+    random_normal_singular_cone_element,
+    random_span_element,
+)
 from .spectral import sharp_neumann
 from .support import join_supports, support_projection, support_projection_routes
 
@@ -267,18 +276,27 @@ def _suite_closure_battery(run):
 
 
 def _suite_nonunital_battery(run):
-    # The two reference algebras fix their own dimensions.
-    seed = int(run.rng.integers(0, 2**31))
-    report = nor_battery(example_two_dim(run.iter_tol), run.trials, seed=seed)
-    worst = min(report.worst_margins().values()) if not report.vacuous else -np.inf
-    margin = worst - 1e-3 if report.all_pass else -1.0
-    run.case("two-dim-margins", margin, 1e-3, lambda: to_jsonable(report))
+    # The two reference algebras fix their own dimensions.  A sample passes
+    # when all five ball conditions hold strictly; one that breaks any of
+    # them, or an idempotent witness, reads -1.
+    algebra = example_two_dim(run.iter_tol)
+    draws = np.random.default_rng(int(run.rng.integers(0, 2**31)))
+    samples = ball_samples(draws, algebra, run.trials)
+    if not samples:
+        run.case("two-dim-margins", -math.inf, 1e-3, lambda: {"samples": 0})
+    for trial, a in enumerate(samples):
+        margins = ball_margins(a, algebra.unit)
+        held = all(m > 0.0 for m in margins.values())
+        run.case("two-dim-margins", min(margins.values()) - 1e-3 if held else -1.0, 1e-3,
+                 lambda: {"trial": trial, "a": matrix_to_json(a), "margins": margins})
+    for b in idempotent_witnesses(algebra):
+        run.case("two-dim-margins", -1.0, 1e-3, lambda: {"witness": matrix_to_json(b)})
 
-    m2 = nor_battery(full_matrix_algebra(2), max(run.trials // 5, 20), seed=seed + 1)
     # Negative control: the full matrix algebra must fail, with an explicit
-    # idempotent witness recorded.
-    control_ok = (not m2.all_pass) and bool(m2.idempotent_witnesses)
-    run.count("full-matrix-control", not control_ok, lambda: to_jsonable(m2))
+    # idempotent witness (E11 fails every ball condition).
+    m2 = full_matrix_algebra(2, run.iter_tol)
+    run.count("full-matrix-control", not idempotent_witnesses(m2),
+              lambda: {"basis": to_jsonable(m2.basis)})
 
 
 def _suite_projection_truncation(run):
@@ -303,12 +321,36 @@ def _suite_volterra(run):
     run.bound("norm-limit", err, 1e-3, lambda: {"size": dim, "error": err})
 
 
+# Grid step of the functions the domar-titchmarsh suite draws.
+_TITCHMARSH_STEP = 0.05
+
+
+def _titchmarsh_draw(rng: np.random.Generator) -> domar.GridFunction:
+    """A grid function with a random offset and a leading coefficient of
+    modulus in ``[0.5, 1.5]``, which the relative support threshold of
+    :func:`~oalab.domar.alpha_index` cannot misclassify."""
+    offset = int(rng.integers(0, 30))
+    length = int(rng.integers(1, 25))
+    body = complex_normal(rng, length)
+    body[0] = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+    coeffs = np.concatenate([np.zeros(offset, dtype=complex), body])
+    return domar.GridFunction(h=_TITCHMARSH_STEP, coeffs=coeffs)
+
+
 def _suite_domar_titchmarsh(run):
-    seed = int(run.rng.integers(0, 2**31))
-    report = domar.titchmarsh_check(run.trials, seed=seed)
-    for data in report.failures:
-        run.fail("support-additivity", data)
-    run.case("support-additivity", float(report.exact_matches - report.trials), 0.0)
+    # alpha(f*g) = alpha(f) + alpha(g) on grid indices, so exactly: the
+    # leading coefficient of f*g is h f[k_f] g[k_g], a product of two
+    # nonzero numbers, and convolve keeps the full support.
+    draws = np.random.default_rng(int(run.rng.integers(0, 2**31)))
+    for trial in range(run.trials):
+        f = _titchmarsh_draw(draws)
+        g = _titchmarsh_draw(draws)
+        expected = domar.alpha_index(f) + domar.alpha_index(g)
+        got = domar.alpha_index(domar.convolve(f, g))
+        run.count("support-additivity", got != expected, lambda: {
+            "trial": trial, "expected_index": expected, "got_index": got,
+            "f": to_jsonable(f), "g": to_jsonable(g),
+        })
 
 
 def _suite_domar_criterion(run):
@@ -465,6 +507,11 @@ def _suite_disk_test(run):
                   lambda: {"trial": trial, "x": matrix_to_json(x)})
 
 
+def _ball_element(rng: np.random.Generator, algebra) -> np.ndarray:
+    c = random_span_element(rng, algebra.basis, 1.0)
+    return np.zeros_like(algebra.unit) if c is None else c
+
+
 def _suite_quotient_cone(run):
     iter_tol, rng = run.iter_tol, run.rng
     for trial in range(run.trials):
@@ -476,21 +523,36 @@ def _suite_quotient_cone(run):
         ideal_blocks = list(rng.choice(len(blocks), size=ideal_count, replace=False))
         algebra = block_diagonal_algebra(blocks, iter_tol)
         ideal = block_ideal_subspace(blocks, ideal_blocks)
-        report = quotient_cone_check(
-            algebra, ideal, samples=8, seed=int(rng.integers(0, 2**31)), iter_tol=iter_tol
-        )
-        gap = max(
-            report.forward_excess,
-            report.backward_lift_excess,
-            report.backward_membership_residual,
-            float(report.inconclusive_quotients),
-        )
-        run.bound("block-inclusions", gap, 1e-6, lambda: {
-            "trial": trial,
-            "blocks": blocks,
-            "ideal_blocks": [int(b) for b in ideal_blocks],
-            "report": to_jsonable(report),
-        })
+        e = ideal_identity(algebra, ideal, iter_tol)
+        unit, comp = algebra.unit, algebra.unit - e
+        j_mats = ideal.basis.reshape(ideal.dim, *unit.shape)
+        draws = np.random.default_rng(int(rng.integers(0, 2**31)))
+        where = {"trial": trial, "blocks": blocks, "ideal_blocks": [int(b) for b in ideal_blocks]}
+        # Each sample is an excess over the cone, read as 0 inside it; an
+        # INCONCLUSIVE quotient norm reads 1.
+        for _ in range(8):
+            # Forward: the coset of a cone element lies in the quotient cone.
+            x = unit - _ball_element(draws, algebra)
+            qn = quotient_norm(unit - x, ideal, iter_tol)
+            excess = max(qn.value - 1.0, 0.0 if qn.status == "CERTIFIED" else 1.0)
+            run.bound("block-inclusions", excess, 1e-6, lambda: {
+                **where, "x": matrix_to_json(x), "status": qn.status, "quotient_norm": qn.value,
+            })
+            # Backward: a representative with a wild ideal part, whose coset
+            # lies in the quotient cone, lifts into the cone within its coset.
+            rep = comp @ (unit - _ball_element(draws, algebra)) @ comp + linear_combination(
+                complex_normal(draws, ideal.dim), j_mats
+            )
+            qn = quotient_norm(unit - rep, ideal, iter_tol)
+            if qn.status != "CERTIFIED":
+                excess = 1.0
+            elif qn.value <= 1.0 + iter_tol:
+                excess = max(quotient_cone_lift(algebra, ideal, e, rep))
+            else:
+                continue
+            run.bound("block-inclusions", excess, 1e-6, lambda: {
+                **where, "rep": matrix_to_json(rep), "status": qn.status, "quotient_norm": qn.value,
+            })
 
     # Closed-form control: quotient of upper-triangular 2x2 matrices by the
     # strictly-upper ideal has norm max(|a11|, |a22|).

@@ -13,17 +13,21 @@ from oalab.algebra import (
     _dilation_objective,
     _path_tangent,
     block_diagonal_algebra,
+    ball_margins,
+    ball_samples,
     block_ideal_subspace,
     full_matrix_algebra,
     generated_algebra,
+    ideal_identity,
     ideal_subspaces,
-    nor_battery,
-    quotient_cone_check,
+    idempotent_witnesses,
+    quotient_cone_lift,
     quotient_norm,
     ws_battery,
 )
-from oalab.matcore import linear_combination, matrix_span, operator_norm, to_jsonable
-from oalab.sampling import complex_normal, haar_unitaries, random_contraction
+from oalab.matcore import ITER_TOL, linear_combination, matrix_span, operator_norm, to_jsonable
+from oalab.sampling import complex_normal, haar_unitaries, random_contraction, random_span_element
+from oalab.suites import SuiteConfig, run_suite
 from oalab.support import support_projection
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -150,34 +154,46 @@ class TestIdealSubspaces:
 
 class TestNorBattery:
     def test_two_dim_algebra_passes(self):
-        rep = nor_battery(two_dim_algebra(), trials=100, seed=0)
-        assert rep.all_pass
-        assert rep.trials_sampled == 100
-        assert not rep.idempotent_witnesses
-        assert all(m > 0 for m in rep.worst_margins().values())
+        alg = two_dim_algebra()
+        samples = ball_samples(np.random.default_rng(0), alg, 100)
+        assert len(samples) == 100
+        for a in samples:
+            assert all(m > 0 for m in ball_margins(a, alg.unit).values())
+        assert idempotent_witnesses(alg) == []
 
     def test_full_matrix_algebra_fails_with_idempotent_witness(self):
-        rep = nor_battery(full_matrix_algebra(2), trials=50, seed=0)
-        assert not rep.all_pass
-        assert any(
-            np.allclose(w, E11, atol=1e-12) for w in rep.idempotent_witnesses
-        )
+        alg = full_matrix_algebra(2)
+        witnesses = idempotent_witnesses(alg)
+        assert any(np.allclose(w, E11, atol=1e-12) for w in witnesses)
+        # E11 is a projection: at the exact unit, no ball condition holds.
+        assert all(m <= 0 for m in ball_margins(E11, np.eye(2)).values())
 
-    def test_scalar_algebra_is_vacuous(self):
+    def test_scalar_algebra_is_vacuous(self, monkeypatch):
         alg = FDAlgebra.build([np.eye(2, dtype=complex)])
-        rep = nor_battery(alg, trials=20, seed=0)
-        assert rep.vacuous
-        assert rep.all_pass
+        assert ball_samples(np.random.default_rng(0), alg, 20) == []
+        # A battery that samples nothing fails its case.
+        import oalab.suites as suites_mod
+
+        monkeypatch.setattr(suites_mod, "example_two_dim", lambda iter_tol: alg)
+        report = run_suite(SuiteConfig(suite="nonunital-battery", trials=20))
+        case = next(c for c in report.cases if c["name"] == "two-dim-margins")
+        assert case["status"] == "fail" and case["margin"] == -np.inf
+        assert report.failures == [{"case": "two-dim-margins", "data": {"samples": 0}}]
 
     def test_determinism(self):
-        a = nor_battery(two_dim_algebra(), trials=30, seed=7)
-        b = nor_battery(two_dim_algebra(), trials=30, seed=7)
-        for name in a.margins:
-            npt.assert_array_equal(a.margins[name], b.margins[name])
+        alg = two_dim_algebra()
+        a = ball_samples(np.random.default_rng(7), alg, 30)
+        b = ball_samples(np.random.default_rng(7), alg, 30)
+        npt.assert_array_equal(a, b)
+        for x, y in zip(a, b):
+            assert ball_margins(x, alg.unit) == ball_margins(y, alg.unit)
 
     def test_requires_unital(self):
-        with pytest.raises(ValueError):
-            nor_battery(FDAlgebra.build([E12]), trials=5, seed=0)
+        alg = FDAlgebra.build([E12])
+        with pytest.raises(ValueError, match="unital"):
+            ball_samples(np.random.default_rng(0), alg, 5)
+        with pytest.raises(ValueError, match="unital"):
+            idempotent_witnesses(alg)
 
 
 class TestWsBattery:
@@ -434,24 +450,42 @@ class TestDilationObjective:
 
 class TestQuotientConeCheck:
     def test_block_instance_is_consistent(self):
+        # The quotient-cone suite's forward and backward draws on the [2, 1]
+        # block instance: every backward representative lies in the
+        # quotient cone, so every one is lifted and checked.
         A = block_diagonal_algebra([2, 1])
         J = block_ideal_subspace([2, 1], [0])
-        rep = quotient_cone_check(A, J, samples=15, seed=3)
-        assert rep.forward_excess <= 1e-6
-        assert rep.backward_lift_excess <= 1e-6
-        assert rep.backward_membership_residual <= 1e-6
-        assert rep.inconclusive_quotients == 0
-        assert rep.backward_checked == 15
+        e = ideal_identity(A, J)
+        unit, comp = A.unit, A.unit - e
+        rng = np.random.default_rng(3)
+        checked = 0
+        for _ in range(15):
+            forward = quotient_norm(random_span_element(rng, A.basis, 1.0), J)
+            assert forward.status == "CERTIFIED" and forward.value <= 1.0 + 1e-6
+            rep = comp @ (unit - random_span_element(rng, A.basis, 1.0)) @ comp + linear_combination(
+                complex_normal(rng, J.dim), J.basis.reshape(J.dim, 3, 3)
+            )
+            backward = quotient_norm(unit - rep, J)
+            assert backward.status == "CERTIFIED"
+            if backward.value <= 1.0 + ITER_TOL:
+                checked += 1
+                lift_excess, residual = quotient_cone_lift(A, J, e, rep)
+                assert lift_excess <= 1e-6 and residual <= 1e-6
+        assert checked == 15
 
     def test_identityless_ideal_rejected(self):
         A = FDAlgebra.build([E11, E12, np.diag([0.0, 1.0])])
-        with pytest.raises(ValueError):
-            quotient_cone_check(A, matrix_span([E12]), samples=3, seed=0)
+        with pytest.raises(ValueError, match="no two-sided identity"):
+            ideal_identity(A, matrix_span([E12]))
 
     def test_non_ideal_rejected(self):
         A = full_matrix_algebra(2)
-        with pytest.raises(ValueError):
-            quotient_cone_check(A, matrix_span([E11]), samples=3, seed=0)
+        with pytest.raises(ValueError, match="not a two-sided ideal"):
+            ideal_identity(A, matrix_span([E11]))
+
+    def test_nonunital_algebra_rejected(self):
+        with pytest.raises(ValueError, match="requires a unital algebra"):
+            ideal_identity(FDAlgebra.build([E12]), matrix_span([E12]))
 
 
 class TestStrictnessRoutesAgree:

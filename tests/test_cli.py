@@ -5,10 +5,14 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
+from oalab.algebra import ball_samples
 from oalab.cli import main
-from oalab.matcore import EXACT_TOL, to_jsonable
+from oalab.domar import GridFunction
+from oalab.examples import example_two_dim
+from oalab.matcore import EXACT_TOL, ITER_TOL, matrix_from_json, to_jsonable
 from oalab.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -85,13 +89,18 @@ class TestRunSuite:
 
     @staticmethod
     def _forced(monkeypatch, suite, target, broken, **cfg):
-        # Run ``suite`` with the suite module's ``target`` post-processed by
-        # ``broken``, and return the failing cases and the failure records
-        # as ``(case, sorted data keys)`` pairs.
+        # Run ``suite`` with the suite module's ``target`` (a dotted path
+        # such as ``domar.convolve`` reaches into a module it imports)
+        # post-processed by ``broken``, and return the failing cases and the
+        # failure records as ``(case, sorted data keys)`` pairs.
         import oalab.suites as suites_mod
 
-        original = getattr(suites_mod, target)
-        monkeypatch.setattr(suites_mod, target, lambda *a, **k: broken(original(*a, **k)))
+        *path, name = target.split(".")
+        owner = suites_mod
+        for part in path:
+            owner = getattr(owner, part)
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: broken(original(*a, **k)))
         report = run_suite(SuiteConfig(suite=suite, seed=0, **cfg))
         failed = {c["name"]: c["margin"] for c in report.cases if c["status"] == "fail"}
         records = [(f["case"], sorted(f["data"])) for f in report.failures]
@@ -137,6 +146,64 @@ class TestRunSuite:
         assert [(d["trial"], d["r"]) for d in grouped] == [
             (trial, r) for trial in range(2) for r in (0.5, 1.0 / 3.0, 0.25, 0.2)
         ]
+
+    def test_each_sampled_element_carries_its_failure_record(self, monkeypatch):
+        # Ball conditions: every margin pushed below zero fails each sampled
+        # element, and its record holds the element the sampler drew.
+        failed, records, failures = self._forced(
+            monkeypatch, "nonunital-battery", "ball_margins",
+            lambda margins: {k: v - 2.0 for k, v in margins.items()}, trials=4,
+        )
+        assert failed == {"two-dim-margins": -1.0}
+        assert records == [("two-dim-margins", ["a", "margins", "trial"])] * 4
+        draws = np.random.default_rng(int(np.random.default_rng(0).integers(0, 2**31)))
+        samples = ball_samples(draws, example_two_dim(), 4)
+        for record, a in zip(failures, samples):
+            assert "entries" in record["data"]["a"]
+            assert np.array_equal(matrix_from_json(record["data"]["a"]), a)
+
+        # Support additivity: a convolution shifted by one grid step breaks
+        # every pair, and each record holds both grid functions.
+        failed, records, failures = self._forced(
+            monkeypatch, "domar-titchmarsh", "domar.convolve",
+            lambda fg: GridFunction(h=fg.h, coeffs=np.concatenate([[0.0], fg.coeffs])), trials=3,
+        )
+        assert failed == {"support-additivity": -3.0}
+        assert records == [("support-additivity", ["expected_index", "f", "g", "got_index", "trial"])] * 3
+        for record in failures:
+            assert record["data"]["got_index"] == record["data"]["expected_index"] + 1
+            assert {"h", "coeffs"} <= set(record["data"]["f"]) and "coeffs" in record["data"]["g"]
+
+        # Quotient cone: an INCONCLUSIVE quotient norm fails each forward
+        # sample x and each backward representative rep, one record apiece.
+        failed, records, failures = self._forced(
+            monkeypatch, "quotient-cone", "quotient_norm",
+            lambda result: dataclasses.replace(result, status="INCONCLUSIVE"), dim=4, trials=2,
+        )
+        assert set(failed) == {"block-inclusions", "closed-form-gap"}
+        assert failed["block-inclusions"] == 1e-6 - 1.0
+        keys = ["blocks", "ideal_blocks", "quotient_norm", "status", "trial"]
+        assert records == (
+            [("block-inclusions", sorted(keys + ["x"])), ("block-inclusions", sorted(keys + ["rep"]))] * 16
+            + [("closed-form-gap", ["a", "status"])] * 10
+        )
+        for record in failures[:32]:
+            data = record["data"]
+            assert "entries" in data.get("x", data.get("rep"))
+            assert data["status"] == "INCONCLUSIVE"
+
+    def test_nonunital_control_takes_the_run_tolerance(self, monkeypatch):
+        import oalab.suites as suites_mod
+
+        built, original = [], suites_mod.full_matrix_algebra
+
+        def spy(n, iter_tol=ITER_TOL):
+            built.append((n, iter_tol))
+            return original(n, iter_tol)
+
+        monkeypatch.setattr(suites_mod, "full_matrix_algebra", spy)
+        assert run_suite(SuiteConfig(suite="nonunital-battery", trials=3, iter_tol=1e-7)).passed
+        assert built == [(2, 1e-7)]
 
     def test_nan_observation_fails_its_case(self, monkeypatch):
         # A NaN is never folded away as "not worse": it fails the case and

@@ -26,13 +26,13 @@ from oalab.domar import (
     principal_density_check,
     quasinilpotence_estimate,
     quasinilpotence_root_bound,
-    titchmarsh_check,
     weighted_l1,
     weighted_l2,
     _gauss_kronrod,
 )
 from oalab.matcore import to_jsonable
 from oalab.sampling import complex_normal
+from oalab.suites import SuiteConfig, run_suite
 
 
 def flat_weight(horizon=30.0):
@@ -212,14 +212,15 @@ class TestAlpha:
         assert alpha_index(f) == 3
 
     def test_titchmarsh_sweep(self):
-        report = titchmarsh_check(200, seed=11)
-        assert report.exact_matches == report.trials == 200
-        assert report.failures == []
+        report = run_suite(SuiteConfig(suite="domar-titchmarsh", trials=200, seed=11))
+        assert report.passed and report.failures == []
 
     def test_titchmarsh_json(self):
-        payload = to_jsonable(titchmarsh_check(5, seed=0))
-        assert payload["trials"] == 5
-        assert payload["exact_matches"] == 5
+        payload = to_jsonable(run_suite(SuiteConfig(suite="domar-titchmarsh", trials=5, seed=0)))
+        assert payload["config"]["trials"] == 5
+        assert payload["cases"] == [
+            {"name": "support-additivity", "status": "pass", "margin": 0.0, "tol": 0.0}
+        ]
 
 
 class TestQuasinilpotence:

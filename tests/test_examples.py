@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oalab.algebra import nor_battery
+from oalab.algebra import ball_margins, ball_samples, idempotent_witnesses
 from oalab.cone import in_F
 from oalab import examples
 from oalab.examples import example_rdr, example_two_dim, volterra, volterra_norm
@@ -53,9 +53,12 @@ class TestTwoDimAlgebra:
         assert alg.contains(b @ b)
 
     def test_ball_conditions_pass(self):
-        rep = nor_battery(example_two_dim(), trials=60, seed=1)
-        assert rep.all_pass
-        assert not rep.idempotent_witnesses
+        alg = example_two_dim()
+        samples = ball_samples(np.random.default_rng(1), alg, 60)
+        assert len(samples) == 60
+        for a in samples:
+            assert all(m > 0 for m in ball_margins(a, alg.unit).values())
+        assert idempotent_witnesses(alg) == []
 
 
 class TestRdrExample:

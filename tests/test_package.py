@@ -366,7 +366,7 @@ ITER_TOL_READERS = {
     "examples.example_two_dim",
     "algebra.ws_battery",
     "algebra.quotient_norm",
-    "algebra.quotient_cone_check",
+    "algebra.ideal_identity",
     "calculus.matrix_power_r",
     "calculus.matrix_powers",
     "support.power_limit_projection",

@@ -37,9 +37,7 @@ import numpy as np
 
 from .cone import in_F
 from .matcore import (
-    EXACT_TOL,
     ITER_TOL,
-    RANK_TOL,
     CrossCheckError,
     Subspace,
     as_square_matrix,
@@ -47,6 +45,8 @@ from .matcore import (
     matrix_span,
     operator_norm,
     operator_norm_at_most,
+    rank_cutoff,
+    rounding_allowance,
     spectral_radius,
     spectrum,
 )
@@ -95,12 +95,11 @@ def _products_stay(span: Subspace, lefts: np.ndarray, rights: np.ndarray) -> np.
     """Per left factor: does every product ``lefts[i] @ rights[j]`` lie in ``span``?
 
     One stacked product and one projection; each residual is compared
-    against ``RANK_TOL`` relative to ``max(1, ||product||_F)``.
+    with the rank cutoff at ``||product||_F``.
     """
     count = len(lefts) * len(rights)
     prods = (lefts[:, None] @ rights[None, :]).reshape(count, span.ambient_dim)
-    scale = np.maximum(1.0, np.linalg.norm(prods, axis=1))
-    inside = span.residuals(prods) <= RANK_TOL * scale
+    inside = span.residuals(prods) <= rank_cutoff(np.linalg.norm(prods, axis=1))
     return inside.reshape(len(lefts), len(rights)).all(axis=1)
 
 
@@ -228,14 +227,14 @@ def generated_algebra(x, iter_tol: float = ITER_TOL) -> FDAlgebra:
     built as an Arnoldi (Krylov) basis: ``q_1 = x / ||x||_F``, and each
     ``x q_k``, orthogonalized twice against ``q_1, ..., q_k`` in the
     Frobenius inner product, gives ``q_{k+1}``.  The basis is complete once
-    the remainder is at most ``RANK_TOL * ||x q_k||`` (then left
+    the remainder is at most ``rank_cutoff(||x q_k||)`` (then left
     multiplication by ``x`` maps the span into itself), and after at most
     ``ambient_dim`` vectors, the degree bound of the minimal polynomial.  No
     unit is adjoined; the result is unital exactly when some polynomial in
     ``x`` without constant term acts as a two-sided identity on the span.
     """
     x = as_square_matrix(x)
-    if operator_norm_at_most(x, RANK_TOL):
+    if operator_norm_at_most(x, rank_cutoff()):
         raise ValueError("generated_algebra requires a nonzero generator")
     n = x.shape[0]
     q = (x / np.linalg.norm(x)).reshape(1, n * n)
@@ -244,7 +243,7 @@ def generated_algebra(x, iter_tol: float = ITER_TOL) -> FDAlgebra:
         v = product - q.T @ (q.conj() @ product)
         v = v - q.T @ (q.conj() @ v)
         norm = float(np.linalg.norm(v))
-        if norm <= RANK_TOL * float(np.linalg.norm(product)):
+        if norm <= rank_cutoff(float(np.linalg.norm(product))):
             break
         q = np.vstack([q, v / norm])
     return FDAlgebra.build(q.reshape(-1, n, n), iter_tol)
@@ -314,7 +313,8 @@ def ball_margins(a: np.ndarray, unit: np.ndarray) -> dict:
     * ``shift_norm``    -- ``2 - ||unit + a||``;
     * ``quasi_invert``  -- ``sigma_min(unit - a)``.
 
-    A condition holds at ``a`` when its margin is strictly positive.
+    A condition holds at ``a`` when its margin exceeds ``rounding_allowance()``,
+    so that a least-squares ``unit`` does not lift a margin at a projection.
     """
     b = a.copy()
     for _ in range(6):
@@ -359,8 +359,9 @@ def idempotent_witnesses(A: FDAlgebra) -> list:
     unit = _unit_of(A, "idempotent_witnesses")
     witnesses = []
     for b in A.basis:
-        idem = operator_norm(b @ b - b) <= EXACT_TOL * max(1.0, operator_norm(b) ** 2)
-        in_ball = operator_norm(b) <= 1.0 + EXACT_TOL
+        norm_b = operator_norm(b)
+        idem = operator_norm(b @ b - b) <= rounding_allowance(norm_b**2)
+        in_ball = norm_b <= 1.0 + rounding_allowance()
         nonscalar = _distance_to_scalars(b, unit) > NOR_REJECTION_MARGIN
         if idem and in_ball and nonscalar:
             witnesses.append(b)
@@ -491,12 +492,10 @@ def ws_battery(
     lams = spectrum(x)
     scale = max(1.0, float(np.max(np.abs(lams))))
     threshold = WS_CLUSTER_TOL * scale
-    zero_cluster = np.abs(lams) <= threshold
-    if not zero_cluster.any():
-        cond_vii = True
-    else:
-        nonzero = np.abs(lams[~zero_cluster])
-        cond_vii = nonzero.size == 0 or float(np.min(nonzero)) >= 10.0 * threshold
+    # (vii) holds with no zero cluster, or with none of the rest below 10 threshold
+    mags = np.abs(lams)
+    outside = mags[mags > threshold]
+    cond_vii = outside.size in (0, mags.size) or float(outside.min()) >= 10.0 * threshold
 
     return WsBatteryReport(
         conditions={

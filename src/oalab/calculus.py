@@ -32,7 +32,6 @@ import scipy.linalg
 
 from .cone import in_F
 from .matcore import (
-    EXACT_TOL,
     ITER_TOL,
     CrossCheckError,
     SpectralGapError,
@@ -41,6 +40,7 @@ from .matcore import (
     complex_schur,
     operator_norm,
     operator_norm_at_most,
+    rounding_allowance,
 )
 
 __all__ = [
@@ -303,10 +303,10 @@ def matrix_powers(x, rs, iter_tol: float = ITER_TOL) -> list:
     """Principal r-th powers (0 < r <= 1) of x with ``||1 - x|| <= 1``, one per r.
 
     One cone check and one Schur form serve every exponent.  Guarantees on
-    return, for each power: ``||1 - x^r|| <= 1 + 10*EXACT_TOL``, commutation
-    with x within ``iter_tol``, and ``0^r = 0``.  Violations (possible only
-    if a confluent cluster defeated the recurrence) raise instead of
-    returning.
+    return, for each power: ``||1 - x^r|| <= 1 + 10 rounding_allowance()``,
+    commutation with x within ``iter_tol``, and ``0^r = 0``.  Violations
+    (possible only if a confluent cluster defeated the recurrence) raise
+    instead of returning.
     """
     a = as_square_matrix(x)
     for r in rs:
@@ -325,7 +325,7 @@ def matrix_powers(x, rs, iter_tol: float = ITER_TOL) -> list:
         out = _triangular_power(*schur, r)
         # one n x n buffer holds 1 - x^r, then [x^r, x]
         check = np.eye(a.shape[0]) - out
-        if not operator_norm_at_most(check, 1.0 + 10.0 * EXACT_TOL):
+        if not operator_norm_at_most(check, 1.0 + 10.0 * rounding_allowance()):
             raise RecurrenceBreakdown(
                 f"computed power left the cone: ||1 - x^r|| = {operator_norm(check)!r}"
             )
@@ -413,9 +413,9 @@ def spectral_idempotent(x, radius: float) -> np.ndarray:
     e_tri[:sdim, :sdim] = np.eye(sdim)
     e_tri[:sdim, sdim:] = y
     e = z @ e_tri @ z.conj().T
-    e_scale = max(1.0, operator_norm(e))
-    if not operator_norm_at_most(e @ e - e, 100.0 * EXACT_TOL * e_scale**2):
+    e_norm = operator_norm(e)
+    if not operator_norm_at_most(e @ e - e, 100.0 * rounding_allowance(e_norm**2)):
         raise CrossCheckError("spectral idempotent failed e^2 = e")
-    if not operator_norm_at_most(e @ a - a @ e, 100.0 * EXACT_TOL * e_scale, scale=a):
+    if not operator_norm_at_most(e @ a - a @ e, 100.0 * rounding_allowance(e_norm), scale=a):
         raise CrossCheckError("spectral idempotent does not commute with x")
     return e

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .matcore import EXACT_TOL, RANK_TOL
+from .matcore import rank_cutoff, rounding_allowance
 
 __all__ = [
     "RadicalWeight",
@@ -98,7 +98,7 @@ def _verify_weight_invariants(w: RadicalWeight) -> None:
     vals = w.omega(ts)
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
         raise ValueError("weight must be positive and finite on [0, horizon]")
-    if abs(w.omega(0.0) - 1.0) > EXACT_TOL:
+    if abs(w.omega(0.0) - 1.0) > rounding_allowance():
         raise ValueError(f"omega(0) must be 1, got {w.omega(0.0)!r}")
     # Submultiplicativity on a coarse pair grid; the first failing pair in
     # row-major (s, t) order is reported.
@@ -107,7 +107,7 @@ def _verify_weight_invariants(w: RadicalWeight) -> None:
     inside = s + t <= w.horizon
     lhs = w.omega(np.where(inside, s + t, 0.0))
     rhs = w.omega(s) * w.omega(t)
-    failing = np.argwhere(inside & (lhs > rhs * (1.0 + EXACT_TOL) + EXACT_TOL))
+    failing = np.argwhere(inside & (lhs > rhs + rounding_allowance(rhs)))
     if failing.size:
         i, j = failing[0]
         raise ValueError(
@@ -118,7 +118,7 @@ def _verify_weight_invariants(w: RadicalWeight) -> None:
     # the limit itself is not decidable from finitely many samples).
     tail = np.linspace(w.horizon / 100.0, w.horizon, 100)
     roots = w.omega(tail) ** (1.0 / tail)
-    if np.any(np.diff(roots) > EXACT_TOL):
+    if np.any(np.diff(roots) > rounding_allowance()):
         raise ValueError("omega(t)^(1/t) increases along the horizon")
 
 
@@ -229,19 +229,21 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 
 
 def alpha_index(f: GridFunction) -> int:
-    """Index of the first coefficient above ``RANK_TOL * max|f|``; -1 if none."""
+    """Index of the first coefficient above ``rank_cutoff() * max|f|``; -1 if none."""
     mags = np.abs(f.coeffs)
     top = float(mags.max())
     if top <= 0.0:
         return -1
-    above = np.nonzero(mags > RANK_TOL * top)[0]
+    # The package's one relative cutoff, the rank rule on |f_k| / max|f|:
+    # alpha must not change when f is scaled.
+    above = np.nonzero(mags / top > rank_cutoff())[0]
     return int(above[0]) if above.size else -1
 
 
 def alpha(f: GridFunction) -> float:
     """Infimum of the support: ``h * first-nonzero-index``; +inf for zero.
 
-    The threshold is relative (``RANK_TOL * max|f|``) so the value is
+    The threshold is relative (``rank_cutoff() * max|f|``) so the value is
     invariant under scaling.
     """
     k = alpha_index(f)
@@ -307,7 +309,7 @@ class WeightCriterionReport:
     """Convexity, superlinear tail, and ratio-integral data for a weight.
 
     * ``eta_convex`` -- second differences of ``eta`` on a uniform grid stay
-      above ``-EXACT_TOL`` (``worst_second_difference`` records the minimum);
+      above ``-rounding_allowance()`` (``worst_second_difference`` records the minimum);
     * ``tail_superlinear`` -- ``eta(t)/t^(1+epsilon)`` is nondecreasing over
       the last quarter of the horizon, ``epsilon`` the module's
       ``SUPERLINEAR_EPSILON``;
@@ -419,11 +421,11 @@ def domar_criterion_check(w: RadicalWeight, t_probe: float) -> WeightCriterionRe
     eta = w.eta(ts)
     second = np.diff(eta, 2)
     worst = float(np.min(second)) if second.size else 0.0
-    eta_convex = worst >= -EXACT_TOL
+    eta_convex = worst >= -rounding_allowance()
 
     ratio = eta / ts ** (1.0 + SUPERLINEAR_EPSILON)
     tail = ratio[3 * len(ratio) // 4 :]
-    tail_superlinear = bool(np.all(np.diff(tail) >= -EXACT_TOL))
+    tail_superlinear = bool(np.all(np.diff(tail) >= -rounding_allowance()))
 
     upper = horizon - t_probe
 

@@ -1,9 +1,10 @@
 """Shared finite-dimensional linear algebra: tolerances, norms, spectra, subspaces.
 
-Everything downstream works with explicit square complex matrices.  All rank
-decisions go through singular values compared against ``RANK_TOL``; nothing
-is ever decided by an exact floating-point comparison.  A norm that
-is only compared with a threshold goes through :func:`operator_norm_at_most`,
+Everything downstream works with explicit square complex matrices.  Every
+rank decision compares with :func:`rank_cutoff` and every rounding slack is
+:func:`rounding_allowance`, the only readers of ``RANK_TOL`` and
+``EXACT_TOL``; nothing is decided by an exact floating-point comparison.  A
+norm only compared with a threshold goes through :func:`operator_norm_at_most`,
 which takes the SVD's verdict but skips the SVD when the Frobenius bounds
 already decide it.
 
@@ -25,6 +26,9 @@ __all__ = [
     "EXACT_TOL",
     "RANK_TOL",
     "ITER_TOL",
+    "rank_cutoff",
+    "rounding_allowance",
+    "psd_within",
     "SpectrumError",
     "CrossCheckError",
     "SpectralGapError",
@@ -109,7 +113,7 @@ FROBENIUS_GUARD = 1e-12
 
 # Relative guard of the Gram screen in ocp_falsify's Haar phase, which skips
 # a block when one stacked Cholesky factors ``t 1 - M_b* M_b`` with
-# ``t = (w (1 - GRAM_SCREEN_GUARD))**2``, where ``w = v + EXACT_TOL max(1, v)``
+# ``t = (w (1 - GRAM_SCREEN_GUARD))**2``, where ``w = v + rounding_allowance(v)``
 # is what a draw must exceed to replace the incumbent value ``v``.
 # Forming the Gram stack and factoring it are backward stable with errors of
 # at most about ``m**2 u (t + ||M_b||**2)`` at order m (u the unit
@@ -120,6 +124,45 @@ FROBENIUS_GUARD = 1e-12
 # With EXACT_TOL = 1e-9, ten times the guard, ``sqrt(t)`` exceeds ``v`` by
 # about ``9e-10 max(1, v)``, so a block whose draws only tie ``v`` skips.
 GRAM_SCREEN_GUARD = 1e-10
+
+
+def _at_least_one(scale):
+    """``max(1, scale)``, entrywise for an array; a scalar skips numpy, whose
+    ufunc would cost more on the rules' hot paths than the decision."""
+    return np.maximum(1.0, scale) if isinstance(scale, np.ndarray) else max(1.0, scale)
+
+
+def rank_cutoff(scale=1.0):
+    """The rank rule ``RANK_TOL * max(1, scale)``: a singular value, eigenvalue
+    or residual at most this counts as zero next to ``scale``."""
+    return RANK_TOL * _at_least_one(scale)
+
+
+def rounding_allowance(scale=1.0):
+    """The rounding rule ``EXACT_TOL * max(1, scale)``: by how much an identity
+    between quantities of size ``scale`` may miss in floating point."""
+    return EXACT_TOL * _at_least_one(scale)
+
+
+def psd_within(h: np.ndarray, shift: float) -> bool:
+    """Whether the Hermitian ``h`` satisfies ``lambda_min(h) > -shift``, by a
+    Cholesky factorization of ``h + shift * 1``; for a ``(B, n, n)`` stack,
+    whether every matrix in it does, by one stacked factorization.
+
+    Shifts the diagonal of ``h`` in place, through a writeable view, so
+    ``h`` holds ``h + shift * 1`` afterwards: adding ``shift * eye(n)`` would
+    hold two more arrays of ``h``'s size at the peak.  The factorization is
+    numpy's, like the SVDs and eigensolves around it: the numpy and scipy
+    wheels each bundle an OpenBLAS, and calling scipy's ``zpotrf`` in
+    between made ``cone_constant`` 2-3x slower on two threads.
+    """
+    diagonal = np.einsum("...ii->...i", h)
+    diagonal += shift
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def operator_norm_at_most(d, t: float, scale=None) -> bool:
@@ -137,7 +180,7 @@ def operator_norm_at_most(d, t: float, scale=None) -> bool:
     """
     if scale is not None:
         return operator_norm_at_most(d, t) or operator_norm_at_most(
-            d, t * max(1.0, operator_norm(scale))
+            d, t * _at_least_one(operator_norm(scale))
         )
     a = as_square_matrix(d)
     fro = float(np.linalg.norm(a))
@@ -215,8 +258,8 @@ def spectral_radius(x) -> float:
 class Subspace:
     """A subspace of C^d stored as orthonormal rows.
 
-    Membership and equality decisions compare projection residuals against
-    ``RANK_TOL`` (relative to ``max(1, |v|)``), never exact comparisons.
+    Rank and membership decisions read :func:`rank_cutoff`, at the largest
+    singular value of the generators and at ``|v|``.
     """
 
     def __init__(self, basis: np.ndarray, ambient_dim: int):
@@ -234,10 +277,7 @@ class Subspace:
                 f"generators live in dimension {arr.shape[1]}, ambient is {ambient_dim}"
             )
         _, s, vh = np.linalg.svd(arr, full_matrices=False)
-        if s.size == 0 or s[0] <= 0:
-            return cls(np.zeros((0, ambient_dim)), ambient_dim)
-        keep = s > RANK_TOL * s[0]
-        return cls(vh[keep], ambient_dim)
+        return cls(vh[s > rank_cutoff(s[0])], ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -263,8 +303,7 @@ class Subspace:
 
     def membership(self, v) -> bool:
         vec = np.asarray(v, dtype=complex).ravel()
-        scale = max(1.0, float(np.linalg.norm(vec)))
-        return self.residual(vec) <= RANK_TOL * scale
+        return self.residual(vec) <= rank_cutoff(float(np.linalg.norm(vec)))
 
 
 def matrix_span(matrices) -> Subspace:

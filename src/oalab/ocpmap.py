@@ -25,18 +25,19 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .cone import _psd_within, in_F
+from .cone import in_F
 from .matcore import (
-    EXACT_TOL,
     GRAM_SCREEN_GUARD,
     ITER_TOL,
-    RANK_TOL,
     CrossCheckError,
     as_square_matrix,
     matrix_to_json,
     operator_norm,
     operator_norm_at_most,
     operator_norms,
+    psd_within,
+    rank_cutoff,
+    rounding_allowance,
     stack_slices,
 )
 from .sampling import haar_unitaries
@@ -138,15 +139,15 @@ def _cp_choi_eigh(t: MatrixMap):
     """``eigh`` of the Hermitian part of ``t``'s Choi matrix; ``None`` unless CP.
 
     ``T`` is completely positive iff its Choi matrix is PSD; a
-    non-Hermitian Choi matrix already rules that out.  The eigenvalue
-    threshold is ``EXACT_TOL`` relative to the Choi scale.
+    non-Hermitian Choi matrix already rules that out.  Both thresholds are
+    the rounding allowance at the Choi matrix's norm.
     """
     c = t.choi
-    scale = max(1.0, operator_norm(c))
-    if not operator_norm_at_most(c - c.conj().T, EXACT_TOL * scale):
+    allowance = rounding_allowance(operator_norm(c))
+    if not operator_norm_at_most(c - c.conj().T, allowance):
         return None
     lam, vecs = np.linalg.eigh((c + c.conj().T) / 2.0)
-    return (lam, vecs) if lam[0] >= -EXACT_TOL * scale else None
+    return (lam, vecs) if lam[0] >= -allowance else None
 
 
 def amplify(t: MatrixMap, k: int) -> MatrixMap:
@@ -181,7 +182,7 @@ def _verify_choi_shuffle(t: MatrixMap, amplified: MatrixMap, k: int) -> None:
     # kron is indexed ((i*k + u)*n + a)*m + b, the amplified Choi (i, a, u, b)
     perm = np.arange(k * k * n * m).reshape(k, k, n, m).transpose(0, 2, 1, 3).ravel()
     defect = amplified.choi - kron[np.ix_(perm, perm)]
-    if not operator_norm_at_most(defect, EXACT_TOL, scale=kron):
+    if not operator_norm_at_most(defect, rounding_allowance(), scale=kron):
         raise CrossCheckError(
             f"amplified Choi matrix disagrees with the permuted Kronecker "
             f"product by {operator_norm(defect):.3e}"
@@ -227,7 +228,7 @@ def ocp_falsify(
     polishes the best candidate by conditional-gradient steps (each step
     maximizes the linearized objective over the ball, which lands on a
     unitary again).  A Haar draw or a polish step replaces the incumbent
-    value ``v`` only when it exceeds ``v + EXACT_TOL max(1, v)``, so a tie
+    value ``v`` only when it exceeds ``bar = v + rounding_allowance(v)``, so a tie
     decided by rounding never moves the search.  ``budget >= 1`` counts
     objective evaluations: the 2 or 3 starting candidates are always
     scored, the Haar draws fill the first ``budget // 2`` and the polish the
@@ -238,14 +239,12 @@ def ocp_falsify(
 
     The draws are scored in stacked blocks of at most ``STACK_ENTRY_CAP``
     entries per ``(B, max(kn, km), max(kn, km))`` stack.  A block whose one
-    stacked Cholesky of ``t 1 - M_b* M_b`` succeeds, for
-    ``M_b = c 1 - T_k(x_b)`` and
-    ``t = ((v + EXACT_TOL max(1, v)) (1 - GRAM_SCREEN_GUARD))**2`` with ``v``
-    the best value so far, holds no draw that replaces ``v`` and skips its
-    SVD.  For a completely positive map at ``c = ||T(1)||``, where ``x = 0``
-    already attains the supremum ``c``, no draw can clear the allowance and
-    every block skips, also where every draw ties ``c`` (``in_dim = 1``, or
-    the identity).  The result is the same as with no screen.
+    stacked Cholesky of ``(bar (1 - GRAM_SCREEN_GUARD))**2 1 - M_b* M_b``
+    succeeds, for ``M_b = c 1 - T_k(x_b)``, holds no draw that replaces ``v``
+    and skips its SVD.  For a completely positive map at ``c = ||T(1)||``,
+    where ``x = 0`` attains the supremum ``c``, no draw can clear the bar and
+    every block skips, also where every draw ties ``c`` (``in_dim = 1``, the
+    identity); the result is the same as with no screen.
 
     Returns a certified witness dict (the matrix, its value, the margin)
     or ``None``.  ``None`` is *not* a proof that the bound holds -- only a
@@ -274,25 +273,20 @@ def ocp_falsify(
         if val > best_val:
             best_x, best_val = x, val
 
-    def to_beat(v):
-        """What a value must exceed to replace the incumbent ``v``: ``v`` plus
-        the rounding allowance ``EXACT_TOL max(1, v)``."""
-        return v + EXACT_TOL * max(1.0, v)
-
     # The Haar phase, in stacked blocks.  A block whose Gram screen proves
-    # every value below ``to_beat(best_val)`` cannot update the incumbent,
-    # and skips its SVD; in the others the draws that clear the incumbent's
-    # bar are taken in order, as the rule applied draw by draw would.
+    # every value below the incumbent's ``bar`` skips its SVD; in the others
+    # the draws that clear the bar are taken in order, as the rule would.
     draws = max(0, budget // 2 - len(candidates))
     for block in stack_slices(draws, max(kn, km)):
         xs = eye + haar_unitaries(rng, block.stop - block.start, kn)
         mats = target - amp._images(xs)
         gram = mats.conj().swapaxes(1, 2) @ mats
-        if _psd_within(-gram, (to_beat(best_val) * (1.0 - GRAM_SCREEN_GUARD)) ** 2):
+        bar = best_val + rounding_allowance(best_val)
+        if psd_within(-gram, (bar * (1.0 - GRAM_SCREEN_GUARD)) ** 2):
             continue
         vals = operator_norms(mats)
-        for i in np.flatnonzero(vals > to_beat(best_val)):
-            if vals[i] > to_beat(best_val):
+        for i in np.flatnonzero(vals > bar):
+            if vals[i] > best_val + rounding_allowance(best_val):
                 best_x, best_val = xs[i].copy(), float(vals[i])
     evaluations = len(candidates) + draws
 
@@ -305,7 +299,7 @@ def ocp_falsify(
         x_next = eye + _polar_unitary(grad)
         next_u, s, next_vh = np.linalg.svd(target - amp.apply(x_next))
         evaluations += 1
-        if s[0] <= to_beat(best_val):
+        if s[0] <= best_val + rounding_allowance(best_val):
             break
         best_x, best_val = x_next, float(s[0])
         svd_u, svd_vh = next_u, next_vh
@@ -332,8 +326,8 @@ class DiskTestReport:
     """Sampled and algebraic verdicts for the scaling-disk condition.
 
     ``member`` is the sampled verdict: ``z x`` stays in the cone
-    ``{y: ||1-y|| <= 1}`` (within ``10 EXACT_TOL``) at every sampled ``z``
-    of the closed disk ``|1 - z| <= 1``; by subharmonicity of
+    ``{y: ||1-y|| <= 1}`` (within ``10 rounding_allowance()``) at every
+    sampled ``z`` of the closed disk ``|1 - z| <= 1``; by subharmonicity of
     ``z -> ||1 - z x||`` the boundary circle decides this.  The condition
     holds exactly for positive-semidefinite contractions (for ``w`` in the
     numerical range, ``w . disk c disk`` forces ``w in [0, 1]``), which is
@@ -353,8 +347,8 @@ def disk_test(x, circle_points: int = 500) -> DiskTestReport:
 
     The sampled verdict must agree with the algebraic one (Hermitian with
     eigenvalues in ``[0, 1]``) up to the grid slack
-    ``(2 pi / N) ||x|| + 10 EXACT_TOL``; disagreement beyond the slack
-    raises :class:`CrossCheckError`.
+    ``(2 pi / N) ||x|| + 10 rounding_allowance()``; disagreement beyond the
+    slack raises :class:`CrossCheckError`.
     """
     x = as_square_matrix(x)
     if circle_points < 8:
@@ -368,20 +362,19 @@ def disk_test(x, circle_points: int = 500) -> DiskTestReport:
         excess[block] = operator_norms(eye - zs[block, None, None] * x) - 1.0
     worst = int(np.argmax(excess))
     worst_excess, worst_z = excess[worst], complex(zs[worst])
-    slack = (2.0 * np.pi / circle_points) * operator_norm(x) + 10.0 * EXACT_TOL
-    sampled_member = worst_excess <= EXACT_TOL * 10.0
+    allowance = rounding_allowance()
+    slack = (2.0 * np.pi / circle_points) * operator_norm(x) + 10.0 * allowance
+    sampled_member = worst_excess <= 10.0 * allowance
 
     hermitian_defect = operator_norm(x - x.conj().T)
     lam = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
-    algebraic_excess = max(
-        hermitian_defect, float(-lam[0]), float(lam[-1] - 1.0), 0.0
-    )
-    hermitian_psd = algebraic_excess <= EXACT_TOL
+    algebraic_excess = max(hermitian_defect, float(-lam[0]), float(lam[-1] - 1.0), 0.0)
+    hermitian_psd = algebraic_excess <= allowance
 
     # The two verdicts must agree up to boundary rounding: a sampled pass
     # with a clear algebraic failure (or a sampled failure beyond the grid
     # slack with an algebraic pass) is a genuine inconsistency.
-    if sampled_member and algebraic_excess > 100.0 * EXACT_TOL:
+    if sampled_member and algebraic_excess > 100.0 * allowance:
         raise CrossCheckError(
             f"disk sweep passed but the PSD-contraction check fails by "
             f"{algebraic_excess:.3e}"
@@ -423,7 +416,7 @@ def stinespring(t: MatrixMap) -> StinespringTriple:
     """Factor a completely positive map through its Choi eigendecomposition.
 
     Eigenvectors of the Choi matrix with eigenvalue above
-    ``RANK_TOL * max-eigenvalue`` become Kraus operators
+    ``rank_cutoff(max-eigenvalue)`` become Kraus operators
     ``K_s = sqrt(mu_s) reshape(v_s, (n, m)).T``; the reported residual is
     the worst Frobenius error of ``T(E_ij) - sum_s K_s E_ij K_s^*`` and the
     reconstruction is verified against the recomputed map.
@@ -434,7 +427,7 @@ def stinespring(t: MatrixMap) -> StinespringTriple:
     n, m = t.in_dim, t.out_dim
     lam, vecs = eig
     # ``eigh`` sorts ascending: the kept eigenpairs are a suffix, taken from the top
-    keep = np.flatnonzero(lam > RANK_TOL * max(float(lam[-1]), 1.0))[::-1]
+    keep = np.flatnonzero(lam > rank_cutoff(float(lam[-1])))[::-1]
     ks = np.sqrt(lam[keep])[:, None, None] * vecs[:, keep].T.reshape(-1, n, m).swapaxes(1, 2)
     if not keep.size:
         ks = np.zeros((1, m, n), dtype=complex)

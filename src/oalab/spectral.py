@@ -26,13 +26,13 @@ import numpy as np
 import scipy.linalg
 
 from .matcore import (
-    EXACT_TOL,
     ITER_TOL,
-    RANK_TOL,
     CrossCheckError,
     SpectrumError,
     as_square_matrix,
     operator_norm,
+    rank_cutoff,
+    rounding_allowance,
     stack_slices,
 )
 
@@ -188,10 +188,10 @@ class WedgeReport:
     """Outcome of a sampled wedge-membership check.
 
     ``inside`` is True when every sampled boundary point ``w`` satisfies
-    both ``|arg w| <= rho + slack`` and ``|w - 1/2| <= 1/2 + EXACT_TOL``, where
-    the angular ``slack`` accounts for the sweep's grid resolution.
-    Points within ``tip_radius`` of the origin sit at the wedge tip and
-    carry no usable angle, so they are counted inside.
+    both ``|arg w| <= rho + slack`` and ``|w - 1/2| <= 1/2 + a``, where
+    ``a = rounding_allowance()`` and the angular ``slack`` accounts for the
+    sweep's grid resolution.  Points within ``a`` of the origin sit at the
+    wedge tip and carry no usable angle, so they are counted inside.
     """
 
     inside: bool
@@ -199,7 +199,6 @@ class WedgeReport:
     max_angle: float
     max_disk_defect: float
     slack: float
-    tip_radius: float
 
 
 def wedge_membership(
@@ -228,19 +227,17 @@ def wedge_membership(
     sample = numerical_range(x, theta_count=theta_count)
     pts = sample.boundary_points
     slack = 2.0 * np.pi / theta_count + 1e-6
-    tip_radius = EXACT_TOL
     angles = np.abs(np.angle(pts))
-    usable = np.abs(pts) > tip_radius
+    usable = np.abs(pts) > rounding_allowance()
     max_angle = float(np.max(angles[usable])) if usable.any() else 0.0
     disk_defect = float(np.max(np.abs(pts - 0.5)) - 0.5)
-    inside = max_angle <= rho + slack and disk_defect <= EXACT_TOL
+    inside = max_angle <= rho + slack and disk_defect <= rounding_allowance()
     return WedgeReport(
         inside=bool(inside),
         rho=float(rho),
         max_angle=max_angle,
         max_disk_defect=max(disk_defect, 0.0),
         slack=float(slack),
-        tip_radius=float(tip_radius),
     )
 
 
@@ -265,35 +262,28 @@ class SharpNeumannResult:
 def sharp_neumann(t: np.ndarray, iter_tol: float = ITER_TOL) -> SharpNeumannResult:
     """Decide invertibility of ``t`` from ``||1 - t||`` and ``||1 - t/2||``.
 
-    Requires ``||1 - t|| <= 1`` (up to ``EXACT_TOL``); raises ``ValueError``
-    otherwise.  The verdict is "singular" precisely when both norms land in
-    the band ``[1 - iter_tol, 1 + EXACT_TOL]``.  The verdict is then
-    cross-checked against the smallest singular value of ``t`` (singular
-    iff ``sigma_min <= RANK_TOL * max(1, ||t||)``); a disagreement raises
+    Requires ``||1 - t|| <= 1`` up to the rounding allowance; raises
+    ``ValueError`` otherwise.  The verdict is "singular" precisely when both
+    norms are at least ``1 - iter_tol``.  The verdict is then cross-checked
+    against the smallest singular value of ``t`` (singular iff
+    ``sigma_min <= rank_cutoff(||t||)``); a disagreement raises
     :class:`~oalab.matcore.CrossCheckError` with both diagnostics, since it
     means the two routes resolve the spectrum near zero differently.
     """
     t = as_square_matrix(t)
     eye = np.eye(t.shape[0], dtype=np.complex128)
     norm_one = operator_norm(eye - t)
-    if norm_one > 1.0 + EXACT_TOL:
-        raise ValueError(
-            f"sharp_neumann requires ||1 - t|| <= 1, got {norm_one:.6g}"
-        )
+    if norm_one > 1.0 + rounding_allowance():
+        raise ValueError(f"sharp_neumann requires ||1 - t|| <= 1, got {norm_one:.6g}")
     norm_half = operator_norm(eye - t / 2.0)
-    if norm_half > 1.0 + EXACT_TOL:
+    if norm_half > 1.0 + rounding_allowance():
         raise CrossCheckError(
-            "||1 - t/2|| exceeds 1 although ||1 - t|| <= 1; "
-            f"got {norm_half:.6g}"
+            f"||1 - t/2|| exceeds 1 although ||1 - t|| <= 1; got {norm_half:.6g}"
         )
-    band_lo = 1.0 - iter_tol
-    band_hi = 1.0 + EXACT_TOL
-    singular_by_norms = (
-        band_lo <= norm_one <= band_hi and band_lo <= norm_half <= band_hi
-    )
+    singular_by_norms = min(norm_one, norm_half) >= 1.0 - iter_tol
     sigma = np.linalg.svd(t, compute_uv=False)
     sigma_min = float(sigma[-1])
-    singular_by_rank = sigma_min <= RANK_TOL * max(1.0, float(sigma[0]))
+    singular_by_rank = sigma_min <= rank_cutoff(float(sigma[0]))
     if singular_by_norms != singular_by_rank:
         raise CrossCheckError(
             "norm-based invertibility verdict disagrees with the rank oracle: "

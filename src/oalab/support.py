@@ -27,11 +27,11 @@ from .cone import in_F
 from .matcore import (
     FROBENIUS_GUARD,
     ITER_TOL,
-    RANK_TOL,
     ConvergenceError,
     as_square_matrix,
     operator_norm,
     operator_norm_at_most,
+    rank_cutoff,
 )
 
 __all__ = [
@@ -42,19 +42,14 @@ __all__ = [
 ]
 
 
-def _require_nonzero(x: np.ndarray) -> None:
-    if operator_norm_at_most(x, RANK_TOL):
-        raise ValueError("support projection requires x != 0")
-
-
 def _range_projection(a: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the range of a nonzero ``a`` from one full
-    SVD: the rank counts singular values above ``RANK_TOL * s[0]``, and
-    ``s[0]`` is also ``||a||`` for the nonzero check."""
+    SVD: the rank counts singular values above ``rank_cutoff(s[0])``, and a
+    rank of 0 is the nonzero check."""
     u, s, _ = np.linalg.svd(a)
-    if s[0] <= RANK_TOL:
+    rank = int(np.sum(s > rank_cutoff(s[0])))
+    if rank == 0:
         raise ValueError("support projection requires x != 0")
-    rank = int(np.sum(s > RANK_TOL * s[0]))
     return u[:, :rank] @ u[:, :rank].conj().T
 
 
@@ -76,8 +71,8 @@ def _cond_below(v: np.ndarray, vinv: np.ndarray, limit: float) -> bool:
 
 def _bai_limit_projection(a: np.ndarray) -> np.ndarray:
     eigvals, v = np.linalg.eig(a)
-    scale = float(np.abs(eigvals).max())
-    kernel = np.abs(eigvals) <= RANK_TOL * max(1.0, scale)
+    mags = np.abs(eigvals)
+    kernel = mags <= rank_cutoff(float(mags.max()))
     if not np.any(kernel):
         return np.eye(a.shape[0], dtype=complex)
     try:
@@ -93,8 +88,8 @@ def _bai_limit_projection(a: np.ndarray) -> np.ndarray:
         raise ValueError(
             "no eigenvalue lies outside the kernel cluster, so x is not a nonzero cone element"
         )
-    zero_top = float(np.abs(eigvals[kernel]).max())
-    nonzero_bottom = float(np.abs(eigvals[~kernel]).min())
+    zero_top = float(mags[kernel].max())
+    nonzero_bottom = float(mags[~kernel].min())
     radius = np.sqrt(max(zero_top, 1e-300) * nonzero_bottom)
     return np.eye(a.shape[0], dtype=complex) - spectral_idempotent(a, radius)
 
@@ -109,7 +104,7 @@ def power_limit_projection(
     Returns ``(limit, n)`` where n is the first power of two at which the
     squaring step moved by less than ``iter_tol``; the limit is the orthogonal
     projection onto the kernel of x.  Near-kernel directions far below
-    ``RANK_TOL`` plateau at eigenvalue ~1 and are captured into the kernel,
+    the rank cutoff plateau at eigenvalue ~1 and are captured into the kernel,
     matching the SVD rank decision; directions at intermediate scales either
     resolve (slowly) or exhaust ``n_max``, which raises
     :class:`ConvergenceError` with the operator norm of the last step.  An
@@ -180,8 +175,9 @@ def join_supports(xs) -> dict:
             raise ValueError("family members have mismatched dimensions")
         if not in_F(m):
             raise ValueError("join_supports requires every member in the cone")
-        _require_nonzero(m)
-    # Every member is nonzero, so the stack's top singular value is above RANK_TOL.
+        if operator_norm_at_most(m, rank_cutoff()):
+            raise ValueError("support projection requires x != 0")
+    # Every member is nonzero, so the stack's range projection has rank at least 1.
     join = _range_projection(np.hstack(mats))
     mean = sum(mats) / len(mats)
     via_sum = support_projection(mean)

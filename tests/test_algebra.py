@@ -25,7 +25,14 @@ from oalab.algebra import (
     quotient_norm,
     ws_battery,
 )
-from oalab.matcore import ITER_TOL, linear_combination, matrix_span, operator_norm, to_jsonable
+from oalab.matcore import (
+    ITER_TOL,
+    linear_combination,
+    matrix_span,
+    operator_norm,
+    rounding_allowance,
+    to_jsonable,
+)
 from oalab.sampling import complex_normal, haar_unitaries, random_contraction, random_span_element
 from oalab.suites import SuiteConfig, run_suite
 from oalab.support import support_projection
@@ -167,6 +174,14 @@ class TestNorBattery:
         assert any(np.allclose(w, E11, atol=1e-12) for w in witnesses)
         # E11 is a projection: at the exact unit, no ball condition holds.
         assert all(m <= 0 for m in ball_margins(E11, np.eye(2)).values())
+
+    def test_a_margin_within_rounding_does_not_hold(self):
+        # The least-squares unit of M_2 is off the identity by a rounding
+        # error, which lifts two margins at the projection E11 just above 0.
+        margins = ball_margins(E11, full_matrix_algebra(2).unit)
+        lifted = [margins["shift_norm"], margins["quasi_invert"]]
+        assert all(0.0 < m <= rounding_allowance() for m in lifted)
+        assert not any(m > rounding_allowance() for m in margins.values())
 
     def test_scalar_algebra_is_vacuous(self, monkeypatch):
         alg = FDAlgebra.build([np.eye(2, dtype=complex)])

@@ -4,8 +4,8 @@ from draws import random_singular_cone_element
 
 from oalab import cone
 from oalab.cone import accretive, cone_constant, in_F
-from oalab.matcore import EXACT_TOL, RANK_TOL, CrossCheckError, operator_norm
-from oalab.sampling import complex_normal, haar_unitaries, random_contraction
+from oalab.matcore import EXACT_TOL, RANK_TOL, CrossCheckError, operator_norm, psd_within
+from oalab.sampling import complex_normal, random_contraction
 
 
 def test_identity_memberships():
@@ -135,38 +135,10 @@ def test_cholesky_positivity_agrees_with_eigvalsh(n):
         assert in_F(x) == member
         assert accretive(x) == (_lam_min(a + a.conj().T) >= -tol)
         if member:
-            strict = cone._psd_within((a + a.conj().T) / 2.0, -tol)
+            strict = psd_within((a + a.conj().T) / 2.0, -tol)
             assert strict == (_lam_min((a + a.conj().T) / 2.0) > tol)
         c = cone_constant(x)
         assert (c is None) == (not accretive(x) or operator_norm(a) <= RANK_TOL)
-
-
-def test_psd_within_is_positivity_past_the_shift():
-    def psd(*diag):
-        u = haar_unitaries(np.random.default_rng(42), 1, len(diag))[0]
-        return cone._psd_within((u * np.array(diag)) @ u.conj().T, 1e-9)
-
-    assert psd(4.0, 0.0, 9.0)
-    assert psd(4.0, -0.5e-9, 9.0)
-    assert not psd(4.0, -2e-9, 9.0)
-    assert not psd(-1.0)
-
-
-def test_psd_within_a_stack_needs_every_matrix():
-    rng = np.random.default_rng(43)
-    stack = []
-    for diag in ((4.0, 0.0, 9.0), (1.0, -0.5e-9, 2.0), (3.0, 3.0, 5.0)):
-        u = haar_unitaries(rng, 1, 3)[0]
-        stack.append((u * np.array(diag)) @ u.conj().T)
-    stack = np.array(stack)
-    assert cone._psd_within(stack.copy(), 1e-9)
-    # the shift lands on every diagonal, whatever the stack's strides
-    shifted = stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)
-    cone._psd_within(shifted, 1e-9)
-    assert np.array_equal(shifted, stack + 1e-9 * np.eye(3))
-    stack[1] -= 2e-9 * np.eye(3)
-    assert not cone._psd_within(stack.copy(), 1e-9)
-    assert [cone._psd_within(h.copy(), 1e-9) for h in stack] == [True, False, True]
 
 
 def test_identity_gap_still_raises(monkeypatch):

@@ -20,11 +20,14 @@ from oalab.matcore import (
     matrix_to_json,
     operator_norm,
     operator_norm_at_most,
+    psd_within,
+    rank_cutoff,
+    rounding_allowance,
     spectral_radius,
     spectrum,
     to_jsonable,
 )
-from oalab.sampling import complex_normal
+from oalab.sampling import complex_normal, haar_unitaries
 from oalab.spectral import sharp_neumann
 from oalab.suites import SuiteConfig
 
@@ -287,3 +290,71 @@ def test_subspace_rank_tol_filters_noise():
     noisy = base + 1e-12 * np.array([0.0, 1.0, 0.0, 0.0])
     s = Subspace.from_vectors([base, noisy], 4)
     assert s.dim == 1
+
+
+def test_psd_within_is_positivity_past_the_shift():
+    def psd(*diag):
+        u = haar_unitaries(np.random.default_rng(42), 1, len(diag))[0]
+        return psd_within((u * np.array(diag)) @ u.conj().T, 1e-9)
+
+    assert psd(4.0, 0.0, 9.0)
+    assert psd(4.0, -0.5e-9, 9.0)
+    assert not psd(4.0, -2e-9, 9.0)
+    assert not psd(-1.0)
+
+
+def test_psd_within_a_stack_needs_every_matrix():
+    rng = np.random.default_rng(43)
+    stack = []
+    for diag in ((4.0, 0.0, 9.0), (1.0, -0.5e-9, 2.0), (3.0, 3.0, 5.0)):
+        u = haar_unitaries(rng, 1, 3)[0]
+        stack.append((u * np.array(diag)) @ u.conj().T)
+    stack = np.array(stack)
+    assert psd_within(stack.copy(), 1e-9)
+    # the shift lands on every diagonal, whatever the stack's strides
+    shifted = stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    psd_within(shifted, 1e-9)
+    assert np.array_equal(shifted, stack + 1e-9 * np.eye(3))
+    stack[1] -= 2e-9 * np.eye(3)
+    assert not psd_within(stack.copy(), 1e-9)
+    assert [psd_within(h.copy(), 1e-9) for h in stack] == [True, False, True]
+
+
+@pytest.mark.parametrize("rule, tol", [(rank_cutoff, RANK_TOL), (rounding_allowance, EXACT_TOL)])
+def test_rule_is_absolute_up_to_scale_one_and_relative_above(rule, tol):
+    assert rule() == tol
+    for scale in (0.0, 1e-3, 0.5, 1.0, np.float64(0.25)):
+        assert rule(scale) == tol
+    assert rule(250.0) == tol * 250.0
+    assert rule(np.float64(4.0)) == tol * 4.0
+
+
+@pytest.mark.parametrize("rule, tol", [(rank_cutoff, RANK_TOL), (rounding_allowance, EXACT_TOL)])
+def test_rule_takes_an_array_of_scales_entrywise(rule, tol):
+    scales = np.array([0.0, 0.5, 1.0, 3.0, 1e4])
+    got = rule(scales)
+    np.testing.assert_array_equal(got, tol * np.array([1.0, 1.0, 1.0, 3.0, 1e4]))
+    assert [rule(float(v)) for v in scales] == list(got)
+
+
+def test_rank_rule_counts_a_value_at_the_cutoff_as_zero():
+    # A singular value exactly at the cutoff drops out of the span; the next
+    # float above it stays, on either side of scale 1.
+    for top in (4.0, 0.5):
+        at = rank_cutoff(top)
+        above = np.nextafter(at, 1.0)
+        assert matrix_span([np.diag([top, 0.0]), np.diag([0.0, at])]).dim == 1
+        assert matrix_span([np.diag([top, 0.0]), np.diag([0.0, above])]).dim == 2
+    # A residual exactly at the cutoff at |v| is a member, the next float is not.
+    line = matrix_span([np.diag([1.0, 0.0])])
+    for lead in (5.0, 0.5):
+        at = rank_cutoff(lead)
+        assert line.membership(np.array([[lead, at], [0.0, 0.0]]))
+        assert not line.membership(np.array([[lead, np.nextafter(at, 1.0)], [0.0, 0.0]]))
+
+
+def test_rounding_rule_allows_exactly_its_allowance():
+    # ||1 - x|| = 1 + a is within the cone's allowance a, the next float is not.
+    a = rounding_allowance()
+    assert in_F(np.array([[-a]]))
+    assert not in_F(np.array([[1.0 - np.nextafter(1.0 + a, 2.0)]]))

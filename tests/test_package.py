@@ -1,7 +1,8 @@
 """The package namespace is exactly the union of the layer modules' exports,
 importing it stays cheap, no module imports a name it never uses, every
-definition is reached from a suite, the CLI or the benchmark, and only the
-iteration tolerance is a parameter."""
+definition is reached from a suite, the CLI or the benchmark, only the
+iteration tolerance is a parameter, and only matcore reads the fixed rank
+and rounding tolerances."""
 
 import ast
 import inspect
@@ -442,3 +443,65 @@ def test_the_tolerance_guard_finds_a_re_added_parameter(tmp_path):
         encoding="utf-8",
     )
     assert _tolerance_parameters(copy) - TOLERANCE_PARAMETERS == {("cone.accretive", "exact_tol")}
+
+
+# The two fixed allowances stay behind matcore's rules, rank_cutoff and
+# rounding_allowance: no other module names them, so no module can decide a
+# rank or a rounding slack by a convention of its own.
+FIXED_TOLERANCES = {"RANK_TOL", "EXACT_TOL"}
+
+
+def _rule_bypasses(package: Path) -> set:
+    """``(module, name)`` for every read of a fixed tolerance outside
+    matcore, counted as AST names, attributes and imports (docstrings do
+    not count), and for every private name a module imports from another
+    oalab module."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "oalab"
+            ):
+                names = {alias.name for alias in node.names}
+                found |= {(path.stem, name) for name in names if name.startswith("_")}
+            else:
+                continue
+            if path.stem != "matcore":
+                found |= {(path.stem, name) for name in names & FIXED_TOLERANCES}
+    return found
+
+
+def test_only_matcore_reads_the_fixed_tolerances():
+    assert _rule_bypasses(Path(oalab.__file__).parent) == set()
+
+
+@pytest.mark.parametrize(
+    "module, old, new, key",
+    [
+        (
+            "support.py",
+            "rank = int(np.sum(s > rank_cutoff(s[0])))",
+            "from .matcore import RANK_TOL\n    rank = int(np.sum(s > RANK_TOL * s[0]))",
+            ("support", "RANK_TOL"),
+        ),
+        (
+            "ocpmap.py",
+            "from .cone import in_F\n",
+            "from .cone import _in_F, in_F\n",
+            ("ocpmap", "_in_F"),
+        ),
+    ],
+    ids=["rank-comparison", "private-import"],
+)
+def test_the_rule_guard_finds_a_re_added_bypass(tmp_path, module, old, new, key):
+    package = Path(oalab.__file__).parent
+    copy = tmp_path / "oalab"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (copy / module).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    (copy / module).write_text(text.replace(old, new), encoding="utf-8")
+    assert _rule_bypasses(copy) == {key}

@@ -7,7 +7,13 @@ import scipy.linalg
 from draws import random_singular_cone_element
 
 from oalab.calculus import matrix_power_r
-from oalab.matcore import CrossCheckError, operator_norm, stack_slices, to_jsonable
+from oalab.matcore import (
+    CrossCheckError,
+    operator_norm,
+    rounding_allowance,
+    stack_slices,
+    to_jsonable,
+)
 from oalab.sampling import complex_normal, haar_unitaries, random_contraction
 from oalab.spectral import (
     numerical_radius,
@@ -173,6 +179,15 @@ class TestWedgeMembership:
         report = wedge_membership(np.zeros((3, 3)), rho=0.0)
         assert report.inside
         assert report.max_angle == 0.0
+
+    def test_the_tip_is_the_rounding_allowance_around_zero(self):
+        # -a is within the allowance of the origin, so its angle pi is not
+        # read; -2a is a point of the range off the wedge.
+        a = rounding_allowance()
+        tip = wedge_membership(np.array([[-a]]), rho=0.0)
+        assert tip.inside and tip.max_angle == 0.0
+        off = wedge_membership(np.array([[-2.0 * a]]), rho=0.0)
+        assert not off.inside and off.max_angle == np.pi
 
     def test_rho_out_of_range(self):
         with pytest.raises(ValueError):

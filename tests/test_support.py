@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from draws import random_singular_cone_element
 
-from oalab.matcore import RANK_TOL, ConvergenceError, operator_norm
+from oalab.matcore import RANK_TOL, ConvergenceError, matrix_span, operator_norm
 from oalab.sampling import haar_unitaries, random_contraction
+from oalab.spectral import sharp_neumann
 from oalab.support import (
     _bai_limit_projection,
     _cond_below,
@@ -181,3 +182,17 @@ def test_join_supports_random_families():
 def test_join_supports_rejects_non_cone_member():
     with pytest.raises(ValueError):
         join_supports([np.diag([2.0, 0.0]), np.diag([5.0, 0.0])])
+
+
+def test_every_rank_decision_reads_one_cutoff():
+    # sigma_2 = 7e-9 sits between RANK_TOL * sigma_1 and RANK_TOL: a cutoff
+    # relative to sigma_1 alone would call t invertible on the SVD route and
+    # in its span while the norms, the Bai limit and the power limit call it
+    # singular.
+    t = np.diag([0.5, 7e-9])
+    assert sharp_neumann(t).singular
+    routes = support_projection_routes(t)
+    for name in ("svd", "bai_limit", "power_limit"):
+        assert abs(np.trace(routes[name]) - 1.0) <= 1e-6, name
+    assert max(routes["residuals"].values()) <= 1e-6
+    assert matrix_span([np.diag([0.5, 0.0]), np.diag([0.0, 7e-9])]).dim == 1

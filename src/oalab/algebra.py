@@ -227,23 +227,26 @@ def generated_algebra(x, iter_tol: float = ITER_TOL) -> FDAlgebra:
     built as an Arnoldi (Krylov) basis: ``q_1 = x / ||x||_F``, and each
     ``x q_k``, orthogonalized twice against ``q_1, ..., q_k`` in the
     Frobenius inner product, gives ``q_{k+1}``.  The basis is complete once
-    the remainder is at most ``rank_cutoff(||x q_k||)`` (then left
-    multiplication by ``x`` maps the span into itself), and after at most
-    ``ambient_dim`` vectors, the degree bound of the minimal polynomial.  No
-    unit is adjoined; the result is unital exactly when some polynomial in
+    the remainder divided by ``||x||_F`` is at most ``rank_cutoff()`` (then
+    left multiplication by ``x`` maps the span into itself), and after at
+    most ``ambient_dim`` vectors, the degree bound of the minimal
+    polynomial.  The division runs the rule on ``x / ||x||_F``, which
+    generates the same algebra, so ``c x`` gives the algebra of ``x`` for
+    every ``c != 0``.  No unit is adjoined; the result is unital exactly when some polynomial in
     ``x`` without constant term acts as a two-sided identity on the span.
     """
     x = as_square_matrix(x)
     if operator_norm_at_most(x, rank_cutoff()):
         raise ValueError("generated_algebra requires a nonzero generator")
     n = x.shape[0]
-    q = (x / np.linalg.norm(x)).reshape(1, n * n)
+    x_norm = float(np.linalg.norm(x))
+    q = (x / x_norm).reshape(1, n * n)
     while len(q) < n:
         product = (x @ q[-1].reshape(n, n)).ravel()
         v = product - q.T @ (q.conj() @ product)
         v = v - q.T @ (q.conj() @ v)
         norm = float(np.linalg.norm(v))
-        if norm <= rank_cutoff(float(np.linalg.norm(product))):
+        if norm / x_norm <= rank_cutoff():
             break
         q = np.vstack([q, v / norm])
     return FDAlgebra.build(q.reshape(-1, n, n), iter_tol)
@@ -263,12 +266,15 @@ def ideal_subspaces(x, A: FDAlgebra) -> IdealTriple:
     Requires ``x`` to lie in the span of ``A``.  For ``x`` with
     ``||1 - x|| <= 1`` in a unital algebra, ``x`` itself lies in the corner
     span ``xAx`` (the corner is the hereditary subalgebra matching the right
-    ideal ``xA``).
+    ideal ``xA``).  The spans are built from ``x / ||x||_F``, which spans the
+    same ideals, so the rank rule's decisions do not depend on the scale of
+    ``x``.
     """
     x = as_square_matrix(x)
     if not A.contains(x):
         raise ValueError("x does not lie in the span of A")
-    return _ideal_triple(x, A.basis, matrix_span(x @ A.basis))
+    u = x / (np.linalg.norm(x) or 1.0)
+    return _ideal_triple(u, A.basis, matrix_span(u @ A.basis))
 
 
 def _ideal_triple(x: np.ndarray, basis: np.ndarray, xa: Subspace) -> IdealTriple:
@@ -471,8 +477,10 @@ def ws_battery(
             "to evaluate the chain anyway"
         )
     oax = generated_algebra(x, iter_tol)
-    x_oax = matrix_span(x @ oax.basis)
-    cond_i = x_oax.membership(x.ravel())
+    # x / ||x||_F spans the ideals of x, at a scale where the rank rule is fair.
+    u = x / np.linalg.norm(x)
+    x_oax = matrix_span(u @ oax.basis)
+    cond_i = x_oax.membership(u.ravel())
     cond_ii = x_oax.dim == oax.dim
     if cond_ii != oax.unital:
         raise CrossCheckError(
@@ -481,21 +489,23 @@ def ws_battery(
         )
     cond_iii, y_oa, res_oa = _solve_xyx(x, oax.basis, iter_tol)
     if A is None:
-        triple = _ideal_triple(x, oax.basis, x_oax)
+        triple = _ideal_triple(u, oax.basis, x_oax)
         cond_vi, y_a, res_a = cond_iii, y_oa, res_oa
     else:
         triple = ideal_subspaces(x, A)
         cond_vi, y_a, res_a = _solve_xyx(x, A.basis, iter_tol)
-    cond_iv = triple.xAx.membership(x.ravel())
-    cond_v = triple.xA.membership(x.ravel()) and triple.Ax.membership(x.ravel())
+    cond_iv = triple.xAx.membership(u.ravel())
+    cond_v = triple.xA.membership(u.ravel()) and triple.Ax.membership(u.ravel())
 
     lams = spectrum(x)
     scale = max(1.0, float(np.max(np.abs(lams))))
     threshold = WS_CLUSTER_TOL * scale
-    # (vii) holds with no zero cluster, or with none of the rest below 10 threshold
-    mags = np.abs(lams)
-    outside = mags[mags > threshold]
-    cond_vii = outside.size in (0, mags.size) or float(outside.min()) >= 10.0 * threshold
+    zero_cluster = np.abs(lams) <= threshold
+    if not zero_cluster.any():
+        cond_vii = True
+    else:
+        nonzero = np.abs(lams[~zero_cluster])
+        cond_vii = nonzero.size == 0 or float(np.min(nonzero)) >= 10.0 * threshold
 
     return WsBatteryReport(
         conditions={

@@ -75,9 +75,8 @@ def cone_constant(x) -> float | None:
     constant works vacuously).  With ``x = U S V*`` and ``V_r`` the right
     singular vectors above ``rank_cutoff(||x||)``, ``x*x = V_r S_r^2 V_r*``
     and ``ker x`` lies in ``ker(x + x*)`` for accretive x, so C is the least
-    eigenvalue of
-    ``S_r^-1 V_r* (x + x*) V_r S_r^-1``.  The returned C satisfies the
-    membership certificate ``C*x`` in the cone:
+    eigenvalue of ``S_r^-1 V_r* (x + x*) V_r S_r^-1``.  The returned C
+    satisfies the membership certificate ``C*x`` in the cone:
     ``(Cx)*(Cx) = C^2 x*x <= C(x+x*)``.
     """
     a = as_square_matrix(x)

@@ -126,22 +126,21 @@ FROBENIUS_GUARD = 1e-12
 GRAM_SCREEN_GUARD = 1e-10
 
 
-def _at_least_one(scale):
-    """``max(1, scale)``, entrywise for an array; a scalar skips numpy, whose
-    ufunc would cost more on the rules' hot paths than the decision."""
-    return np.maximum(1.0, scale) if isinstance(scale, np.ndarray) else max(1.0, scale)
-
-
 def rank_cutoff(scale=1.0):
     """The rank rule ``RANK_TOL * max(1, scale)``: a singular value, eigenvalue
-    or residual at most this counts as zero next to ``scale``."""
-    return RANK_TOL * _at_least_one(scale)
+    or residual at most this counts as zero next to ``scale``.  Entrywise for
+    an array; a scalar skips numpy's ufunc, which costs more than the rule."""
+    if isinstance(scale, np.ndarray):
+        return RANK_TOL * np.maximum(1.0, scale)
+    return RANK_TOL * scale if scale > 1.0 else RANK_TOL
 
 
 def rounding_allowance(scale=1.0):
     """The rounding rule ``EXACT_TOL * max(1, scale)``: by how much an identity
     between quantities of size ``scale`` may miss in floating point."""
-    return EXACT_TOL * _at_least_one(scale)
+    if isinstance(scale, np.ndarray):
+        return EXACT_TOL * np.maximum(1.0, scale)
+    return EXACT_TOL * scale if scale > 1.0 else EXACT_TOL
 
 
 def psd_within(h: np.ndarray, shift: float) -> bool:
@@ -180,7 +179,7 @@ def operator_norm_at_most(d, t: float, scale=None) -> bool:
     """
     if scale is not None:
         return operator_norm_at_most(d, t) or operator_norm_at_most(
-            d, t * _at_least_one(operator_norm(scale))
+            d, t * max(1.0, operator_norm(scale))
         )
     a = as_square_matrix(d)
     fro = float(np.linalg.norm(a))
@@ -259,7 +258,9 @@ class Subspace:
     """A subspace of C^d stored as orthonormal rows.
 
     Rank and membership decisions read :func:`rank_cutoff`, at the largest
-    singular value of the generators and at ``|v|``.
+    singular value of the generators and at ``|v|``.  Below scale 1 the
+    cutoff is absolute, so generators of norm at most ``rank_cutoff()`` span
+    nothing; a caller for whom only the direction matters normalizes first.
     """
 
     def __init__(self, basis: np.ndarray, ambient_dim: int):

@@ -368,7 +368,9 @@ def disk_test(x, circle_points: int = 500) -> DiskTestReport:
 
     hermitian_defect = operator_norm(x - x.conj().T)
     lam = np.linalg.eigvalsh((x + x.conj().T) / 2.0)
-    algebraic_excess = max(hermitian_defect, float(-lam[0]), float(lam[-1] - 1.0), 0.0)
+    algebraic_excess = max(
+        hermitian_defect, float(-lam[0]), float(lam[-1] - 1.0), 0.0
+    )
     hermitian_psd = algebraic_excess <= allowance
 
     # The two verdicts must agree up to boundary rounding: a sampled pass

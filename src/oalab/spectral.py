@@ -274,11 +274,14 @@ def sharp_neumann(t: np.ndarray, iter_tol: float = ITER_TOL) -> SharpNeumannResu
     eye = np.eye(t.shape[0], dtype=np.complex128)
     norm_one = operator_norm(eye - t)
     if norm_one > 1.0 + rounding_allowance():
-        raise ValueError(f"sharp_neumann requires ||1 - t|| <= 1, got {norm_one:.6g}")
+        raise ValueError(
+            f"sharp_neumann requires ||1 - t|| <= 1, got {norm_one:.6g}"
+        )
     norm_half = operator_norm(eye - t / 2.0)
     if norm_half > 1.0 + rounding_allowance():
         raise CrossCheckError(
-            f"||1 - t/2|| exceeds 1 although ||1 - t|| <= 1; got {norm_half:.6g}"
+            "||1 - t/2|| exceeds 1 although ||1 - t|| <= 1; "
+            f"got {norm_half:.6g}"
         )
     singular_by_norms = min(norm_one, norm_half) >= 1.0 - iter_tol
     sigma = np.linalg.svd(t, compute_uv=False)

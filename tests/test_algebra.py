@@ -115,6 +115,15 @@ class TestGeneratedAlgebra:
         with pytest.raises(ValueError):
             generated_algebra(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("c", [1.0, 1e-2, 1e-5, 1e3])
+    def test_scaling_the_generator_keeps_the_algebra(self, c):
+        # oa(c x) = oa(x).  At c = 1e-2 the remainder of x q_1 is about 5e-9,
+        # below the rank cutoff at scale 1, yet q_1^2 leaves span{q_1} by 3e-7.
+        x = np.diag([1.0, 1.0 + 1e-6])
+        alg = generated_algebra(c * x)
+        assert alg.dim == generated_algebra(x).dim == 2
+        assert alg.contains(np.eye(2))
+
     def test_near_scalar_generator_has_at_most_n_dimensions(self):
         # 1 - U diag(s) with s evenly spaced up to 0.05: its powers are nearly
         # parallel, and pairwise products of a span basis once grew to 57
@@ -157,6 +166,16 @@ class TestIdealSubspaces:
         alg = FDAlgebra.build([np.eye(2, dtype=complex)])
         with pytest.raises(ValueError):
             ideal_subspaces(E11, alg)
+
+    @pytest.mark.parametrize("c", [1e-5, 1e3])
+    def test_scaling_x_keeps_the_ideals(self, c):
+        # x b x is of size c^2 here: the spans are built from x / ||x||_F.
+        alg = full_matrix_algebra(2)
+        x = np.diag([2.0, 1e-3])
+        scaled = ideal_subspaces(c * x, alg)
+        for got, want in zip(scaled, ideal_subspaces(x, alg)):
+            assert got.dim == want.dim == 4
+        assert scaled.xAx.membership(x.ravel())
 
 
 class TestNorBattery:
@@ -262,6 +281,13 @@ class TestWsBattery:
             assert all(rep.conditions.values())
             assert rep.consistent
 
+
+    @pytest.mark.parametrize("c", [1e-2, 1e-5])
+    def test_small_multiples_satisfy_the_chain(self, c):
+        # c x is in the cone with x, and the chain does not read the scale.
+        x = np.diag([1.0, 1.0 + 1e-6])
+        for alg in (None, full_matrix_algebra(2)):
+            assert all(ws_battery(c * x, alg).conditions.values())
 
     def test_omitted_algebra_is_the_generated_one(self):
         # With A omitted the battery reuses the span of x * oa(x) as xA and

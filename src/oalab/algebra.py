@@ -135,7 +135,7 @@ class FDAlgebra:
     unit: Optional[np.ndarray]
 
     @classmethod
-    def build(cls, matrices, iter_tol: float = ITER_TOL) -> "FDAlgebra":
+    def build(cls, matrices) -> "FDAlgebra":
         mats = np.stack([as_square_matrix(m) for m in matrices])
         n = mats.shape[1]
         span = matrix_span(mats)
@@ -150,7 +150,7 @@ class FDAlgebra:
                 f"basis is not closed under multiplication "
                 f"(product {int(np.argmin(stays))} escapes the span)"
             )
-        unit = _find_unit(mats, iter_tol)
+        unit = _find_unit(mats)
         algebra = cls(ambient_dim=n, basis=mats, unital=unit is not None, unit=unit)
         # Prime the cached span with the one the closure check computed.
         object.__setattr__(algebra, "span", span)
@@ -171,36 +171,37 @@ class FDAlgebra:
         return self.span.membership(x.ravel())
 
 
-def _find_unit(mats: np.ndarray, iter_tol: float) -> Optional[np.ndarray]:
+def _find_unit(mats: np.ndarray) -> Optional[np.ndarray]:
     """Two-sided identity of span(mats), or None.
 
     Solves ``e * b = b * e = b`` for all basis elements ``b`` by least
-    squares over the span's coefficients.
+    squares over the span's coefficients.  A unit exists when the residual
+    is within the rank rule at the norm of the stacked ``b``'s, the
+    span-membership rule that gives :meth:`FDAlgebra.build` its rank.
     """
     k = len(mats)
     left = (mats[:, None] @ mats[None, :]).reshape(k, -1)
     right = (mats[None, :] @ mats[:, None]).reshape(k, -1)
     rhs = np.tile(mats.ravel(), 2)
     coeffs, residual = _lstsq_combination(np.concatenate([left, right], axis=1), rhs)
-    scale = max(1.0, float(np.linalg.norm(rhs)))
-    if residual <= iter_tol * scale:
+    if residual <= rank_cutoff(float(np.linalg.norm(rhs))):
         return linear_combination(coeffs, mats)
     return None
 
 
-def full_matrix_algebra(n: int, iter_tol: float = ITER_TOL) -> FDAlgebra:
+def full_matrix_algebra(n: int) -> FDAlgebra:
     """All of ``M_n``, with the matrix units as basis."""
     if n < 1:
         raise ValueError("n must be positive")
-    return FDAlgebra.build(_matrix_units(np.ones((n, n), dtype=bool)), iter_tol)
+    return FDAlgebra.build(_matrix_units(np.ones((n, n), dtype=bool)))
 
 
-def block_diagonal_algebra(dims: Sequence[int], iter_tol: float = ITER_TOL) -> FDAlgebra:
+def block_diagonal_algebra(dims: Sequence[int]) -> FDAlgebra:
     """Direct sum ``M_{d_1} + ... + M_{d_k}`` embedded block-diagonally."""
     dims = [int(d) for d in dims]
     if not dims or any(d < 1 for d in dims):
         raise ValueError("dims must be a nonempty list of positive integers")
-    return FDAlgebra.build(_matrix_units(_block_mask(dims, range(len(dims)))), iter_tol)
+    return FDAlgebra.build(_matrix_units(_block_mask(dims, range(len(dims)))))
 
 
 def block_ideal_subspace(dims: Sequence[int], block_indices: Sequence[int]) -> Subspace:
@@ -220,7 +221,7 @@ def block_ideal_subspace(dims: Sequence[int], block_indices: Sequence[int]) -> S
 # generated algebras and ideals
 
 
-def generated_algebra(x, iter_tol: float = ITER_TOL) -> FDAlgebra:
+def generated_algebra(x) -> FDAlgebra:
     """The algebra generated by ``x``: span of ``{x, x^2, ...}``.
 
     Raw powers form an ill-conditioned generating family, so the span is
@@ -249,7 +250,7 @@ def generated_algebra(x, iter_tol: float = ITER_TOL) -> FDAlgebra:
         if norm / x_norm <= rank_cutoff():
             break
         q = np.vstack([q, v / norm])
-    return FDAlgebra.build(q.reshape(-1, n, n), iter_tol)
+    return FDAlgebra.build(q.reshape(-1, n, n))
 
 
 class IdealTriple(NamedTuple):
@@ -374,12 +375,16 @@ def idempotent_witnesses(A: FDAlgebra) -> list:
     return witnesses
 
 
-def _solve_xyx(x: np.ndarray, basis: np.ndarray, iter_tol: float):
-    """Least-squares ``y`` in span(basis) with ``x y x = x``."""
-    coeffs, residual = _lstsq_combination(x @ basis @ x, x)
-    y = linear_combination(coeffs, basis)
-    ok = residual <= iter_tol * max(1.0, float(np.linalg.norm(x)))
-    return ok, y, residual
+def _solve_xyx(x: np.ndarray, basis: np.ndarray):
+    """``(ok, y)``: least-squares ``y`` in span(basis) with ``x y x = x``.
+
+    Solved and judged by the rank rule at ``u = x / ||x||_F``, the generator
+    of the chain's spans: ``u y' u = u`` with ``y = y' / ||x||_F``.
+    """
+    x_norm = float(np.linalg.norm(x))
+    u = x / x_norm
+    coeffs, residual = _lstsq_combination(u @ basis @ u, u)
+    return residual <= rank_cutoff(), linear_combination(coeffs, basis) / x_norm
 
 
 @dataclasses.dataclass(frozen=True)
@@ -409,8 +414,6 @@ class WsBatteryReport:
     semisimple: bool
     y_in_oa: Optional[np.ndarray]
     y_in_A: Optional[np.ndarray]
-    residual_oa: float
-    residual_A: float
 
     @property
     def consistent(self) -> bool:
@@ -452,7 +455,6 @@ def _is_diagonalizable(x: np.ndarray, lams: np.ndarray, threshold: float) -> boo
 def ws_battery(
     x,
     A: Optional[FDAlgebra] = None,
-    iter_tol: float = ITER_TOL,
     require_cone: bool = True,
 ) -> WsBatteryReport:
     """Evaluate the pseudo-inverse equivalence chain for ``x`` inside ``A``.
@@ -476,7 +478,7 @@ def ws_battery(
             "x is outside the unit-shifted cone; pass require_cone=False "
             "to evaluate the chain anyway"
         )
-    oax = generated_algebra(x, iter_tol)
+    oax = generated_algebra(x)
     # x / ||x||_F spans the ideals of x, at a scale where the rank rule is fair.
     u = x / np.linalg.norm(x)
     x_oax = matrix_span(u @ oax.basis)
@@ -487,13 +489,13 @@ def ws_battery(
             "rank test for unitality of oa(x) disagrees with the unit solve: "
             f"rank says {cond_ii}, solve says {oax.unital}"
         )
-    cond_iii, y_oa, res_oa = _solve_xyx(x, oax.basis, iter_tol)
+    cond_iii, y_oa = _solve_xyx(x, oax.basis)
     if A is None:
         triple = _ideal_triple(u, oax.basis, x_oax)
-        cond_vi, y_a, res_a = cond_iii, y_oa, res_oa
+        cond_vi, y_a = cond_iii, y_oa
     else:
         triple = ideal_subspaces(x, A)
-        cond_vi, y_a, res_a = _solve_xyx(x, A.basis, iter_tol)
+        cond_vi, y_a = _solve_xyx(x, A.basis)
     cond_iv = triple.xAx.membership(u.ravel())
     cond_v = triple.xA.membership(u.ravel()) and triple.Ax.membership(u.ravel())
 
@@ -520,8 +522,6 @@ def ws_battery(
         semisimple=_is_diagonalizable(x, lams, threshold),
         y_in_oa=y_oa if cond_iii else None,
         y_in_A=y_a if cond_vi else None,
-        residual_oa=res_oa,
-        residual_A=res_a,
     )
 
 
@@ -770,7 +770,7 @@ def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormRes
     return QuotientNormResult(lower=lower, upper=upper, status=status, minimizer_coeffs=best)
 
 
-def ideal_identity(A: FDAlgebra, J: Subspace, iter_tol: float = ITER_TOL) -> np.ndarray:
+def ideal_identity(A: FDAlgebra, J: Subspace) -> np.ndarray:
     """The identity ``e`` of ``J``, checked to be a two-sided ideal of ``A``.
 
     ``ValueError`` when ``A`` has no unit, ``J`` is not a two-sided ideal of
@@ -785,7 +785,7 @@ def ideal_identity(A: FDAlgebra, J: Subspace, iter_tol: float = ITER_TOL) -> np.
         raise ValueError("J is not a two-sided ideal of A")
     if J.dim == 0:
         raise ValueError("the zero ideal has no identity")
-    e = _find_unit(j_mats, iter_tol)
+    e = _find_unit(j_mats)
     if e is None:
         raise ValueError("J has no two-sided identity")
     return e

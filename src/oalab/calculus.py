@@ -32,7 +32,6 @@ import scipy.linalg
 
 from .cone import in_F
 from .matcore import (
-    ITER_TOL,
     CrossCheckError,
     SpectralGapError,
     SpectrumError,
@@ -299,14 +298,14 @@ def _blocked_power(t: np.ndarray, z: np.ndarray, labels: np.ndarray, r: float) -
     return z @ f @ z.conj().T
 
 
-def matrix_powers(x, rs, iter_tol: float = ITER_TOL) -> list:
+def matrix_powers(x, rs) -> list:
     """Principal r-th powers (0 < r <= 1) of x with ``||1 - x|| <= 1``, one per r.
 
     One cone check and one Schur form serve every exponent.  Guarantees on
     return, for each power: ``||1 - x^r|| <= 1 + 10 rounding_allowance()``,
-    commutation with x within ``iter_tol``, and ``0^r = 0``.  Violations
-    (possible only if a confluent cluster defeated the recurrence) raise
-    instead of returning.
+    commutation with x within ``10 rounding_allowance(||x||)``, and
+    ``0^r = 0``.  Violations (possible only if a confluent cluster defeated
+    the recurrence) raise instead of returning.
     """
     a = as_square_matrix(x)
     for r in rs:
@@ -330,7 +329,7 @@ def matrix_powers(x, rs, iter_tol: float = ITER_TOL) -> list:
                 f"computed power left the cone: ||1 - x^r|| = {operator_norm(check)!r}"
             )
         np.subtract(np.matmul(out, a, out=check), a @ out, out=check)
-        if not operator_norm_at_most(check, iter_tol, scale=a):
+        if not operator_norm_at_most(check, 10.0 * rounding_allowance(), scale=a):
             raise RecurrenceBreakdown(
                 f"computed power does not commute with x: {operator_norm(check)!r}"
             )
@@ -338,10 +337,10 @@ def matrix_powers(x, rs, iter_tol: float = ITER_TOL) -> list:
     return powers
 
 
-def matrix_power_r(x, r: float, iter_tol: float = ITER_TOL) -> np.ndarray:
+def matrix_power_r(x, r: float) -> np.ndarray:
     """Principal r-th power (0 < r <= 1) of x with ``||1 - x|| <= 1``:
     :func:`matrix_powers` with the one exponent ``r``."""
-    return matrix_powers(x, (r,), iter_tol)[0]
+    return matrix_powers(x, (r,))[0]
 
 
 def series_power_oracle(

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .algebra import FDAlgebra
-from .matcore import ITER_TOL, ConvergenceError, operator_norms, stack_slices
+from .matcore import ConvergenceError, operator_norms, stack_slices
 
 __all__ = [
     "RdrExample",
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-def example_two_dim(iter_tol: float = ITER_TOL) -> FDAlgebra:
+def example_two_dim() -> FDAlgebra:
     """The algebra ``{[[s, s-t], [0, t]] : s, t complex}`` in ``M_2``.
 
     Basis ``{identity, [[1,1],[0,0]]}``; unital with the ambient identity.
@@ -49,7 +49,7 @@ def example_two_dim(iter_tol: float = ITER_TOL) -> FDAlgebra:
         np.eye(2, dtype=complex),
         np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),
     ]
-    return FDAlgebra.build(basis, iter_tol)
+    return FDAlgebra.build(basis)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -178,13 +178,13 @@ def _suite_roots(run):
         d = int(run.rng.integers(1, run.dim + 1))
         x = np.eye(d) + random_contraction(run.rng, d)
         eye = np.eye(d, dtype=complex)
-        roots = matrix_powers(x, _ROOT_EXPONENTS, run.iter_tol)
+        roots = matrix_powers(x, _ROOT_EXPONENTS)
         half_root = roots[_ROOT_EXPONENTS.index(0.5)]
         square_err = operator_norm(half_root @ half_root - x)
         run.bound("half-root-squares", square_err, 1e-6,
                   lambda: {"trial": trial, "x": matrix_to_json(x)})
-        span = generated_algebra(x, run.iter_tol).span
-        y_roots = matrix_powers(x / 2.0, _ROOT_EXPONENTS, run.iter_tol)
+        span = generated_algebra(x).span
+        y_roots = matrix_powers(x / 2.0, _ROOT_EXPONENTS)
         for r, root, y_root in zip(_ROOT_EXPONENTS, roots, y_roots):
             vec = root.reshape(-1)
             member_res = span.residual(vec) / max(1.0, float(np.linalg.norm(vec)))
@@ -250,7 +250,7 @@ def _suite_closure_battery(run):
     for trial in range(run.trials):
         d = int(run.rng.integers(2, cap + 1))
         x = np.eye(d) + random_contraction(run.rng, d)
-        report = ws_battery(x, iter_tol=run.iter_tol)
+        report = ws_battery(x)
         run.count("random-consistency", not report.consistent,
                   lambda: {"trial": trial, "x": matrix_to_json(x), "report": to_jsonable(report)})
 
@@ -264,7 +264,7 @@ def _suite_closure_battery(run):
             x = np.zeros((nil_dim + inv_dim,) * 2, dtype=complex)
             x[:nil_dim, :nil_dim] = shift
             x[nil_dim:, nil_dim:] = 2.0 * np.eye(inv_dim)
-            report = ws_battery(x, iter_tol=run.iter_tol, require_cone=False)
+            report = ws_battery(x, require_cone=False)
             ok = (
                 report.conditions["vii"]
                 and not report.conditions["vi"]
@@ -279,7 +279,7 @@ def _suite_nonunital_battery(run):
     # The two reference algebras fix their own dimensions.  A sample passes
     # when all five ball conditions hold (margins above the rounding
     # allowance); one that breaks any, or an idempotent witness, reads -1.
-    algebra = example_two_dim(run.iter_tol)
+    algebra = example_two_dim()
     draws = np.random.default_rng(int(run.rng.integers(0, 2**31)))
     samples = ball_samples(draws, algebra, run.trials)
     if not samples:
@@ -294,7 +294,7 @@ def _suite_nonunital_battery(run):
 
     # Negative control: the full matrix algebra must fail, with an explicit
     # idempotent witness (E11 fails every ball condition).
-    m2 = full_matrix_algebra(2, run.iter_tol)
+    m2 = full_matrix_algebra(2)
     run.count("full-matrix-control", not idempotent_witnesses(m2),
               lambda: {"basis": to_jsonable(m2.basis)})
 
@@ -521,9 +521,9 @@ def _suite_quotient_cone(run):
                 break
         ideal_count = int(rng.integers(1, len(blocks)))
         ideal_blocks = list(rng.choice(len(blocks), size=ideal_count, replace=False))
-        algebra = block_diagonal_algebra(blocks, iter_tol)
+        algebra = block_diagonal_algebra(blocks)
         ideal = block_ideal_subspace(blocks, ideal_blocks)
-        e = ideal_identity(algebra, ideal, iter_tol)
+        e = ideal_identity(algebra, ideal)
         unit, comp = algebra.unit, algebra.unit - e
         j_mats = ideal.basis.reshape(ideal.dim, *unit.shape)
         draws = np.random.default_rng(int(rng.integers(0, 2**31)))

@@ -61,6 +61,15 @@ class TestFDAlgebra:
         assert not alg.unital
         assert alg.unit is None
 
+    @pytest.mark.parametrize("c", [1.0, 1e-3, 1e-7])
+    def test_small_nilpotent_span_has_no_unit(self, c):
+        # Every product is 0, so the unit solve's residual is all of
+        # ||rhs|| = 2**0.5 c: above the rank rule at every scale here, though
+        # below ITER_TOL at c = 1e-7.
+        alg = FDAlgebra.build([c * E12])
+        assert not alg.unital
+        assert alg.unit is None
+
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):
             FDAlgebra.build([np.eye(2), 2.0 * np.eye(2)])
@@ -208,7 +217,7 @@ class TestNorBattery:
         # A battery that samples nothing fails its case.
         import oalab.suites as suites_mod
 
-        monkeypatch.setattr(suites_mod, "example_two_dim", lambda iter_tol: alg)
+        monkeypatch.setattr(suites_mod, "example_two_dim", lambda: alg)
         report = run_suite(SuiteConfig(suite="nonunital-battery", trials=20))
         case = next(c for c in report.cases if c["name"] == "two-dim-margins")
         assert case["status"] == "fail" and case["margin"] == -np.inf
@@ -285,9 +294,12 @@ class TestWsBattery:
     @pytest.mark.parametrize("c", [1e-2, 1e-5])
     def test_small_multiples_satisfy_the_chain(self, c):
         # c x is in the cone with x, and the chain does not read the scale.
+        # xyx = x is solved at x / ||x||_F, and y is returned for c x itself.
         x = np.diag([1.0, 1.0 + 1e-6])
         for alg in (None, full_matrix_algebra(2)):
-            assert all(ws_battery(c * x, alg).conditions.values())
+            rep = ws_battery(c * x, alg)
+            assert all(rep.conditions.values())
+            npt.assert_allclose(rep.y_in_A, np.linalg.inv(c * x), rtol=1e-9)
 
     def test_omitted_algebra_is_the_generated_one(self):
         # With A omitted the battery reuses the span of x * oa(x) as xA and

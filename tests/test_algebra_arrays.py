@@ -20,7 +20,7 @@ from oalab.algebra import (
     full_matrix_algebra,
     ideal_identity,
 )
-from oalab.matcore import ITER_TOL, RANK_TOL, Subspace, linear_combination, matrix_span, operator_norm
+from oalab.matcore import RANK_TOL, Subspace, linear_combination, matrix_span, operator_norm
 from oalab.sampling import complex_normal, random_span_element
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -70,7 +70,7 @@ def loop_products_stay(span, lefts, rights):
     return np.array(stays, dtype=bool)
 
 
-def loop_find_unit(mats, iter_tol):
+def loop_find_unit(mats):
     columns = [
         np.concatenate([(m @ b).ravel() for b in mats] + [(b @ m).ravel() for b in mats])
         for m in mats
@@ -78,7 +78,7 @@ def loop_find_unit(mats, iter_tol):
     mat = np.stack(columns, axis=1)
     rhs = np.concatenate([b.ravel() for b in mats] * 2)
     coeffs, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    if np.linalg.norm(mat @ coeffs - rhs) <= iter_tol * max(1.0, np.linalg.norm(rhs)):
+    if np.linalg.norm(mat @ coeffs - rhs) <= RANK_TOL * max(1.0, np.linalg.norm(rhs)):
         return np.tensordot(coeffs, mats, axes=(0, 0))
     return None
 
@@ -159,7 +159,7 @@ class TestProductsStay:
                                       lambda: triu_units(2)[1:]])
     def test_unit_solve_equals_the_loop(self, make):
         mats = make()
-        got, want = _find_unit(mats, ITER_TOL), loop_find_unit(mats, ITER_TOL)
+        got, want = _find_unit(mats), loop_find_unit(mats)
         if want is None:
             assert got is None
         else:

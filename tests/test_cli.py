@@ -12,7 +12,7 @@ from oalab.algebra import ball_samples
 from oalab.cli import main
 from oalab.domar import GridFunction
 from oalab.examples import example_two_dim
-from oalab.matcore import EXACT_TOL, ITER_TOL, matrix_from_json, to_jsonable
+from oalab.matcore import EXACT_TOL, matrix_from_json, to_jsonable
 from oalab.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -192,19 +192,6 @@ class TestRunSuite:
             assert "entries" in data.get("x", data.get("rep"))
             assert data["status"] == "INCONCLUSIVE"
 
-    def test_nonunital_control_takes_the_run_tolerance(self, monkeypatch):
-        import oalab.suites as suites_mod
-
-        built, original = [], suites_mod.full_matrix_algebra
-
-        def spy(n, iter_tol=ITER_TOL):
-            built.append((n, iter_tol))
-            return original(n, iter_tol)
-
-        monkeypatch.setattr(suites_mod, "full_matrix_algebra", spy)
-        assert run_suite(SuiteConfig(suite="nonunital-battery", trials=3, iter_tol=1e-7)).passed
-        assert built == [(2, 1e-7)]
-
     def test_nan_observation_fails_its_case(self, monkeypatch):
         # A NaN is never folded away as "not worse": it fails the case and
         # records its replay data.
@@ -353,6 +340,27 @@ class TestCli:
     def test_bad_tol_exit_two(self, tol, capsys):
         assert main(["run", "--suite", "roots", "--tol", tol]) == 2
         assert "iter_tol must be finite and strictly positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite, code",
+        [("closure-battery", 0), ("nonunital-battery", 0), ("roots", 0), ("quotient-cone", 1)],
+    )
+    def test_tiny_tol_writes_a_report(self, suite, code, tmp_path, capsys):
+        # The unit, xyx and commutator residuals are judged by the rank and
+        # rounding rules, not by iter_tol.  quotient-cone fails honestly:
+        # its quotient norms do not certify to a width of 1e-17.
+        out = tmp_path / "tiny.json"
+        argv = ["run", "--suite", suite, "--trials", "3", "--tol", "1e-17", "--out", str(out)]
+        assert main(argv) == code
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["config"]["iter_tol"] == 1e-17
+        failing = {c["name"] for c in payload["cases"] if c["status"] == "fail"}
+        assert failing <= {"block-inclusions", "closed-form-gap"} and bool(failing) == bool(code)
+        assert "error" not in capsys.readouterr().err
 
     def test_missing_flag_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -355,21 +355,13 @@ def test_the_guard_finds_a_re_added_test_only_definition(tmp_path, module, ancho
     assert _unreached(copy, bench) - _unreached(package, bench) == {key}
 
 
-# Every signature that takes a tolerance: the functions that read iter_tol,
-# directly or through a callee, the suite configuration and its run, and
-# the gate of a suite case.  The rounding and rank allowances are the
-# constants matcore.EXACT_TOL and matcore.RANK_TOL, never parameters.
+# Every signature that takes a tolerance: the functions that read iter_tol
+# as an iteration stop, a certified width or a band width, the suite
+# configuration and its run, and the gate of a suite case.  The rounding
+# and rank allowances are matcore's rules, never parameters; the unit, xyx
+# and commutator residual checks read those rules.
 ITER_TOL_READERS = {
-    "algebra.FDAlgebra.build",
-    "algebra.full_matrix_algebra",
-    "algebra.block_diagonal_algebra",
-    "algebra.generated_algebra",
-    "examples.example_two_dim",
-    "algebra.ws_battery",
     "algebra.quotient_norm",
-    "algebra.ideal_identity",
-    "calculus.matrix_power_r",
-    "calculus.matrix_powers",
     "support.power_limit_projection",
     "support.support_projection_routes",
     "spectral.sharp_neumann",
@@ -377,7 +369,6 @@ ITER_TOL_READERS = {
 }
 TOLERANCE_PARAMETERS = (
     {(name, "iter_tol") for name in ITER_TOL_READERS}
-    | {("algebra._find_unit", "iter_tol"), ("algebra._solve_xyx", "iter_tol")}
     | {("suites.SuiteConfig", "iter_tol"), ("suites._Run", "iter_tol")}
     | {("suites._Run.case", "tol"), ("suites._Run.bound", "tol")}
 )

@@ -54,6 +54,7 @@ __all__ = [
 
 DEFAULT_CLUSTER_TOL = 1e-4
 _ZERO_SNAP = 1e-12
+_TAYLOR_TERM_CAP = 300  # _taylor_power's terms before it raises
 # Largest triangular factor whose Parlett recurrence runs on Python lists.
 # Median single calls, lists against the vectorized band loop (one BLAS
 # thread, 2-vCPU shared VM, BENCH_small_calculus.json): 46 against 101 us at
@@ -164,7 +165,7 @@ def _atomic_power(block: np.ndarray, r: float) -> np.ndarray:
     return _guarded_parlett(block, r)
 
 
-def _taylor_power(block: np.ndarray, sigma: complex, r: float, max_terms: int = 300) -> np.ndarray:
+def _taylor_power(block: np.ndarray, sigma: complex, r: float) -> np.ndarray:
     """Taylor expansion of z^r about sigma; converges because the cluster
     spread is small relative to |sigma| (distance to the branch point)."""
     k = block.shape[0]
@@ -173,7 +174,7 @@ def _taylor_power(block: np.ndarray, sigma: complex, r: float, max_terms: int = 
     term = np.eye(k, dtype=complex)
     coeff = 1.0
     stall = 0
-    for j in range(1, max_terms):
+    for j in range(1, _TAYLOR_TERM_CAP):
         coeff *= (r - (j - 1)) / j
         term = term @ m
         incr = coeff * term

@@ -309,7 +309,7 @@ class WeightCriterionReport:
     """Convexity, superlinear tail, and ratio-integral data for a weight.
 
     * ``eta_convex`` -- second differences of ``eta`` on a uniform grid stay
-      above ``-rounding_allowance()`` (``worst_second_difference`` records the minimum);
+      above ``-rounding_allowance()``;
     * ``tail_superlinear`` -- ``eta(t)/t^(1+epsilon)`` is nondecreasing over
       the last quarter of the horizon, ``epsilon`` the module's
       ``SUPERLINEAR_EPSILON``;
@@ -325,7 +325,6 @@ class WeightCriterionReport:
     """
 
     eta_convex: bool
-    worst_second_difference: float
     tail_superlinear: bool
     t_probe: float
     ratio_integral: float
@@ -419,9 +418,7 @@ def domar_criterion_check(w: RadicalWeight, t_probe: float) -> WeightCriterionRe
         raise ValueError(f"t_probe must lie in (0, {horizon:.3g}), got {t_probe}")
     ts = np.linspace(horizon / 400.0, horizon, 400)
     eta = w.eta(ts)
-    second = np.diff(eta, 2)
-    worst = float(np.min(second)) if second.size else 0.0
-    eta_convex = worst >= -rounding_allowance()
+    eta_convex = bool(np.all(np.diff(eta, 2) >= -rounding_allowance()))
 
     ratio = eta / ts ** (1.0 + SUPERLINEAR_EPSILON)
     tail = ratio[3 * len(ratio) // 4 :]
@@ -440,7 +437,6 @@ def domar_criterion_check(w: RadicalWeight, t_probe: float) -> WeightCriterionRe
     err += float(integrand(upper))
     return WeightCriterionReport(
         eta_convex=eta_convex,
-        worst_second_difference=worst,
         tail_superlinear=tail_superlinear,
         t_probe=float(t_probe),
         ratio_integral=float(value),

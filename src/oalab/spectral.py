@@ -26,7 +26,6 @@ import numpy as np
 import scipy.linalg
 
 from .matcore import (
-    ITER_TOL,
     CrossCheckError,
     SpectrumError,
     as_square_matrix,
@@ -259,13 +258,21 @@ class SharpNeumannResult:
     sigma_min: float
 
 
-def sharp_neumann(t: np.ndarray, iter_tol: float = ITER_TOL) -> SharpNeumannResult:
+# The band below 1 in which both norms read "singular": the resolution of
+# the two-norm test, not an iteration stop, so iter_tol does not set it.
+# For t = 1 + u with u unitary, on the boundary of the cone,
+# 1 - ||1 - t/2|| is about sigma_min(t)^2 / 8.
+NEUMANN_BAND = 1e-6
+
+
+def sharp_neumann(t: np.ndarray) -> SharpNeumannResult:
     """Decide invertibility of ``t`` from ``||1 - t||`` and ``||1 - t/2||``.
 
     Requires ``||1 - t|| <= 1`` up to the rounding allowance; raises
     ``ValueError`` otherwise.  The verdict is "singular" precisely when both
-    norms are at least ``1 - iter_tol``.  The verdict is then cross-checked
-    against the smallest singular value of ``t`` (singular iff
+    norms are at least ``1 - NEUMANN_BAND``, a constant that ``iter_tol``
+    does not move.  The verdict is then cross-checked against the smallest
+    singular value of ``t`` (singular iff
     ``sigma_min <= rank_cutoff(||t||)``); a disagreement raises
     :class:`~oalab.matcore.CrossCheckError` with both diagnostics, since it
     means the two routes resolve the spectrum near zero differently.
@@ -283,7 +290,7 @@ def sharp_neumann(t: np.ndarray, iter_tol: float = ITER_TOL) -> SharpNeumannResu
             "||1 - t/2|| exceeds 1 although ||1 - t|| <= 1; "
             f"got {norm_half:.6g}"
         )
-    singular_by_norms = min(norm_one, norm_half) >= 1.0 - iter_tol
+    singular_by_norms = min(norm_one, norm_half) >= 1.0 - NEUMANN_BAND
     sigma = np.linalg.svd(t, compute_uv=False)
     sigma_min = float(sigma[-1])
     singular_by_rank = sigma_min <= rank_cutoff(float(sigma[0]))

@@ -240,7 +240,7 @@ def _suite_sharp_neumann(run):
         else:
             t_mat = np.eye(d) + random_contraction(run.rng, d, radius=0.9)
             expect_singular = False
-        result = sharp_neumann(t_mat, run.iter_tol)  # raises CrossCheckError on clash
+        result = sharp_neumann(t_mat)  # raises CrossCheckError on clash
         run.count("classifier-vs-rank-oracle", result.singular != expect_singular,
                   lambda: {"trial": trial, "t": matrix_to_json(t_mat)})
 

@@ -94,34 +94,31 @@ def _bai_limit_projection(a: np.ndarray) -> np.ndarray:
     return np.eye(a.shape[0], dtype=complex) - spectral_idempotent(a, radius)
 
 
-def power_limit_projection(
-    x,
-    iter_tol: float = ITER_TOL,
-    n_max: int = 2**40,
-) -> tuple[np.ndarray, int]:
+# The last power of two that power_limit_projection squares up to.
+POWER_LIMIT_CAP = 2**40
+
+
+def power_limit_projection(x, iter_tol: float = ITER_TOL) -> np.ndarray:
     """Limit of (z*z)^n for z = 1 - x/2, by repeated squaring.
 
-    Returns ``(limit, n)`` where n is the first power of two at which the
-    squaring step moved by less than ``iter_tol``; the limit is the orthogonal
-    projection onto the kernel of x.  Near-kernel directions far below
-    the rank cutoff plateau at eigenvalue ~1 and are captured into the kernel,
-    matching the SVD rank decision; directions at intermediate scales either
-    resolve (slowly) or exhaust ``n_max``, which raises
-    :class:`ConvergenceError` with the operator norm of the last step.  An
-    ``n_max`` below 2 leaves no squaring step and raises ``ValueError``.
+    Returns the limit at the first power of two n at which the squaring step
+    moved by less than ``iter_tol``: the orthogonal projection onto the
+    kernel of x.  Near-kernel directions far below the rank cutoff plateau
+    at eigenvalue ~1 and are captured into the kernel, matching the SVD
+    rank decision; directions at intermediate scales either resolve
+    (slowly) or reach n = ``POWER_LIMIT_CAP``, which raises
+    :class:`ConvergenceError` with the operator norm of the last step.
     A step is only compared with ``iter_tol``, so
     :func:`~oalab.matcore.operator_norm_at_most` decides it, mostly from its
     Frobenius norm; the exact norm is computed for the error message only.
     """
     a = as_square_matrix(x)
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2 (one squaring step), got {n_max!r}")
     dim = a.shape[0]
     z = np.eye(dim) - a / 2.0
     w = z.conj().T @ z
     w = (w + w.conj().T) / 2.0
     n = 1
-    while n < n_max:
+    while n < POWER_LIMIT_CAP:
         nxt = w @ w
         nxt = (nxt + nxt.conj().T) / 2.0
         n *= 2
@@ -129,9 +126,9 @@ def power_limit_projection(
         w = nxt
         # ||step|| < iter_tol, i.e. at most the float below iter_tol
         if operator_norm_at_most(step, np.nextafter(iter_tol, 0.0)):
-            return w, n
+            return w
     raise ConvergenceError(
-        f"(z*z)^n did not settle by n = {n_max}: last step {operator_norm(step)!r}"
+        f"(z*z)^n did not settle by n = {POWER_LIMIT_CAP}: last step {operator_norm(step)!r}"
     )
 
 
@@ -144,13 +141,11 @@ def support_projection_routes(x, iter_tol: float = ITER_TOL) -> dict:
     a = as_square_matrix(x)
     svd_route = _range_projection(a)
     bai_route = _bai_limit_projection(a)
-    kernel_proj, n_used = power_limit_projection(a, iter_tol)
-    power_route = np.eye(a.shape[0]) - kernel_proj
+    power_route = np.eye(a.shape[0]) - power_limit_projection(a, iter_tol)
     return {
         "svd": svd_route,
         "bai_limit": bai_route,
         "power_limit": power_route,
-        "power_limit_n": n_used,
         "residuals": {
             "svd_vs_bai_limit": operator_norm(svd_route - bai_route),
             "svd_vs_power_limit": operator_norm(svd_route - power_route),

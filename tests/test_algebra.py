@@ -146,6 +146,22 @@ class TestGeneratedAlgebra:
             power = power @ x
             assert alg.contains(power)
 
+    @pytest.mark.xfail(
+        raises=ValueError, strict=True,
+        reason="exact-kernel draws that no suite makes break the closure check (direction 18)",
+    )
+    def test_exact_kernel_draw_generates_a_closed_algebra(self):
+        # Draw 110 of default_rng(0), d in 2-8 and k in 1..d-1 drawn before
+        # each sample, has d = 8 and k = 3; generated_algebra raises "basis
+        # is not closed under multiplication".
+        rng = np.random.default_rng(0)
+        for _ in range(111):
+            d = int(rng.integers(2, 9))
+            k = int(rng.integers(1, d))
+            x = random_singular_cone_element(rng, d, kernel_dim=k)
+        assert (d, k) == (8, 3)
+        generated_algebra(x)
+
 
 class TestIdealSubspaces:
     def test_corner_structure_for_rank_one(self):

@@ -1,8 +1,8 @@
 """The package namespace is exactly the union of the layer modules' exports,
 importing it stays cheap, no module imports a name it never uses, every
-definition is reached from a suite, the CLI or the benchmark, only the
-iteration tolerance is a parameter, and only matcore reads the fixed rank
-and rounding tolerances."""
+definition is reached from a suite, the CLI or the benchmark, some call sets
+every defaulted parameter, only the iteration tolerance is a parameter, and
+only matcore reads the fixed rank and rounding tolerances."""
 
 import ast
 import inspect
@@ -355,16 +355,98 @@ def test_the_guard_finds_a_re_added_test_only_definition(tmp_path, module, ancho
     assert _unreached(copy, bench) - _unreached(package, bench) == {key}
 
 
+# Defaulted parameters that no call in the package or the benchmark sets,
+# kept on purpose.
+TEST_ONLY_PARAMETERS = {
+    "cli.main.argv": "the console entry point, which reads sys.argv",
+    "calculus.series_power_oracle.zero_corrected": "the binomial-series oracle (direction 5)",
+    "spectral.wedge_membership.theta_count": "Johnson's outer polygon (direction 1)",
+    "algebra.ws_battery.A": "the chain in an ambient algebra, which tests check in M_n",
+}
+
+
+def _unset_parameters(package: Path, bench: Path) -> set:
+    """``module.qualname.parameter`` for every defaulted parameter of a
+    function or method in the package that no call in the package or the
+    benchmark passes, by keyword or by position.
+
+    A call reaches every definition of its name, as in :func:`_unreached`,
+    and a call to a class reaches its ``__init__``.  A method's positions
+    do not count ``self`` or ``cls``.  A ``*args`` passes every position and
+    a ``**kwargs`` every keyword.
+    """
+    defaulted = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", True)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix, in_class)
+                continue
+            name, args = f"{prefix}.{child.name}", child.args
+            positional = args.posonlyargs + args.args
+            if in_class and "staticmethod" not in {ast.unparse(d) for d in child.decorator_list}:
+                positional = positional[1:]
+            callee = prefix.rsplit(".", 1)[1] if in_class and child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first):
+                defaulted.append((f"{name}.{arg.arg}", callee, index, arg.arg))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    defaulted.append((f"{name}.{arg.arg}", callee, None, arg.arg))
+            visit(child, name, False)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)
+    passed = set()  # (callee, position, keyword, "*" or "**")
+    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                for index, arg in enumerate(node.args):
+                    passed.add((callee, "*" if isinstance(arg, ast.Starred) else index))
+                passed |= {(callee, kw.arg or "**") for kw in node.keywords}
+    unset = set()
+    for key, callee, index, arg in defaulted:
+        ways = {arg, "**"} | ({index, "*"} if index is not None else set())
+        if not {(callee, way) for way in ways} & passed:
+            unset.add(key)
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_a_call():
+    package = Path(oalab.__file__).parent
+    unset = _unset_parameters(package, package.parents[1] / "oabench")
+    assert sorted(unset - set(TEST_ONLY_PARAMETERS)) == []
+    assert sorted(set(TEST_ONLY_PARAMETERS) - unset) == []  # missing or set
+
+
+def test_the_parameter_guard_finds_a_re_added_test_only_parameter(tmp_path):
+    package = Path(oalab.__file__).parent
+    bench = package.parents[1] / "oabench"
+    copy = tmp_path / "oalab"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (copy / "support.py").read_text(encoding="utf-8")
+    anchor = "def power_limit_projection(x, iter_tol: float = ITER_TOL)"
+    assert text.count(anchor) == 1
+    (copy / "support.py").write_text(
+        text.replace(anchor, anchor[:-1] + ", n_max: int = 2**40)"), encoding="utf-8"
+    )
+    added = _unset_parameters(copy, bench) - _unset_parameters(package, bench)
+    assert added == {"support.power_limit_projection.n_max"}
+
+
 # Every signature that takes a tolerance: the functions that read iter_tol
-# as an iteration stop, a certified width or a band width, the suite
-# configuration and its run, and the gate of a suite case.  The rounding
-# and rank allowances are matcore's rules, never parameters; the unit, xyx
-# and commutator residual checks read those rules.
+# as an iteration stop or a certified width, the suite configuration and
+# its run, and the gate of a suite case.  The rounding and rank allowances
+# are matcore's rules, never parameters; the unit, xyx and commutator
+# residual checks read those rules, and sharp_neumann's band is a constant.
 ITER_TOL_READERS = {
     "algebra.quotient_norm",
     "support.power_limit_projection",
     "support.support_projection_routes",
-    "spectral.sharp_neumann",
     "ocpmap.ocp_falsify",
 }
 TOLERANCE_PARAMETERS = (

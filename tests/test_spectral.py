@@ -246,11 +246,21 @@ class TestSharpNeumann:
 
     def test_route_disagreement_is_loud(self):
         # sigma_min = 2e-7 is large enough for the rank oracle to call the
-        # matrix invertible, yet both norms sit within iter_tol of 1, so the
-        # norm route calls it singular; the conflict must surface.
+        # matrix invertible, yet both norms sit within NEUMANN_BAND of 1, so
+        # the norm route calls it singular; the conflict must surface.
         t = np.diag([2e-7, 1.0]).astype(np.complex128)
         with pytest.raises(CrossCheckError):
             sharp_neumann(t)
+
+    @pytest.mark.xfail(
+        raises=CrossCheckError, strict=True,
+        reason="the band and the rank cutoff need one decision with an open middle "
+        "(directions 8 and 11)",
+    )
+    def test_element_between_the_cutoff_and_the_band_gets_a_verdict(self):
+        # diag(0.5, 1e-7) is in the cone; sigma_min is above the rank cutoff
+        # but inside the band's resolution, so the two routes disagree.
+        sharp_neumann(np.diag([0.5, 1e-7]))
 
     def test_json_fields(self):
         res = sharp_neumann(np.eye(2))

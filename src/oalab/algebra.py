@@ -51,7 +51,7 @@ from .matcore import (
     spectrum,
 )
 from .sampling import random_span_element
-from .spectral import numerical_radius
+from .spectral import numerical_range
 
 __all__ = [
     "FDAlgebra",
@@ -316,7 +316,9 @@ def ball_margins(a: np.ndarray, unit: np.ndarray) -> dict:
 
     * ``power_decay``   -- ``1 - ||a^64||^(1/64)``;
     * ``spectral_gap``  -- ``||a|| - r(a)``;
-    * ``radius_gap``    -- ``||a|| - nu(a)`` (numerical radius);
+    * ``radius_gap``    -- ``||a|| - nu(a)``, with the numerical radius
+      ``nu`` at the upper end of the sweep's bracket, so the margin errs on
+      the safe side;
     * ``shift_norm``    -- ``2 - ||unit + a||``;
     * ``quasi_invert``  -- ``sigma_min(unit - a)``.
 
@@ -330,7 +332,7 @@ def ball_margins(a: np.ndarray, unit: np.ndarray) -> dict:
     return {
         "power_decay": 1.0 - operator_norm(b) ** (1.0 / 64.0),
         "spectral_gap": norm_a - spectral_radius(a),
-        "radius_gap": norm_a - numerical_radius(a, theta_count=NOR_THETA_COUNT),
+        "radius_gap": norm_a - numerical_range(a, NOR_THETA_COUNT).radius_upper,
         "shift_norm": 2.0 - operator_norm(unit + a),
         "quasi_invert": float(np.linalg.svd(unit - a, compute_uv=False)[-1]),
     }

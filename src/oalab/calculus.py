@@ -1,4 +1,4 @@
-"""Fractional powers, series approximants, and spectral idempotents.
+"""Fractional powers and spectral idempotents.
 
 The r-th power of x with ``||1 - x|| <= 1`` uses the principal branch on the
 spectrum (which lies in the closed disk |1 - z| <= 1, hence in the closed
@@ -17,15 +17,9 @@ evaluated atomically, and each block column of the off-diagonal part comes
 from one triangular Sylvester solve (LAPACK ``ztrsyl``).  On a separated
 spectrum the two are the same recurrence in another rounding order; in both,
 well-posedness is exactly the cluster separation.
-
-An independent polynomial route (:func:`series_power_oracle`) evaluates the
-truncated binomial series; it exists so the triangular kernel can be checked
-against something that shares none of its machinery.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -43,12 +37,9 @@ from .matcore import (
 )
 
 __all__ = [
-    "BinomialSeries",
-    "binomial_coefficients",
     "RecurrenceBreakdown",
     "matrix_power_r",
     "matrix_powers",
-    "series_power_oracle",
     "spectral_idempotent",
 ]
 
@@ -65,33 +56,6 @@ _SCALAR_PARLETT_MAX = 12
 
 class RecurrenceBreakdown(ArithmeticError):
     """The Parlett recurrence met a confluent cluster it cannot resolve."""
-
-
-@dataclass(frozen=True)
-class BinomialSeries:
-    """Coefficients a_1..a_N of 1 - (1-z)^r = sum_k a_k z^k, with tail mass."""
-
-    r: float
-    coefficients: np.ndarray
-    tail_bound: float
-
-
-def binomial_coefficients(r: float, n_terms: int) -> BinomialSeries:
-    """Binomial series coefficients for exponent r in (0, 1].
-
-    Recurrence: a_1 = r, a_{k+1} = a_k (k - r)/(k + 1).  All coefficients are
-    nonnegative and sum to 1; the tail bound is 1 - sum(a_1..a_N).
-    """
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"exponent must lie in (0, 1], got {r!r}")
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    coeffs = np.empty(n_terms)
-    coeffs[0] = r
-    for k in range(1, n_terms):
-        coeffs[k] = coeffs[k - 1] * (k - r) / (k + 1)
-    tail = max(0.0, 1.0 - float(coeffs.sum()))
-    return BinomialSeries(r=float(r), coefficients=coeffs, tail_bound=tail)
 
 
 def _principal_power(lam: complex, r: float) -> complex:
@@ -342,36 +306,6 @@ def matrix_power_r(x, r: float) -> np.ndarray:
     """Principal r-th power (0 < r <= 1) of x with ``||1 - x|| <= 1``:
     :func:`matrix_powers` with the one exponent ``r``."""
     return matrix_powers(x, (r,))[0]
-
-
-def series_power_oracle(
-    x,
-    r: float,
-    n_terms: int,
-    zero_corrected: bool = True,
-) -> tuple[np.ndarray, BinomialSeries]:
-    """Truncated binomial series for x^r, an independent check on the kernel.
-
-    With ``zero_corrected`` the polynomial is q_N(x) = sum a_k (1 - (1-x)^k),
-    which has q_N(0) = 0 and no constant term, so it lies in span{x, x^2, ...}
-    exactly; its error is at most ``2 * tail_bound``.  Without the correction
-    the plain truncation 1 - sum a_k (1-x)^k is returned, with error at most
-    ``tail_bound`` (both because ``||1 - x|| <= 1``).
-    """
-    a = as_square_matrix(x)
-    series = binomial_coefficients(r, n_terms)
-    n = a.shape[0]
-    y = np.eye(n) - a
-    acc = np.zeros_like(a)
-    power = np.eye(n, dtype=complex)
-    for coeff in series.coefficients:
-        power = power @ y
-        acc += coeff * power
-    if zero_corrected:
-        value = float(series.coefficients.sum()) * np.eye(n) - acc
-    else:
-        value = np.eye(n) - acc
-    return value, series
 
 
 def spectral_idempotent(x, radius: float) -> np.ndarray:

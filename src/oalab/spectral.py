@@ -1,4 +1,4 @@
-"""Numerical-range sampling, wedge membership, and a sharp von Neumann test.
+"""Numerical-range sampling, the numerical radius, and a sharp von Neumann test.
 
 The numerical range ``W(x) = {<xv, v> : ||v|| = 1}`` of a matrix is a compact
 convex set.  Its boundary is sampled here by a support-line sweep: for each
@@ -7,15 +7,13 @@ angle ``theta`` the top eigenvector ``v`` of the Hermitian part
 the support line of direction ``theta`` touches ``W(x)``.  Since
 ``H_{theta + pi} = -H_theta``, one factorization serves both directions of
 an antipodal pair: the bottom eigenpair of ``H_theta`` is the top one of
-``H_{theta + pi}``.
+``H_{theta + pi}``.  The support values bracket the numerical radius
+``nu = max |W(x)|`` (Johnson's support-line polygon).
 
-On top of the sweep this module provides
-
-* :func:`wedge_membership` -- certify that the sampled range lies in the
-  wedge ``{z : |arg z| <= rho}`` intersected with the disk ``|z - 1/2| <= 1/2``;
-* :func:`sharp_neumann` -- decide invertibility of a matrix ``T`` with
-  ``||1 - T|| <= 1`` purely from the two norms ``||1 - T||`` and
-  ``||1 - T/2||``, cross-checked against a singular-value rank oracle.
+On top of the sweep this module provides :func:`sharp_neumann`, which
+decides invertibility of a matrix ``T`` with ``||1 - T|| <= 1`` purely from
+the two norms ``||1 - T||`` and ``||1 - T/2||``, cross-checked against a
+singular-value rank oracle.
 """
 
 from __future__ import annotations
@@ -37,11 +35,8 @@ from .matcore import (
 
 __all__ = [
     "NumericalRangeSample",
-    "WedgeReport",
     "SharpNeumannResult",
     "numerical_range",
-    "numerical_radius",
-    "wedge_membership",
     "sharp_neumann",
 ]
 
@@ -60,15 +55,22 @@ class NumericalRangeSample:
         ``support_values[j] = max Re(e^{-i theta_j} W(x))``, the support
         function of the range in direction ``theta_j``.
     radius:
-        Numerical radius estimate ``max_j support_values[j]``; for a convex
-        set containing the sweep's touching points this equals
-        ``max |W(x)|`` up to grid resolution.
+        ``h = max_j support_values[j]``, a lower bound on the numerical
+        radius ``nu = max |W(x)|``: each support value is attained at a
+        boundary point.
+    radius_upper:
+        An upper bound on ``nu``.  The support lines bound a polygon inside
+        the regular ``theta_count``-gon of inradius ``h``, so
+        ``nu <= h / cos(pi / theta_count)`` (Johnson, SINUM 1978); the bound
+        adds ``rounding_allowance`` at that scale for the eigensolver's
+        rounding, which is relative to ``||H_theta|| <= nu``.
     """
 
     theta_count: int
     boundary_points: np.ndarray
     support_values: np.ndarray
     radius: float
+    radius_upper: float
 
 
 # Twice LAPACK's underflow threshold: dstebz then bisects each eigenvalue
@@ -169,74 +171,14 @@ def numerical_range(x: np.ndarray, theta_count: int = 720) -> NumericalRangeSamp
         vecs = v[:, :, picks].transpose(2, 0, 1)
         boundary[block] = np.sum((vecs.conj() @ x) * vecs, axis=2).T
     support = support.T.ravel()
+    radius = float(np.max(support))
+    outer = radius / np.cos(np.pi / theta_count)
     return NumericalRangeSample(
         theta_count=theta_count,
         boundary_points=boundary.T.ravel(),
         support_values=support,
-        radius=float(np.max(support)),
-    )
-
-
-def numerical_radius(x: np.ndarray, theta_count: int = 720) -> float:
-    """Numerical radius ``max |W(x)|`` via the support sweep."""
-    return numerical_range(x, theta_count=theta_count).radius
-
-
-@dataclasses.dataclass(frozen=True)
-class WedgeReport:
-    """Outcome of a sampled wedge-membership check.
-
-    ``inside`` is True when every sampled boundary point ``w`` satisfies
-    both ``|arg w| <= rho + slack`` and ``|w - 1/2| <= 1/2 + a``, where
-    ``a = rounding_allowance()`` and the angular ``slack`` accounts for the
-    sweep's grid resolution.  Points within ``a`` of the origin sit at the
-    wedge tip and carry no usable angle, so they are counted inside.
-    """
-
-    inside: bool
-    rho: float
-    max_angle: float
-    max_disk_defect: float
-    slack: float
-
-
-def wedge_membership(
-    x: np.ndarray,
-    rho: float,
-    theta_count: int = 720,
-) -> WedgeReport:
-    """Check whether the sampled numerical range of ``x`` lies in a wedge.
-
-    The target region is ``{z : |arg z| <= rho}`` intersected with the
-    disk ``{z : |z - 1/2| <= 1/2}``.  Sampling happens on the boundary of
-    ``W(x)``; since both the range and the region are convex, boundary
-    containment (up to grid slack) certifies containment of the whole
-    sampled hull.
-
-    Parameters
-    ----------
-    rho:
-        Half-opening angle of the wedge, in radians, ``0 <= rho <= pi``.
-    theta_count:
-        Sweep resolution; the angular slack is one grid step
-        ``2*pi/theta_count`` plus a fixed ``1e-6`` guard.
-    """
-    if not 0.0 <= rho <= np.pi:
-        raise ValueError("rho must lie in [0, pi]")
-    sample = numerical_range(x, theta_count=theta_count)
-    pts = sample.boundary_points
-    slack = 2.0 * np.pi / theta_count + 1e-6
-    angles = np.abs(np.angle(pts))
-    usable = np.abs(pts) > rounding_allowance()
-    max_angle = float(np.max(angles[usable])) if usable.any() else 0.0
-    disk_defect = float(np.max(np.abs(pts - 0.5)) - 0.5)
-    inside = max_angle <= rho + slack and disk_defect <= rounding_allowance()
-    return WedgeReport(
-        inside=bool(inside),
-        rho=float(rho),
-        max_angle=max_angle,
-        max_disk_defect=max(disk_defect, 0.0),
-        slack=float(slack),
+        radius=radius,
+        radius_upper=float(outer + rounding_allowance(outer)),
     )
 
 

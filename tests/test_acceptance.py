@@ -192,23 +192,8 @@ _REDUCED = {
 
 # Cases and failures of the first run of each suite at ``_REDUCED``/seed 3,
 # recorded once from the code before the plumbing refactor: a refactor must
-# reproduce them, margins to a relative 1e-6.  Regenerated once, for the
-# ``roots`` entry only, when generated_algebra became an Arnoldi basis: the
-# roots lie in the new span to 1.7e-15 instead of 1.9e-13, which moves the
-# roots-in-generated-span margin by +1.88e-13 against an allowance of 1e-14.
-# Regenerated once more, for ``volterra``/``spectral-radius-100`` only: it
-# still held the margin 0.0 and tol 0.005 of the gate that sat on the true
-# radius, which had since moved to ``|rho - 1/200| <= exact_tol`` (margin and
-# tol 1e-9).  Regenerated once more, for ``ocp-falsify``/``cp-no-witness``
-# only: the case moved from a count of witnesses (margin 0, tol 0) to the
-# Stinespring certificate, iter_tol minus the bound's excess over c (margin
-# iter_tol - 2.4e-14, tol 1e-6).  Regenerated once more, for the two
-# ``stinespring`` entries only: matrix_map_from_kraus tabulates with one
-# einsum instead of a product per matrix unit, which moves the rounding of the
-# maps' actions: the worst residual goes from 1.42e-14 to 1.08e-14 and the
-# worst ||V*V|| - ||T(1)|| gap from 2.84e-14 to 1.42e-14, each past its
-# allowance of 1e-6 * tol.  Each case's tol is compared exactly, so a stale
-# gate shows.
+# reproduce them, margins to a relative 1e-6 and each case's tol exactly, so
+# a stale gate shows.  CHANGES.md lists every regeneration and its cause.
 _GOLDEN = Path(__file__).parent / "golden" / "suites_reduced.json"
 
 

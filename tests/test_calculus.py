@@ -14,10 +14,8 @@ from oalab.calculus import (
     _cluster_labels,
     _guarded_parlett,
     _triangular_power,
-    binomial_coefficients,
     matrix_power_r,
     matrix_powers,
-    series_power_oracle,
     spectral_idempotent,
 )
 from oalab.cone import in_F
@@ -27,6 +25,7 @@ from oalab.matcore import (
     complex_schur,
     matrix_span,
     operator_norm,
+    rounding_allowance,
     spectrum,
 )
 from oalab.sampling import (
@@ -35,35 +34,6 @@ from oalab.sampling import (
     random_contraction,
     random_normal_singular_cone_element,
 )
-
-
-class TestBinomialSeries:
-    def test_first_coefficients_for_square_root(self):
-        series = binomial_coefficients(0.5, 6)
-        np.testing.assert_allclose(
-            series.coefficients[:3], [0.5, 0.125, 0.0625], atol=1e-15
-        )
-
-    def test_exponent_one_collapses(self):
-        series = binomial_coefficients(1.0, 5)
-        np.testing.assert_allclose(series.coefficients, [1, 0, 0, 0, 0], atol=1e-15)
-        assert series.tail_bound == 0.0
-
-    def test_coefficients_nonnegative_and_sum_below_one(self):
-        for r in (0.1, 1 / 3, 0.5, 0.9):
-            series = binomial_coefficients(r, 200)
-            assert np.all(series.coefficients >= 0)
-            assert series.coefficients.sum() <= 1.0 + 1e-12
-            assert series.tail_bound >= 0
-
-    def test_tail_shrinks_with_more_terms(self):
-        tails = [binomial_coefficients(0.5, n).tail_bound for n in (10, 100, 1000)]
-        assert tails[0] > tails[1] > tails[2]
-
-    def test_rejects_bad_exponent(self):
-        for r in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                binomial_coefficients(r, 10)
 
 
 class TestMatrixPower:
@@ -146,15 +116,32 @@ class TestMatrixPower:
 
     def test_against_scipy_on_invertible_samples(self):
         rng = np.random.default_rng(49)
-        checked = 0
-        while checked < 15:
-            x = np.eye(5) - random_contraction(rng, 5)
-            if np.linalg.svd(x, compute_uv=False)[-1] < 1e-3:
-                continue
-            for r in (0.5, 1 / 3):
-                want = scipy.linalg.fractional_matrix_power(x, r)
-                np.testing.assert_allclose(matrix_power_r(x, r), want, atol=1e-9)
-            checked += 1
+        for dim in range(1, 7):
+            checked = 0
+            while checked < 15:
+                x = np.eye(dim) - random_contraction(rng, dim)
+                if np.linalg.svd(x, compute_uv=False)[-1] < 1e-3:
+                    continue
+                for r in (0.5, 1 / 3):
+                    want = scipy.linalg.fractional_matrix_power(x, r)
+                    np.testing.assert_allclose(matrix_power_r(x, r), want, atol=1e-9)
+                checked += 1
+
+    def test_roots_of_half_an_element_lie_in_narrowing_wedges(self):
+        # Kato: W((x/2)^(1/k)) lies in |arg z| <= rho = pi/(2k).  For
+        # rho <= pi/2 that wedge is the two half-planes Re(e^{-i phi} z) <= 0
+        # with phi = +-(pi/2 + rho), and W(u) lies in such a half-plane iff
+        # lambda_max(Re(e^{-i phi} u)) <= 0: no sweep, so no grid slack.
+        rng = np.random.default_rng(42)
+        for _ in range(12):
+            dim = int(rng.integers(2, 7))
+            x = np.eye(dim) - random_contraction(rng, dim)
+            for k in range(1, 6):
+                u = matrix_power_r(x / 2, 1 / k)
+                edge = np.pi / 2 + np.pi / (2 * k)
+                for phase in (np.exp(-1j * edge), np.exp(1j * edge)):
+                    top = np.linalg.eigvalsh((phase * u + np.conj(phase) * u.conj().T) / 2)[-1]
+                    assert top <= rounding_allowance(operator_norm(u)), (k, top)
 
     def test_exponent_one_is_identity_map(self):
         x = np.eye(4) - random_contraction(np.random.default_rng(50), 4)
@@ -350,39 +337,6 @@ class TestTriangularKernel:
         np.testing.assert_allclose(np.linalg.matrix_power(y, p), x, atol=1e-7)
         assert operator_norm(np.eye(dim) - y) <= 1 + 1e-8
         assert np.linalg.norm(y @ u[:, :k]) <= 1e-8
-
-
-class TestSeriesOracle:
-    def test_zero_corrected_polynomial_has_no_constant_term(self):
-        x = np.eye(4) - random_contraction(np.random.default_rng(51), 4)
-        value, _ = series_power_oracle(np.zeros((4, 4)), 0.5, 30)
-        assert np.allclose(value, 0)
-        del x
-
-    def test_agreement_within_tail_bound(self):
-        rng = np.random.default_rng(52)
-        for _ in range(20):
-            dim = int(rng.integers(1, 7))
-            x = np.eye(dim) - random_contraction(rng, dim)
-            power = matrix_power_r(x, 0.5)
-            plain, series = series_power_oracle(x, 0.5, 64, zero_corrected=False)
-            assert operator_norm(plain - power) <= series.tail_bound + 1e-12
-            corrected, _ = series_power_oracle(x, 0.5, 64)
-            assert operator_norm(corrected - power) <= 2 * series.tail_bound + 1e-12
-
-    def test_interior_spectrum_converges_much_faster(self):
-        rng = np.random.default_rng(53)
-        for _ in range(10):
-            dim = int(rng.integers(1, 7))
-            # pull the spectrum strictly inside: ||1 - x|| <= 0.9
-            x = np.eye(dim) - random_contraction(rng, dim)
-            x = np.eye(dim) + 0.9 * (x - np.eye(dim))
-            power = matrix_power_r(x, 0.5)
-            # plain truncation error is sum_{k>N} a_k 0.9^k, geometrically small
-            approx, series = series_power_oracle(x, 0.5, 64, zero_corrected=False)
-            err = operator_norm(approx - power)
-            assert err <= series.tail_bound
-            assert err < 5e-3  # far below the ~0.07 boundary tail
 
 
 class TestSpectralIdempotent:

@@ -213,11 +213,6 @@ def test_json_is_written_by_one_rule_and_read_nowhere():
 
 # Definitions no suite, CLI command or benchmark job reaches, kept on purpose.
 UNREACHED_ALLOWED = {
-    "spectral.wedge_membership": "Johnson's outer polygon gives it a suite case (direction 1)",
-    "spectral.WedgeReport": "the result of wedge_membership (direction 1)",
-    "calculus.series_power_oracle": "the binomial-series oracle, kept or cut by direction 5",
-    "calculus.binomial_coefficients": "the binomial-series oracle (direction 5)",
-    "calculus.BinomialSeries": "the binomial-series oracle (direction 5)",
     "matcore.matrix_from_json": "the reader for replaying a failure record by hand",
 }
 
@@ -359,8 +354,6 @@ def test_the_guard_finds_a_re_added_test_only_definition(tmp_path, module, ancho
 # kept on purpose.
 TEST_ONLY_PARAMETERS = {
     "cli.main.argv": "the console entry point, which reads sys.argv",
-    "calculus.series_power_oracle.zero_corrected": "the binomial-series oracle (direction 5)",
-    "spectral.wedge_membership.theta_count": "Johnson's outer polygon (direction 1)",
     "algebra.ws_battery.A": "the chain in an ambient algebra, which tests check in M_n",
 }
 

@@ -1,4 +1,4 @@
-"""Tests for numerical-range sampling, wedges, and the two-norm rank test."""
+"""Tests for numerical-range sampling, the radius bracket, and the two-norm rank test."""
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg
 from draws import random_singular_cone_element
 
-from oalab.calculus import matrix_power_r
 from oalab.matcore import (
     CrossCheckError,
     operator_norm,
@@ -15,12 +14,7 @@ from oalab.matcore import (
     to_jsonable,
 )
 from oalab.sampling import complex_normal, haar_unitaries, random_contraction
-from oalab.spectral import (
-    numerical_radius,
-    numerical_range,
-    sharp_neumann,
-    wedge_membership,
-)
+from oalab.spectral import numerical_range, sharp_neumann
 
 
 class TestNumericalRange:
@@ -55,14 +49,39 @@ class TestNumericalRange:
             npt.assert_allclose(sample.radius, np.max(np.abs(lams)), rtol=1e-4)
 
     def test_radius_norm_sandwich(self):
+        # nu <= ||x|| <= 2 nu, read off the two ends of the bracket
         rng = np.random.default_rng(11)
         for _ in range(10):
             d = int(rng.integers(2, 7))
             x = complex_normal(rng, (d, d))
-            nu = numerical_radius(x, theta_count=720)
+            sample = numerical_range(x, theta_count=720)
             nrm = operator_norm(x)
-            assert nu <= nrm + 1e-9
-            assert nrm <= 2.0 * nu + 1e-9
+            assert sample.radius <= nrm + rounding_allowance(nrm)
+            assert nrm <= 2.0 * sample.radius_upper
+
+    @pytest.mark.parametrize("theta_count", [8, 9, 360, 361])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_radius_bracket_on_the_shift(self, n, theta_count):
+        # W of the n x n shift is the disk of radius cos(pi/(n+1)), so the
+        # lower end sits on nu; at n = 5 it rounds 6e-16 above it
+        x = np.eye(n, k=1, dtype=complex)
+        nu = np.cos(np.pi / (n + 1))
+        sample = numerical_range(x, theta_count)
+        a = rounding_allowance(operator_norm(x))
+        assert sample.radius - a <= nu <= sample.radius_upper
+
+    @pytest.mark.parametrize("theta_count", [8, 9, 360, 361])
+    def test_radius_bracket_on_boundary_elements(self, theta_count):
+        # 1 + u with u unitary is normal, so W is the hull of its spectrum and
+        # nu = max |1 + lambda_i|; a coarse grid leaves h well below nu
+        rng = np.random.default_rng(13)
+        for n in range(1, 7):
+            for u in haar_unitaries(rng, 4, n):
+                x = np.eye(n) + u
+                nu = np.max(np.abs(1.0 + np.linalg.eigvals(u)))
+                sample = numerical_range(x, theta_count)
+                a = rounding_allowance(operator_norm(x))
+                assert sample.radius - a <= nu <= sample.radius_upper, n
 
     @pytest.mark.parametrize("n", [45, 46, 64, 128])
     def test_top_pair_path_matches_full_eigh(self, n):
@@ -150,68 +169,6 @@ class TestPairedSweep:
         # of one direction takes the tridiagonal route
         expected = solved if n >= 46 else solved % 2
         assert calls == [(n, n)] * expected
-
-
-class TestWedgeMembership:
-    def test_positive_diagonal_sits_on_axis(self):
-        x = np.diag([0.1, 0.6, 1.0]).astype(np.complex128)
-        report = wedge_membership(x, rho=0.01)
-        assert report.inside
-        assert report.max_angle <= 1e-8
-        assert report.max_disk_defect == 0.0
-
-    def test_rotated_positive_matrix_needs_matching_angle(self):
-        phi = 0.3
-        x = np.exp(1j * phi) * np.diag([0.2, 0.5]).astype(np.complex128)
-        tight = wedge_membership(x, rho=phi / 2)
-        assert not tight.inside
-        npt.assert_allclose(tight.max_angle, phi, atol=1e-8)
-        loose = wedge_membership(x, rho=phi + 0.01)
-        assert loose.inside
-
-    def test_disk_condition_can_fail_alone(self):
-        # 2I has angle zero but lies outside |z - 1/2| <= 1/2.
-        report = wedge_membership(2.0 * np.eye(2), rho=0.5)
-        assert not report.inside
-        npt.assert_allclose(report.max_disk_defect, 1.0, atol=1e-10)
-
-    def test_zero_matrix_is_at_the_tip(self):
-        report = wedge_membership(np.zeros((3, 3)), rho=0.0)
-        assert report.inside
-        assert report.max_angle == 0.0
-
-    def test_the_tip_is_the_rounding_allowance_around_zero(self):
-        # -a is within the allowance of the origin, so its angle pi is not
-        # read; -2a is a point of the range off the wedge.
-        a = rounding_allowance()
-        tip = wedge_membership(np.array([[-a]]), rho=0.0)
-        assert tip.inside and tip.max_angle == 0.0
-        off = wedge_membership(np.array([[-2.0 * a]]), rho=0.0)
-        assert not off.inside and off.max_angle == np.pi
-
-    def test_rho_out_of_range(self):
-        with pytest.raises(ValueError):
-            wedge_membership(np.eye(2), rho=-0.1)
-
-    def test_root_sequence_shrinks_into_narrow_wedges(self):
-        # Roots u_k = (x/2)^(1/k) of an element with ||1 - x|| <= 1 have
-        # numerical range inside the wedge of half-angle pi/(2k), and the
-        # opening shrinks monotonically as k grows.
-        rng = np.random.default_rng(42)
-        grid_slack = 2.0 * np.pi / 720 + 1e-6
-        for _ in range(12):
-            dim = int(rng.integers(2, 7))
-            x = np.eye(dim) - random_contraction(rng, dim)
-            roots = [matrix_power_r(x / 2, 1 / k) for k in range(1, 6)]
-            prev_angle = np.pi
-            for k, u in enumerate(roots, start=1):
-                report = wedge_membership(u, rho=np.pi / (2 * k))
-                assert report.inside, (
-                    f"k={k}: max angle {report.max_angle:.4f} exceeds "
-                    f"{np.pi / (2 * k):.4f}"
-                )
-                assert report.max_angle <= prev_angle + grid_slack
-                prev_angle = report.max_angle
 
 
 class TestSharpNeumann:

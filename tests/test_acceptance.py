@@ -8,14 +8,16 @@ under sixty seconds on a commodity machine.
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pins
 from oalab.matcore import ITER_TOL
 from oalab.ocpmap import dilation_bound, ocp_falsify
 from oalab.suites import SUITE_NAMES, SuiteConfig, _ocp_falsify_draws, run_suite
+
+_GOLDEN = json.loads(pins.GOLDEN.read_text(encoding="utf-8"))
 
 
 def _drive(label: str, *configs: SuiteConfig) -> None:
@@ -166,73 +168,11 @@ def test_11_quotient_cone():
     )
 
 
-# Reduced trial counts for the determinism double-run: outcomes are a pure
-# function of (suite, dim, trials, seed), so the property is independent of
-# scale, and the two ~40 s batteries need not run twice at full size.
-_REDUCED = {
-    "roots": {"trials": 20},
-    "support-routes": {"trials": 30},
-    "support-join": {"trials": 20},
-    "sharp-neumann": {"trials": 80},
-    "closure-battery": {"trials": 30},
-    "nonunital-battery": {"trials": 100},
-    "projection-truncation": {},
-    "volterra": {"dim": 400},
-    "domar-titchmarsh": {"trials": 60},
-    "domar-criterion": {},
-    "domar-quasinilpotence": {},
-    "domar-bump": {},
-    "domar-density": {"trials": 5},
-    "ocp-falsify": {"trials": 2},
-    "stinespring": {"trials": 10},
-    "disk-test": {"trials": 60},
-    "quotient-cone": {"trials": 10},
-}
-
-
-# Cases and failures of the first run of each suite at ``_REDUCED``/seed 3,
-# recorded once from the code before the plumbing refactor: a refactor must
-# reproduce them, margins to a relative 1e-6 and each case's tol exactly, so
-# a stale gate shows.  CHANGES.md lists every regeneration and its cause.
-_GOLDEN = Path(__file__).parent / "golden" / "suites_reduced.json"
-
-
-def _assert_matches_golden(name, cases, failures, golden):
-    assert failures == golden["failures"], name
-    assert [(c["name"], c["status"], c["tol"]) for c in cases] == [
-        (g["name"], g["status"], g["tol"]) for g in golden["cases"]
-    ], name
-    # Every moved case of the suite at once, so that a second one is not
-    # hidden behind the first.
-    moved = [
-        (name, case["name"], case["margin"], gold["margin"])
-        for case, gold in zip(cases, golden["cases"])
-        if not (
-            case["margin"] == gold["margin"]
-            or abs(case["margin"] - gold["margin"]) <= 1e-6 * max(abs(gold["margin"]), gold["tol"])
-        )
-    ]
-    assert moved == []
-
-
-def test_12_reruns_reproduce_outcomes():
-    # Every registered suite, run twice with the same seed, must reproduce
-    # byte-identical cases and failures (wall_ms is the only varying field),
-    # and the first run must match the committed golden outcomes.
-    assert set(_REDUCED) == set(SUITE_NAMES)
-    golden = json.loads(_GOLDEN.read_text(encoding="utf-8"))
-    assert set(golden) == set(SUITE_NAMES)
-    for name in sorted(_REDUCED):
-        cfgs = [SuiteConfig(suite=name, seed=3, **_REDUCED[name]) for _ in range(2)]
-        first, second = (run_suite(c) for c in cfgs)
-        _assert_matches_golden(name, first.cases, first.failures, golden[name])
-        assert json.dumps(first.cases, sort_keys=True) == json.dumps(
-            second.cases, sort_keys=True
-        ), name
-        assert json.dumps(first.failures, sort_keys=True) == json.dumps(
-            second.failures, sort_keys=True
-        ), name
-    print(
-        f"[acceptance] re-runs reproduce outcomes: PASS "
-        f"({len(_REDUCED)} suites, two runs each)"
-    )
+@pytest.mark.parametrize("suite", sorted(set(SUITE_NAMES) | set(_GOLDEN)))
+def test_pinned_outcomes(suite):
+    # Every pinned run of the suite reproduces its golden outcome, and a
+    # second run of the first (reduced) config is byte-identical to it.
+    runs, moved = pins.pin(suite, _GOLDEN)
+    assert moved == [], "\n".join(map(pins.describe, moved))
+    again = pins.rerun(suite, [runs[0]["config"]])
+    assert json.dumps(again[0], sort_keys=True) == json.dumps(runs[0], sort_keys=True)

@@ -1,19 +1,69 @@
-"""The committed golden suite outcomes and the benchmark's pinned verdicts
-name the same cases with the same statuses, so a renamed, added or dropped
-case fails here before the benchmark refuses a run over it."""
+"""The pinned outcomes: the golden suite runs name the same cases with the
+same statuses as the benchmark's pinned verdicts, so a renamed, added or
+dropped case fails here before the benchmark refuses a run over it; and
+``tests/pins.py --check`` fails, writing nothing, when an outcome moves."""
 
 import json
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden" / "suites_reduced.json"
-VERDICTS = ROOT / "oabench" / "verdicts.json"
+import pins
+from oalab import suites
+
+VERDICTS = Path(pins.ROOT) / "oabench" / "verdicts.json"
 
 
 def test_golden_cases_match_pinned_verdicts():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden = json.loads(pins.GOLDEN.read_text(encoding="utf-8"))
     pinned = json.loads(VERDICTS.read_text(encoding="utf-8"))
     assert set(pinned) <= set(golden)
     for suite, verdicts in pinned.items():
-        got = {case["name"]: case["status"] for case in golden[suite]["cases"]}
-        assert got == verdicts, suite
+        for run in golden[suite]:
+            got = {case["name"]: case["status"] for case in run["cases"]}
+            assert got == verdicts, (suite, run["config"])
+
+
+def test_check_names_every_moved_entry(monkeypatch, capsys):
+    runner, *rest = suites._REGISTRY["roots"]
+
+    def changed(run):
+        runner(run)
+        run.margins["half-root-squares"][0] *= 2.0
+        run.margins["roots-stay-in-cone"][0] = -1.0
+        run.margins["half-cone-roots-stay"][1] = 0.5
+        del run.margins["roots-in-generated-span"]
+        run.case("added-case", 1.0, 0.0)
+
+    monkeypatch.setitem(suites._REGISTRY, "roots", (changed, *rest))
+    before = pins.GOLDEN.read_bytes()
+    assert pins.main(["--check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert pins.GOLDEN.read_bytes() == before
+    configs = [run["config"] for run in json.loads(before)["roots"]]
+    for config in configs:
+        where = f"roots {json.dumps(config)} "
+        mine = [line for line in lines if line.startswith(where)]
+        assert len(mine) == 5, lines
+        shifted, flipped, tol, dropped, added = mine
+        assert shifted.startswith(where + "half-root-squares: {'margin'")
+        assert flipped.startswith(where + "roots-stay-in-cone: {'margin'")
+        assert "'status': 'pass'} -> {'margin': -1.0, 'status': 'fail'}" in flipped
+        assert tol.startswith(where + "half-cone-roots-stay: {'tol'")
+        assert "-> {'tol': 0.5}" in tol
+        assert dropped.startswith(where + "roots-in-generated-span: {") and dropped.endswith("-> None")
+        assert added.startswith(where + "added-case: None -> {")
+    assert [line for line in lines if not line.startswith("roots ")] == [f"{5 * len(configs)} pinned entries moved"]
+
+
+def test_check_fails_on_unpinned_and_unregistered_suites(monkeypatch, tmp_path, capsys):
+    runs = json.loads(pins.GOLDEN.read_text(encoding="utf-8"))["domar-criterion"]
+    monkeypatch.setattr(pins, "SUITE_NAMES", ("domar-criterion",))
+    monkeypatch.setattr(pins, "GOLDEN", tmp_path / "suites.json")
+    for golden, named in (
+        ({}, "domar-criterion {}"),
+        ({"domar-criterion": runs, "no-such-suite": runs}, "no-such-suite: 'pinned' -> 'not a registered suite'"),
+    ):
+        pins.GOLDEN.write_text(json.dumps(golden), encoding="utf-8")
+        assert pins.main(["--check"]) == 1
+        out = capsys.readouterr().out
+        assert named in out, out
+        assert json.loads(pins.GOLDEN.read_text(encoding="utf-8")) == golden

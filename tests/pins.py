@@ -1,26 +1,18 @@
-"""Pinned suite outcomes: the one place that runs, writes and compares them.
+"""Pinned suite outcomes: the one place that runs, rewrites and compares them.
 
-``tests/golden/suites.json`` holds, for every registered suite, a list of
-runs ``{"config", "cases", "failures"}``.  A run's config gives only the
-``SuiteConfig`` fields that differ from the suite's defaults; each suite is
-pinned at its reduced config, seed 3, which comes first, and at its default
-config ``{}``.  Run from the repository root:
+``tests/golden/suites.json`` holds per registered suite a list of runs
+``{"config", "cases", "failures"}``: first its reduced config at seed 3, then
+its default config ``{}``, each config giving only the ``SuiteConfig`` fields
+that differ from the suite's defaults.  From the repository root,
 
-    python3 tests/pins.py           # rewrite the golden file and oabench/verdicts.json
-    python3 tests/pins.py --check   # rerun every pinned run, write nothing
+    python3 tests/pins.py           # rerun the configs, rewrite it and oabench/verdicts.json
+    python3 tests/pins.py --check   # rerun the configs, write nothing, exit 1 if one moved
 
-The rewrite reruns the configs the file records (a run recorded with only a
-config gets its outcome pinned; a registered suite missing from the file is
-pinned at ``{}``), prints every entry whose bytes move, and then runs
-``oabench/pin_verdicts.py``.  The check prints every entry that moved beyond
-the rule of ``moved`` and exits 1 if any did.
+Both print every moved entry.  The rewrite pins a registered suite that the
+file lacks at ``{}``, and gives a run that holds only a config its outcome.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,10 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "suites.json"
 
 if __name__ == "__main__":
-    # One BLAS thread, set before numpy is first imported, as Tier-1 CI runs.
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "oabench"))
+    import run  # noqa: F401  (pins the BLAS to one thread and puts src/ on sys.path)
 
 from oalab.suites import SUITE_NAMES, SuiteConfig, run_suite  # noqa: E402
 
@@ -42,43 +32,36 @@ REL = 1e-6
 
 def rerun(suite: str, configs: list) -> list:
     """Run ``suite`` at each config; the runs as the golden file records them."""
-    runs = []
-    for config in configs:
-        report = run_suite(SuiteConfig(suite=suite, **config))
-        runs.append({"config": config, "cases": report.cases, "failures": report.failures})
-    return runs
+    reports = [run_suite(SuiteConfig(suite=suite, **config)) for config in configs]
+    return [{"config": c, "cases": r.cases, "failures": r.failures} for c, r in zip(configs, reports)]
 
 
 def moved(suite: str, pinned: list, runs: list, rel: float = REL) -> list:
     """Every ``(suite, config, case, old, new)`` in which ``runs`` differ from ``pinned``.
 
-    The runs pair up in order.  Failures, case names and order, statuses and
-    tols must match exactly; a margin may move by ``rel`` times
-    ``max(|pinned margin|, tol)``.  ``old`` and ``new`` hold the fields that
-    moved, or the whole case where one side lacks it.
+    Runs pair up in order.  Failures, case names and order, statuses and tols
+    must match exactly; a margin may move by ``rel`` times ``max(|pinned
+    margin|, tol)``.  ``old`` and ``new`` hold the moved fields, or a whole case.
     """
     entries = []
     for old, new in zip(pinned, runs):
-        config = old["config"]
-        old_cases = {case["name"]: case for case in old.get("cases", [])}
-        new_cases = {case["name"]: case for case in new["cases"]}
-        for name in {**old_cases, **new_cases}:
-            a, b = old_cases.get(name), new_cases.get(name)
+        config, failures = old["config"], old.get("failures", [])
+        olds = {case["name"]: case for case in old.get("cases", [])}
+        news = {case["name"]: case for case in new["cases"]}
+        for name in {**olds, **news}:
+            a, b = olds.get(name), news.get(name)
             if a is None or b is None:
                 entries.append((suite, config, name, a, b))
                 continue
-            fields = [key for key in ("status", "tol") if a[key] != b[key]]
-            if not (
-                a["margin"] == b["margin"]
-                or abs(a["margin"] - b["margin"]) <= rel * max(abs(a["margin"]), a["tol"])
-            ):
-                fields.insert(0, "margin")
+            fields = [key for key in ("margin", "status", "tol") if a[key] != b[key]]
+            if abs(b["margin"] - a["margin"]) <= rel * max(abs(a["margin"]), a["tol"]):
+                fields = [key for key in fields if key != "margin"]
             if fields:
                 entries.append((suite, config, name, {k: a[k] for k in fields}, {k: b[k] for k in fields}))
-        if list(old_cases) != list(new_cases) and old_cases.keys() == new_cases.keys():
-            entries.append((suite, config, "case order", list(old_cases), list(new_cases)))
-        if old.get("failures", []) != new["failures"]:
-            entries.append((suite, config, "failures", old.get("failures", []), new["failures"]))
+        if list(olds) != list(news) and olds.keys() == news.keys():
+            entries.append((suite, config, "case order", list(olds), list(news)))
+        if failures != new["failures"]:
+            entries.append((suite, config, "failures", failures, new["failures"]))
     return entries
 
 
@@ -97,27 +80,22 @@ def describe(entry: tuple) -> str:
     return " ".join(part for part in where if part not in (None, "null")) + f": {old!r} -> {new!r}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Rewrite or check the pinned suite outcomes.")
-    parser.add_argument("--check", action="store_true",
-                        help="rerun every pinned run, write nothing, exit 1 if an entry moved")
-    args = parser.parse_args(argv)
+def main(check: bool = False) -> int:
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     runs, entries = {}, []
     for suite in sorted(set(SUITE_NAMES) | set(golden)):
-        suite_runs, suite_moved = pin(suite, golden, REL if args.check else 0.0)
+        suite_runs, suite_moved = pin(suite, golden, REL if check else 0.0)
         if suite_runs:
             runs[suite] = suite_runs
         entries += suite_moved
-    for entry in entries:
-        print(describe(entry))
-    if args.check:
-        print(f"{len(entries)} pinned entries moved")
+    print(*map(describe, entries), f"{len(entries)} pinned entries moved", sep="\n", flush=True)
+    if check:
         return 1 if entries else 0
     GOLDEN.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN.relative_to(ROOT)}, {len(entries)} entries moved", flush=True)
     return subprocess.call([sys.executable, str(ROOT / "oabench" / "pin_verdicts.py")], cwd=ROOT)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python3 tests/pins.py [--check]")
+    sys.exit(main(check=sys.argv[1:] == ["--check"]))

@@ -110,14 +110,15 @@ def test_heavy_imports_per_suite():
     # Every registered suite at its reduced config, in SUITE_NAMES order, in
     # one interpreter: which heavy subpackages each suite is the first to
     # load.  An eager import shows up here as a row, not as a silent +20 MB.
-    from test_acceptance import _REDUCED
+    from test_acceptance import _GOLDEN
 
+    reduced = {name: runs[0]["config"] for name, runs in _GOLDEN.items()}
     code = (
         "from oalab import SUITE_NAMES, SuiteConfig, run_suite\n"
-        f"reduced = {_REDUCED!r}\n"
+        f"reduced = {reduced!r}\n"
         "seen, table = set(), {}\n"
         "for name in SUITE_NAMES:\n"
-        "    run_suite(SuiteConfig(suite=name, seed=3, **reduced[name]))\n"
+        "    run_suite(SuiteConfig(suite=name, **reduced[name]))\n"
         f"    now = {{m for m in {HEAVY_SUBPACKAGES!r} if m in sys.modules}}\n"
         "    table[name] = sorted(now - seen)\n"
         "    seen = now\n"

@@ -1,25 +1,21 @@
-"""The pinned outcomes: the golden suite runs name the same cases with the
-same statuses as the benchmark's pinned verdicts, so a renamed, added or
-dropped case fails here before the benchmark refuses a run over it; and
-``tests/pins.py --check`` fails, writing nothing, when an outcome moves."""
+"""The pins: the golden suite runs name the same cases with the same statuses
+as the benchmark's pinned verdicts, so a renamed, added or dropped case fails
+here before the benchmark refuses a run over it; and ``tests/pins.py
+--check`` names every moved entry, and writes nothing, when an outcome moves."""
 
 import json
-from pathlib import Path
+import re
 
 import pins
 from oalab import suites
 
-VERDICTS = Path(pins.ROOT) / "oabench" / "verdicts.json"
-
 
 def test_golden_cases_match_pinned_verdicts():
     golden = json.loads(pins.GOLDEN.read_text(encoding="utf-8"))
-    pinned = json.loads(VERDICTS.read_text(encoding="utf-8"))
-    assert set(pinned) <= set(golden)
+    pinned = json.loads((pins.ROOT / "oabench" / "verdicts.json").read_text(encoding="utf-8"))
     for suite, verdicts in pinned.items():
         for run in golden[suite]:
-            got = {case["name"]: case["status"] for case in run["cases"]}
-            assert got == verdicts, (suite, run["config"])
+            assert {case["name"]: case["status"] for case in run["cases"]} == verdicts, (suite, run)
 
 
 def test_check_names_every_moved_entry(monkeypatch, capsys):
@@ -35,23 +31,20 @@ def test_check_names_every_moved_entry(monkeypatch, capsys):
 
     monkeypatch.setitem(suites._REGISTRY, "roots", (changed, *rest))
     before = pins.GOLDEN.read_bytes()
-    assert pins.main(["--check"]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    assert pins.main(check=True) == 1
     assert pins.GOLDEN.read_bytes() == before
-    configs = [run["config"] for run in json.loads(before)["roots"]]
-    for config in configs:
-        where = f"roots {json.dumps(config)} "
-        mine = [line for line in lines if line.startswith(where)]
-        assert len(mine) == 5, lines
-        shifted, flipped, tol, dropped, added = mine
-        assert shifted.startswith(where + "half-root-squares: {'margin'")
-        assert flipped.startswith(where + "roots-stay-in-cone: {'margin'")
-        assert "'status': 'pass'} -> {'margin': -1.0, 'status': 'fail'}" in flipped
-        assert tol.startswith(where + "half-cone-roots-stay: {'tol'")
-        assert "-> {'tol': 0.5}" in tol
-        assert dropped.startswith(where + "roots-in-generated-span: {") and dropped.endswith("-> None")
-        assert added.startswith(where + "added-case: None -> {")
-    assert [line for line in lines if not line.startswith("roots ")] == [f"{5 * len(configs)} pinned entries moved"]
+    moves = [
+        r"half-root-squares: \{'margin': \S+\} -> \{'margin': \S+\}",
+        r"roots-stay-in-cone: \{'margin': \S+, 'status': 'pass'\} -> \{'margin': -1.0, 'status': 'fail'\}",
+        r"half-cone-roots-stay: \{'tol': 1e-08\} -> \{'tol': 0.5\}",
+        r"roots-in-generated-span: \{.*\} -> None",
+        r"added-case: None -> \{.*\}",
+    ]
+    runs = json.loads(before)["roots"]
+    expected = [re.escape(f"roots {json.dumps(run['config'])} ") + move for run in runs for move in moves]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{len(expected)} pinned entries moved"
+    assert len(lines) == len(expected) + 1 and all(map(re.fullmatch, expected, lines)), lines
 
 
 def test_check_fails_on_unpinned_and_unregistered_suites(monkeypatch, tmp_path, capsys):
@@ -59,11 +52,9 @@ def test_check_fails_on_unpinned_and_unregistered_suites(monkeypatch, tmp_path, 
     monkeypatch.setattr(pins, "SUITE_NAMES", ("domar-criterion",))
     monkeypatch.setattr(pins, "GOLDEN", tmp_path / "suites.json")
     for golden, named in (
-        ({}, "domar-criterion {}"),
-        ({"domar-criterion": runs, "no-such-suite": runs}, "no-such-suite: 'pinned' -> 'not a registered suite'"),
+        ({}, "domar-criterion {} gaussian-ratio-integral: None -> {"),
+        ({"domar-criterion": runs, "extra": runs}, "extra: 'pinned' -> 'not a registered suite'"),
     ):
         pins.GOLDEN.write_text(json.dumps(golden), encoding="utf-8")
-        assert pins.main(["--check"]) == 1
-        out = capsys.readouterr().out
-        assert named in out, out
-        assert json.loads(pins.GOLDEN.read_text(encoding="utf-8")) == golden
+        assert pins.main(check=True) == 1
+        assert named in capsys.readouterr().out

@@ -775,7 +775,7 @@ class TestOcpFalsifyTraffic:
     def test_suite_amplifies_once_per_call_and_factors_once_per_map(
         self, monkeypatch, eigen_calls
     ):
-        from test_acceptance import _REDUCED
+        from test_acceptance import _GOLDEN
 
         counts = {"ocp_falsify": 0, "shuffle": 0}
         inside, tensordot_inside = [], []
@@ -800,7 +800,7 @@ class TestOcpFalsifyTraffic:
         monkeypatch.setattr(suites, "ocp_falsify", falsify)
         monkeypatch.setattr(ocpmap, "_verify_choi_shuffle", shuffle)
         monkeypatch.setattr(np, "tensordot", counted_tensordot)
-        trials = _REDUCED["ocp-falsify"]["trials"]
+        trials = _GOLDEN["ocp-falsify"][0]["config"]["trials"]
         report = suites.run_suite(suites.SuiteConfig(suite="ocp-falsify", seed=3, trials=trials))
         assert report.failures == []
         # three transpose bounds, then levels 1-3 for each CP map

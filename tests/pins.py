@@ -9,7 +9,7 @@ that differ from the suite's defaults.  From the repository root,
     python3 tests/pins.py --check   # rerun the configs, write nothing, exit 1 if one moved
 
 Both print every moved entry.  The rewrite pins a registered suite that the
-file lacks at ``{}``, and gives a run that holds only a config its outcome.
+file lacks at ``{}``; a run entered with no cases gains its outcome.
 """
 
 import json
@@ -45,8 +45,8 @@ def moved(suite: str, pinned: list, runs: list, rel: float = REL) -> list:
     """
     entries = []
     for old, new in zip(pinned, runs):
-        config, failures = old["config"], old.get("failures", [])
-        olds = {case["name"]: case for case in old.get("cases", [])}
+        config, failures = old["config"], old["failures"]
+        olds = {case["name"]: case for case in old["cases"]}
         news = {case["name"]: case for case in new["cases"]}
         for name in {**olds, **news}:
             a, b = olds.get(name), news.get(name)
@@ -69,7 +69,7 @@ def pin(suite: str, golden: dict, rel: float = REL) -> tuple:
     """Rerun the pinned configs of ``suite``: its runs, and every entry that moved."""
     if suite not in SUITE_NAMES:
         return [], [(suite, None, None, "pinned", "not a registered suite")]
-    pinned = golden.get(suite) or [{"config": {}}]
+    pinned = golden.get(suite) or [{"config": {}, "cases": [], "failures": []}]
     runs = rerun(suite, [run["config"] for run in pinned])
     return runs, moved(suite, pinned, runs, rel)
 

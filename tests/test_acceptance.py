@@ -1,6 +1,6 @@
 """Acceptance: every registered suite reproduces its pinned outcomes (the
-rule of ``pins.moved``) at its reduced and default configs, and reproduces
-its reduced run byte for byte; and the ocp-falsify suite's 50 completely
+rule of ``pins.moved``) at its reduced and default configs, and a rerun of
+its reduced config byte for byte; and the ocp-falsify suite's 50 completely
 positive maps withstand the falsifier's full budget."""
 
 import json
@@ -18,9 +18,15 @@ _GOLDEN = json.loads(pins.GOLDEN.read_text(encoding="utf-8"))
 
 @pytest.mark.parametrize("suite", sorted(set(SUITE_NAMES) | set(_GOLDEN)))
 def test_pinned_outcomes(suite):
-    runs, moved = pins.pin(suite, _GOLDEN)
+    _, moved = pins.pin(suite, _GOLDEN)
     assert moved == [], "\n".join(map(pins.describe, moved))
-    assert json.dumps(pins.rerun(suite, [runs[0]["config"]])) == json.dumps(runs[:1])
+
+
+def test_12_reruns_reproduce_outcomes():
+    # Two runs of each suite's reduced config give byte-identical cases and failures.
+    for suite in SUITE_NAMES:
+        configs = [_GOLDEN[suite][0]["config"]]
+        assert json.dumps(pins.rerun(suite, configs)) == json.dumps(pins.rerun(suite, configs)), suite
 
 
 def test_cp_maps_withstand_the_full_falsifier_budget():

@@ -22,7 +22,6 @@ well-posedness is exactly the cluster separation.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .cone import in_F
 from .matcore import (
@@ -100,6 +99,7 @@ def _checked_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarra
     Nonzero ``info`` means LAPACK perturbed close eigenvalues of a and b to
     finish the solve, so the result would be unreliable: raise instead.
     """
+    import scipy.linalg
     x, scale, info = scipy.linalg.lapack.ztrsyl(a, b, c, isgn=-1)
     if info != 0:
         raise RecurrenceBreakdown(f"Sylvester solve perturbed close eigenvalues (info={info})")
@@ -241,6 +241,7 @@ def _triangular_power(t: np.ndarray, z: np.ndarray, r: float) -> np.ndarray:
 
 def _blocked_power(t: np.ndarray, z: np.ndarray, labels: np.ndarray, r: float) -> np.ndarray:
     """Blocked Parlett evaluation on a Schur pair with the given clusters."""
+    import scipy.linalg
     counts = np.bincount(labels)
     for label in np.flatnonzero(counts > 1):
         # gather clusters 0..label to the front; ztrsen keeps relative order
@@ -318,6 +319,7 @@ def spectral_idempotent(x, radius: float) -> np.ndarray:
     The idempotent comes from one Sylvester solve (block diagonalization), and
     is verified to be idempotent and to commute with x.
     """
+    import scipy.linalg
     a = as_square_matrix(x)
     if radius <= 0:
         raise ValueError("radius must be positive")

@@ -26,7 +26,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .matcore import rank_cutoff, rounding_allowance
 
@@ -478,6 +477,7 @@ def principal_density_check(
     the residual is at quadrature precision whenever the substitution is
     well conditioned.
     """
+    import scipy.linalg
     if abs(t_f.h - g.h) > 1e-15:
         raise ValueError("grid steps differ")
     k0 = alpha_index(t_f)

@@ -20,7 +20,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "EXACT_TOL",
@@ -231,6 +230,7 @@ def complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``zgees`` itself at n <= 8.  A failed QR iteration (nonzero ``info``)
     raises :class:`SpectrumError`.
     """
+    import scipy.linalg
     zgees = scipy.linalg.lapack.zgees
     lwork = int(zgees(_unsorted, a, lwork=-1)[-2][0].real)
     t, _, _, z, _, info = zgees(_unsorted, a, lwork=lwork)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from .matcore import (
     CrossCheckError,
@@ -89,6 +88,7 @@ def _hermitian_extremes(h: np.ndarray, count: int):
     rest of the spectrum is never computed.  Returns ``(values, vectors)``
     with the top pair first.
     """
+    import scipy.linalg
     lapack = scipy.linalg.lapack
     n = h.shape[0]
     work, _ = lapack.zhetrd_lwork(n, lower=1)
@@ -142,6 +142,7 @@ def numerical_range(x: np.ndarray, theta_count: int = 720) -> NumericalRangeSamp
     each bundle an OpenBLAS, and alternating their thread pools call by
     call slows the loop severalfold on two threads.
     """
+    import scipy.linalg
     x = as_square_matrix(x)
     if theta_count < 8:
         raise ValueError("theta_count must be at least 8")

@@ -48,6 +48,11 @@ HEAVY_SUBPACKAGES = (
     "scipy.fft",
 )
 
+# The suites that reach a LAPACK or BLAS routine through scipy.linalg, which
+# seven functions import at their first call; the other suites load no scipy
+# module at all.
+LAPACK_SUITES = ("closure-battery", "domar-density", "nonunital-battery", "roots", "volterra")
+
 
 def _fresh(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter that imports
@@ -63,16 +68,103 @@ def _loaded_heavy(setup: str) -> list:
     return ast.literal_eval(_fresh(code))
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    assert _loaded_heavy("import oalab") == []
+# An expression for the sorted names of the scipy modules loaded so far.
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
-def test_disk_test_suite_loads_no_heavy_scipy_subpackage():
-    setup = (
+def test_import_loads_no_scipy_module():
+    assert ast.literal_eval(_fresh(f"import sys\nimport oalab\nprint({_LOADED_SCIPY})")) == []
+
+
+def test_only_the_lapack_suites_load_scipy():
+    # In one interpreter, at their reduced configs: first every suite but the
+    # five, which must load no scipy module, then the five.
+    from test_acceptance import _GOLDEN
+
+    reduced = {name: runs[0]["config"] for name, runs in _GOLDEN.items()}
+    assert set(LAPACK_SUITES) < set(suites.SUITE_NAMES)
+    others = [name for name in suites.SUITE_NAMES if name not in LAPACK_SUITES]
+    code = (
+        "import sys\n"
         "from oalab import SuiteConfig, run_suite\n"
-        "assert run_suite(SuiteConfig(suite='disk-test', seed=3, trials=60)).passed"
+        f"reduced = {reduced!r}\n"
+        "def run(names):\n"
+        "    for name in names:\n"
+        "        run_suite(SuiteConfig(suite=name, **reduced[name]))\n"
+        f"run({others!r})\n"
+        f"print({_LOADED_SCIPY})\n"
+        f"run({LAPACK_SUITES!r})\n"
+        "print('scipy.linalg' in sys.modules)"
     )
-    assert _loaded_heavy(setup) == []
+    before, after = _fresh(code).splitlines()
+    assert ast.literal_eval(before) == []
+    assert after == "True"
+
+
+# Each function that imports scipy.linalg at its first call, reached as the
+# first call in a fresh interpreter and checked against a known answer.
+FIRST_CALLS = {
+    # zgees on a triangular matrix: its diagonal, by nonincreasing modulus
+    "spectrum": (
+        "x = np.array([[2.0, 1.0], [0.0, 0.5j]])",
+        "y = oalab.spectrum(x)",
+        "assert np.allclose(y, [2.0, 0.5j], rtol=0, atol=1e-15), y",
+    ),
+    # a kernel of dimension two is one cluster: ztrsen gathers it and ztrsyl
+    # couples it to the other blocks; the square root of U diag(d) U* is
+    # U diag(sqrt(d)) U*
+    "matrix_power_r": (
+        "u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + 3 * np.eye(4) + 1j * np.tri(4))[0]\n"
+        "d = np.array([1.0, 0.25, 0.0, 0.0])\n"
+        "x = u @ np.diag(d) @ u.conj().T",
+        "y = oalab.matrix_power_r(x, 0.5)",
+        "assert np.abs(y - u @ np.diag(np.sqrt(d)) @ u.conj().T).max() < 1e-12\n"
+        "labels = oalab.calculus._cluster_labels(oalab.spectrum(x))\n"
+        "assert labels.max() < len(labels) - 1, labels",
+    ),
+    # ztrsen and ztrsyl: the idempotent onto the 0.1-eigenvector e1 along
+    # the 0.9-eigenvector (1.25, 1)
+    "spectral_idempotent": (
+        "x = np.array([[0.1, 1.0], [0.0, 0.9]])",
+        "y = oalab.spectral_idempotent(x, 0.5)",
+        "assert np.abs(y - [[1.0, -1.25], [0.0, 0.0]]).max() < 1e-14, y",
+    ),
+    # one matrix per block from n = 46 (zhetrd, dstebz, dstein, zunmqr,
+    # zgemm): the numerical range of the n x n shift is the disk of radius
+    # cos(pi / (n + 1))
+    "numerical_range": (
+        "x = np.eye(50, k=-1)\n"
+        "radius = np.cos(np.pi / 51)\n"
+        "circle = radius * np.exp(2j * np.pi * np.arange(8) / 8)",
+        "y = oalab.numerical_range(x, theta_count=8)",
+        "assert np.abs(y.support_values - radius).max() < 1e-14, y\n"
+        "assert np.abs(y.boundary_points - circle).max() < 1e-12, y",
+    ),
+    # ztbtrs: a delta at 0.2 times u is a delta at 0.5 when u = delta(0.3) / h
+    "principal_density_check": (
+        "delta = lambda k: oalab.GridFunction(h=0.1, coeffs=np.eye(1, k + 1, k, dtype=complex)[0])\n"
+        "w = oalab.make_weight('gaussian')",
+        "y = oalab.principal_density_check(delta(2), delta(5), w)",
+        "assert y.residual == 0.0 and np.abs(y.solution.coeffs - [0, 0, 0, 10]).max() < 1e-12, y",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FIRST_CALLS))
+def test_first_lapack_call_in_a_fresh_interpreter(site):
+    setup, call, check = FIRST_CALLS[site]
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import oalab",
+        setup,
+        "assert 'scipy.linalg' not in sys.modules",
+        call,
+        "assert 'scipy.linalg' in sys.modules",
+        check,
+        "print('ok')",
+    ])
+    assert _fresh(code) == "ok"
 
 
 @pytest.mark.parametrize(
@@ -128,11 +220,22 @@ def test_heavy_imports_per_suite():
     assert table == {name: [] for name in suites.SUITE_NAMES}
 
 
-def _imported_modules(path: Path) -> set:
-    """Dotted names of the modules a source file imports, at any depth;
-    ``from scipy import optimize`` counts as ``scipy.optimize``."""
+def _import_time_nodes(node):
+    """The nodes below ``node`` that run when its module is imported: all
+    but those inside a function or lambda body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def _imported_modules(path: Path, at_import: bool = False) -> set:
+    """Dotted names of the modules a source file imports, at any depth or,
+    with ``at_import``, only outside function bodies; ``from scipy import
+    optimize`` counts as ``scipy.optimize``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in _import_time_nodes(tree) if at_import else ast.walk(tree):
         if isinstance(node, ast.Import):
             names |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
@@ -156,6 +259,37 @@ def test_no_module_imports_a_scipy_subpackage_but_linalg():
     }
     assert importers == {}
 
+
+
+def _import_time_scipy(package: Path) -> dict:
+    """Per module of ``package``, the scipy modules it imports outside any
+    function body."""
+    return {
+        str(path.relative_to(package)): sorted(found)
+        for path in sorted(package.rglob("*.py"))
+        if (found := {
+            name for name in _imported_modules(path, at_import=True)
+            if name.split(".")[0] == "scipy"
+        })
+    }
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # The functions that call LAPACK import scipy.linalg as their first
+    # statement, so that `import oalab` and the suites that never call
+    # LAPACK pay none of its 0.3 s and 28 MB.
+    assert _import_time_scipy(Path(oalab.__file__).parent) == {}
+
+
+def test_the_import_guard_finds_a_module_level_scipy_import(tmp_path):
+    copy = tmp_path / "oalab"
+    shutil.copytree(Path(oalab.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    path = copy / "cone.py"
+    text = path.read_text(encoding="utf-8")
+    anchor = "import numpy as np\n"
+    assert text.count(anchor) == 1
+    path.write_text(text.replace(anchor, anchor + "from scipy import linalg\n"), encoding="utf-8")
+    assert _import_time_scipy(copy) == {"cone.py": ["scipy", "scipy.linalg"]}
 
 def _unused_imports(path: Path) -> list:
     """Names a module imports but never reads; names listed in a literal

@@ -136,7 +136,10 @@ class FDAlgebra:
 
     @classmethod
     def build(cls, matrices) -> "FDAlgebra":
-        mats = np.stack([as_square_matrix(m) for m in matrices])
+        mats = [as_square_matrix(m) for m in matrices]
+        if not mats:
+            raise ValueError("need at least one generator")
+        mats = np.stack(mats)
         n = mats.shape[1]
         span = matrix_span(mats)
         if span.dim != len(mats):
@@ -539,7 +542,7 @@ class QuotientNormResult:
     (coefficients ``minimizer_coeffs`` over ``J``'s orthonormal basis);
     ``lower`` comes from a dual certificate: a matrix ``G`` Frobenius-orthogonal
     to ``J``, giving ``|<G, a>| / ||G||_* <= min ||a - j||``.  ``status`` is
-    CERTIFIED when the gap closed to ``iter_tol``, INCONCLUSIVE otherwise --
+    CERTIFIED when the gap closed to ``ITER_TOL``, INCONCLUSIVE otherwise --
     never a silent point estimate.
     """
 
@@ -661,7 +664,7 @@ def _path_tangent(s: _SmoothedNorm, mu: float) -> np.ndarray:
 QUOTIENT_MU_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-7)
 
 
-def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormResult:
+def quotient_norm(a, J: Subspace) -> QuotientNormResult:
     """Certified quotient norm ``min_{j in J} ||a - j||`` (operator norm).
 
     Minimizes the smoothed norm ``f_mu = mu log tr exp(H / mu)`` of the
@@ -681,13 +684,13 @@ def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormRes
     ``G = 2 P[:n, n:]`` is the dual candidate of the lower bound: at a
     stationary point ``G`` is orthogonal to ``J`` and
     ``<G, m> >= ||m|| - mu log 2n``.  It is formed at most twice per stage:
-    at the first taken step whose gradient is at most ``iter_tol``, which
-    ends the whole descent if the gap has closed to ``iter_tol``, and at the
+    at the first taken step whose gradient is at most ``ITER_TOL``, which
+    ends the whole descent if the gap has closed to ``ITER_TOL``, and at the
     stage's last point.  ``upper`` is the operator norm at the coefficients
     of the smallest ``||m||`` seen.  The Frobenius projection is tried
     first, with ``G`` the top singular pair, which settles block-diagonal
     and triangular quotients with one SVD.  CERTIFIED as soon as the gap is
-    at most ``iter_tol``, INCONCLUSIVE if the schedule ends first.  No
+    at most ``ITER_TOL``, INCONCLUSIVE if the schedule ends first.  No
     random numbers are drawn.
     """
     a = as_square_matrix(a)
@@ -720,11 +723,11 @@ def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormRes
         nrm = operator_norm(a - linear_combination(c, j_mats))
         if nrm < upper:
             upper, best = nrm, c
-        return upper - lower <= iter_tol
+        return upper - lower <= ITER_TOL
 
     last = None  # the previous stage's final evaluation and its mu
     for mu in QUOTIENT_MU_SCHEDULE:
-        if upper - lower <= iter_tol:
+        if upper - lower <= ITER_TOL:
             break
         cur = _dilation_objective(a, j_mats, x, mu)
         top, top_x = cur.top, x
@@ -759,16 +762,16 @@ def quotient_norm(a, J: Subspace, iter_tol: float = ITER_TOL) -> QuotientNormRes
                 damping *= 4
                 continue
             x, cur, damping = x + step, trial, damping / 4
-            # The first accepted step that is stationary to iter_tol tries
+            # The first accepted step that is stationary to ITER_TOL tries
             # the certificate; if it closes, the descent is over.
-            if settled is None and np.linalg.norm(cur.grad) <= iter_tol:
+            if settled is None and np.linalg.norm(cur.grad) <= ITER_TOL:
                 settled = cur
                 if settle(cur, top_x):
                     break
-        if upper - lower > iter_tol:
+        if upper - lower > ITER_TOL:
             settle(cur, top_x, dual=cur is not settled)
         last = (cur, mu)
-    status = "CERTIFIED" if upper - lower <= iter_tol else "INCONCLUSIVE"
+    status = "CERTIFIED" if upper - lower <= ITER_TOL else "INCONCLUSIVE"
     return QuotientNormResult(lower=lower, upper=upper, status=status, minimizer_coeffs=best)
 
 

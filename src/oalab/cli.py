@@ -1,7 +1,7 @@
 """Command-line driver: verification suites and example constructors.
 
-``oalab run --suite NAME [--dim N] [--trials K] [--seed S] [--tol X]
-[--out PATH]`` executes one registered suite and prints one line per case;
+``oalab run --suite NAME [--dim N] [--trials K] [--seed S] [--out PATH]``
+executes one registered suite and prints one line per case;
 ``oalab example NAME [--size N] --out PATH`` writes a constructed example
 as JSON (``--size`` for ``rdr`` and ``volterra`` only).  Exit codes: 0 all
 cases pass, 1 at least one assertion failed, 2 usage error (unknown suite or
@@ -16,7 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from .examples import example_rdr, example_two_dim, volterra
-from .matcore import ITER_TOL, spectral_radius, to_jsonable
+from .matcore import spectral_radius, to_jsonable
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -38,10 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--dim", type=int, help="matrix dimension cap")
     run_parser.add_argument("--trials", type=int, help="sample count")
     run_parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    run_parser.add_argument(
-        "--tol", type=float, default=ITER_TOL,
-        help=f"the iterative tolerance iter_tol (default {ITER_TOL:g})",
-    )
     run_parser.add_argument("--out", help="write the JSON report to this path")
 
     example_parser = sub.add_parser("example", help="emit a constructed example as JSON")
@@ -89,10 +85,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "run":
         try:
-            cfg = SuiteConfig(
-                suite=args.suite, dim=args.dim, trials=args.trials, seed=args.seed,
-                iter_tol=args.tol,
-            )
+            cfg = SuiteConfig(suite=args.suite, dim=args.dim, trials=args.trials, seed=args.seed)
             report = run_suite(cfg)
         except (KeyError, ValueError) as exc:
             # str() of a KeyError is the repr of its message, quotes and all

@@ -290,6 +290,8 @@ def quasinilpotence_root_bound(f: GridFunction, w: RadicalWeight, n: int) -> flo
     a = alpha(f)
     if a <= 0.0:
         raise ValueError("the bound requires alpha(f) > 0")
+    if n < 1:
+        raise ValueError("n must be positive")
     b = f.horizon
     grid_ab = np.linspace(a, b, 200)
     grid_nab = np.linspace(n * a, min(n * b, w.horizon), 200)

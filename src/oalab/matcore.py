@@ -97,10 +97,9 @@ def operator_norm(x) -> float:
 
 # The allowances every verdict is compared against.  EXACT_TOL is the slack
 # of algebraic identities evaluated in floating point, RANK_TOL the
-# singular-value threshold of every rank and membership decision; both are
-# fixed.  ITER_TOL, the convergence target of iterative limits and
-# optimization gaps, is the default of the ``iter_tol`` parameter of the
-# functions that read it, and the one tolerance a caller sets.
+# singular-value threshold of every rank and membership decision, ITER_TOL
+# the convergence target of iterative limits and optimization gaps.  All
+# three are fixed.
 EXACT_TOL = 1e-9
 RANK_TOL = 1e-8
 ITER_TOL = 1e-6

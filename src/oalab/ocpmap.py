@@ -215,7 +215,6 @@ def ocp_falsify(
     k: int,
     budget: int = 10000,
     seed: int = 0,
-    iter_tol: float = ITER_TOL,
 ) -> Optional[dict]:
     """Search for a level-``k`` witness against ``||c 1 - T_k(x)|| <= c``.
 
@@ -251,7 +250,7 @@ def ocp_falsify(
     failed search; for a completely positive map, :func:`dilation_bound`
     proves a bound at every level at once.  Every returned witness is
     independently re-verified: its value by a fresh norm evaluation, which
-    must exceed ``c + iter_tol``, and only then its cone membership via the
+    must exceed ``c + ITER_TOL``, and only then its cone membership via the
     membership predicate.
     """
     if c <= 0:
@@ -306,7 +305,7 @@ def ocp_falsify(
 
     # Independent certification of the best candidate.
     certified_value = operator_norm(target - amp.apply(best_x))
-    if certified_value > c + iter_tol and in_F(best_x):
+    if certified_value > c + ITER_TOL and in_F(best_x):
         return {
             "x": matrix_to_json(best_x),
             "level": k,

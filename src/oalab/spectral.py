@@ -202,7 +202,7 @@ class SharpNeumannResult:
 
 
 # The band below 1 in which both norms read "singular": the resolution of
-# the two-norm test, not an iteration stop, so iter_tol does not set it.
+# the two-norm test, not an iteration stop, so it is not ITER_TOL.
 # For t = 1 + u with u unitary, on the boundary of the cone,
 # 1 - ||1 - t/2|| is about sigma_min(t)^2 / 8.
 NEUMANN_BAND = 1e-6
@@ -213,8 +213,8 @@ def sharp_neumann(t: np.ndarray) -> SharpNeumannResult:
 
     Requires ``||1 - t|| <= 1`` up to the rounding allowance; raises
     ``ValueError`` otherwise.  The verdict is "singular" precisely when both
-    norms are at least ``1 - NEUMANN_BAND``, a constant that ``iter_tol``
-    does not move.  The verdict is then cross-checked against the smallest
+    norms are at least ``1 - NEUMANN_BAND``, a constant apart from
+    ``ITER_TOL``.  The verdict is then cross-checked against the smallest
     singular value of ``t`` (singular iff
     ``sigma_min <= rank_cutoff(||t||)``); a disagreement raises
     :class:`~oalab.matcore.CrossCheckError` with both diagnostics, since it

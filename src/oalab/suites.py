@@ -82,7 +82,6 @@ class SuiteConfig:
     dim: Optional[int] = None
     trials: Optional[int] = None
     seed: int = 0
-    iter_tol: float = ITER_TOL
 
     def __post_init__(self):
         if self.dim is not None and self.dim < 1:
@@ -91,10 +90,6 @@ class SuiteConfig:
             raise ValueError("trials must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not (self.iter_tol > 0.0 and math.isfinite(self.iter_tol)):
-            raise ValueError(
-                f"iter_tol must be finite and strictly positive, got {self.iter_tol!r}"
-            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,7 +118,6 @@ class _Run:
     dim: int
     trials: int
     rng: np.random.Generator
-    iter_tol: float
     margins: dict = dataclasses.field(default_factory=dict)  # name -> [margin, tol]
     failures: list = dataclasses.field(default_factory=list)
 
@@ -207,7 +201,7 @@ def _suite_support_routes(run):
             x = np.eye(d) + random_contraction(run.rng, d)
         if operator_norm_at_most(x, rank_cutoff()):
             continue
-        residuals = support_projection_routes(x, run.iter_tol)["residuals"]
+        residuals = support_projection_routes(x)["residuals"]
         run.bound("route-agreement", max(residuals.values()), 1e-6,
                   lambda: {"trial": trial, "x": matrix_to_json(x), "residuals": residuals})
 
@@ -457,22 +451,22 @@ def _suite_ocp_falsify(run):
     seeds, cp_draws = _ocp_falsify_draws(run.rng, run.trials)
     t = transpose_map(2)
     for c, seed in zip(_TRANSPOSE_BOUNDS, seeds):
-        witness = ocp_falsify(t, c, k=2, budget=200, seed=seed, iter_tol=run.iter_tol)
+        witness = ocp_falsify(t, c, k=2, budget=200, seed=seed)
         err = np.inf if witness is None else abs(witness["margin"] - 1.0)
         run.bound("transpose-witness", err, 1e-9, lambda: {"bound": c, "witness": witness})
 
     # Completely positive maps obey ||c 1 - T_k(x)|| <= c = ||T(1)|| on the
     # cone at every level: the Stinespring dilation proves it up to rounding,
-    # and the margin is iter_tol minus that excess.  The falsifier still runs
+    # and the margin is ITER_TOL minus that excess.  The falsifier still runs
     # at levels 1..3; a witness contradicts the certificate and fails the case.
     for trial, (cp_map, c, seed) in enumerate(cp_draws):
         excess = dilation_bound(cp_map, c) - c
         witnesses = [
-            ocp_falsify(cp_map, c, k=k, budget=share, seed=seed, iter_tol=run.iter_tol)
+            ocp_falsify(cp_map, c, k=k, budget=share, seed=seed)
             for k, share in _CP_BUDGETS
         ]
         found = any(w is not None for w in witnesses)
-        run.bound("cp-no-witness", math.inf if found else excess, run.iter_tol, lambda: {
+        run.bound("cp-no-witness", math.inf if found else excess, ITER_TOL, lambda: {
             "trial": trial, "map": to_jsonable(cp_map), "excess": excess, "witnesses": witnesses
         })
 
@@ -513,7 +507,7 @@ def _ball_element(rng: np.random.Generator, algebra) -> np.ndarray:
 
 
 def _suite_quotient_cone(run):
-    iter_tol, rng = run.iter_tol, run.rng
+    rng = run.rng
     for trial in range(run.trials):
         while True:
             blocks = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(2, 4)))]
@@ -533,7 +527,7 @@ def _suite_quotient_cone(run):
         for _ in range(8):
             # Forward: the coset of a cone element lies in the quotient cone.
             x = unit - _ball_element(draws, algebra)
-            qn = quotient_norm(unit - x, ideal, iter_tol)
+            qn = quotient_norm(unit - x, ideal)
             excess = max(qn.value - 1.0, 0.0 if qn.status == "CERTIFIED" else 1.0)
             run.bound("block-inclusions", excess, 1e-6, lambda: {
                 **where, "x": matrix_to_json(x), "status": qn.status, "quotient_norm": qn.value,
@@ -543,10 +537,10 @@ def _suite_quotient_cone(run):
             rep = comp @ (unit - _ball_element(draws, algebra)) @ comp + linear_combination(
                 complex_normal(draws, ideal.dim), j_mats
             )
-            qn = quotient_norm(unit - rep, ideal, iter_tol)
+            qn = quotient_norm(unit - rep, ideal)
             if qn.status != "CERTIFIED":
                 excess = 1.0
-            elif qn.value <= 1.0 + iter_tol:
+            elif qn.value <= 1.0 + ITER_TOL:
                 excess = max(quotient_cone_lift(algebra, ideal, e, rep))
             else:
                 continue
@@ -559,7 +553,7 @@ def _suite_quotient_cone(run):
     for _ in range(10):
         a = np.triu(complex_normal(rng, (2, 2)))
         ideal = matrix_span([np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
-        result = quotient_norm(a, ideal, iter_tol)
+        result = quotient_norm(a, ideal)
         expected = max(abs(a[0, 0]), abs(a[1, 1]))
         gap = max(result.gap, abs(result.value - expected))
         if result.status != "CERTIFIED":
@@ -603,7 +597,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     if dim < min_dim:
         raise ValueError(f"suite {cfg.suite!r} needs dim >= {min_dim}, got {dim}")
     trials = cfg.trials if cfg.trials is not None else default_trials
-    run = _Run(dim, trials, np.random.default_rng(cfg.seed), cfg.iter_tol)
+    run = _Run(dim, trials, np.random.default_rng(cfg.seed))
     start = time.perf_counter()
     runner(run)
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -613,7 +607,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
             "dim": int(dim),
             "trials": int(trials),
             "seed": int(cfg.seed),
-            "iter_tol": float(cfg.iter_tol),
         },
         cases=run.cases(),
         failures=run.failures,

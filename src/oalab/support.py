@@ -98,17 +98,17 @@ def _bai_limit_projection(a: np.ndarray) -> np.ndarray:
 POWER_LIMIT_CAP = 2**40
 
 
-def power_limit_projection(x, iter_tol: float = ITER_TOL) -> np.ndarray:
+def power_limit_projection(x) -> np.ndarray:
     """Limit of (z*z)^n for z = 1 - x/2, by repeated squaring.
 
     Returns the limit at the first power of two n at which the squaring step
-    moved by less than ``iter_tol``: the orthogonal projection onto the
+    moved by less than ``ITER_TOL``: the orthogonal projection onto the
     kernel of x.  Near-kernel directions far below the rank cutoff plateau
     at eigenvalue ~1 and are captured into the kernel, matching the SVD
     rank decision; directions at intermediate scales either resolve
     (slowly) or reach n = ``POWER_LIMIT_CAP``, which raises
     :class:`ConvergenceError` with the operator norm of the last step.
-    A step is only compared with ``iter_tol``, so
+    A step is only compared with ``ITER_TOL``, so
     :func:`~oalab.matcore.operator_norm_at_most` decides it, mostly from its
     Frobenius norm; the exact norm is computed for the error message only.
     """
@@ -124,15 +124,15 @@ def power_limit_projection(x, iter_tol: float = ITER_TOL) -> np.ndarray:
         n *= 2
         step = nxt - w
         w = nxt
-        # ||step|| < iter_tol, i.e. at most the float below iter_tol
-        if operator_norm_at_most(step, np.nextafter(iter_tol, 0.0)):
+        # ||step|| < ITER_TOL, i.e. at most the float below ITER_TOL
+        if operator_norm_at_most(step, np.nextafter(ITER_TOL, 0.0)):
             return w
     raise ConvergenceError(
         f"(z*z)^n did not settle by n = {POWER_LIMIT_CAP}: last step {operator_norm(step)!r}"
     )
 
 
-def support_projection_routes(x, iter_tol: float = ITER_TOL) -> dict:
+def support_projection_routes(x) -> dict:
     """All three support routes with their pairwise residuals.
 
     The SVD route is :func:`support_projection`'s range projection, which
@@ -141,7 +141,7 @@ def support_projection_routes(x, iter_tol: float = ITER_TOL) -> dict:
     a = as_square_matrix(x)
     svd_route = _range_projection(a)
     bai_route = _bai_limit_projection(a)
-    power_route = np.eye(a.shape[0]) - power_limit_projection(a, iter_tol)
+    power_route = np.eye(a.shape[0]) - power_limit_projection(a)
     return {
         "svd": svd_route,
         "bai_limit": bai_route,

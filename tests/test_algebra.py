@@ -73,6 +73,8 @@ class TestFDAlgebra:
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):
             FDAlgebra.build([np.eye(2), 2.0 * np.eye(2)])
+        with pytest.raises(ValueError, match="need at least one generator"):
+            FDAlgebra.build([])
 
     def test_non_closed_basis_rejected(self):
         # (E12 + E21)^2 = identity, which escapes the two-dimensional span.

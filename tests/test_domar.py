@@ -250,8 +250,12 @@ class TestQuasinilpotence:
 
     def test_horizon_guard(self):
         w = make_weight("gaussian")
+        f = grid_indicator(0.05, 1.0, 2.0)
         with pytest.raises(ValueError):
-            quasinilpotence_estimate(grid_indicator(0.05, 1.0, 2.0), w, 13)
+            quasinilpotence_estimate(f, w, 13)
+        # The bound's n counts from 1, like the estimate's n_max.
+        with pytest.raises(ValueError, match="n must be positive"):
+            quasinilpotence_root_bound(f, w, 0)
 
 
 def counted(f):

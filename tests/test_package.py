@@ -1,11 +1,10 @@
 """The package namespace is exactly the union of the layer modules' exports,
 importing it stays cheap, no module imports a name it never uses, every
 definition is reached from a suite, the CLI or the benchmark, some call sets
-every defaulted parameter, only the iteration tolerance is a parameter, and
+every defaulted parameter, only a suite case's gate takes a tolerance, and
 only matcore reads the fixed rank and rounding tolerances."""
 
 import ast
-import inspect
 import os
 import shutil
 import subprocess
@@ -557,7 +556,7 @@ def test_the_parameter_guard_finds_a_re_added_test_only_parameter(tmp_path):
     copy = tmp_path / "oalab"
     shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
     text = (copy / "support.py").read_text(encoding="utf-8")
-    anchor = "def power_limit_projection(x, iter_tol: float = ITER_TOL)"
+    anchor = "def power_limit_projection(x)"
     assert text.count(anchor) == 1
     (copy / "support.py").write_text(
         text.replace(anchor, anchor[:-1] + ", n_max: int = 2**40)"), encoding="utf-8"
@@ -566,22 +565,12 @@ def test_the_parameter_guard_finds_a_re_added_test_only_parameter(tmp_path):
     assert added == {"support.power_limit_projection.n_max"}
 
 
-# Every signature that takes a tolerance: the functions that read iter_tol
-# as an iteration stop or a certified width, the suite configuration and
-# its run, and the gate of a suite case.  The rounding and rank allowances
-# are matcore's rules, never parameters; the unit, xyx and commutator
-# residual checks read those rules, and sharp_neumann's band is a constant.
-ITER_TOL_READERS = {
-    "algebra.quotient_norm",
-    "support.power_limit_projection",
-    "support.support_projection_routes",
-    "ocpmap.ocp_falsify",
-}
-TOLERANCE_PARAMETERS = (
-    {(name, "iter_tol") for name in ITER_TOL_READERS}
-    | {("suites.SuiteConfig", "iter_tol"), ("suites._Run", "iter_tol")}
-    | {("suites._Run.case", "tol"), ("suites._Run.bound", "tol")}
-)
+# Every signature that takes a tolerance: the gate of a suite case.  The
+# rounding, rank and iteration allowances are matcore's constants, never
+# parameters: the iterative limits, certified widths and witness rules read
+# ITER_TOL, the residual checks read the rounding and rank rules, and
+# sharp_neumann's band is a constant of its own.
+TOLERANCE_PARAMETERS = {("suites._Run.case", "tol"), ("suites._Run.bound", "tol")}
 
 
 def _is_tolerance(name: str, annotation) -> bool:
@@ -619,14 +608,8 @@ def _tolerance_parameters(package: Path) -> set:
     return found
 
 
-def test_only_the_iteration_tolerance_is_a_parameter():
+def test_only_the_case_gates_take_a_tolerance():
     assert _tolerance_parameters(Path(oalab.__file__).parent) == TOLERANCE_PARAMETERS
-    for name in ITER_TOL_READERS:
-        module, *path = name.split(".")
-        fn = getattr(oalab, module)
-        for part in path:
-            fn = getattr(fn, part)
-        assert inspect.signature(fn).parameters["iter_tol"].default == matcore.ITER_TOL, name
     for gone in ("Tolerances", "DEFAULT_TOL"):
         assert not hasattr(oalab, gone) and not hasattr(matcore, gone)
         assert gone not in oalab.__all__

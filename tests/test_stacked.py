@@ -68,8 +68,12 @@ def sequential_haar(rng, dim):
     return q * (d / np.abs(d))
 
 
-def sequential_ocp_falsify(t, c, k, budget, seed, iter_tol=ITER_TOL):
-    """The witness search with one QR and one SVD per Haar draw."""
+def sequential_ocp_falsify(t, c, k, budget, seed):
+    """The witness search with one QR and one SVD per Haar draw.
+
+    Its witness rule reads ``ocpmap.ITER_TOL`` at call time, as
+    ``ocp_falsify`` does, so a test that patches it moves both.
+    """
     amp = amplify(t, k)
     kn, km = amp.in_dim, amp.out_dim
     rng = np.random.default_rng(seed)
@@ -110,7 +114,7 @@ def sequential_ocp_falsify(t, c, k, budget, seed, iter_tol=ITER_TOL):
             break
         best_x, best_val, x = x_next, val, x_next
     certified_value = operator_norm(target - amp.apply(best_x))
-    if in_F(best_x) and certified_value > c + iter_tol:
+    if in_F(best_x) and certified_value > c + ocpmap.ITER_TOL:
         return {
             "x": matrix_to_json(best_x),
             "level": k,
@@ -341,13 +345,14 @@ class TestFalsifyStacked:
     # draw whose value rounds above c, so the reference and the kernel agree
     # only if every image and every norm rounds the same in both.
     @pytest.mark.parametrize("n, m, k", LEVEL_CASES)
-    def test_hair_trigger_witnesses_equal_the_reference(self, n, m, k):
+    def test_hair_trigger_witnesses_equal_the_reference(self, monkeypatch, n, m, k):
+        monkeypatch.setattr(ocpmap, "ITER_TOL", HAIR_TRIGGER)
         t = _kraus_map(np.random.default_rng(70 + 9 * n + 3 * m + k), n, m)
         natural = operator_norm(t.apply(np.eye(n)))
         for c in (natural, 0.5 * natural):
             for seed in (5, 6, 7):
-                got = ocp_falsify(t, c, k=k, budget=200, seed=seed, iter_tol=HAIR_TRIGGER)
-                assert got == sequential_ocp_falsify(t, c, k, 200, seed, HAIR_TRIGGER)
+                got = ocp_falsify(t, c, k=k, budget=200, seed=seed)
+                assert got == sequential_ocp_falsify(t, c, k, 200, seed)
 
 
 class TestNumericalRangeStacked:
@@ -539,14 +544,16 @@ class TestGramScreen:
 
     # A map constant on the unitaries ties every draw with the candidate
     # x = 0.  No tie clears the allowance EXACT_TOL max(1, v), so every
-    # screen passes and no block takes an SVD: at the default iter_tol,
-    # and with an iteration tolerance far below the rounding, where a draw
+    # screen passes and no block takes an SVD: at ITER_TOL, and with the
+    # witness rule's ITER_TOL patched far below the rounding, where a draw
     # rounding above c would otherwise be the witness.
     def _assert_ties_on_every_block(self, svd_calls, t, c, k, budget, seed):
         for iter_tol in (ITER_TOL, HAIR_TRIGGER):
-            expected = sequential_ocp_falsify(t, c, k, budget, seed, iter_tol)
-            svd_calls.clear()
-            got = ocp_falsify(t, c, k=k, budget=budget, seed=seed, iter_tol=iter_tol)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ocpmap, "ITER_TOL", iter_tol)
+                expected = sequential_ocp_falsify(t, c, k, budget, seed)
+                svd_calls.clear()
+                got = ocp_falsify(t, c, k=k, budget=budget, seed=seed)
             assert got == expected
             assert _stacked(svd_calls) == []
             if iter_tol == ITER_TOL:
@@ -855,7 +862,7 @@ class TestCertificateCounts:
         assert calls == {"matrix_powers": 2 * 6, "in_F": 2 * 6, "complex_schur": 2 * 6}
 
     def test_quotient_norm_forms_at_most_two_duals_per_stage(self, monkeypatch):
-        # One dual at the first step stationary to iter_tol, one where the
+        # One dual at the first step stationary to ITER_TOL, one where the
         # stage ends, and none at the other trial steps of the descent.
         evaluated, duals = [], Counter()
         objective = algebra._dilation_objective
